@@ -11,9 +11,13 @@ This benchmark proves the progressive path earns its keep: on a smooth
 scene — the regime where interval bounds are tight — it must examine
 **>= 3x fewer tuples** than the exhaustive scan on a 1024x1024 grid
 (full mode; counted work, so the gate is deterministic, not a wall-clock
-coin flip). Answers are verified bit-identical between the two
-strategies before anything is measured (exit 1 on mismatch), and both
-modes append an entry to ``BENCH_trajectory.json``.
+coin flip). In both modes, once the router is warm, ``strategy="auto"``
+must cost at most 1.15x the faster forced strategy in wall time
+(:mod:`routing_gate`) — fused wins at 1024x1024 and embed-scan at
+256x256, so the two modes hold the router to opposite choices. Answers
+are verified bit-identical between the two strategies before anything
+is measured (exit 1 on mismatch), and both modes append an entry to
+``BENCH_trajectory.json``.
 
 Usage::
 
@@ -23,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -35,6 +40,7 @@ from repro.models.linear import LinearModel
 from repro.service import RetrievalService
 
 from record import record_run
+from routing_gate import auto_gate, report
 
 GATE_TUPLE_RATIO = 3.0
 K = 10
@@ -133,7 +139,6 @@ def main() -> None:
     auto = service.top_k(query, strategy="auto", use_cache=False)
     if _answers(auto) != _answers(scan):
         _fail("strategy='auto' fused answers diverge from embed-scan")
-    auto_chosen = auto.trace.metadata["routing"]["chosen"]
 
     n_attrs = len(query.model.attributes)
     fused_tuples = _cells_examined(fused, n_attrs)
@@ -144,8 +149,9 @@ def main() -> None:
           f"({scan_tuples:,} tuples)")
     print(f"  fused:      {fused_s * 1e3:8.2f} ms "
           f"({fused_tuples:,} tuples)")
-    print(f"  work ratio: {tuple_ratio:.1f}x fewer tuples; "
-          f"auto chose '{auto_chosen}'")
+    print(f"  work ratio: {tuple_ratio:.1f}x fewer tuples")
+    gate = auto_gate(service, query, ("fused", "embed-scan"), repeats=6)
+    gate_failure = report(gate, size)
 
     record_run(
         "embed-quick" if args.quick else "embed",
@@ -156,9 +162,19 @@ def main() -> None:
             "fused_query_s": fused_s,
             "fused_tuple_speedup": tuple_ratio,
             "fused_tuples": fused_tuples,
-            "auto_chose": auto_chosen,
+            "auto_chose": gate["auto_chose"],
+            "auto_query_s": gate["auto_s"],
+            "auto_vs_best_forced": gate["auto_vs_best"],
+        },
+        extra={
+            "mode": "quick" if args.quick else "full",
+            "cpus": os.cpu_count(),
         },
     )
+
+    if gate_failure:
+        print(gate_failure, file=sys.stderr)
+        sys.exit(1)
 
     if not args.quick and tuple_ratio < GATE_TUPLE_RATIO:
         print(

@@ -12,11 +12,13 @@ The index is pre-built via ``warm_index`` so the gate times steady-state
 queries; the one-time build cost is reported (and recorded) separately,
 matching the paper's convention that index construction is amortized.
 
-Gate (full mode, 1024x1024): Onion-routed top-10 must be **>= 5x**
-faster than the quadtree path, or the run exits 1. ``--quick`` shrinks
-the grid for CI, keeps the correctness contract, and reports the
-speedup without enforcing the gate (shared runners are too noisy for a
-hard wall-clock gate on a small workload).
+Gates: (full mode, 1024x1024) Onion-routed top-10 must be **>= 5x**
+faster than the quadtree path; (both modes) once the router is warm,
+``strategy="auto"`` must cost at most 1.15x the best forced strategy
+(:mod:`routing_gate`). Either failing exits 1. ``--quick`` shrinks the
+grid to 256x256 for CI, keeps the correctness contract, and reports the
+Onion speedup without enforcing it (shared runners are too noisy for a
+hard cross-strategy wall-clock gate on a small workload).
 
 Both modes append an entry to ``BENCH_trajectory.json``.
 
@@ -28,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -40,6 +43,7 @@ from repro.models.linear import LinearModel
 from repro.service import RetrievalService
 
 from record import record_run
+from routing_gate import auto_gate, report
 
 GATE_SPEEDUP = 5.0
 K = 10
@@ -120,7 +124,6 @@ def main() -> None:
     auto = service.top_k(query, strategy="auto", use_cache=False)
     if _answers(auto) != _answers(legacy):
         _fail("strategy='auto' answers diverge from the quadtree path")
-    auto_chosen = auto.trace.metadata["routing"]["chosen"]
 
     quadtree_s = _best_of(
         lambda: service.top_k(query, use_cache=False), repeats
@@ -139,8 +142,9 @@ def main() -> None:
           f"({quadtree_tuples:,} tuples)")
     print(f"  onion:    {onion_s * 1e3:8.2f} ms "
           f"({onion_tuples:,} tuples)")
-    print(f"  speedup:  {speedup:.1f}x wall, {tuple_ratio:.0f}x tuples; "
-          f"auto chose '{auto_chosen}'")
+    print(f"  speedup:  {speedup:.1f}x wall, {tuple_ratio:.0f}x tuples")
+    gate = auto_gate(service, query, ("onion", "quadtree", "scan"), repeats=8)
+    gate_failure = report(gate, size)
 
     record_run(
         "routing-quick" if args.quick else "routing",
@@ -151,9 +155,19 @@ def main() -> None:
             "onion_query_s": onion_s,
             "onion_vs_quadtree_speedup": speedup,
             "tuple_ratio": tuple_ratio,
-            "auto_chose": auto_chosen,
+            "auto_chose": gate["auto_chose"],
+            "auto_query_s": gate["auto_s"],
+            "auto_vs_best_forced": gate["auto_vs_best"],
+        },
+        extra={
+            "mode": "quick" if args.quick else "full",
+            "cpus": os.cpu_count(),
         },
     )
+
+    if gate_failure:
+        print(gate_failure, file=sys.stderr)
+        sys.exit(1)
 
     if not args.quick and speedup < GATE_SPEEDUP:
         print(

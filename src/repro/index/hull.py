@@ -41,36 +41,36 @@ def hull_vertices(points: np.ndarray) -> np.ndarray:
         return np.array([], dtype=int)
 
     unique, representative_index = np.unique(points, axis=0, return_index=True)
-    if unique.shape[0] == 1:
-        return np.array([int(representative_index[0])])
+    return np.sort(representative_index[_unique_hull_vertices(unique)])
 
+
+def _unique_hull_vertices(unique: np.ndarray) -> np.ndarray:
+    """Hull-vertex positions within ``unique``: distinct points in the
+    lexicographic order ``np.unique(..., axis=0)`` leaves them in."""
     rank = _affine_rank(unique)
     if rank == 0:
-        return np.array([int(representative_index[0])])
+        return np.array([0])
     if rank == 1:
         # Project onto the principal direction; extremes are the hull.
         direction = unique[-1] - unique[0]
         norm = np.linalg.norm(direction)
         projections = (unique - unique[0]) @ (direction / norm)
         extremes = {int(np.argmin(projections)), int(np.argmax(projections))}
-        return np.sort(representative_index[list(extremes)])
+        return np.array(sorted(extremes))
     if rank < unique.shape[1]:
         # Lower-dimensional flat: project onto an orthonormal basis of the
         # span and take the hull in that subspace.
         centered = unique - unique[0]
         _, _, v_transpose = np.linalg.svd(centered, full_matrices=False)
         projected = centered @ v_transpose[:rank].T
-        sub_vertices = hull_vertices(projected)
-        return np.sort(representative_index[sub_vertices])
+        return hull_vertices(projected)
 
     try:
-        hull = ConvexHull(unique)
-        return np.sort(representative_index[hull.vertices])
+        return ConvexHull(unique).vertices
     except QhullError:
         # Rare residual degeneracies: joggle the input.
         try:
-            hull = ConvexHull(unique, qhull_options="QJ")
-            return np.sort(representative_index[hull.vertices])
+            return ConvexHull(unique, qhull_options="QJ").vertices
         except QhullError as error:
             raise IndexError_(f"convex hull failed: {error}") from error
 
@@ -92,21 +92,23 @@ def hull_layers(
     if points.ndim != 2:
         raise IndexError_("points must be a 2-D array (n_points, n_dims)")
 
-    remaining = np.arange(points.shape[0])
-    layers: list[np.ndarray] = []
+    if points.shape[0] == 0:
+        return []
+    # Peel over the distinct points: a subset of np.unique's output is
+    # itself sorted and distinct, so every layer's hull runs on exactly
+    # the array a fresh np.unique of the remaining points would give.
+    unique, inverse = np.unique(points, axis=0, return_inverse=True)
+    remaining = np.arange(unique.shape[0])
+    layer_of = np.empty(unique.shape[0], dtype=int)
+    n_layers = 0
     while remaining.size:
-        if max_layers is not None and len(layers) == max_layers - 1:
-            layers.append(remaining.copy())
-            break
-        local_vertices = hull_vertices(points[remaining])
-        representatives = remaining[local_vertices]
-
-        # Duplicates of peeled points leave with their representative
-        # (and join its layer), otherwise identical points recur forever.
-        peeled_set = {tuple(points[i]) for i in representatives}
-        peeled_mask = np.array(
-            [tuple(points[i]) in peeled_set for i in remaining]
-        )
-        layers.append(np.sort(remaining[peeled_mask]))
-        remaining = remaining[~peeled_mask]
-    return layers
+        if max_layers is not None and n_layers == max_layers - 1:
+            peeled = np.arange(remaining.size)  # the interior bucket
+        else:
+            peeled = _unique_hull_vertices(unique[remaining])
+        layer_of[remaining[peeled]] = n_layers
+        n_layers += 1
+        remaining = np.delete(remaining, peeled)
+    # Duplicates of a peeled point leave with it (and join its layer).
+    point_layer = layer_of[inverse.reshape(-1)]
+    return [np.flatnonzero(point_layer == layer) for layer in range(n_layers)]

@@ -18,13 +18,13 @@ pruning stats) aggregated into a process-wide
 
 Strategy routing (``top_k(..., strategy="auto")``) puts the paper's
 model-specific indexes in the serving path: a cost-based
-:class:`QueryRouter` scores sequential scan, quadtree search, and
-Onion-layer linear top-K per query from archive/index statistics
-(refined online from observed latencies), builds missing Onion indexes
-lazily keyed on archive generation, and falls back to quadtree if a
-chosen index errors mid-query. Routed answers are bit-identical to every
-forced strategy; the decision is exported in trace metadata and the
-explain waterfall. :meth:`RetrievalService.composite_top_k` routes SPROC
+:class:`QueryRouter` predicts the wall time of sequential scan, quadtree
+search, and Onion-layer linear top-K per query from each strategy's
+recent measured executions (probing rivals on a counted schedule so
+none starves), builds missing Onion indexes lazily keyed on archive
+generation, and falls back to quadtree if a chosen index errors
+mid-query. Routed answers are identical to every forced strategy's; the
+decision is exported in trace metadata and the explain waterfall. :meth:`RetrievalService.composite_top_k` routes SPROC
 fuzzy composite queries the same way.
 
 For busy-archive traffic, :meth:`RetrievalService.top_k_batch` answers

@@ -587,13 +587,17 @@ class RetrievalService:
         * ``"quadtree"`` (default) — the existing sharded progressive
           tile search, byte-for-byte the pre-router code path.
         * ``"auto"`` — the cost-based :class:`~repro.service.routing
-          .QueryRouter` scores sequential scan, quadtree, and Onion-layer
-          top-K against each other and runs the cheapest eligible one.
-          Should the chosen index error mid-query, the service falls
-          back to the quadtree path and records the reason. Answers are
-          bit-identical to every forced strategy (property-tested);
-          the full decision — candidates with estimated costs, chosen
-          strategy, estimated vs actual seconds, fallback reason — rides
+          .QueryRouter` predicts the wall time of sequential scan,
+          quadtree, and Onion-layer top-K from their measured executions
+          and runs the fastest eligible one — or, on a counted schedule
+          and never under ``deadline_s`` / ``cancel``, a rival it wants
+          measured. Should the chosen index error mid-query, the service
+          falls back to the quadtree path and records the reason.
+          Answers (cells and order) are identical to every forced
+          strategy's (property-tested);
+          the full decision — candidates with predicted seconds and
+          sample counts, chosen strategy, whether it was a probe,
+          predicted vs actual seconds, fallback reason — rides
           on ``result.trace.metadata["routing"]`` and in the
           ``explain=True`` waterfall.
         * ``"onion"`` / ``"scan"`` — force that structure (errors
@@ -658,6 +662,9 @@ class RetrievalService:
         # its correlation id on the worker-side trace, so one id follows
         # a request from admission through shard search in the exports.
         trace = QueryTrace(trace_id=trace_id)
+        # A probe runs a strategy predicted slower; a query that may be
+        # cut short must never be the one that pays for it.
+        may_probe = deadline_s is None and cancel is None
         if deadline_s is not None:
             if deadline_s <= 0:
                 raise QueryError(
@@ -680,6 +687,7 @@ class RetrievalService:
                     route_region,
                     strategy=strategy,
                     generation=self._seen_generation,
+                    probe=may_probe,
                 )
                 resolved = decision.chosen
                 trace.metadata["routing"] = decision.as_dict()
@@ -722,72 +730,45 @@ class RetrievalService:
             with self._lock:
                 self.stats.cache_misses += 1
 
-        execute_started = time.perf_counter()
-        if resolved in ("quadtree", "fused"):
-            result = self._execute(
+        shards = self.n_shards if n_shards is None else n_shards
+        run = (
+            query, region, shards, use_model_levels, pruning,
+            heuristic_margin, cancel, trace,
+        )
+        try:
+            result, seconds = self._run_strategy(resolved, *run)
+        except Exception as error:
+            # Graceful degradation: fall back to the always-capable
+            # path for the query family (quadtree, or the fused tile
+            # search for similar_to queries), recording why. Forced
+            # strategies propagate: the caller asked for this structure
+            # specifically. The fallback result is cached under the
+            # *fallback* key (that is what actually answered), never
+            # under the failed strategy's key.
+            fallback = "fused" if query.fused else "quadtree"
+            if strategy != "auto" or resolved == fallback:
+                raise
+            assert decision is not None
+            decision.record_fallback(
+                failed=resolved,
+                reason=f"{type(error).__name__}: {error}",
+                to=fallback,
+            )
+            resolved = fallback
+            key = query_fingerprint(
                 query,
                 region,
-                self.n_shards if n_shards is None else n_shards,
-                use_model_levels,
-                pruning,
-                heuristic_margin,
-                cancel,
-                trace,
+                use_model_levels=use_model_levels,
+                pruning=pruning,
+                heuristic_margin=heuristic_margin,
             )
-        else:
-            try:
-                if resolved == "onion":
-                    result = self._execute_onion(query, region, trace)
-                elif resolved == "embed-scan":
-                    result = self._execute_embed_scan(query, region, trace)
-                else:
-                    result = self._execute_scan(query, region, trace)
-            except Exception as error:
-                if strategy != "auto":
-                    # Forced strategies propagate: the caller asked for
-                    # this structure specifically.
-                    raise
-                # Graceful degradation: fall back to the always-capable
-                # path for the query family (quadtree, or the fused
-                # tile search for similar_to queries), recording why.
-                # The fallback result is cached under the *fallback*
-                # key (that is what actually answered), never under the
-                # failed strategy's key.
-                fallback = "fused" if query.fused else "quadtree"
-                if resolved == fallback:
-                    raise
-                assert decision is not None
-                decision.record_fallback(
-                    failed=resolved,
-                    reason=f"{type(error).__name__}: {error}",
-                    to=fallback,
-                )
-                trace.metadata["routing"] = decision.as_dict()
-                resolved = fallback
-                key = query_fingerprint(
-                    query,
-                    region,
-                    use_model_levels=use_model_levels,
-                    pruning=pruning,
-                    heuristic_margin=heuristic_margin,
-                )
-                result = self._execute(
-                    query,
-                    region,
-                    self.n_shards if n_shards is None else n_shards,
-                    use_model_levels,
-                    pruning,
-                    heuristic_margin,
-                    cancel,
-                    trace,
-                )
+            result, seconds = self._run_strategy(resolved, *run)
         if decision is not None:
-            row0, col0, row1, col1 = region
             self.router.observe(
                 decision,
-                seconds=time.perf_counter() - execute_started,
+                seconds=seconds,
                 tuples_examined=_observed_tuples(result, query),
-                region_cells=(row1 - row0) * (col1 - col0),
+                complete=result.complete,
             )
             trace.metadata["routing"] = decision.as_dict()
 
@@ -1051,6 +1032,48 @@ class RetrievalService:
         registry.observe("service.batch_size", float(n_queries))
         return results
 
+    def _run_strategy(
+        self,
+        resolved: str,
+        query: TopKQuery,
+        region: tuple[int, int, int, int],
+        n_shards: int,
+        use_model_levels: bool,
+        pruning: str,
+        heuristic_margin: float,
+        cancel: CancellationToken | None,
+        trace: QueryTrace,
+    ) -> tuple[RetrievalResult, float]:
+        """Run one strategy; returns its result and execution seconds.
+
+        What the strategy needs built once per process or generation —
+        the tile embeddings, a missing Onion index — is built first,
+        under its own span: the seconds returned are what the router
+        learns from, and a one-off build charged to whichever strategy
+        happened to run first would be held against it for good.
+        """
+        if query.fused and self._embeddings is None:
+            with trace.span("embed_build"):
+                self.embeddings()
+        if resolved == "onion":
+            key = (region, tuple(query.model.attributes), self._seen_generation)
+            if self.router.index_cache.peek(*key) is None:
+                with trace.span("index_build"):
+                    self.router.index_cache.get(*key)
+        started = time.perf_counter()
+        if resolved in ("quadtree", "fused"):
+            result = self._execute(
+                query, region, n_shards, use_model_levels, pruning,
+                heuristic_margin, cancel, trace,
+            )
+        elif resolved == "onion":
+            result = self._execute_onion(query, region, trace)
+        elif resolved == "embed-scan":
+            result = self._execute_embed_scan(query, region, trace)
+        else:
+            result = self._execute_scan(query, region, trace)
+        return result, time.perf_counter() - started
+
     def _execute(
         self,
         query: TopKQuery,
@@ -1252,7 +1275,7 @@ class RetrievalService:
         Mirrors :meth:`RasterRetrievalEngine.exhaustive_top_k` cell for
         cell — full-window ``evaluate_batch`` into the engine's
         :class:`TopKHeap` — with the service's trace spans and tuple
-        tallies added for the router's online cost refinement.
+        tallies added for the router's feedback.
         """
         model = query.model
         row0, col0, row1, col1 = region
@@ -1394,7 +1417,7 @@ class RetrievalService:
         implementations) or one of ``"naive"`` / ``"dp"`` / ``"fast"``.
         Returns the ``(assignment, score)`` answers plus the
         :class:`~repro.service.routing.RoutingDecision` that chose the
-        implementation (with estimated-vs-actual cost filled in). All
+        implementation (with predicted-vs-actual seconds filled in). All
         three implementations return the same answer sets; the routing
         choice affects counted work only.
         """

@@ -8,20 +8,19 @@ model family, K, the region size, and whether an index is already built.
 This module is that chooser, in the score-candidates-and-explain shape
 of cost-based optimizers:
 
-* :class:`CostModel` — per-strategy cost curves. Each strategy's cost is
-  ``work_units x seconds_per_unit``: work units are estimated from
-  archive/index statistics (cells in the region, Onion layer widths,
-  SPROC's ``O(M*K*L^2)`` vs ``O(L^M)`` formulas), and seconds-per-unit
-  starts from a static seed and is refined online by an EWMA over
-  observed per-strategy latencies and tuple counts. Estimates and
-  observations are mirrored into a
+* :class:`CostModel` — one wall-time predictor per strategy: seconds
+  per size unit (region cells; candidate tuples for Onion; the
+  ``O(M*K*L^2)`` / ``O(L^M)`` formulas for SPROC), the lower median of a
+  short window of measured executions per size class, with a static
+  prior until a strategy has been measured twice. Mirrored into a
   :class:`~repro.metrics.registry.MetricsRegistry` (``router.*``).
 * :class:`OnionIndexCache` — build/refresh hook for per-(region,
   attributes) Onion indexes, keyed on the archive generation so a
   mutated archive transparently rebuilds.
 * :class:`QueryRouter` — scores every candidate strategy for a query
-  (including ineligible ones, with the reason), picks the cheapest
-  eligible one, and packages the whole comparison as a
+  (including ineligible ones, with the reason), picks the eligible one
+  predicted fastest — or, on a counted schedule, probes a rival so no
+  strategy starves — and packages the whole comparison as a
   :class:`RoutingDecision` that the service surfaces in trace metadata
   and the explain waterfall.
 
@@ -35,8 +34,10 @@ time only — property-tested bit-identical in
 from __future__ import annotations
 
 import math
+import statistics
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,32 +63,49 @@ COMPOSITE_STRATEGIES = ("naive", "dp", "fast")
 #: search with blended bounds, and the exhaustive embed-all baseline.
 FUSED_STRATEGIES = ("fused", "embed-scan")
 
-#: Static seconds-per-work-unit seeds. One work unit is roughly one
-#: tuple-attribute touch plus its share of model flops; the absolute
-#: scale hardly matters (routing compares strategies against each
-#: other), but quadtree work is charged a higher per-unit rate because
-#: its units flow through the Python branch-and-bound frontier while
-#: scan/onion units are batched NumPy evaluations. Online refinement
-#: replaces these within a few queries per strategy.
-_COST_SEEDS = {
-    "quadtree": 2e-8,
-    "onion": 5e-9,
-    "scan": 5e-9,
+#: Prior seconds per size unit, read off the benchmark box once: region
+#: cells for quadtree/scan/fused/embed-scan, candidate tuples for onion,
+#: formula work units for the SPROC family. They only order strategies
+#: nobody has measured yet; a window's second sample replaces them.
+#: ``onion-build`` (hull peeling, per region cell) is charged to an
+#: unbuilt index, so one query never triggers a build.
+_PRIOR_RATES = {
+    "quadtree": 1.5e-8,
+    "scan": 2e-8,
+    "onion": 4e-8,
+    "onion-build": 3e-5,
+    "fused": 1.6e-8,
+    "embed-scan": 2.5e-8,
     "naive": 2e-7,
     "dp": 2e-7,
     "fast": 4e-7,
-    # Fused strategies mirror their model-only counterparts: the
-    # progressive fused search is quadtree-shaped Python frontier work,
-    # embed-scan is batched NumPy like scan.
-    "fused": 2e-8,
-    "embed-scan": 5e-9,
 }
 
-#: Fraction of a region's cells the quadtree search is assumed to touch
-#: before any observation exists. Deliberately optimistic (envelope
-#: pruning usually works); refined per service from observed tuple
-#: counts.
-_VISIT_FRACTION_SEED = 0.25
+#: Samples a window keeps. Odd, so the median is a measured sample; nine
+#: lets four outliers pass and is refilled within nine queries.
+_WINDOW = 9
+
+#: Samples before a window is believed: a strategy's first execution in
+#: a process is usually its coldest, and the lower median of two is the
+#: warmer one.
+_MIN_SAMPLES = 2
+
+#: Every this-many auto decisions of a family the runner-up is measured
+#: instead of the preferred strategy: about 1 % of queries, and prime so
+#: a periodic request mix does not always pay the probe at one position.
+_PROBE_EVERY = 101
+
+#: A probe may be predicted at most this many times the preferred
+#: strategy's seconds, so probing adds at most 3/101 of wall time and an
+#: O(L^M) enumeration is never "measured".
+_PROBE_MAX_RATIO = 4.0
+
+
+def _bucket(size: float) -> int:
+    """The factor-four size class a sample is filed under (pruning
+    strategies are sublinear in region cells, so one rate per strategy
+    would mispredict across window sizes)."""
+    return math.frexp(size)[1] // 2
 
 
 @dataclass(frozen=True)
@@ -96,26 +114,36 @@ class StrategyCandidate:
 
     Ineligible candidates keep their ``reason`` so the routing decision
     explains *why* a structure was passed over, not just that it was.
-    ``est_seconds`` is ``None`` for ineligible candidates (there is no
-    meaningful cost for a strategy that cannot run).
+    ``size`` is the predictor's size variable (region cells, or Onion
+    candidate tuples), ``samples`` how many measured executions of that
+    size class back ``predicted_seconds`` (fewer than two: a prior);
+    ``predicted_seconds`` is ``None`` for ineligible candidates.
+    ``built`` is False for an index that running the strategy would
+    first have to build (its prediction then includes the build).
     """
 
     name: str
     eligible: bool
     reason: str | None = None
-    est_tuples: int = 0
-    est_work: float = 0.0
-    est_seconds: float | None = None
+    size: int = 0
+    predicted_seconds: float | None = None
+    samples: int = 0
+    built: bool = True
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
             "eligible": self.eligible,
             "reason": self.reason,
-            "est_tuples": self.est_tuples,
-            "est_work": self.est_work,
-            "est_seconds": self.est_seconds,
+            "size": self.size,
+            "predicted_seconds": self.predicted_seconds,
+            "samples": self.samples,
+            "built": self.built,
         }
+
+
+def _rejected(name: str, reason: str) -> StrategyCandidate:
+    return StrategyCandidate(name=name, eligible=False, reason=reason)
 
 
 @dataclass
@@ -123,20 +151,23 @@ class RoutingDecision:
     """The router's full comparison for one query.
 
     ``chosen`` is the strategy that ran (after any fallback);
-    ``routed`` is what the cost model originally picked. ``forced`` is
-    True when the caller named a strategy instead of asking for
-    ``"auto"`` — the candidates are still scored, so a forced choice is
-    just as explainable. ``actual_seconds`` / ``actual_tuples`` are
-    filled in after execution, giving the estimated-vs-actual view the
-    explain waterfall renders.
+    ``routed`` is what the router picked and ``preferred`` what the cost
+    model predicted fastest — they differ only on a probe, when
+    ``probe`` says why another strategy was measured (``"warm-up"`` or
+    ``"runner-up"``). ``forced`` is True when the caller named a
+    strategy instead of asking for ``"auto"`` (the candidates are still
+    scored). ``actual_seconds`` / ``actual_tuples`` are filled in after
+    execution, for the explain waterfall's predicted-vs-actual view.
     """
 
     chosen: str
     routed: str
+    preferred: str
     candidates: list[StrategyCandidate]
     forced: bool = False
+    probe: str | None = None
     generation: int | None = None
-    estimated_seconds: float | None = None
+    predicted_seconds: float | None = None
     fallback_from: str | None = None
     fallback_reason: str | None = None
     actual_seconds: float | None = None
@@ -153,9 +184,11 @@ class RoutingDecision:
         return {
             "chosen": self.chosen,
             "routed": self.routed,
+            "preferred": self.preferred,
+            "probe": self.probe,
             "forced": self.forced,
             "generation": self.generation,
-            "estimated_seconds": self.estimated_seconds,
+            "predicted_seconds": self.predicted_seconds,
             "actual_seconds": self.actual_seconds,
             "actual_tuples": self.actual_tuples,
             "fallback_from": self.fallback_from,
@@ -165,84 +198,77 @@ class RoutingDecision:
 
 
 class CostModel:
-    """Per-strategy cost curves: static seeds refined by observation.
+    """One wall-time predictor per strategy, learned from executions.
 
-    ``estimate`` converts work units to seconds using the strategy's
-    current seconds-per-unit rate; ``observe`` folds a measured
-    (work, seconds) pair into that rate with an exponential moving
-    average, so the model tracks the machine it is running on without
-    ever forgetting faster than ``alpha`` allows. All rates and
-    observation counts are mirrored into the registry under
-    ``router.cost.<strategy>`` / ``router.observations.<strategy>`` so
-    operators can watch the model converge.
+    ``observe`` files a measured execution's seconds-per-size-unit under
+    the strategy and the size class; ``score`` multiplies a size by
+    the lower median of that class's recent samples (noise on a timing
+    is one-sided, so of two middle samples the smaller is the warmer).
+    A class with fewer than two samples borrows the nearest believed
+    class's rate, and a strategy nobody has measured falls back on its
+    prior. Rates and observation counts are mirrored into the registry
+    under ``router.cost.<strategy>`` / ``router.observations.<strategy>``.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        alpha: float = 0.3,
-        seeds: dict[str, float] | None = None,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise QueryError(f"alpha must be in (0, 1], got {alpha}")
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else global_registry()
-        self.alpha = alpha
-        self._rates = dict(_COST_SEEDS)
-        if seeds:
-            self._rates.update(seeds)
-        self._observations: dict[str, int] = {}
-        self._visit_fraction = _VISIT_FRACTION_SEED
+        self._windows: dict[str, dict[int, deque[float]]] = {
+            name: {} for name in _PRIOR_RATES
+        }
+        # Lower median of every believed window, kept current by observe
+        # (a query is routed more often than a strategy is measured).
+        self._rates: dict[str, dict[int, float]] = {
+            name: {} for name in _PRIOR_RATES
+        }
+        self._pinned: dict[str, float] = {}
         self._lock = threading.Lock()
 
-    def rate(self, strategy: str) -> float:
-        """Current seconds-per-work-unit for ``strategy``."""
+    def score(self, strategy: str, size: float) -> tuple[float, int]:
+        """Predicted seconds for ``strategy`` on a query of ``size``, and
+        the measured executions in that size class behind it."""
+        here = _bucket(size)
         with self._lock:
             try:
-                return self._rates[strategy]
+                rates = self._rates[strategy]
             except KeyError:
                 raise QueryError(f"unknown strategy {strategy!r}") from None
+            rate = self._pinned.get(strategy)
+            if rate is None:
+                rate = rates.get(here)
+            if rate is None:
+                rate = (
+                    rates[min(rates, key=lambda bucket: abs(bucket - here))]
+                    if rates
+                    else _PRIOR_RATES[strategy]
+                )
+            samples = len(self._windows[strategy].get(here, ()))
+        return rate * max(0.0, size), samples
 
-    def estimate(self, strategy: str, work_units: float) -> float:
-        """Estimated seconds for ``work_units`` of ``strategy`` work."""
-        return self.rate(strategy) * max(0.0, work_units)
-
-    @property
-    def visit_fraction(self) -> float:
-        """EWMA fraction of region cells the quadtree search touches."""
-        with self._lock:
-            return self._visit_fraction
-
-    def observe(
-        self, strategy: str, work_units: float, seconds: float
-    ) -> None:
-        """Fold one measured execution into the strategy's rate."""
-        if work_units <= 0 or seconds < 0:
+    def observe(self, strategy: str, size: float, seconds: float) -> None:
+        """File one measured execution under the strategy's size class."""
+        if strategy not in self._windows:
+            raise QueryError(f"unknown strategy {strategy!r}")
+        if size <= 0 or seconds < 0:
             return
-        observed_rate = seconds / work_units
+        bucket = _bucket(size)
         with self._lock:
-            if strategy not in self._rates:
-                raise QueryError(f"unknown strategy {strategy!r}")
-            self._rates[strategy] = (
-                (1 - self.alpha) * self._rates[strategy]
-                + self.alpha * observed_rate
+            window = self._windows[strategy].setdefault(
+                bucket, deque(maxlen=_WINDOW)
             )
-            self._observations[strategy] = (
-                self._observations.get(strategy, 0) + 1
-            )
-            rate = self._rates[strategy]
+            window.append(seconds / size)
+            rate = statistics.median_low(window)
+            if len(window) >= _MIN_SAMPLES:
+                self._rates[strategy][bucket] = rate
         self.registry.gauge(f"router.cost.{strategy}", rate)
         self.registry.inc(f"router.observations.{strategy}")
 
-    def observe_visit_fraction(self, fraction: float) -> None:
-        """Fold one observed quadtree visited-cells fraction."""
-        fraction = min(1.0, max(0.0, fraction))
+    def pin(self, strategy: str, rate: float) -> None:
+        """Fix ``strategy``'s seconds per size unit, whatever is observed
+        later (tests steer the router with this; nothing else does)."""
+        if strategy not in self._windows:
+            raise QueryError(f"unknown strategy {strategy!r}")
         with self._lock:
-            self._visit_fraction = (
-                (1 - self.alpha) * self._visit_fraction
-                + self.alpha * fraction
-            )
-            value = self._visit_fraction
-        self.registry.gauge("router.visit_fraction", value)
+            self._pinned[strategy] = rate
 
 
 @dataclass
@@ -426,15 +452,20 @@ class OnionIndexCache:
 
 
 class QueryRouter:
-    """Scores candidate strategies per query and picks the cheapest.
+    """Predicts every candidate strategy's wall time and picks the least.
 
     The router owns a :class:`CostModel` and an :class:`OnionIndexCache`
-    (both injectable for tests). ``route`` handles raster top-K queries;
-    ``route_composite`` arbitrates the SPROC family for
-    :class:`~repro.sproc.query.CompositeQuery` objects. Every decision
-    is counted in the registry (``router.decisions.<strategy>``); the
-    caller reports execution outcomes back via :meth:`observe` so the
-    cost model keeps learning.
+    (both injectable for tests). ``route`` handles raster top-K queries,
+    ``route_composite`` the SPROC family. Every decision is counted in
+    the registry (``router.decisions.<strategy>``); the caller reports
+    execution outcomes back via :meth:`observe`.
+
+    A strategy that is never chosen would never be measured again, so
+    ``auto`` decisions also *probe*: until every eligible, already-built
+    strategy of the family has ``_MIN_SAMPLES`` samples the
+    least-observed one runs, and every ``_PROBE_EVERY``-th auto decision
+    of a family runs the runner-up. Probes are counted, not timed or
+    drawn, so one request sequence is always routed the same way.
     """
 
     def __init__(
@@ -459,6 +490,22 @@ class QueryRouter:
         )
         self.stack = stack
         self.min_onion_cells = min_onion_cells
+        self._auto_decisions: dict[tuple[str, ...], int] = {}
+        self._preferred: dict[tuple, str] = {}
+        self._lock = threading.Lock()
+
+    def _candidate(
+        self, name: str, size: int, build_seconds: float | None = None
+    ) -> StrategyCandidate:
+        seconds, samples = self.cost_model.score(name, size)
+        return StrategyCandidate(
+            name=name,
+            eligible=True,
+            size=size,
+            predicted_seconds=seconds + (build_seconds or 0.0),
+            samples=samples,
+            built=build_seconds is None,
+        )
 
     # -- raster routing ---------------------------------------------------
 
@@ -468,177 +515,167 @@ class QueryRouter:
         region: tuple[int, int, int, int],
         strategy: str = "auto",
         generation: int | None = None,
+        probe: bool = True,
     ) -> RoutingDecision:
         """Score every raster strategy and choose (or validate) one.
 
-        ``strategy="auto"`` picks the cheapest eligible candidate; a
-        named strategy is validated for eligibility (raising
-        :class:`~repro.exceptions.QueryError` when the model family
-        cannot use it) and returned as a forced decision with the same
-        scored candidate list.
+        ``strategy="auto"`` picks the eligible candidate predicted
+        fastest — or, when ``probe`` allows it, the one the probing rule
+        wants measured; a named strategy is validated for eligibility
+        (raising :class:`~repro.exceptions.QueryError` when the model
+        family cannot use it) and returned as a forced decision with the
+        same scored candidate list. Callers pass ``probe=False`` for a
+        query that may be cut short (deadline, cancel token): a probe
+        must never turn a complete answer into a partial one.
         """
         row0, col0, row1, col1 = region
         n_cells = (row1 - row0) * (col1 - col0)
-        n_attrs = len(query.model.attributes)
-        complexity = max(1, getattr(query.model, "complexity", 2 * n_attrs))
-        unit_cost = n_attrs + complexity
-
         if query.fused:
             # Fused queries arbitrate between their own pair of exact
             # strategies; the model-only structures cannot blend the
             # similarity term and are listed only to explain why.
             return self._route_scored(
                 strategy,
-                self._fused_candidates(query, n_cells, unit_cost),
+                self._fused_candidates(query, n_cells),
                 FUSED_STRATEGIES,
                 generation,
+                probe,
             )
-
-        candidates: list[StrategyCandidate] = []
-
-        scan_work = float(n_cells) * unit_cost
-        candidates.append(
-            StrategyCandidate(
-                name="scan",
-                eligible=True,
-                est_tuples=n_cells,
-                est_work=scan_work,
-                est_seconds=self.cost_model.estimate("scan", scan_work),
-            )
-        )
-
-        visit_fraction = self.cost_model.visit_fraction
-        quadtree_tuples = int(math.ceil(visit_fraction * n_cells))
-        quadtree_work = float(quadtree_tuples) * unit_cost
-        candidates.append(
-            StrategyCandidate(
-                name="quadtree",
-                eligible=True,
-                est_tuples=quadtree_tuples,
-                est_work=quadtree_work,
-                est_seconds=self.cost_model.estimate(
-                    "quadtree", quadtree_work
-                ),
-            )
-        )
-
-        candidates.append(self._onion_candidate(query, region, generation))
-        candidates.append(
-            StrategyCandidate(
-                name="sproc",
-                eligible=False,
-                reason=(
-                    "composite queries only — route CompositeQuery "
-                    "objects via composite_top_k"
-                ),
-            )
-        )
-
+        candidates = [
+            self._candidate("scan", n_cells),
+            self._candidate("quadtree", n_cells),
+            self._onion_candidate(query, region, generation),
+            _rejected(
+                "sproc",
+                "composite queries only — route CompositeQuery objects "
+                "via composite_top_k",
+            ),
+        ]
         return self._route_scored(
-            strategy, candidates, RASTER_STRATEGIES, generation
+            strategy, candidates, RASTER_STRATEGIES, generation, probe
         )
 
     def _route_scored(
         self,
         strategy: str,
         candidates: list[StrategyCandidate],
-        valid: tuple[str, ...],
+        family: tuple[str, ...],
         generation: int | None,
+        probe: bool,
     ) -> RoutingDecision:
         """Pick (or validate) a strategy from a scored candidate list."""
-        if strategy == "auto":
-            eligible = [c for c in candidates if c.eligible]
-            chosen = min(eligible, key=lambda c: c.est_seconds)
-            decision = RoutingDecision(
-                chosen=chosen.name,
-                routed=chosen.name,
-                candidates=candidates,
-                forced=False,
-                generation=generation,
-                estimated_seconds=chosen.est_seconds,
+        eligible = [c for c in candidates if c.eligible]
+        preferred = min(eligible, key=lambda c: c.predicted_seconds)
+        for candidate in eligible:
+            self.registry.gauge(
+                f"router.predicted_seconds.{candidate.name}",
+                candidate.predicted_seconds,
             )
+        self._note_preferred(eligible, preferred)
+        chosen, reason = preferred, None
+        if strategy == "auto":
+            if probe:
+                chosen, reason = self._probe(family, eligible, preferred)
         else:
-            if strategy not in valid:
+            if strategy not in family:
                 raise QueryError(
                     f"unknown strategy {strategy!r}; expected 'auto' or "
-                    f"one of {valid}"
+                    f"one of {family}"
                 )
-            match = next(c for c in candidates if c.name == strategy)
-            if not match.eligible:
+            chosen = next(c for c in candidates if c.name == strategy)
+            if not chosen.eligible:
                 raise QueryError(
                     f"strategy {strategy!r} cannot answer this query: "
-                    f"{match.reason}"
+                    f"{chosen.reason}"
                 )
-            decision = RoutingDecision(
-                chosen=strategy,
-                routed=strategy,
-                candidates=candidates,
-                forced=True,
-                generation=generation,
-                estimated_seconds=match.est_seconds,
+        self.registry.inc(f"router.decisions.{chosen.name}")
+        return RoutingDecision(
+            chosen=chosen.name,
+            routed=chosen.name,
+            preferred=preferred.name,
+            candidates=candidates,
+            forced=strategy != "auto",
+            probe=reason,
+            generation=generation,
+            predicted_seconds=chosen.predicted_seconds,
+        )
+
+    def _probe(
+        self,
+        family: tuple[str, ...],
+        eligible: list[StrategyCandidate],
+        preferred: StrategyCandidate,
+    ) -> tuple[StrategyCandidate, str | None]:
+        """The strategy this auto decision runs, and why if a probe.
+        Rivals are the eligible strategies that need no index build and
+        are predicted within ``_PROBE_MAX_RATIO`` of the preferred one."""
+        with self._lock:
+            count = self._auto_decisions.get(family, 0) + 1
+            self._auto_decisions[family] = count
+        budget = _PROBE_MAX_RATIO * preferred.predicted_seconds
+        rivals = [
+            c
+            for c in eligible
+            if c is not preferred
+            and c.built
+            and c.predicted_seconds <= budget
+        ]
+        cold = [
+            c for c in (preferred, *rivals) if c.samples < _MIN_SAMPLES
+        ]
+        if cold:
+            pick = min(cold, key=lambda c: (c.samples, c.predicted_seconds))
+            return pick, None if pick is preferred else "warm-up"
+        if rivals and count % _PROBE_EVERY == 0:
+            runner_up = min(rivals, key=lambda c: c.predicted_seconds)
+            return runner_up, "runner-up"
+        return preferred, None
+
+    def _note_preferred(
+        self,
+        eligible: list[StrategyCandidate],
+        preferred: StrategyCandidate,
+    ) -> None:
+        """Emit ``router.strategy_switch`` when the preferred strategy
+        for this kind of query (same candidates, same size class)
+        changes."""
+        kind = (*(c.name for c in eligible), _bucket(eligible[0].size))
+        with self._lock:
+            previous = self._preferred.get(kind)
+            self._preferred[kind] = preferred.name
+        if previous is not None and previous != preferred.name:
+            self.registry.inc("router.strategy_switches")
+            global_event_log().emit(
+                "router.strategy_switch",
+                previous=previous,
+                preferred=preferred.name,
+                predicted_seconds={
+                    c.name: c.predicted_seconds for c in eligible
+                },
             )
-        self.registry.inc(f"router.decisions.{decision.chosen}")
-        return decision
 
     def _fused_candidates(
-        self, query: TopKQuery, n_cells: int, unit_cost: float
+        self, query: TopKQuery, n_cells: int
     ) -> list[StrategyCandidate]:
-        """Score the fused strategy pair (plus explain-only rejects).
-
-        The blend and the one-off cosine grid are cheap against the
-        model evaluation they ride on, so the model-only unit cost
-        stands in for the fused unit cost; what separates the pair is
-        the visit fraction (envelope pruning) versus the full region.
-        """
+        """Score the fused strategy pair (plus explain-only rejects)."""
         candidates: list[StrategyCandidate] = []
         if getattr(query.model, "supports_intervals", False):
-            visit_fraction = self.cost_model.visit_fraction
-            fused_tuples = int(math.ceil(visit_fraction * n_cells))
-            fused_work = float(fused_tuples) * unit_cost
-            candidates.append(
-                StrategyCandidate(
-                    name="fused",
-                    eligible=True,
-                    est_tuples=fused_tuples,
-                    est_work=fused_work,
-                    est_seconds=self.cost_model.estimate(
-                        "fused", fused_work
-                    ),
-                )
-            )
+            candidates.append(self._candidate("fused", n_cells))
         else:
             candidates.append(
-                StrategyCandidate(
-                    name="fused",
-                    eligible=False,
-                    reason=(
-                        f"{type(query.model).__name__} cannot bound "
-                        "intervals; the fused tile search prunes on "
-                        "blended envelopes"
-                    ),
+                _rejected(
+                    "fused",
+                    f"{type(query.model).__name__} cannot bound intervals; "
+                    "the fused tile search prunes on blended envelopes",
                 )
             )
-        scan_work = float(n_cells) * unit_cost
-        candidates.append(
-            StrategyCandidate(
-                name="embed-scan",
-                eligible=True,
-                est_tuples=n_cells,
-                est_work=scan_work,
-                est_seconds=self.cost_model.estimate(
-                    "embed-scan", scan_work
-                ),
-            )
-        )
+        candidates.append(self._candidate("embed-scan", n_cells))
         for name in ("quadtree", "onion", "scan"):
             candidates.append(
-                StrategyCandidate(
-                    name=name,
-                    eligible=False,
-                    reason=(
-                        "model-only strategy; it cannot blend embedding "
-                        "similarity into the score"
-                    ),
+                _rejected(
+                    name,
+                    "model-only strategy; it cannot blend embedding "
+                    "similarity into the score",
                 )
             )
         return candidates
@@ -651,47 +688,32 @@ class QueryRouter:
     ) -> StrategyCandidate:
         model = query.model
         if not isinstance(model, LinearModel):
-            return StrategyCandidate(
-                name="onion",
-                eligible=False,
-                reason=(
-                    "Onion layers bound linear objectives only; "
-                    f"{type(model).__name__} is not a LinearModel"
-                ),
+            return _rejected(
+                "onion",
+                "Onion layers bound linear objectives only; "
+                f"{type(model).__name__} is not a LinearModel",
             )
         row0, col0, row1, col1 = region
         n_cells = (row1 - row0) * (col1 - col0)
         if n_cells < self.min_onion_cells:
-            return StrategyCandidate(
-                name="onion",
-                eligible=False,
-                reason=(
-                    f"region has {n_cells} cells < min_onion_cells="
-                    f"{self.min_onion_cells}; index build cannot amortize"
-                ),
+            return _rejected(
+                "onion",
+                f"region has {n_cells} cells < min_onion_cells="
+                f"{self.min_onion_cells}; index build cannot amortize",
             )
-        n_attrs = len(model.attributes)
-        unit_cost = n_attrs + max(1, model.complexity)
-        attributes = tuple(model.attributes)
-        built = self.index_cache.peek(region, attributes, generation)
+        built = self.index_cache.peek(
+            region, tuple(model.attributes), generation
+        )
         if built is not None:
-            est_tuples = built.candidate_count(query.k)
-            est_work = float(est_tuples) * unit_cost
-        else:
-            # No index yet: estimate layer width from the hull of a
-            # uniform-ish point cloud (~sqrt scaling with cell count)
-            # and charge the one-time build as extra first-query work so
-            # a single small query never triggers a pointless build.
-            est_layer_width = max(32, int(4 * math.sqrt(n_cells)))
-            est_tuples = min(n_cells, query.k * est_layer_width)
-            build_work = float(n_cells) * n_attrs * 4.0
-            est_work = float(est_tuples) * unit_cost + build_work
-        return StrategyCandidate(
-            name="onion",
-            eligible=True,
-            est_tuples=est_tuples,
-            est_work=est_work,
-            est_seconds=self.cost_model.estimate("onion", est_work),
+            return self._candidate("onion", built.candidate_count(query.k))
+        # No index yet: estimate layer width from the hull of a
+        # uniform-ish point cloud (~sqrt scaling with cell count) and
+        # charge the one-time build to this query.
+        est_layer_width = max(32, int(4 * math.sqrt(n_cells)))
+        return self._candidate(
+            "onion",
+            min(n_cells, query.k * est_layer_width),
+            build_seconds=self.cost_model.score("onion-build", n_cells)[0],
         )
 
     # -- composite routing ------------------------------------------------
@@ -699,80 +721,41 @@ class QueryRouter:
     def route_composite(
         self, query: CompositeQuery, k: int, strategy: str = "auto"
     ) -> RoutingDecision:
-        """Choose among the SPROC family for one composite query."""
+        """Choose among the SPROC family for one composite query.
+
+        Each implementation's size variable is its complexity formula
+        evaluated on the query; the float cap keeps huge exponents
+        comparable without overflow.
+        """
+        if strategy != "auto" and strategy not in COMPOSITE_STRATEGIES:
+            raise QueryError(
+                f"unknown composite strategy {strategy!r}; expected "
+                f"'auto' or one of {COMPOSITE_STRATEGIES}"
+            )
         n_objects = query.n_objects
         n_components = query.n_components
-        candidates: list[StrategyCandidate] = []
-
-        # O(L^M) full Cartesian enumeration; the float cap keeps huge
-        # exponents comparable without overflow.
-        naive_tuples = min(
-            float(n_objects) ** n_components, 1e18
-        )
-        naive_work = naive_tuples * n_components
-        candidates.append(
-            StrategyCandidate(
-                name="naive",
-                eligible=True,
-                est_tuples=int(min(naive_tuples, 2**62)),
-                est_work=naive_work,
-                est_seconds=self.cost_model.estimate("naive", naive_work),
-            )
-        )
-        # SPROC DP: O(M * K * L^2).
-        dp_work = float(n_components) * k * n_objects * n_objects
-        candidates.append(
-            StrategyCandidate(
-                name="dp",
-                eligible=True,
-                est_tuples=int(min(dp_work, 2**62)),
-                est_work=dp_work,
-                est_seconds=self.cost_model.estimate("dp", dp_work),
-            )
-        )
-        # The [16] improvement: ~O(M*L*log L) sorting plus best-first
-        # expansion bounded by K.
         log_l = math.log2(n_objects + 1)
-        fast_work = (
-            float(n_components) * n_objects * log_l
-            + float(k) * k * math.log2(k + 1)
-            + float(k) * n_components * n_objects
+        work = {
+            # O(L^M) full Cartesian enumeration.
+            "naive": min(float(n_objects) ** n_components, 1e18)
+            * n_components,
+            # SPROC DP: O(M * K * L^2).
+            "dp": float(n_components) * k * n_objects * n_objects,
+            # The [16] improvement: ~O(M*L*log L) sorting plus
+            # best-first expansion bounded by K.
+            "fast": (
+                float(n_components) * n_objects * log_l
+                + float(k) * k * math.log2(k + 1)
+                + float(k) * n_components * n_objects
+            ),
+        }
+        candidates = [
+            self._candidate(name, int(min(work[name], 2**62)))
+            for name in COMPOSITE_STRATEGIES
+        ]
+        return self._route_scored(
+            strategy, candidates, COMPOSITE_STRATEGIES, None, probe=True
         )
-        candidates.append(
-            StrategyCandidate(
-                name="fast",
-                eligible=True,
-                est_tuples=int(min(fast_work, 2**62)),
-                est_work=fast_work,
-                est_seconds=self.cost_model.estimate("fast", fast_work),
-            )
-        )
-
-        if strategy == "auto":
-            chosen = min(candidates, key=lambda c: c.est_seconds)
-            decision = RoutingDecision(
-                chosen=chosen.name,
-                routed=chosen.name,
-                candidates=candidates,
-                forced=False,
-                estimated_seconds=chosen.est_seconds,
-            )
-        else:
-            if strategy not in COMPOSITE_STRATEGIES:
-                raise QueryError(
-                    f"unknown composite strategy {strategy!r}; expected "
-                    f"'auto' or one of {COMPOSITE_STRATEGIES}"
-                )
-            match = next(c for c in candidates if c.name == strategy)
-            decision = RoutingDecision(
-                chosen=strategy,
-                routed=strategy,
-                candidates=candidates,
-                forced=True,
-                estimated_seconds=match.est_seconds,
-            )
-        self.registry.inc(f"router.decisions.{decision.chosen}")
-        return decision
 
     # -- feedback ---------------------------------------------------------
 
@@ -781,40 +764,43 @@ class QueryRouter:
         decision: RoutingDecision,
         seconds: float,
         tuples_examined: int,
-        region_cells: int | None = None,
+        complete: bool = True,
     ) -> None:
         """Report an execution outcome back into the cost model.
 
-        Updates the chosen strategy's seconds-per-work EWMA from the
-        measured latency and tuple count, the quadtree visit fraction
-        when applicable, and stamps the actuals onto the decision so
-        trace metadata carries estimated-vs-actual.
+        ``seconds`` must time the strategy's execution alone — one-off
+        lazy builds belong to their own span, not to this sample. Stamps
+        the actuals onto the decision so trace metadata carries
+        predicted-vs-actual, and records the prediction's relative error
+        (forced decisions included) and, on a probe, what it cost over
+        the preferred strategy's prediction. A truncated execution
+        (``complete=False``) only stamps the actuals: it stopped early,
+        so its seconds say nothing about the strategy.
         """
         decision.actual_seconds = seconds
         decision.actual_tuples = tuples_examined
+        if not complete:
+            return
         chosen = decision.chosen
-        match = next(
-            (c for c in decision.candidates if c.name == chosen), None
-        )
-        if match is not None and match.est_tuples > 0 and tuples_examined > 0:
-            # Re-derive the work actually done at this strategy's
-            # per-tuple unit cost, so the rate EWMA converges on
-            # seconds-per-unit rather than absorbing estimation error
-            # in the tuple count.
-            unit_cost = match.est_work / max(1, match.est_tuples)
-            actual_work = tuples_examined * unit_cost
-        else:
-            actual_work = match.est_work if match is not None else 0.0
-        self.cost_model.observe(chosen, actual_work, seconds)
-        if chosen in ("quadtree", "fused") and region_cells:
-            self.cost_model.observe_visit_fraction(
-                tuples_examined / region_cells
+        by_name = {c.name: c for c in decision.candidates if c.eligible}
+        if chosen in by_name:
+            # An Onion execution examines exactly its candidate tuples;
+            # the routing-time size is an estimate when this query built
+            # the index.
+            size = (
+                tuples_examined if chosen == "onion" else by_name[chosen].size
             )
+            self.cost_model.observe(chosen, size, seconds)
         if decision.fallback_reason is not None:
             self.registry.inc("router.fallbacks")
-        if decision.estimated_seconds and seconds > 0:
-            error = abs(decision.estimated_seconds - seconds) / seconds
+        elif decision.predicted_seconds is not None and seconds > 0:
+            error = abs(decision.predicted_seconds - seconds) / seconds
             self.registry.observe(f"router.estimate_error.{chosen}", error)
+            if decision.probe is not None:
+                self.registry.observe(
+                    "router.regret_seconds",
+                    seconds - by_name[decision.preferred].predicted_seconds,
+                )
 
 
 __all__ = [

@@ -26,7 +26,7 @@ aligned ASCII table (:meth:`ExplainReport.render`, also ``str()``).
 
 Queries answered with ``strategy != "quadtree"`` additionally carry a
 **routing** section — the cost router's scored candidates, the chosen
-strategy with estimated vs actual seconds, and any fallback — read from
+strategy with predicted vs actual seconds, and any fallback — read from
 ``result.trace.metadata["routing"]``
 (see :mod:`repro.service.routing`).
 """
@@ -146,11 +146,16 @@ class ExplainReport:
         if not routing:
             return []
         mode = "forced" if routing.get("forced") else "auto"
+        if routing.get("probe"):
+            mode += (
+                f", {routing['probe']} probe; "
+                f"preferred={routing.get('preferred')}"
+            )
         parts = [f"  routing: chosen={routing.get('chosen')} ({mode})"]
-        estimated = routing.get("estimated_seconds")
+        predicted = routing.get("predicted_seconds")
         actual = routing.get("actual_seconds")
-        if estimated is not None:
-            parts.append(f"est={_seconds(estimated)}")
+        if predicted is not None:
+            parts.append(f"predicted={_seconds(predicted)}")
         if actual is not None:
             parts.append(f"actual={_seconds(actual)}")
         lines = [" ".join(parts)]
@@ -164,8 +169,10 @@ class ExplainReport:
             if candidate.get("eligible"):
                 lines.append(
                     f"    candidate {candidate['name']}: "
-                    f"est_tuples={candidate.get('est_tuples', 0):,} "
-                    f"est={_seconds(candidate.get('est_seconds'))}"
+                    f"size={candidate.get('size', 0):,} "
+                    f"predicted={_seconds(candidate.get('predicted_seconds'))} "
+                    f"samples={candidate.get('samples', 0)}"
+                    + ("" if candidate.get("built", True) else " (+index build)")
                 )
             else:
                 lines.append(

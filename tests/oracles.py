@@ -12,6 +12,10 @@ from first principles. The production paths must match these bitwise:
 * :func:`exhaustive_fused` — score every cell of a region as
   ``alpha * model + (1 - alpha) * cosine`` and rank, plus the exact
   counter dict the service's ``embed-scan`` strategy must produce.
+* :func:`hull_layers_per_point` — convex-hull peeling that re-derives
+  the distinct points and matches duplicates point by point on every
+  layer; :func:`repro.index.hull.hull_layers` (which de-duplicates
+  once) must return the same arrays.
 
 The oracles reuse the library's *scoring* primitives (term-order inner
 products, the fusion blend) on purpose — the bitwise contract is about
@@ -26,6 +30,8 @@ import numpy as np
 
 from repro.embed.fusion import BLEND_FLOPS, FusionSpec
 from repro.embed.tiles import TileEmbeddings
+from repro.exceptions import IndexError_
+from repro.index.hull import hull_vertices
 from repro.index.vector import ip_scores
 
 #: Counter fields the work-ledger contracts compare (wall_seconds and
@@ -131,3 +137,34 @@ def exhaustive_fused(
 def exact_answers(result) -> list[tuple[int, int, float]]:
     """A result's answers as exact (unrounded) triples."""
     return [(a.row, a.col, a.score) for a in result.answers]
+
+
+def hull_layers_per_point(
+    points: np.ndarray, max_layers: int | None = None
+) -> list[np.ndarray]:
+    """``hull_layers`` as it shipped before the one-pass de-duplication
+    (moved here verbatim): peel the hull of what remains, then find the
+    duplicates of the peeled points with a Python loop over every
+    remaining point."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise IndexError_("points must be a 2-D array (n_points, n_dims)")
+
+    remaining = np.arange(points.shape[0])
+    layers: list[np.ndarray] = []
+    while remaining.size:
+        if max_layers is not None and len(layers) == max_layers - 1:
+            layers.append(remaining.copy())
+            break
+        local_vertices = hull_vertices(points[remaining])
+        representatives = remaining[local_vertices]
+
+        # Duplicates of peeled points leave with their representative
+        # (and join its layer), otherwise identical points recur forever.
+        peeled_set = {tuple(points[i]) for i in representatives}
+        peeled_mask = np.array(
+            [tuple(points[i]) in peeled_set for i in remaining]
+        )
+        layers.append(np.sort(remaining[peeled_mask]))
+        remaining = remaining[~peeled_mask]
+    return layers

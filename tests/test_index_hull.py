@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.exceptions import IndexError_
 from repro.index.hull import hull_layers, hull_vertices
 
+from tests.oracles import hull_layers_per_point
+
 
 class TestHullVertices:
     def test_square_hull(self):
@@ -111,3 +113,42 @@ class TestHullLayers:
         assert hull_layers(np.zeros((0, 2))) == []
         layers = hull_layers(np.array([[1.0, 2.0]]))
         assert len(layers) == 1
+
+    @given(
+        n_points=st.integers(0, 80),
+        n_dims=st.integers(1, 4),
+        shape=st.sampled_from(["grid", "normal", "line", "plane"]),
+        max_layers=st.one_of(st.none(), st.integers(1, 6)),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_point_peeling_array_for_array(
+        self, n_points, n_dims, shape, max_layers, seed
+    ):
+        """De-duplicating once must not change a single layer: same
+        arrays, same order, same dtype as the per-point oracle — on
+        duplicate-heavy grids, collinear and coplanar sets, d = 1, and
+        under the ``max_layers`` cap."""
+        rng = np.random.default_rng(seed)
+        if shape == "grid":
+            # Few distinct values per axis: most points are duplicates.
+            points = rng.integers(0, 4, size=(n_points, n_dims)).astype(float)
+        elif shape == "normal":
+            points = rng.normal(size=(n_points, n_dims))
+            # Re-insert exact duplicates of a few rows.
+            if n_points:
+                points[rng.integers(0, n_points, n_points // 4)] = points[0]
+        elif shape == "line":
+            points = np.outer(
+                rng.integers(-5, 6, n_points).astype(float),
+                rng.normal(size=n_dims),
+            )
+        else:
+            basis = rng.normal(size=(min(2, n_dims), n_dims))
+            points = rng.integers(-3, 4, (n_points, basis.shape[0])) @ basis
+        expected = hull_layers_per_point(points, max_layers=max_layers)
+        actual = hull_layers(points, max_layers=max_layers)
+        assert len(actual) == len(expected)
+        for ours, theirs in zip(actual, expected):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)

@@ -8,7 +8,8 @@ The hypothesis differential classes drive that claim over integer-valued
 tie-heavy stacks, where every float accumulation order is exact and any
 tie-break divergence between strategies shows up as a hard mismatch.
 
-Behavioural coverage: cost-model seeding and online EWMA refinement,
+Behavioural coverage: the cost model's priors, windows and size
+classes (probing and poisoning live in ``test_service_routing_probes``),
 eligibility reasons, the fallback path when an index raises mid-query,
 routing metadata in traces and explain output, cache-key isolation
 between strategies, generation-keyed index rebuilds, and composite
@@ -122,7 +123,8 @@ class TestRoutedAnswersBitIdentical:
         service.router.min_onion_cells = 1
         # Route everything onto onion, then make the index explode:
         # auto must degrade to the quadtree path with identical answers.
-        service.router.cost_model._rates["onion"] = 1e-18
+        service.router.cost_model.pin("onion", 1e-18)
+        service.router.cost_model.pin("onion-build", 0.0)
         def _boom(*args, **kwargs):
             raise RuntimeError("index exploded")
         service.router.index_cache.get = _boom
@@ -155,7 +157,12 @@ class TestRoutingDecisionSurface:
         assert routing["chosen"] in ("quadtree", "onion", "scan")
         assert routing["forced"] is False
         assert routing["actual_seconds"] is not None
-        assert routing["estimated_seconds"] is not None
+        assert routing["predicted_seconds"] is not None
+        assert routing["preferred"] in ("quadtree", "onion", "scan")
+        for candidate in routing["candidates"]:
+            if candidate["eligible"]:
+                assert candidate["predicted_seconds"] > 0
+                assert candidate["samples"] >= 0
         names = {c["name"] for c in routing["candidates"]}
         assert names == {"quadtree", "onion", "scan", "sproc"}
         sproc = next(
@@ -183,6 +190,7 @@ class TestRoutingDecisionSurface:
         )
         rendered = report.render()
         assert "routing: chosen=" in rendered
+        assert "predicted=" in rendered and "samples=" in rendered
         assert "candidate sproc: ineligible" in rendered
 
     def test_legacy_path_has_no_routing_section(self, service_and_query):
@@ -201,45 +209,65 @@ class TestRoutingDecisionSurface:
 class TestCostModel:
     def test_estimate_scales_with_work(self):
         model = CostModel(registry=MetricsRegistry())
-        assert model.estimate("scan", 2000) == pytest.approx(
-            2 * model.estimate("scan", 1000)
+        assert model.score("scan", 2000)[0] == pytest.approx(
+            2 * model.score("scan", 1000)[0]
         )
 
     def test_observe_moves_rate_toward_observation(self):
         registry = MetricsRegistry()
-        model = CostModel(registry=registry, alpha=0.5)
-        seed_rate = model.rate("onion")
-        observed_rate = seed_rate * 10
-        model.observe("onion", work_units=1000, seconds=observed_rate * 1000)
-        assert model.rate("onion") == pytest.approx(
-            0.5 * seed_rate + 0.5 * observed_rate
-        )
-        assert registry.counter_value("router.observations.onion") == 1
+        model = CostModel(registry=registry)
+        prior = model.score("onion", 1000)[0]
+        model.observe("onion", size=1000, seconds=prior * 10)
+        # One sample is not believed: a strategy's first execution is
+        # its coldest, so the prior stands until a second one arrives.
+        assert model.score("onion", 1000)[0] == pytest.approx(prior)
+        assert model.score("onion", 1000)[1] == 1
+        model.observe("onion", size=1000, seconds=prior * 8)
+        assert model.score("onion", 1000)[0] == pytest.approx(prior * 8)
+        assert registry.counter_value("router.observations.onion") == 2
 
     def test_repeated_observation_converges(self):
-        model = CostModel(registry=MetricsRegistry(), alpha=0.5)
+        model = CostModel(registry=MetricsRegistry())
         target = 1e-6
         for _ in range(30):
-            model.observe("scan", work_units=1e6, seconds=target * 1e6)
-        assert model.rate("scan") == pytest.approx(target, rel=1e-3)
+            model.observe("scan", size=1e6, seconds=target * 1e6)
+        assert model.score("scan", 1e6)[0] == pytest.approx(target * 1e6)
 
-    def test_visit_fraction_clamped_and_refined(self):
-        model = CostModel(registry=MetricsRegistry(), alpha=1.0)
-        model.observe_visit_fraction(7.5)
-        assert model.visit_fraction == 1.0
-        model.observe_visit_fraction(0.1)
-        assert model.visit_fraction == pytest.approx(0.1)
+    def test_one_outlier_cannot_move_a_warm_prediction(self):
+        model = CostModel(registry=MetricsRegistry())
+        for _ in range(3):
+            model.observe("fused", size=4096, seconds=0.004)
+        model.observe("fused", size=4096, seconds=0.4)
+        assert model.score("fused", 4096)[0] == pytest.approx(0.004)
+
+    def test_size_classes_keep_their_own_rate(self):
+        """A pruning strategy is sublinear in region cells; the rate of
+        a small window must not price a large one once both are known,
+        and an unmeasured class borrows the nearest measured one."""
+        model = CostModel(registry=MetricsRegistry())
+        for _ in range(2):
+            model.observe("quadtree", size=1 << 12, seconds=1e-3)
+            model.observe("quadtree", size=1 << 20, seconds=8e-3)
+        assert model.score("quadtree", 1 << 12)[0] == pytest.approx(1e-3)
+        assert model.score("quadtree", 1 << 20)[0] == pytest.approx(8e-3)
+        assert model.score("quadtree", 1 << 18)[0] == pytest.approx(2e-3)
+        assert model.score("quadtree", 1 << 18)[1] == 0
+
+    def test_pin_overrides_observation(self):
+        model = CostModel(registry=MetricsRegistry())
+        model.pin("scan", 1e-12)
+        for _ in range(3):
+            model.observe("scan", size=100, seconds=1.0)
+        assert model.score("scan", 100)[0] == pytest.approx(1e-10)
 
     def test_unknown_strategy_raises(self):
         model = CostModel(registry=MetricsRegistry())
         with pytest.raises(QueryError):
-            model.estimate("btree", 10)
+            model.score("btree", 10)[0]
         with pytest.raises(QueryError):
             model.observe("btree", 10, 1.0)
-
-    def test_bad_alpha_rejected(self):
         with pytest.raises(QueryError):
-            CostModel(registry=MetricsRegistry(), alpha=0.0)
+            model.pin("btree", 1.0)
 
 
 class TestEligibility:
@@ -321,7 +349,7 @@ class TestRoutedCaching:
             make_tie_stack, make_random_linear_model
         )
         # Make quadtree the sure winner so auto resolves to it.
-        service.router.cost_model._rates["quadtree"] = 1e-18
+        service.router.cost_model.pin("quadtree", 1e-18)
         legacy = service.top_k(query)
         assert not legacy.strategy.endswith("-cached")
         routed = service.top_k(query, strategy="auto")
