@@ -99,9 +99,7 @@ def _demo_service() -> None:
     stack = generate_scene((256, 256), seed=2, terrain=dem)
     stack.add(dem)
     registry = MetricsRegistry()
-    service = RetrievalService(
-        stack, n_shards=4, cache_size=32, registry=registry
-    )
+    service = RetrievalService(stack, cache_size=32, registry=registry)
     query = TopKQuery(model=hps_risk_model(), k=10)
 
     single = service.engine.progressive_top_k(query)
@@ -158,9 +156,7 @@ def _demo_telemetry() -> None:
     dem = generate_dem((128, 128), seed=1)
     stack = generate_scene((128, 128), seed=2, terrain=dem)
     stack.add(dem)
-    service = RetrievalService(
-        stack, n_shards=2, registry=MetricsRegistry()
-    )
+    service = RetrievalService(stack, registry=MetricsRegistry())
     # Enable the sink (via the server) BEFORE querying — traces are
     # recorded at query completion, not retroactively.
     server = service.serve_metrics(port=0)

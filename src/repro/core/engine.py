@@ -23,9 +23,18 @@ see :class:`TopKHeap`) — so the comparison isolates work, not quality.
 Work is tallied per strategy on a fresh
 :class:`~repro.metrics.counters.CostCounter`.
 
-The sharded service layer (:mod:`repro.service`) drives the same search
-through :meth:`RasterRetrievalEngine.prepare_tile_query` and
-:meth:`RasterRetrievalEngine.shard_search`.
+There is one tile search. A query's frontier state (:class:`_ScanState`
+over the caller's :class:`BatchQuerySpec`) advances through one
+best-first branch-and-bound step, which reads the archive through one
+layer (:class:`_Scan`): ``progressive_top_k`` and
+:meth:`RasterRetrievalEngine.shard_search` (the sharded service layer's
+entry point, after :meth:`RasterRetrievalEngine.prepare_tile_query`) run
+one state to exhaustion, :meth:`RasterRetrievalEngine.shared_scan_search`
+runs N round-robin over a memoizing layer — so "a batch member equals
+its solo search" holds because both are the same code. Likewise one
+dense evaluator (:meth:`RasterRetrievalEngine.dense_top_k`) is the
+exhaustive baseline and the service's scan strategies, and every
+executor turns its heap into answers through :func:`ranked_answers`.
 """
 
 from __future__ import annotations
@@ -178,21 +187,30 @@ class TopKHeap:
         return sorted(decoded, key=lambda item: (-item[0], item[1]))
 
 
-#: Backwards-compatible alias (the heap predates the service layer).
-_TopKHeap = TopKHeap
+def ranked_answers(heap: TopKHeap, maximize: bool) -> list[ScoredLocation]:
+    """A finished heap as best-first answers with unsigned scores.
+
+    Heaps hold *signed* scores (negated for minimizing queries) so one
+    comparison serves both directions; every executor ends by undoing
+    the sign here.
+    """
+    sign = 1.0 if maximize else -1.0
+    return [
+        ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
+        for signed, cell in heap.ranked()
+    ]
 
 
 @dataclass
 class BatchQuerySpec:
-    """One query's slot in a shared-scan batch.
+    """One query's slot in a tile search.
 
     The caller supplies the query plus fresh per-query accounting
     objects (heap, counter, audit, optional cascade and cancel token);
-    :meth:`RasterRetrievalEngine.shared_scan_search` mutates them in
-    place and fills the output fields. Keeping accounting per-spec is
-    what makes shared-scan work *attributable*: each query's counter and
-    audit record exactly the work its own solo search would have
-    counted, no more.
+    the search mutates them in place and fills the output fields.
+    Keeping accounting per-spec is what makes shared-scan work
+    *attributable*: each query's counter and audit record exactly the
+    work its own solo search would have counted, no more.
     """
 
     query: TopKQuery
@@ -211,6 +229,51 @@ class BatchQuerySpec:
     attributed_seconds: float = field(default=0.0, init=False)
 
 
+class _ScanState:
+    """One query's best-first frontier — the only search state there is.
+
+    Wraps the caller's :class:`BatchQuerySpec` with what the search owns
+    (the frontier and its tie-break counter) and the two things a solo
+    caller may add: a ``fusion`` spec, and an anytime ``work_budget``
+    whose outcome lands in ``regret_bound``.
+
+    ``fusion`` (a :class:`repro.embed.fusion.FusionSpec`, duck-typed
+    here to keep core free of an embed dependency) blends embedding
+    similarity into both the node bounds and the leaf scores; the search
+    then maximizes ``alpha * model + (1 - alpha) * cosine`` with bounds
+    that stay sound because both terms are bounded independently
+    (DESIGN.md §10). It blends *whole-model* bounds, so it excludes a
+    level cascade.
+    """
+
+    __slots__ = (
+        "spec", "fusion", "work_budget", "regret_bound",
+        "model", "sign", "frontier", "tiebreak",
+    )
+
+    def __init__(
+        self,
+        spec: BatchQuerySpec,
+        fusion: "FusionSpec | None" = None,
+        work_budget: int | None = None,
+    ) -> None:
+        if fusion is not None and spec.progressive is not None:
+            raise QueryError(
+                "fused search blends whole-model bounds; the level cascade "
+                "does not apply (run with use_model_levels=False)"
+            )
+        self.spec = spec
+        self.fusion = fusion
+        self.work_budget = work_budget
+        #: ``None`` without a budget; else 0.0 when the search finished
+        #: within budget, or the bound at its early stop.
+        self.regret_bound = None if work_budget is None else 0.0
+        self.model = spec.query.model
+        self.sign = 1.0 if spec.query.maximize else -1.0
+        self.frontier: list = []
+        self.tiebreak = itertools.count()
+
+
 def _audit_abandoned(
     audit: PruningAudit, frontier: list, reason: str
 ) -> None:
@@ -226,69 +289,198 @@ def _audit_abandoned(
         audit.prune_tiles(node.depth, 1, reason=reason)
 
 
-class _SharedLeafReads:
-    """Memoized leaf-window reads shared across one scan's queries.
+def _intersects(
+    window: tuple[int, int, int, int], region: tuple[int, int, int, int]
+) -> bool:
+    row0, col0, row1, col1 = window
+    return (
+        row0 < region[2]
+        and region[0] < row1
+        and col0 < region[3]
+        and region[1] < col1
+    )
 
-    Same-region queries evaluate the same leaf windows; the cell grid,
-    window views, and level-1 attribute gathers are identical across
-    them. This cache computes each once per batch and hands back
-    read-only arrays, charging each query's counter exactly what the
-    uncached path charges — the batch saves wall clock, never counted
-    (attributable) work.
+
+class _Scan:
+    """The archive side of one traversal: what every step reads through.
+
+    One traversal is one region walked from one root cover — the global
+    screen root, or the minimal node cover of a sub-region, so a row
+    band skips the shared upper tree levels. A search never touches the
+    screen or the stack itself; it asks this object for a node's
+    in-region children, a model's bounds over a block of nodes, and a
+    leaf window's cell grid and attribute reads. With one query (this
+    class) each is computed on demand and nothing is kept;
+    :class:`_SharedScan` answers the same questions from batch-wide
+    memos.
     """
 
-    def __init__(self, stack: RasterStack) -> None:
-        self._stack = stack
-        self._grids: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._windows: dict[tuple, np.ndarray] = {}
-        self._cells: dict[tuple, np.ndarray] = {}
+    def __init__(
+        self,
+        engine: "RasterRetrievalEngine",
+        region: tuple[int, int, int, int],
+        roots: list[ScreenNode],
+        pruning: str,
+        heuristic_margin: float,
+    ) -> None:
+        if pruning not in ("sound", "heuristic"):
+            raise QueryError(f"unknown pruning mode {pruning!r}")
+        self.stack = engine.stack
+        self.screen = engine.screen
+        self.region = region
+        self.roots = roots
+        self.pruning = pruning
+        self.heuristic_margin = heuristic_margin
+
+    def children(self, node: ScreenNode) -> tuple[list[ScreenNode], int]:
+        """``(in-region children, region-dropped count)`` of ``node``."""
+        all_children = self.screen.children(node)
+        children = [
+            child
+            for child in all_children
+            if _intersects(child.window, self.region)
+        ]
+        return children, len(all_children) - len(children)
+
+    def envelopes(self, parent: ScreenNode | None, nodes: list[ScreenNode]):
+        """Per-attribute ``(lows, highs)`` envelope arrays of ``nodes``
+        (``parent``'s children, or the scan's roots when ``None``).
+
+        One envelope fancy-index replaces per-node dict building; the
+        bound source is the min/max envelope, or under ``"heuristic"``
+        pruning the shrunken (unsound) pseudo-envelope.
+        """
+        if self.pruning == "heuristic":
+            envelopes = self.screen.heuristic_envelopes_block(
+                nodes, self.heuristic_margin, None
+            )
+        else:
+            envelopes = self.screen.envelopes_block(nodes, None)
+        lows = {name: pair[0] for name, pair in envelopes.items()}
+        highs = {name: pair[1] for name, pair in envelopes.items()}
+        return lows, highs
+
+    def bounds(
+        self, model: Model, parent: ScreenNode | None,
+        nodes: list[ScreenNode],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``model``'s interval ``(low, high)`` over each of ``nodes``."""
+        return model.evaluate_interval_batch(*self.envelopes(parent, nodes))
 
     def grid(self, window: tuple[int, int, int, int]):
         """Flat (rows, cols) cell coordinates of ``window``."""
-        cached = self._grids.get(window)
-        if cached is None:
-            row0, col0, row1, col1 = window
-            rows, cols = np.meshgrid(
-                np.arange(row0, row1), np.arange(col0, col1), indexing="ij"
-            )
-            rows = rows.reshape(-1)
-            cols = cols.reshape(-1)
-            rows.setflags(write=False)
-            cols.setflags(write=False)
-            cached = (rows, cols)
-            self._grids[window] = cached
-        return cached
+        row0, col0, row1, col1 = window
+        rows, cols = np.meshgrid(
+            np.arange(row0, row1), np.arange(col0, col1), indexing="ij"
+        )
+        return rows.reshape(-1), cols.reshape(-1)
 
     def window(
         self, name: str, window: tuple[int, int, int, int],
-        counter: CostCounter,
+        counter: CostCounter | None,
     ) -> np.ndarray:
-        """``read_window`` of attribute ``name``, charged per caller."""
-        key = (name, window)
-        view = self._windows.get(key)
-        if view is None:
-            # Charge-free read into the cache; every consumer is charged
-            # below, exactly like its own read_window call would be.
-            view = self._stack[name].read_window(*window, None)
-            self._windows[key] = view
-        counter.add_data_points(view.size)
-        return view
+        """``read_window`` of attribute ``name``, charged to ``counter``."""
+        return self.stack[name].read_window(*window, counter)
 
     def cells(
         self, name: str, window: tuple[int, int, int, int],
         rows: np.ndarray, cols: np.ndarray,
     ) -> np.ndarray:
-        """Level-1 cascade gather ``values[rows, cols]`` for ``window``.
+        """Level-1 cascade gather ``values[rows, cols]`` for ``window``
+        (``rows``/``cols`` are its :meth:`grid`; the caller charges)."""
+        return self.stack[name].gather(rows, cols)
 
-        The caller charges data points itself (mirroring the uncached
-        cascade path, which gathers directly off ``.values``).
-        """
-        key = (name, window)
-        values = self._cells.get(key)
+
+class _SharedScan(_Scan):
+    """A scan several same-region queries take turns on.
+
+    Child-node construction, envelope block fetches, node bounds and
+    leaf-window reads are each computed once per batch and memoized,
+    handing back read-only arrays. Envelope/children keys are the node
+    (``None`` for the roots: all queries share one region and one root
+    cover, so region filtering agrees); bounds additionally key on the
+    model instance, so same-model queries (different k, direction, or
+    deadline) share bound work. Each query's counter is still charged
+    exactly what the unshared path charges — the batch saves wall clock,
+    never counted (attributable) work.
+    """
+
+    def __init__(
+        self, engine, region, roots, pruning, heuristic_margin, models
+    ):
+        super().__init__(engine, region, roots, pruning, heuristic_margin)
+        self._memo: dict[tuple, object] = {}
+        # Plain linear models sharing one attribute order are bounded
+        # *stacked*: the first query to pop a block computes the whole
+        # group's bounds in one elementwise pass (bitwise identical per
+        # row to each model's own evaluate_interval_batch) and seeds the
+        # memo for everyone. Other model families bound per model.
+        linear_groups: dict[tuple[str, ...], list[LinearModel]] = {}
+        for model in models:
+            if type(model) is LinearModel:
+                group = linear_groups.setdefault(model.attributes, [])
+                if not any(member is model for member in group):
+                    group.append(model)
+        self._stack_group_of: dict[int, list[LinearModel]] = {
+            id(member): group
+            for group in linear_groups.values()
+            if len(group) >= 2
+            for member in group
+        }
+
+    def children(self, node):
+        # The dropped count is memoized beside the list so every query's
+        # audit records the same region-miss tally its solo search would.
+        cached = self._memo.get(("children", node))
+        if cached is None:
+            cached = self._memo["children", node] = super().children(node)
+        return cached
+
+    def envelopes(self, parent, nodes):
+        cached = self._memo.get(("envelopes", parent))
+        if cached is None:
+            cached = super().envelopes(parent, nodes)
+            self._memo["envelopes", parent] = cached
+        return cached
+
+    def bounds(self, model, parent, nodes):
+        key = ("bounds", id(model), parent)
+        if key not in self._memo:
+            group = self._stack_group_of.get(id(model))
+            if group is None:
+                self._memo[key] = super().bounds(model, parent, nodes)
+            else:
+                lows, highs = self.envelopes(parent, nodes)
+                for member, member_bounds in zip(
+                    group, stacked_interval_batch(group, lows, highs)
+                ):
+                    self._memo["bounds", id(member), parent] = member_bounds
+        return self._memo[key]
+
+    def grid(self, window):
+        cached = self._memo.get(("grid", window))
+        if cached is None:
+            cached = self._memo["grid", window] = super().grid(window)
+            for coordinates in cached:
+                coordinates.setflags(write=False)
+        return cached
+
+    def window(self, name, window, counter):
+        view = self._memo.get(("window", name, window))
+        if view is None:
+            # Charge-free read into the memo; every consumer is charged
+            # below, exactly like its own read_window call would be.
+            view = super().window(name, window, None)
+            self._memo["window", name, window] = view
+        counter.add_data_points(view.size)
+        return view
+
+    def cells(self, name, window, rows, cols):
+        values = self._memo.get(("cells", name, window))
         if values is None:
-            values = self._stack[name].gather(rows, cols)
+            values = super().cells(name, window, rows, cols)
             values.setflags(write=False)
-            self._cells[key] = values
+            self._memo["cells", name, window] = values
         return values
 
 
@@ -317,6 +509,46 @@ class RasterRetrievalEngine:
 
     # -- baseline ----------------------------------------------------------
 
+    def dense_top_k(
+        self,
+        query: TopKQuery,
+        region: tuple[int, int, int, int],
+        counter: CostCounter,
+        fusion: "FusionSpec | None" = None,
+    ) -> TopKHeap:
+        """Full model on every cell of ``region``, into a fresh heap.
+
+        The one dense evaluator: the sequential-scan baseline and the
+        service's ``scan`` / ``embed-scan`` strategies are this routine
+        plus their own labels and tallies. Window reads and model
+        evaluations are charged to ``counter``; with ``fusion`` each
+        cell's score is blended with its tile's cosine in the exact
+        per-cell op order the progressive leaf blend uses (the caller,
+        who owns the embeddings, charges the blend).
+        """
+        model = query.model
+        row0, col0, row1, col1 = region
+        columns = {
+            name: self.stack[name].read_window(row0, col0, row1, col1, counter)
+            for name in model.attributes
+        }
+        scores = model.evaluate_batch(columns).reshape(-1)
+        counter.add_model_evals(scores.size, flops_each=model.complexity)
+        if fusion is not None:
+            scores = fusion.blend(
+                scores, fusion.region_cosines(region).reshape(-1)
+            )
+        sign = 1.0 if query.maximize else -1.0
+        heap = TopKHeap(query.k)
+        # Region-local row-major order is global (row, col) order
+        # restricted to the region, so decoding preserves tie semantics.
+        # offer_block partition-prefilters down to the k best (plus
+        # boundary-score ties, which its tie-break settles) before any
+        # Python-level push.
+        flat_rows, flat_cols = divmod(np.arange(scores.size), col1 - col0)
+        heap.offer_block(sign * scores, row0 + flat_rows, col0 + flat_cols)
+        return heap
+
     def exhaustive_top_k(self, query: TopKQuery) -> RetrievalResult:
         """Sequential-scan baseline: full model on every cell."""
         if query.fused:
@@ -325,33 +557,12 @@ class RasterRetrievalEngine:
                 "RetrievalService.top_k"
             )
         counter = CostCounter()
-        model = query.model
-        row0, col0, row1, col1 = query.clip_region(self.stack.shape)
-
-        columns = {}
-        for name in model.attributes:
-            layer = self.stack[name]
-            columns[name] = layer.read_window(row0, col0, row1, col1, counter)
-        scores = model.evaluate_batch(columns)
-        n_cells = scores.size
-        counter.add_model_evals(n_cells, flops_each=model.complexity)
-
-        sign = 1.0 if query.maximize else -1.0
-        heap = TopKHeap(query.k)
-        flat = (sign * scores).reshape(-1)
-        window_cols = col1 - col0
-        # offer_block partition-prefilters down to the k best (plus
-        # boundary-score ties, which its tie-break settles) before any
-        # Python-level push.
-        flat_rows, flat_cols = divmod(np.arange(flat.size), window_cols)
-        heap.offer_block(flat, row0 + flat_rows, col0 + flat_cols)
-
-        answers = [
-            ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-            for signed, cell in heap.ranked()
-        ]
+        heap = self.dense_top_k(
+            query, query.clip_region(self.stack.shape), counter
+        )
         return RetrievalResult(
-            answers=answers, counter=counter, strategy="exhaustive"
+            answers=ranked_answers(heap, query.maximize), counter=counter,
+            strategy="exhaustive",
         )
 
     # -- progressive -------------------------------------------------------
@@ -398,8 +609,10 @@ class RasterRetrievalEngine:
                 "fused (similar_to) queries need embeddings; use "
                 "RetrievalService.top_k"
             )
-        if pruning not in ("sound", "heuristic"):
-            raise QueryError(f"unknown pruning mode {pruning!r}")
+        region = query.clip_region(self.stack.shape)
+        scan = _Scan(
+            self, region, [self.screen.root()], pruning, heuristic_margin
+        )
         if work_budget is not None:
             if work_budget <= 0:
                 raise QueryError("work_budget must be positive")
@@ -413,46 +626,22 @@ class RasterRetrievalEngine:
             result.strategy = "none"
             return result
 
-        counter = CostCounter()
-        audit = PruningAudit()
-        model = query.model
-        sign = 1.0 if query.maximize else -1.0
-        heap = TopKHeap(query.k)
-        region = query.clip_region(self.stack.shape)
-
-        progressive = (
-            self._build_progressive(model, term_order)
-            if use_model_levels
-            else None
-        )
-        if use_model_levels and progressive is None:
-            raise QueryError(
-                f"model {type(model).__name__} does not support progressive "
-                "levels; run with use_model_levels=False"
-            )
-        if use_tiles and not model.supports_intervals:
-            raise QueryError(
-                f"model {type(model).__name__} cannot bound intervals; "
-                "run with use_tiles=False"
-            )
-
-        regret_bound: float | None = None
-        complete = True
         if use_tiles:
-            regret_bound, complete = self._tile_search(
-                query, progressive, heap, sign, region, counter, audit,
-                pruning=pruning, heuristic_margin=heuristic_margin,
-                work_budget=work_budget, cancel=cancel,
+            progressive = self.prepare_tile_query(
+                query, use_model_levels, term_order
             )
         else:
-            self._evaluate_window(
-                query, progressive, heap, sign, region, counter, audit
-            )
+            progressive = self._build_progressive(query.model, term_order)
+        spec = BatchQuerySpec(
+            query, TopKHeap(query.k), CostCounter(), PruningAudit(),
+            progressive=progressive, cancel=cancel,
+        )
+        state = _ScanState(spec, work_budget=work_budget)
+        if use_tiles:
+            self._search([state], scan)
+        else:
+            self._evaluate_window(state, region, scan)
 
-        answers = [
-            ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-            for signed, cell in heap.ranked()
-        ]
         strategy = {
             (True, True): "both",
             (True, False): "data-progressive",
@@ -462,23 +651,27 @@ class RasterRetrievalEngine:
             strategy += "-heuristic"
         if work_budget is not None:
             strategy += "-anytime"
-        if not complete:
+        if not spec.complete:
             strategy += "-partial"
         return RetrievalResult(
-            answers=answers, counter=counter, audit=audit, strategy=strategy,
-            regret_bound=regret_bound, complete=complete,
+            answers=ranked_answers(spec.heap, query.maximize),
+            counter=spec.counter, audit=spec.audit, strategy=strategy,
+            regret_bound=state.regret_bound, complete=spec.complete,
         )
 
     def _build_progressive(
         self, model: Model, term_order: tuple[str, ...] | None = None
-    ) -> ProgressiveLinearModel | None:
-        """Contribution-ordered levels for linear models, None otherwise.
+    ) -> ProgressiveLinearModel:
+        """Contribution-ordered levels; only linear models have them.
 
         ``term_order`` forces an explicit cascade order instead of the
         default contribution ranking.
         """
         if not isinstance(model, LinearModel):
-            return None
+            raise QueryError(
+                f"model {type(model).__name__} does not support progressive "
+                "levels; run with use_model_levels=False"
+            )
         ranges = self.screen.attribute_ranges()
         missing = [a for a in model.attributes if a not in ranges]
         if missing:
@@ -510,170 +703,6 @@ class RasterRetrievalEngine:
             {name: ranges[name] for name in model.attributes},
         )
 
-    def _tile_search(
-        self,
-        query: TopKQuery,
-        progressive: ProgressiveLinearModel | None,
-        heap: TopKHeap,
-        sign: float,
-        region: tuple[int, int, int, int],
-        counter: CostCounter,
-        audit: PruningAudit,
-        pruning: str = "sound",
-        heuristic_margin: float = 0.7,
-        work_budget: int | None = None,
-        roots: list[ScreenNode] | None = None,
-        cancel: "CancellationToken | None" = None,
-        fusion: "FusionSpec | None" = None,
-    ) -> tuple[float | None, bool]:
-        """Best-first branch-and-bound over the tile screen.
-
-        ``roots`` overrides the starting frontier (default: the global
-        screen root); shard searches pass the minimal node cover of
-        their sub-region so bands skip the shared upper tree levels.
-
-        ``fusion`` (a :class:`repro.embed.fusion.FusionSpec`, duck-typed
-        here to keep core free of an embed dependency) blends embedding
-        similarity into both the node bounds and the leaf scores; the
-        search then maximizes the combined objective
-        ``alpha * model + (1 - alpha) * cosine`` with bounds that stay
-        sound because both terms are bounded independently (DESIGN.md
-        §10). Fused search runs without a level cascade
-        (``progressive`` must be None).
-
-        ``cancel`` is polled once per frontier pop (the loop check that
-        makes shard searches cooperatively cancellable); when it fires
-        the search stops with whatever the heap holds. Leaf evaluations
-        are never interrupted, so every heap entry is an exact score.
-
-        Returns ``(regret_bound, complete)``: the anytime regret bound
-        when a ``work_budget`` was set (0.0 when the search finished
-        within budget, else the bound at the early stop) or ``None``
-        without a budget, and whether the search ran to exhaustion
-        rather than being cancelled.
-        """
-        model = query.model
-        tiebreak = itertools.count()
-        if fusion is not None and progressive is not None:
-            raise QueryError(
-                "fused search blends whole-model bounds; the level cascade "
-                "does not apply (run with use_model_levels=False)"
-            )
-
-        def block_uppers(nodes: list[ScreenNode]) -> list[float]:
-            """Signed upper bounds for a whole frontier batch.
-
-            One envelope fancy-index + one ``evaluate_interval_batch``
-            replaces per-node dict building and scalar interval calls;
-            charged identically to ``len(nodes)`` scalar boundings.
-            """
-            if pruning == "heuristic":
-                envelopes = self.screen.heuristic_envelopes_block(
-                    nodes, heuristic_margin, counter
-                )
-            else:
-                envelopes = self.screen.envelopes_block(nodes, counter)
-            counter.add_partial_evals(len(nodes), flops_each=model.complexity)
-            lows = {name: pair[0] for name, pair in envelopes.items()}
-            highs = {name: pair[1] for name, pair in envelopes.items()}
-            low, high = model.evaluate_interval_batch(lows, highs)
-            if fusion is not None:
-                low, high = fusion.combine_bounds(nodes, low, high, counter)
-            uppers = high if sign > 0 else -low
-            return uppers.tolist()
-
-        if roots is None:
-            roots = [self.screen.root()]
-        frontier = []
-        for upper, root in zip(block_uppers(roots), roots):
-            heapq.heappush(frontier, (-upper, next(tiebreak), root))
-            audit.root_tiles(root.depth, 1)
-
-        region_row0, region_col0, region_row1, region_col1 = region
-
-        def intersects_region(node: ScreenNode) -> bool:
-            row0, col0, row1, col1 = node.window
-            return (
-                row0 < region_row1
-                and region_row0 < row1
-                and col0 < region_col1
-                and region_col0 < col1
-            )
-
-        while frontier:
-            if cancel is not None and cancel.cancelled:
-                # Cooperative stop: return the heap as-is. Offers happen
-                # only after exact leaf evaluation, so the partial answer
-                # set is prefix-sound (exact scores, possibly not the
-                # true top-K).
-                _audit_abandoned(
-                    audit, frontier, cancel.reason or "cancelled"
-                )
-                if work_budget is not None:
-                    best_remaining = -frontier[0][0]
-                    return max(0.0, best_remaining - heap.threshold), False
-                return None, False
-            if (
-                work_budget is not None
-                and counter.total_work >= work_budget
-            ):
-                # Anytime stop: the best remaining frontier bound caps how
-                # much any unexamined location can beat the K-th best.
-                _audit_abandoned(audit, frontier, "budget")
-                best_remaining = -frontier[0][0]
-                return max(0.0, best_remaining - heap.threshold), True
-            neg_upper, _, node = heapq.heappop(frontier)
-            upper = -neg_upper
-            if heap.full and upper < heap.threshold:
-                # Every remaining node is bounded below the K-th best:
-                # the popped node and the rest of the frontier retire
-                # under the global threshold (waterfall reason only —
-                # they are not envelope prunes, so ``tiles_pruned``
-                # stays untouched).
-                audit.prune_tiles(node.depth, 1, reason="threshold")
-                _audit_abandoned(audit, frontier, "threshold")
-                break
-            if node.is_leaf:
-                row0, col0, row1, col1 = node.window
-                window = (
-                    max(row0, region_row0),
-                    max(col0, region_col0),
-                    min(row1, region_row1),
-                    min(col1, region_col1),
-                )
-                self._evaluate_window(
-                    query, progressive, heap, sign, window, counter, audit,
-                    fusion=fusion,
-                )
-                continue
-            all_children = self.screen.children(node)
-            children = [
-                child for child in all_children if intersects_region(child)
-            ]
-            if len(children) < len(all_children):
-                audit.prune_tiles(
-                    node.depth + 1,
-                    len(all_children) - len(children),
-                    reason="region",
-                )
-            if not children:
-                continue
-            child_uppers = block_uppers(children)
-            audit.screen_tiles(node.depth + 1, len(children))
-            # One threshold read covers the whole sibling batch: the heap
-            # cannot change between siblings here (offers happen only at
-            # leaves), and under a shared heap a concurrently-raised
-            # threshold only ever tightens pruning.
-            full = heap.full
-            prune_below = heap.threshold
-            for child_upper, child in zip(child_uppers, children):
-                if full and child_upper < prune_below:
-                    audit.prune_tiles(child.depth, 1)
-                    continue
-                heapq.heappush(
-                    frontier, (-child_upper, next(tiebreak), child)
-                )
-        return (0.0 if work_budget is not None else None), True
 
     # -- shard entry points (the repro.service concurrency layer) ----------
 
@@ -697,17 +726,13 @@ class RasterRetrievalEngine:
             if use_model_levels
             else None
         )
-        if use_model_levels and progressive is None:
-            raise QueryError(
-                f"model {type(model).__name__} does not support progressive "
-                "levels; run with use_model_levels=False"
-            )
         if not model.supports_intervals:
             raise QueryError(
                 f"model {type(model).__name__} cannot bound intervals; "
                 "tile search needs evaluate_interval"
             )
         return progressive
+
 
     def shard_search(
         self,
@@ -739,14 +764,16 @@ class RasterRetrievalEngine:
         Returns whether the shard ran to completion (``False`` when the
         token stopped it early).
         """
-        sign = 1.0 if query.maximize else -1.0
-        _, complete = self._tile_search(
-            query, progressive, heap, sign, region, counter, audit,
-            pruning=pruning, heuristic_margin=heuristic_margin,
-            roots=self.screen.region_roots(region), cancel=cancel,
-            fusion=fusion,
+        spec = BatchQuerySpec(
+            query, heap, counter, audit, progressive=progressive,
+            cancel=cancel,
         )
-        return complete
+        scan = _Scan(
+            self, region, self.screen.region_roots(region), pruning,
+            heuristic_margin,
+        )
+        self._search([_ScanState(spec, fusion=fusion)], scan)
+        return spec.complete
 
     def shared_scan_search(
         self,
@@ -757,19 +784,15 @@ class RasterRetrievalEngine:
     ) -> None:
         """One archive traversal answering every spec's query.
 
-        Each query keeps its own best-first frontier and replays exactly
-        the decision sequence its solo :meth:`shard_search` over
-        ``region`` would make — same pops, same thresholds, same pruning
-        — so every answer is bit-for-bit the solo answer and every
-        per-query counter/audit is bit-for-bit the solo tally. What the
-        scan *shares* is the archive side of the work: child-node
-        construction, envelope block fetches, node bounds, and
-        leaf-window reads are each computed once per batch and memoized
-        (plain linear models sharing an attribute order are bounded
-        stacked — one elementwise pass covers the whole group, bitwise
-        identical per model), so the batch pays the traversal cost once
-        while each query is still charged the attributable work its
-        solo search would have counted.
+        Each query keeps its own best-first frontier and runs the very
+        step its solo :meth:`shard_search` over ``region`` runs — same
+        pops, same thresholds, same pruning — so every answer is
+        bit-for-bit the solo answer and every per-query counter/audit is
+        bit-for-bit the solo tally. What the scan *shares* is the
+        archive side of the work (:class:`_SharedScan`): the batch pays
+        the traversal cost once while each query is still charged the
+        attributable work its solo search would have counted. A group of
+        one shares nothing and is exactly the solo search.
 
         Queries advance round-robin, one frontier step per turn; a query
         *retires* — drops out of the scan while the others continue —
@@ -780,10 +803,6 @@ class RasterRetrievalEngine:
         answers, ``complete`` and ``attributed_seconds`` are filled per
         spec.
         """
-        if pruning not in ("sound", "heuristic"):
-            raise QueryError(f"unknown pruning mode {pruning!r}")
-        if not specs:
-            return
         for spec in specs:
             if spec.query.fused:
                 raise QueryError(
@@ -795,270 +814,194 @@ class RasterRetrievalEngine:
                     f"model {type(spec.query.model).__name__} cannot bound "
                     "intervals; tile search needs evaluate_interval"
                 )
-        screen = self.screen
-        n_attributes = len(screen.attributes)
-        roots = screen.region_roots(region)
-        region_row0, region_col0, region_row1, region_col1 = region
-
-        # Batch-wide memos. Envelope/children keys are node coordinates
-        # (all specs share one region, so region filtering agrees);
-        # bounds additionally key on the model instance, so same-model
-        # specs (different k, direction, or deadline) share bound work.
-        children_memo: dict[tuple, tuple[list[ScreenNode], int]] = {}
-        envelope_memo: dict[tuple, tuple[dict, dict]] = {}
-        bounds_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        reads = _SharedLeafReads(self.stack)
-
-        # Plain linear models sharing one attribute order are bounded
-        # *stacked*: the first query to pop a block computes the whole
-        # group's bounds in one elementwise pass (bitwise identical per
-        # row to each model's own evaluate_interval_batch) and seeds the
-        # memo for everyone. Other model families bound per model.
-        linear_groups: dict[tuple[str, ...], list[LinearModel]] = {}
-        for spec in specs:
-            model = spec.query.model
-            if type(model) is LinearModel:
-                group = linear_groups.setdefault(model.attributes, [])
-                if not any(member is model for member in group):
-                    group.append(model)
-        stack_group_of: dict[int, list[LinearModel]] = {
-            id(member): group
-            for group in linear_groups.values()
-            if len(group) >= 2
-            for member in group
-        }
-
-        def intersects_region(node: ScreenNode) -> bool:
-            row0, col0, row1, col1 = node.window
-            return (
-                row0 < region_row1
-                and region_row0 < row1
-                and col0 < region_col1
-                and region_col0 < col1
+        roots = self.screen.region_roots(region)
+        if len(specs) > 1:
+            scan = _SharedScan(
+                self, region, roots, pruning, heuristic_margin,
+                [spec.query.model for spec in specs],
             )
+        else:
+            scan = _Scan(self, region, roots, pruning, heuristic_margin)
+        self._search([_ScanState(spec) for spec in specs], scan)
 
-        def filtered_children(
-            node: ScreenNode,
-        ) -> tuple[list[ScreenNode], int]:
-            """``(in-region children, region-dropped count)`` of ``node``.
-
-            The dropped count is memoized beside the list so every
-            query's audit records the same region-miss tally its solo
-            search would.
-            """
-            key = (node.depth, node.row_index, node.col_index)
-            cached = children_memo.get(key)
-            if cached is None:
-                all_children = screen.children(node)
-                children = [
-                    child
-                    for child in all_children
-                    if intersects_region(child)
-                ]
-                cached = (children, len(all_children) - len(children))
-                children_memo[key] = cached
-            return cached
-
-        def envelopes_for(key: tuple, nodes: list[ScreenNode]):
-            cached = envelope_memo.get(key)
-            if cached is None:
-                if pruning == "heuristic":
-                    envelopes = screen.heuristic_envelopes_block(
-                        nodes, heuristic_margin, None
-                    )
-                else:
-                    envelopes = screen.envelopes_block(nodes, None)
-                lows = {name: pair[0] for name, pair in envelopes.items()}
-                highs = {name: pair[1] for name, pair in envelopes.items()}
-                cached = (lows, highs)
-                envelope_memo[key] = cached
-            return cached
-
-        def bound_block(
-            state: "_ScanState", key: tuple, nodes: list[ScreenNode]
-        ) -> list[float]:
-            """Signed upper bounds of ``nodes`` for one spec's model.
-
-            Charged identically to the solo search's ``block_uppers``
-            (one aggregate-node visit per attribute per node, one
-            partial model evaluation per node), whether or not the
-            envelope fetch and interval evaluation hit the memos.
-            """
+    def _search(self, states: list[_ScanState], scan: _Scan) -> None:
+        """Seed every state's frontier from its roots, then run them all
+        to retirement: round-robin while several are alive (timing each
+        turn into ``attributed_seconds``), and straight through once one
+        is left — nobody remains to take turns with."""
+        for state in states:
             spec = state.spec
-            spec.counter.add_nodes(len(nodes) * n_attributes)
-            spec.counter.add_partial_evals(
-                len(nodes), flops_each=state.model.complexity
-            )
-            bound_key = (id(state.model), key)
-            bounds = bounds_memo.get(bound_key)
-            if bounds is None:
-                lows, highs = envelopes_for(key, nodes)
-                group = stack_group_of.get(id(state.model))
-                if group is not None:
-                    for member, member_bounds in zip(
-                        group, stacked_interval_batch(group, lows, highs)
-                    ):
-                        bounds_memo[(id(member), key)] = member_bounds
-                    bounds = bounds_memo[bound_key]
-                else:
-                    bounds = state.model.evaluate_interval_batch(
-                        lows, highs
-                    )
-                    bounds_memo[bound_key] = bounds
-            low, high = bounds
-            uppers = high if state.sign > 0 else -low
-            return uppers.tolist()
-
-        class _ScanState:
-            __slots__ = ("spec", "model", "sign", "frontier", "tiebreak")
-
-            def __init__(self, spec: BatchQuerySpec) -> None:
-                self.spec = spec
-                self.model = spec.query.model
-                self.sign = 1.0 if spec.query.maximize else -1.0
-                self.frontier: list = []
-                self.tiebreak = itertools.count()
-
-        def step(state: _ScanState) -> bool:
-            """One frontier pop for one query; False once it retires.
-
-            This is the loop body of :meth:`_tile_search`, verbatim in
-            ordering: frontier-empty exit, then the cancel poll, then
-            the pop and threshold break, then leaf evaluation or child
-            screening — so the decision sequence (and therefore answers,
-            counters, and audits) matches the solo search exactly.
-            """
-            spec = state.spec
-            if not state.frontier:
-                return False
-            if spec.cancel is not None and spec.cancel.cancelled:
-                _audit_abandoned(
-                    spec.audit, state.frontier,
-                    spec.cancel.reason or "cancelled",
-                )
-                spec.complete = False
-                return False
-            heap = spec.heap
-            neg_upper, _, node = heapq.heappop(state.frontier)
-            if heap.full and -neg_upper < heap.threshold:
-                spec.audit.prune_tiles(node.depth, 1, reason="threshold")
-                _audit_abandoned(spec.audit, state.frontier, "threshold")
-                state.frontier.clear()
-                return False
-            if node.is_leaf:
-                row0, col0, row1, col1 = node.window
-                window = (
-                    max(row0, region_row0),
-                    max(col0, region_col0),
-                    min(row1, region_row1),
-                    min(col1, region_col1),
-                )
-                self._evaluate_window(
-                    spec.query, spec.progressive, heap, state.sign, window,
-                    spec.counter, spec.audit, reads=reads,
-                )
-                return True
-            children, region_dropped = filtered_children(node)
-            if region_dropped:
-                spec.audit.prune_tiles(
-                    node.depth + 1, region_dropped, reason="region"
-                )
-            if not children:
-                return True
-            key = (node.depth, node.row_index, node.col_index)
-            child_uppers = bound_block(state, key, children)
-            spec.audit.screen_tiles(node.depth + 1, len(children))
-            full = heap.full
-            prune_below = heap.threshold
-            for child_upper, child in zip(child_uppers, children):
-                if full and child_upper < prune_below:
-                    spec.audit.prune_tiles(child.depth, 1)
-                    continue
-                heapq.heappush(
-                    state.frontier,
-                    (-child_upper, next(state.tiebreak), child),
-                )
-            return True
-
-        active: list[_ScanState] = []
-        for spec in specs:
-            state = _ScanState(spec)
             start = time.perf_counter()
             for upper, root in zip(
-                bound_block(state, ("region-roots",), roots), roots
+                self._uppers(state, None, scan.roots, scan), scan.roots
             ):
                 heapq.heappush(
                     state.frontier, (-upper, next(state.tiebreak), root)
                 )
                 spec.audit.root_tiles(root.depth, 1)
             spec.attributed_seconds += time.perf_counter() - start
-            active.append(state)
-
-        while active:
+        active = states
+        while len(active) > 1:
             survivors = []
             for state in active:
                 start = time.perf_counter()
-                alive = step(state)
-                state.spec.attributed_seconds += (
-                    time.perf_counter() - start
-                )
+                alive = self._step(state, scan)
+                state.spec.attributed_seconds += time.perf_counter() - start
                 if alive:
                     survivors.append(state)
             active = survivors
+        for state in active:
+            start = time.perf_counter()
+            while self._step(state, scan):
+                pass
+            state.spec.attributed_seconds += time.perf_counter() - start
+
+    def _step(self, state: _ScanState, scan: _Scan) -> bool:
+        """One frontier pop for one query; False once it retires.
+
+        Best-first branch-and-bound over the tile screen, one decision
+        sequence for every caller: frontier-empty exit, then the cancel
+        poll and the budget stop, then the pop and threshold retirement,
+        then leaf evaluation or child screening. The token is polled
+        once per pop and leaf evaluations are never interrupted, so
+        every heap entry is an exact score.
+        """
+        spec = state.spec
+        frontier = state.frontier
+        if not frontier:
+            return False
+        heap = spec.heap
+        audit = spec.audit
+        stop = None
+        if spec.cancel is not None and spec.cancel.cancelled:
+            # Cooperative stop: leave the heap as-is. Offers happen only
+            # after exact leaf evaluation, so the partial answer set is
+            # prefix-sound (exact scores, possibly not the true top-K).
+            stop = spec.cancel.reason or "cancelled"
+            spec.complete = False
+        elif (
+            state.work_budget is not None
+            and spec.counter.total_work >= state.work_budget
+        ):
+            stop = "budget"
+        if stop is not None:
+            _audit_abandoned(audit, frontier, stop)
+            if state.work_budget is not None:
+                # Anytime regret: the best remaining frontier bound caps
+                # how much any unexamined location can beat the K-th best.
+                state.regret_bound = max(
+                    0.0, -frontier[0][0] - heap.threshold
+                )
+            return False
+        neg_upper, _, node = heapq.heappop(frontier)
+        if heap.full and -neg_upper < heap.threshold:
+            # Every remaining node is bounded below the K-th best: the
+            # popped node and the rest of the frontier retire under the
+            # global threshold (waterfall reason only — they are not
+            # envelope prunes, so ``tiles_pruned`` stays untouched).
+            audit.prune_tiles(node.depth, 1, reason="threshold")
+            _audit_abandoned(audit, frontier, "threshold")
+            frontier.clear()
+            return False
+        if node.is_leaf:
+            row0, col0, row1, col1 = node.window
+            region_row0, region_col0, region_row1, region_col1 = scan.region
+            window = (
+                max(row0, region_row0),
+                max(col0, region_col0),
+                min(row1, region_row1),
+                min(col1, region_col1),
+            )
+            self._evaluate_window(state, window, scan)
+            return True
+        children, region_dropped = scan.children(node)
+        if region_dropped:
+            audit.prune_tiles(
+                node.depth + 1, region_dropped, reason="region"
+            )
+        if not children:
+            return True
+        child_uppers = self._uppers(state, node, children, scan)
+        audit.screen_tiles(node.depth + 1, len(children))
+        # One threshold read covers the whole sibling batch: the heap
+        # cannot change between siblings here (offers happen only at
+        # leaves), and under a shared heap a concurrently-raised
+        # threshold only ever tightens pruning.
+        full = heap.full
+        prune_below = heap.threshold
+        for child_upper, child in zip(child_uppers, children):
+            if full and child_upper < prune_below:
+                audit.prune_tiles(child.depth, 1)
+                continue
+            heapq.heappush(
+                frontier, (-child_upper, next(state.tiebreak), child)
+            )
+        return True
+
+    def _uppers(
+        self,
+        state: _ScanState,
+        parent: ScreenNode | None,
+        nodes: list[ScreenNode],
+        scan: _Scan,
+    ) -> list[float]:
+        """Signed upper bounds of ``nodes`` for one query's objective.
+
+        ``nodes`` are ``parent``'s in-region children, or the scan's
+        roots when ``parent`` is ``None``. One block evaluation replaces
+        scalar interval calls; charged as ``len(nodes)`` scalar
+        boundings (one aggregate-node visit per attribute per node, one
+        partial model evaluation per node) whether or not the scan
+        answered from a memo.
+        """
+        counter = state.spec.counter
+        counter.add_nodes(len(nodes) * len(self.screen.attributes))
+        counter.add_partial_evals(
+            len(nodes), flops_each=state.model.complexity
+        )
+        low, high = scan.bounds(state.model, parent, nodes)
+        if state.fusion is not None:
+            low, high = state.fusion.combine_bounds(nodes, low, high, counter)
+        uppers = high if state.sign > 0 else -low
+        return uppers.tolist()
 
     def _evaluate_window(
         self,
-        query: TopKQuery,
-        progressive: ProgressiveLinearModel | None,
-        heap: TopKHeap,
-        sign: float,
+        state: _ScanState,
         window: tuple[int, int, int, int],
-        counter: CostCounter,
-        audit: PruningAudit,
-        reads: "_SharedLeafReads | None" = None,
-        fusion: "FusionSpec | None" = None,
+        scan: _Scan,
     ) -> None:
         """Exact evaluation of a window, with optional level cascade.
 
-        ``reads`` plugs in a shared-scan memo: cell-grid and attribute
-        reads are served from (and populate) the batch-wide cache instead
-        of being recomputed, while ``counter`` is charged exactly as the
-        uncached path charges — sharing saves wall clock, never counted
-        work.
+        Cell-grid and attribute reads go through ``scan`` (a shared scan
+        serves them from its batch-wide memo), while the query's counter
+        is charged exactly as an unshared read charges — sharing saves
+        wall clock, never counted work.
 
-        ``fusion`` blends the containing tile's embedding cosine into
-        every cell's score before the sign is applied; fused windows
-        arrive from the tile search, so each lies inside a single screen
-        leaf and shares one cosine.
+        A ``state.fusion`` spec blends the containing tile's embedding
+        cosine into every cell's score before the sign is applied; fused
+        windows arrive from the tile search, so each lies inside a
+        single screen leaf and shares one cosine.
         """
         row0, col0, row1, col1 = window
         if row0 >= row1 or col0 >= col1:
             return
+        spec = state.spec
+        query, progressive = spec.query, spec.progressive
+        heap, counter, audit = spec.heap, spec.counter, spec.audit
+        sign = state.sign
         model = query.model
-
-        if reads is not None:
-            rows, cols = reads.grid(window)
-        else:
-            rows, cols = np.meshgrid(
-                np.arange(row0, row1), np.arange(col0, col1), indexing="ij"
-            )
-            rows = rows.reshape(-1)
-            cols = cols.reshape(-1)
+        rows, cols = scan.grid(window)
 
         if progressive is None:
-            columns = {}
-            for name in model.attributes:
-                if reads is not None:
-                    columns[name] = reads.window(name, window, counter)
-                else:
-                    layer = self.stack[name]
-                    columns[name] = layer.read_window(
-                        row0, col0, row1, col1, counter
-                    )
+            columns = {
+                name: scan.window(name, window, counter)
+                for name in model.attributes
+            }
             scores = model.evaluate_batch(columns).reshape(-1)
             counter.add_model_evals(scores.size, flops_each=model.complexity)
-            if fusion is not None:
-                scores = fusion.combine_window(window, scores, counter)
+            if state.fusion is not None:
+                scores = state.fusion.combine_window(window, scores, counter)
             heap.offer_block(sign * scores, rows, cols)
             return
 
@@ -1075,10 +1018,7 @@ class RasterRetrievalEngine:
 
         first_attribute = ordered[0]
         audit.enter_level(1, rows.size)
-        if reads is not None:
-            values = reads.cells(first_attribute, window, rows, cols)
-        else:
-            values = self.stack[first_attribute].gather(rows, cols)
+        values = scan.cells(first_attribute, window, rows, cols)
         counter.add_data_points(values.size)
         partial = progressive.model.intercept + (
             coefficients[first_attribute] * values

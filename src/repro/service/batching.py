@@ -24,8 +24,12 @@ joins a group when sharing cannot perturb its answer:
   contract to preserve and batching it would only entangle the noise.
   The planner sends every query of a heuristic batch down the singleton
   path.
-* **No lone groups.** A group of one is just a slower spelling of the
-  sharded path; singletons keep the existing per-query machinery.
+* **No lone groups.** A group of one would run the very search the
+  singleton path runs (the engine has one step; a lone query shares
+  nothing). Singletons stay separate because the singleton path is
+  where the per-call ``n_shards`` row-band fan-out and its
+  ``-sharded[n]`` strategy label live; a shared scan is one thread and
+  labels its members ``-batch[n]``.
 
 Planning never looks at ``k``, direction, deadlines, or the per-query
 level-cascade knob: the shared-scan executor keeps those per query.
@@ -75,18 +79,7 @@ class BatchPlan:
 
 
 class BatchPlanner:
-    """Groups compatible queries for shared-scan execution.
-
-    ``min_group_size`` (default 2) is the smallest group worth a shared
-    scan; anything smaller falls back to the singleton path.
-    """
-
-    def __init__(self, min_group_size: int = 2) -> None:
-        if min_group_size < 2:
-            raise ValueError(
-                f"min_group_size must be at least 2, got {min_group_size}"
-            )
-        self.min_group_size = min_group_size
+    """Groups compatible queries for shared-scan execution."""
 
     def plan(
         self, planned: list[PlannedQuery], pruning: str = "sound"
@@ -117,7 +110,7 @@ class BatchPlanner:
                 continue
             by_region.setdefault(item.region, []).append(item)
         for members in by_region.values():
-            if len(members) >= self.min_group_size:
+            if len(members) >= 2:
                 plan.groups.append(members)
             else:
                 plan.singletons.extend(members)

@@ -54,7 +54,8 @@ queries through one cache pass, one plan, and (per compatible group)
 one shared archive traversal — see :mod:`repro.service.batching` for
 the grouping rules and
 :meth:`~repro.core.engine.RasterRetrievalEngine.shared_scan_search`
-for the executor's exactness argument. Shard fan-out for solo queries
+for the executor (a solo shard search is its group of one, so the
+exactness argument is "same code"). Shard fan-out for solo queries
 and singleton fallbacks runs on one service-lifetime thread pool
 instead of a per-query executor.
 """
@@ -68,12 +69,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.engine import (
     BatchQuerySpec,
     RasterRetrievalEngine,
     TopKHeap,
+    ranked_answers,
 )
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit, RetrievalResult, ScoredLocation
@@ -181,7 +181,12 @@ class RetrievalService:
     leaf_size:
         Tile-screen leaf window for the underlying engine.
     n_shards:
-        Default row-band count per query (overridable per call).
+        Default row-band count per query (overridable per call). One by
+        default: shard threads share the GIL, and on the machines
+        measured so far fanning a query out costs 1.4-2.4x the
+        single-shard time (``service.shard_overhead_ratio``;
+        ``BENCH_batch.json``: 31 ms at 1 shard vs. 48 ms at 4). A run on
+        >= 4 cores (ROADMAP item 5e) is what could reverse this.
     pool_workers:
         Thread count of the service-lifetime shard pool. The default
         (``None``) resolves to ``max(8, 2 * n_shards)`` — enough threads
@@ -213,7 +218,7 @@ class RetrievalService:
         self,
         stack: RasterStack,
         leaf_size: int = 16,
-        n_shards: int = 4,
+        n_shards: int = 1,
         pool_workers: int | None = None,
         cache_size: int = 128,
         archive: Archive | None = None,
@@ -531,11 +536,22 @@ class RetrievalService:
             for score, location in ranked
         ]
 
-    def _fusion_spec(self, query: TopKQuery) -> FusionSpec:
-        """Resolve a fused query's example cell against fresh embeddings."""
-        return FusionSpec.build(
+    def _fusion_spec(
+        self, query: TopKQuery, trace: QueryTrace
+    ) -> FusionSpec:
+        """Resolve a fused query's example cell against fresh embeddings
+        and describe the resolved spec on the query's trace."""
+        fusion = FusionSpec.build(
             self.embeddings(), query.similar_to, query.alpha
         )
+        trace.metadata["fusion"] = {
+            "similar_to": list(query.similar_to),
+            "alpha": query.alpha,
+            "dim": fusion.dim,
+            "example_window": list(fusion.example_window),
+            "tiles": fusion.n_tiles,
+        }
+        return fusion
 
     def _cache_region(
         self, query: TopKQuery, region: tuple[int, int, int, int]
@@ -635,6 +651,7 @@ class RetrievalService:
         counter (the underlying answer and counted work are unchanged;
         the result itself rides on ``report.result``).
         """
+        _check_knobs(pruning, n_shards)
         if strategy not in (
             "quadtree", "auto", "onion", "scan", "fused", "embed-scan"
         ):
@@ -665,12 +682,7 @@ class RetrievalService:
         # A probe runs a strategy predicted slower; a query that may be
         # cut short must never be the one that pays for it.
         may_probe = deadline_s is None and cancel is None
-        if deadline_s is not None:
-            if deadline_s <= 0:
-                raise QueryError(
-                    f"deadline_s must be positive, got {deadline_s}"
-                )
-            cancel = CancellationToken(deadline_s=deadline_s, parent=cancel)
+        cancel = _deadline_token(deadline_s, cancel)
         with self._lock:
             self.stats.queries += 1
 
@@ -715,14 +727,7 @@ class RetrievalService:
                 trace.cache_checked = True
                 cached = self.cache.get(key)
         if cached is not None:
-            with self._lock:
-                self.stats.cache_hits += 1
-            trace.cache_hit = True
-            trace.finish(complete=cached.complete)
-            result = _result_copy(
-                cached, strategy=cached.strategy + "-cached", trace=trace
-            )
-            self._record(trace)
+            result = self._serve_hit(cached, trace)
             if explain:
                 return explain_result(result, query, region)
             return result
@@ -755,13 +760,8 @@ class RetrievalService:
                 to=fallback,
             )
             resolved = fallback
-            key = query_fingerprint(
-                query,
-                region,
-                use_model_levels=use_model_levels,
-                pruning=pruning,
-                heuristic_margin=heuristic_margin,
-            )
+            knobs.pop("strategy", None)
+            key = query_fingerprint(query, region, **knobs)
             result, seconds = self._run_strategy(resolved, *run)
         if decision is not None:
             self.router.observe(
@@ -782,15 +782,7 @@ class RetrievalService:
                     _result_copy(result, result.strategy),
                     region=self._cache_region(query, region),
                 )
-        if not result.complete:
-            with self._lock:
-                self.stats.partial_results += 1
-        trace.finish(
-            complete=result.complete,
-            cancel_reason=cancel.reason if cancel is not None else None,
-        )
-        result.trace = trace
-        self._record(trace)
+        self._conclude(result, trace, cancel)
         if explain:
             return explain_result(result, query, region)
         return result
@@ -814,9 +806,10 @@ class RetrievalService:
 
         Results come back in input order, each bit-for-bit identical —
         answers, orderings, tie-breaks, and counted work — to what
-        :meth:`top_k` would return for that query alone (the shared scan
-        replays each query's solo decision sequence over memoized
-        traversal state; see DESIGN.md). The pipeline:
+        :meth:`top_k` would return for that query alone (a batch member
+        runs the engine's one search step, the very step its solo search
+        runs, over memoized traversal state; see DESIGN.md). The
+        pipeline:
 
         1. **Cache peel** — each query is looked up individually;
            hits are returned as ``"-cached"`` copies without planning.
@@ -844,23 +837,16 @@ class RetrievalService:
         construction. The returned results carry per-query traces whose
         parent is the batch's :class:`~repro.service.tracing.BatchTrace`.
         """
+        _check_knobs(pruning, n_shards)
         queries = list(queries)
         n_queries = len(queries)
         if n_queries == 0:
             return []
-        if pruning not in ("sound", "heuristic"):
-            raise QueryError(f"unknown pruning mode {pruning!r}")
         levels = _broadcast(use_model_levels, n_queries, "use_model_levels")
         deadlines = _broadcast(deadline_s, n_queries, "deadline_s")
         cancels = _broadcast(cancel, n_queries, "cancel")
-        for value in deadlines:
-            if value is not None and value <= 0:
-                raise QueryError(
-                    f"deadline_s must be positive, got {value}"
-                )
-        tokens: list[CancellationToken | None] = [
-            parent if value is None
-            else CancellationToken(deadline_s=value, parent=parent)
+        tokens = [
+            _deadline_token(value, parent)
             for value, parent in zip(deadlines, cancels)
         ]
 
@@ -894,15 +880,7 @@ class RetrievalService:
                         child.cache_checked = True
                         cached = self.cache.get(keys[index])
                 if cached is not None:
-                    with self._lock:
-                        self.stats.cache_hits += 1
-                    child.cache_hit = True
-                    child.finish(complete=cached.complete)
-                    results[index] = _result_copy(
-                        cached, strategy=cached.strategy + "-cached",
-                        trace=child,
-                    )
-                    self._record(child)
+                    results[index] = self._serve_hit(cached, child)
                     continue
                 if use_cache and self.cache is not None:
                     with self._lock:
@@ -917,27 +895,12 @@ class RetrievalService:
                     # Fail-fast for the whole batch: every query is
                     # validated (and its cascade built) before any query
                     # runs, so a bad member can never leave the batch
-                    # half-executed.
+                    # half-executed. (Fused members run the singleton
+                    # path, where _execute builds their FusionSpec.)
                     with children[index].span("plan"):
-                        if queries[index].fused:
-                            # Fused members run the singleton fused path
-                            # (_execute builds their FusionSpec); the
-                            # cascade never applies, but the interval
-                            # requirement is validated here so the whole
-                            # batch stays fail-fast.
-                            if not queries[index].model.supports_intervals:
-                                raise QueryError(
-                                    "model "
-                                    f"{type(queries[index].model).__name__} "
-                                    "cannot bound intervals; fused batch "
-                                    "members need evaluate_interval"
-                                )
-                            progressive = None
-                        else:
-                            progressive = self.engine.prepare_tile_query(
-                                queries[index],
-                                use_model_levels=levels[index],
-                            )
+                        progressive = self._prepare_tiles(
+                            queries[index], levels[index]
+                        )
                     planned.append(
                         PlannedQuery(
                             index=index,
@@ -1001,24 +964,14 @@ class RetrievalService:
             result = results[index]
             token = tokens[index]
             if not result.complete:
-                with self._lock:
-                    self.stats.partial_results += 1
                 # Why this member was truncated (deadline vs explicit
                 # cancel) — exported with the trace so a retired
                 # "-batch[N]-partial" member is diagnosable after the
-                # fact. Shared-scan members set this at retirement in
-                # _batch_member_result; singletons only here.
-                children[index].metadata.setdefault(
-                    "retire_reason",
-                    (token.reason if token is not None else None)
-                    or "cancelled",
-                )
-            children[index].finish(
-                complete=result.complete,
-                cancel_reason=token.reason if token is not None else None,
-            )
-            result.trace = children[index]
-            self._record(children[index])
+                # fact.
+                children[index].metadata["retire_reason"] = (
+                    token.reason if token is not None else None
+                ) or "cancelled"
+            self._conclude(result, children[index], token)
 
         trace.finish(complete=all(r.complete for r in results))
         sink = self._telemetry
@@ -1031,6 +984,38 @@ class RetrievalService:
         registry.observe("service.batch_seconds", trace.wall_seconds)
         registry.observe("service.batch_size", float(n_queries))
         return results
+
+    def _serve_hit(
+        self, cached: RetrievalResult, trace: QueryTrace
+    ) -> RetrievalResult:
+        """Finish ``trace`` as a cache hit and hand out a ``"-cached"``
+        defensive copy of the stored result."""
+        with self._lock:
+            self.stats.cache_hits += 1
+        trace.cache_hit = True
+        trace.finish(complete=cached.complete)
+        self._record(trace)
+        return _result_copy(
+            cached, strategy=cached.strategy + "-cached", trace=trace
+        )
+
+    def _conclude(
+        self,
+        result: RetrievalResult,
+        trace: QueryTrace,
+        cancel: CancellationToken | None,
+    ) -> None:
+        """Where every executed query ends: tally a partial answer,
+        finish its trace, attach it to the result and record it."""
+        if not result.complete:
+            with self._lock:
+                self.stats.partial_results += 1
+        trace.finish(
+            complete=result.complete,
+            cancel_reason=cancel.reason if cancel is not None else None,
+        )
+        result.trace = trace
+        self._record(trace)
 
     def _run_strategy(
         self,
@@ -1074,6 +1059,17 @@ class RetrievalService:
             result = self._execute_scan(query, region, trace)
         return result, time.perf_counter() - started
 
+    def _prepare_tiles(self, query: TopKQuery, use_model_levels: bool):
+        """Validate ``query`` for the tile search; its cascade or None.
+
+        Fused queries blend *whole-model* interval bounds with cosine
+        caps; the level cascade does not apply, so their
+        ``use_model_levels`` knob is ignored rather than an error.
+        """
+        return self.engine.prepare_tile_query(
+            query, use_model_levels=use_model_levels and not query.fused
+        )
+
     def _execute(
         self,
         query: TopKQuery,
@@ -1085,46 +1081,20 @@ class RetrievalService:
         cancel: CancellationToken | None,
         trace: QueryTrace,
     ) -> RetrievalResult:
-        if pruning not in ("sound", "heuristic"):
-            raise QueryError(f"unknown pruning mode {pruning!r}")
         engine = self.engine
         fusion: FusionSpec | None = None
         with trace.span("plan"):
+            progressive = self._prepare_tiles(query, use_model_levels)
             if query.fused:
-                # Fused queries blend *whole-model* interval bounds with
-                # cosine caps; the level cascade does not apply, so the
-                # use_model_levels knob is ignored rather than an error.
-                if not query.model.supports_intervals:
-                    raise QueryError(
-                        f"model {type(query.model).__name__} cannot "
-                        "bound intervals; the fused tile search needs "
-                        "evaluate_interval (use strategy='embed-scan')"
-                    )
-                progressive = None
-                fusion = self._fusion_spec(query)
-                trace.metadata["fusion"] = {
-                    "similar_to": list(query.similar_to),
-                    "alpha": query.alpha,
-                    "dim": fusion.dim,
-                    "example_window": list(fusion.example_window),
-                    "tiles": fusion.n_tiles,
-                }
-            else:
-                progressive = engine.prepare_tile_query(
-                    query, use_model_levels=use_model_levels
-                )
+                fusion = self._fusion_spec(query, trace)
             bands = row_band_shards(region, n_shards)
             heap = SharedTopKHeap(query.k)
             counters = [CostCounter() for _ in bands]
             audits = [PruningAudit() for _ in bands]
         shard_complete = [True] * len(bands)
 
-        def run_shard(
-            index: int,
-            band: tuple[int, int, int, int],
-            counter: CostCounter,
-            audit: PruningAudit,
-        ) -> None:
+        def run_shard(index: int) -> None:
+            band, counter, audit = bands[index], counters[index], audits[index]
             started_s = trace.elapsed_s()
             start = time.perf_counter()
             ok = engine.shard_search(
@@ -1156,14 +1126,12 @@ class RetrievalService:
         with trace.span("search"):
             with total.timed():
                 if len(bands) == 1:
-                    run_shard(0, bands[0], counters[0], audits[0])
+                    run_shard(0)
                 else:
                     pool = self._shard_pool()
                     futures = [
-                        pool.submit(run_shard, index, band, counter, audit)
-                        for index, (band, counter, audit) in enumerate(
-                            zip(bands, counters, audits)
-                        )
+                        pool.submit(run_shard, index)
+                        for index in range(len(bands))
                     ]
                     for future in futures:
                         future.result()
@@ -1174,12 +1142,7 @@ class RetrievalService:
                 total += shard_counter
                 audit.absorb(shard_audit)
             total.note("shards", len(bands))
-
-            sign = 1.0 if query.maximize else -1.0
-            answers = [
-                ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-                for signed, cell in heap.ranked()
-            ]
+            answers = ranked_answers(heap, query.maximize)
             complete = all(shard_complete)
             if fusion is not None:
                 strategy = "fused"
@@ -1250,18 +1213,11 @@ class RetrievalService:
                     region[1] + local_cols,
                 )
         with trace.span("merge"):
-            answers = [
-                ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-                for signed, cell in heap.ranked()
-            ]
+            answers = ranked_answers(heap, query.maximize)
             counter.note("onion_layers", layers)
             counter.note("onion_candidates", int(candidates.size))
         return RetrievalResult(
-            answers=answers,
-            counter=counter,
-            audit=PruningAudit(),
-            strategy="onion",
-            complete=True,
+            answers=answers, counter=counter, strategy="onion"
         )
 
     def _execute_scan(
@@ -1269,47 +1225,33 @@ class RetrievalService:
         query: TopKQuery,
         region: tuple[int, int, int, int],
         trace: QueryTrace,
+        fusion: FusionSpec | None = None,
     ) -> RetrievalResult:
         """Sequential-scan execution (the router's calibration oracle).
 
-        Mirrors :meth:`RasterRetrievalEngine.exhaustive_top_k` cell for
-        cell — full-window ``evaluate_batch`` into the engine's
-        :class:`TopKHeap` — with the service's trace spans and tuple
-        tallies added for the router's feedback.
+        :meth:`RasterRetrievalEngine.dense_top_k` cell for cell — the
+        routine behind ``exhaustive_top_k`` — with the service's trace
+        spans and tuple tallies added for the router's feedback. With
+        ``fusion`` this is the ``embed-scan`` strategy: the cosine-grid
+        build and one blend per cell are charged at the rates the
+        progressive fused path and ``tests/oracles.py`` charge.
         """
-        model = query.model
-        row0, col0, row1, col1 = region
+        n_cells = (region[2] - region[0]) * (region[3] - region[1])
         counter = CostCounter()
         with trace.span("search"):
             with counter.timed():
-                columns = {
-                    name: self.engine.stack[name].read_window(
-                        row0, col0, row1, col1, counter
-                    )
-                    for name in model.attributes
-                }
-                scores = model.evaluate_batch(columns)
-                n_cells = scores.size
+                heap = self.engine.dense_top_k(query, region, counter, fusion)
                 counter.add_tuples(n_cells)
-                counter.add_model_evals(n_cells, flops_each=model.complexity)
-                sign = 1.0 if query.maximize else -1.0
-                heap = TopKHeap(query.k)
-                flat = (sign * scores).reshape(-1)
-                flat_rows, flat_cols = divmod(
-                    np.arange(flat.size), col1 - col0
-                )
-                heap.offer_block(flat, row0 + flat_rows, col0 + flat_cols)
+                if fusion is not None:
+                    fusion.charge_build(counter)
+                    counter.add_partial_evals(
+                        n_cells, flops_each=BLEND_FLOPS
+                    )
         with trace.span("merge"):
-            answers = [
-                ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-                for signed, cell in heap.ranked()
-            ]
+            answers = ranked_answers(heap, query.maximize)
         return RetrievalResult(
-            answers=answers,
-            counter=counter,
-            audit=PruningAudit(),
-            strategy="scan",
-            complete=True,
+            answers=answers, counter=counter,
+            strategy="scan" if fusion is None else "embed-scan",
         )
 
     def _execute_embed_scan(
@@ -1320,63 +1262,14 @@ class RetrievalService:
     ) -> RetrievalResult:
         """Exhaustive fused execution (the fused calibration oracle).
 
-        Embed-all-then-blend: evaluate the model on every cell of the
-        region, broadcast each tile's cosine to its cells, blend with
-        the exact per-cell op order the progressive leaf blend uses, and
-        offer everything into one heap. ``tests/oracles.py`` mirrors
+        Embed-all-then-blend: the dense scan with every cell's score
+        blended with its tile's cosine. ``tests/oracles.py`` mirrors
         this path counter for counter, and ``benchmarks/bench_embed.py``
         gates the progressive fused path against it.
         """
-        model = query.model
-        row0, col0, row1, col1 = region
         with trace.span("index"):
-            fusion = self._fusion_spec(query)
-        trace.metadata["fusion"] = {
-            "similar_to": list(query.similar_to),
-            "alpha": query.alpha,
-            "dim": fusion.dim,
-            "example_window": list(fusion.example_window),
-            "tiles": fusion.n_tiles,
-        }
-        counter = CostCounter()
-        with trace.span("search"):
-            with counter.timed():
-                columns = {
-                    name: self.engine.stack[name].read_window(
-                        row0, col0, row1, col1, counter
-                    )
-                    for name in model.attributes
-                }
-                scores = model.evaluate_batch(columns)
-                n_cells = scores.size
-                counter.add_tuples(n_cells)
-                counter.add_model_evals(n_cells, flops_each=model.complexity)
-                fusion.charge_build(counter)
-                blended = fusion.blend(
-                    scores.reshape(-1),
-                    fusion.region_cosines(region).reshape(-1),
-                )
-                counter.add_partial_evals(n_cells, flops_each=BLEND_FLOPS)
-                sign = 1.0 if query.maximize else -1.0
-                heap = TopKHeap(query.k)
-                flat_rows, flat_cols = divmod(
-                    np.arange(blended.size), col1 - col0
-                )
-                heap.offer_block(
-                    sign * blended, row0 + flat_rows, col0 + flat_cols
-                )
-        with trace.span("merge"):
-            answers = [
-                ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-                for signed, cell in heap.ranked()
-            ]
-        return RetrievalResult(
-            answers=answers,
-            counter=counter,
-            audit=PruningAudit(),
-            strategy="embed-scan",
-            complete=True,
-        )
+            fusion = self._fusion_spec(query, trace)
+        return self._execute_scan(query, region, trace, fusion)
 
     def warm_index(
         self,
@@ -1472,6 +1365,31 @@ class RetrievalService:
         )
 
 
+def _check_knobs(pruning: str, n_shards: int | None) -> None:
+    """Validate the knobs every strategy shares, once, at the door.
+
+    Runs before stats, routing and the cache, so an invalid call is an
+    error whatever the router would have picked and leaves no trace in
+    the tallies, the probe schedule or a cache key.
+    """
+    if pruning not in ("sound", "heuristic"):
+        raise QueryError(f"unknown pruning mode {pruning!r}")
+    if n_shards is not None and n_shards < 1:
+        raise QueryError(f"n_shards must be positive, got {n_shards}")
+
+
+def _deadline_token(
+    deadline_s: float | None, parent: CancellationToken | None
+) -> CancellationToken | None:
+    """``parent`` itself, or a deadline token chained onto it (whichever
+    fires first stops the query)."""
+    if deadline_s is None:
+        return parent
+    if deadline_s <= 0:
+        raise QueryError(f"deadline_s must be positive, got {deadline_s}")
+    return CancellationToken(deadline_s=deadline_s, parent=parent)
+
+
 def _observed_tuples(result: RetrievalResult, query: TopKQuery) -> int:
     """Tuples a finished execution examined, for cost-model feedback.
 
@@ -1513,25 +1431,15 @@ def _batch_member_result(
     of the same attributed duration, so summing child spans across the
     batch never exceeds the batch's wall time.
     """
-    query = spec.query
-    sign = 1.0 if query.maximize else -1.0
-    answers = [
-        ScoredLocation(row=cell[0], col=cell[1], score=sign * signed)
-        for signed, cell in spec.heap.ranked()
-    ]
     spec.counter.wall_seconds += spec.attributed_seconds
     spec.counter.note("batch_group", group_size)
     strategy = "both" if item.use_model_levels else "data-progressive"
     strategy += f"-batch[{group_size}]"
     if not spec.complete:
         strategy += "-partial"
-        # Record *why* the scan retired this member (deadline vs explicit
-        # cancel) in the trace it exports — the strategy suffix alone
-        # says only that it was truncated.
+        # The strategy suffix alone says only that it was truncated;
+        # top_k_batch adds *why* (``retire_reason``) for every member.
         child.metadata["retired"] = f"batch[{group_size}]-partial"
-        child.metadata["retire_reason"] = (
-            spec.cancel.reason if spec.cancel is not None else None
-        ) or "cancelled"
     child.record_span("batch_search", spec.attributed_seconds)
     child.add_shard(
         shard=0,
@@ -1544,7 +1452,7 @@ def _batch_member_result(
         complete=spec.complete,
     )
     return RetrievalResult(
-        answers=answers,
+        answers=ranked_answers(spec.heap, spec.query.maximize),
         counter=spec.counter,
         audit=spec.audit,
         strategy=strategy,

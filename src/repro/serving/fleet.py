@@ -81,7 +81,7 @@ class FleetConfig:
     """
 
     n_workers: int = 2
-    n_shards: int = 2
+    n_shards: int = 1
     pool_workers: int | None = None
     cache_size: int = 128
     leaf_size: int = 16

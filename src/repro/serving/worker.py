@@ -83,7 +83,7 @@ class StoreArchiveManifest:
 class WorkerConfig:
     """Per-worker service knobs, shipped picklable at spawn time."""
 
-    n_shards: int = 2
+    n_shards: int = 1
     pool_workers: int | None = None
     cache_size: int = 128
     leaf_size: int = 16

@@ -269,8 +269,6 @@ class TestRegionsAndPlanning:
         # Heuristic pruning: everything is a singleton.
         heuristic = BatchPlanner().plan(planned, pruning="heuristic")
         assert heuristic.groups == [] and len(heuristic.singletons) == 3
-        with pytest.raises(ValueError):
-            BatchPlanner(min_group_size=1)
 
     def test_non_interval_model_fails_fast(
         self, make_tie_stack, make_random_linear_model

@@ -122,6 +122,17 @@ class TestFusedVersusOracle:
             assert exact_answers(scan) == oracle_answers
             assert counter_dict(scan.counter) == oracle_counter
             assert scan.strategy == "embed-scan"
+        else:
+            # alpha=1: the model-only dense paths run the same evaluator
+            # (the engine baseline tallies no router-feedback tuples).
+            scan = service.top_k(query, strategy="scan", use_cache=False)
+            assert exact_answers(scan) == oracle_answers
+            assert counter_dict(scan.counter) == oracle_counter
+            baseline = service.engine.exhaustive_top_k(query)
+            assert exact_answers(baseline) == oracle_answers
+            assert counter_dict(baseline.counter) == {
+                **oracle_counter, "tuples_examined": 0
+            }
 
     @given(
         rows=st.integers(14, 32),

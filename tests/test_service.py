@@ -9,6 +9,7 @@ is what keeps the four strategies and every shard count in agreement.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.query import TopKQuery
 from repro.data.archive import Archive
 from repro.data.raster import RasterLayer, RasterStack
 from repro.exceptions import PlanError, QueryError
+from repro.metrics.registry import MetricsRegistry
 from repro.models.linear import LinearModel, hps_risk_model
 from repro.service import (
     QueryCache,
@@ -167,6 +169,32 @@ class TestServiceExecution:
             service.top_k(query, n_shards=0)
         with pytest.raises(QueryError):
             service.top_k(query, pruning="magic")
+
+    @pytest.mark.parametrize(
+        "strategy", ["quadtree", "auto", "onion", "scan", "fused", "embed-scan"]
+    )
+    @pytest.mark.parametrize("knob", [{"pruning": "magic"}, {"n_shards": 0}])
+    def test_invalid_knobs_are_rejected_at_the_door(
+        self, scene, strategy, knob
+    ):
+        """Every strategy rejects a bad knob, and rejects it before the
+        stats, the cache or the router have seen the query — the same
+        invalid call must not be an error or an answer depending on
+        what ``auto`` would have picked."""
+        registry = MetricsRegistry()
+        service = RetrievalService(scene, leaf_size=8, registry=registry)
+        fused = strategy in ("fused", "embed-scan")
+        query = TopKQuery(
+            model=hps_risk_model(), k=3,
+            similar_to=(5, 5) if fused else None, alpha=0.5 if fused else 1.0,
+        )
+        before = (dataclasses.replace(service.stats), registry.snapshot())
+        with pytest.raises(QueryError):
+            service.top_k(query, strategy=strategy, **knob)
+        with pytest.raises(QueryError):
+            service.top_k_batch([query, query], **knob)
+        assert (service.stats, registry.snapshot()) == before
+        assert len(service.cache) == 0
 
 
 class TestQueryCache:

@@ -60,7 +60,8 @@ class TestServiceStatsThreadSafety:
     ):
         stack = make_noise_stack(8, 8, 2, seed=1)
         service = RetrievalService(
-            stack, leaf_size=4, cache_size=8, registry=MetricsRegistry()
+            stack, leaf_size=4, n_shards=4, cache_size=8,
+            registry=MetricsRegistry(),
         )
         query = TopKQuery(model=make_random_linear_model(stack), k=3)
         service.top_k(query)  # warm the cache: hammer queries all hit

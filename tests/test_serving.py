@@ -107,6 +107,7 @@ def fleet(serving_stack):
         serving_stack,
         FleetConfig(
             n_workers=2,
+            n_shards=2,
             debug_hooks=True,
             warm=[{"attributes": ["band_a", "band_b"], "region": None}],
         ),
