@@ -272,9 +272,9 @@ def _serve_main(argv: list[str]) -> None:
         description=(
             "Serve top-k retrieval over HTTP: an asyncio front end over "
             "a worker fleet (POST /query, POST /batch, GET /metrics, "
-            "GET /healthz). Workers read either a shared-memory export "
-            "of a synthetic scene (default) or an on-disk store "
-            "(--store, memory-mapped read-only)."
+            "GET /healthz). Workers memory-map one store read-only: "
+            "the one named by --store, or by default a temporary one "
+            "the fleet writes from a synthetic scene."
         ),
     )
     parser.add_argument(
@@ -320,7 +320,7 @@ def _serve_main(argv: list[str]) -> None:
     from repro.serving import FleetConfig, ServingServer, WorkerFleet
 
     if arguments.store is not None:
-        # Store mode: no synthetic scene, no shared-memory export, no
+        # Store mode: no synthetic scene, no temporary store, no
         # default warm hook (the store's bands need not match the HPS
         # attribute names) — workers memory-map the store read-only.
         fleet = WorkerFleet(
@@ -363,7 +363,7 @@ def _serve_main(argv: list[str]) -> None:
         print(
             f"starting {arguments.workers} workers over a "
             f"{arguments.size}x{arguments.size} scene "
-            f"({len(stack.names)} bands, shared memory)..."
+            f"({len(stack.names)} bands, temporary in-memory store)..."
         )
     fleet.start()
     server = ServingServer(

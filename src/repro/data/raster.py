@@ -31,24 +31,10 @@ class RasterLayer:
     values:
         2-D array; copied to float64 and made read-only so layers are
         safely shareable between pyramids, indexes and engines.
-    copy:
-        ``False`` wraps ``values`` in place instead of copying — the
-        zero-copy path :mod:`repro.serving.shm` uses so every worker
-        process reads one shared-memory block. Requires a float64 array
-        (anything else would need a converting copy anyway); the array
-        is made read-only in place, so the caller's view is frozen too.
     """
 
-    def __init__(self, name: str, values: np.ndarray, copy: bool = True) -> None:
-        if copy:
-            array = np.array(values, dtype=float)
-        else:
-            array = np.asarray(values)
-            if array.dtype != np.float64:
-                raise ArchiveError(
-                    f"layer {name!r}: zero-copy wrap needs float64 values, "
-                    f"got {array.dtype}"
-                )
+    def __init__(self, name: str, values: np.ndarray) -> None:
+        array = np.array(values, dtype=float)
         if array.ndim != 2:
             raise ArchiveError(f"layer {name!r} must be 2-D, got {array.ndim}-D")
         if array.size == 0:

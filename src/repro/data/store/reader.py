@@ -2,8 +2,8 @@
 
 :func:`open_archive` validates the manifest and materializes a
 :class:`DiskArchive` whose raster layers are
-:class:`MemmapRasterLayer` instances — the values array is an
-``np.load(..., mmap_mode="r")`` view, so *opening* an 8192^2 multi-band
+:class:`MemmapRasterLayer` instances — the values array is a view
+over an ``np.load(..., mmap_mode="r")`` mapping, so *opening* an 8192^2 multi-band
 archive touches no pixel pages at all, and serving a query pages in
 only the tiles its branch-and-bound actually visits. Series and tables
 are tiny and loaded eagerly.
@@ -83,7 +83,11 @@ class MemmapRasterLayer(RasterLayer):
                 f"stored band {name!r} must be float64, got {values.dtype}"
             )
         self.name = name
-        self._values = values
+        # A base-class view over the mapping, not the np.memmap
+        # subclass, whose __array_finalize__ runs on every slice: a
+        # leaf-by-leaf quadtree query measured 2-7 % slower through it.
+        # The mapping (same pages, still read-only) lives on as ``.base``.
+        self._values = values.view(np.ndarray)
         self._path = path
         self._screen_leaf_size = screen_leaf_size
         self._aggregates = aggregates

@@ -5,22 +5,20 @@ The thread-pool shards inside one :class:`~repro.service.retrieval
 capped at roughly one core no matter how many shards are configured.
 This package removes that ceiling with a process architecture:
 
-* :mod:`repro.serving.shm` — the archive's raster bands are exported
-  **once** into :mod:`multiprocessing.shared_memory` blocks and
-  re-wrapped zero-copy as numpy views in every worker process; for
-  archives persisted with :mod:`repro.data.store`, the fleet instead
-  skips the export entirely and every worker memory-maps the store's
-  band files read-only (one page-cache copy, RSS bounded by pages
-  actually touched);
-* :mod:`repro.serving.worker` — the worker entrypoint: attach the
-  shared stack, build a private :class:`RetrievalService`, warm any
-  configured indexes, then answer requests over its own pipe pair;
+* :mod:`repro.serving.worker` — the worker entrypoint: open the
+  fleet's :mod:`repro.data.store` directory (band files memory-mapped
+  read-only, leaf aggregates precomputed — one page-cache copy for the
+  whole fleet, RSS bounded by pages actually touched), build a private
+  :class:`RetrievalService`, warm any configured indexes, then answer
+  requests over its own pipe pair. An in-memory stack is served the
+  same way: the fleet first writes it to a temporary store on tmpfs;
 * :mod:`repro.serving.fleet` — :class:`WorkerFleet` spawns N workers,
   dispatches requests with least-loaded placement, detects crashes and
   respawns (in-flight requests are retried once or failed cleanly,
   never hung), and aggregates per-worker metrics snapshots;
 * :mod:`repro.serving.http` — :class:`ServingServer`, the stdlib-only
-  asyncio front end: ``POST /query`` / ``POST /batch``, admission
+  asyncio front end (a route table over the package's one HTTP loop,
+  :mod:`repro.httpserver`): ``POST /query`` / ``POST /batch``, admission
   control (bounded queue, per-client token buckets, 429 +
   ``Retry-After`` load shedding), HTTP deadline headers propagated into
   the worker-side :class:`~repro.service.tracing.CancellationToken`
@@ -50,7 +48,6 @@ from repro.serving.protocol import (
     encode_query,
     encode_result,
 )
-from repro.serving.shm import SharedStackExport, attach_stack
 from repro.serving.worker import StoreArchiveManifest
 
 __all__ = [
@@ -66,6 +63,4 @@ __all__ = [
     "encode_model",
     "encode_query",
     "encode_result",
-    "SharedStackExport",
-    "attach_stack",
 ]

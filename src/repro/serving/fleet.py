@@ -1,12 +1,14 @@
-"""The worker fleet: N processes over one shared-memory archive.
+"""The worker fleet: N processes over one store.
 
 :class:`WorkerFleet` owns the process architecture underneath the HTTP
 front end:
 
-* **one export, N attachments** — the raster stack is copied once into
-  shared memory (:class:`~repro.serving.shm.SharedStackExport`); every
-  worker re-wraps the same blocks zero-copy, so fleet RSS grows with
-  worker *code*, not archive size;
+* **one store, N read-only maps** — every worker memory-maps the band
+  files of one :mod:`repro.data.store` directory, so fleet RSS grows
+  with worker *code*, not archive size. An in-memory stack is written
+  once, at :meth:`WorkerFleet.start`, to a temporary store on tmpfs
+  that the fleet owns and removes; a store the caller names with
+  ``store_path`` is only ever read;
 * **per-worker pipes, no shared locks** — each worker talks over its
   own pair of one-way :func:`multiprocessing.Pipe` connections (parent
   writes requests, worker writes replies). ``multiprocessing.Queue``
@@ -44,20 +46,26 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import shutil
+import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
+from pathlib import Path
 from typing import Any
 
+from repro.data.archive import Archive
 from repro.data.raster import RasterStack
+from repro.data.store import ArchiveWriter
+from repro.exceptions import ArchiveError
 from repro.metrics.registry import (
     MetricsRegistry,
     merge_snapshots,
 )
 from repro.serving.protocol import WorkItem, WorkReply
-from repro.serving.shm import SharedStackExport
 from repro.serving.worker import (
     READY_ID,
     StoreArchiveManifest,
@@ -69,6 +77,37 @@ from repro.telemetry.events import EventLog, global_event_log
 
 class FleetError(RuntimeError):
     """Fleet lifecycle failure (startup timeout, submit after stop)."""
+
+
+def _write_temporary_store(stack: RasterStack, leaf_size: int) -> Path:
+    """Write ``stack`` as an ordinary store in a fresh private directory
+    (removed again on failure).
+
+    Under ``/dev/shm`` when the platform has one — tmpfs, where POSIX
+    shared-memory segments live too, so the archive stays in memory
+    under the capacity limit it always had — else the platform temp dir.
+    """
+    shm = Path("/dev/shm")
+    root = Path(
+        tempfile.mkdtemp(
+            prefix="repro-fleet-", dir=shm if shm.is_dir() else None
+        )
+    )
+    try:
+        archive = Archive("fleet")
+        for name in stack.names:
+            archive.add(stack[name])
+        ArchiveWriter.create(root, archive, screen_leaf_size=leaf_size)
+    except ArchiveError as error:
+        # An unstorable stack; the message names the offending layer.
+        shutil.rmtree(root, ignore_errors=True)
+        raise FleetError(
+            f"cannot write the stack to the fleet's store: {error}"
+        ) from error
+    except BaseException:
+        shutil.rmtree(root, ignore_errors=True)
+        raise
+    return root
 
 
 @dataclass
@@ -84,6 +123,8 @@ class FleetConfig:
     n_shards: int = 1
     pool_workers: int | None = None
     cache_size: int = 128
+    #: Leaf size the temporary store of a stack-built fleet is written
+    #: with (workers always serve at their store's leaf size).
     leaf_size: int = 16
     warm: list[dict[str, Any]] = field(default_factory=list)
     debug_hooks: bool = False
@@ -101,7 +142,6 @@ class FleetConfig:
             n_shards=self.n_shards,
             pool_workers=self.pool_workers,
             cache_size=self.cache_size,
-            leaf_size=self.leaf_size,
             warm=list(self.warm),
             debug_hooks=self.debug_hooks,
             ship_spans=self.ship_spans,
@@ -115,6 +155,38 @@ class _Inflight:
     future: "Future[WorkReply]"
     worker_id: int
     retries: int = 0
+
+
+def _run_background(
+    fleet_ref: "weakref.ref[WorkerFleet]", waitables: Any, handle: Any
+) -> None:
+    """Body of the fleet's two background threads: wait (at most 0.2 s)
+    on what ``waitables(fleet)`` names, then ``handle(fleet, ready)``.
+
+    The wait runs *without* a reference to the fleet, so a fleet its
+    owner dropped without ``stop()`` is still garbage-collected — its
+    finalizer removes the temporary store — and the threads end.
+    """
+    while True:
+        fleet = fleet_ref()
+        if fleet is None or fleet._stopping:
+            return
+        waiting = waitables(fleet)
+        del fleet
+        if not waiting:
+            time.sleep(0.02)
+            continue
+        try:
+            ready = connection_wait(waiting, timeout=0.2)
+        except OSError:
+            # A pipe was closed out from under the wait (crash
+            # recovery swap); rebuild the snapshot and keep going.
+            continue
+        fleet = fleet_ref()
+        if fleet is None:
+            return
+        handle(fleet, ready)
+        del fleet
 
 
 class WorkerFleet:
@@ -136,15 +208,18 @@ class WorkerFleet:
             )
         if (stack is None) == (store_path is None):
             raise FleetError(
-                "exactly one of stack (shared-memory mode) or store_path "
-                "(on-disk store mode) is required"
+                "exactly one of stack (written to a temporary store at "
+                "start) or store_path (a store the caller owns) is required"
             )
         self._stack = stack
-        #: On-disk store mode: no shared-memory export at all — each
-        #: worker memory-maps the store's band files read-only, sharing
-        #: pages through the page cache instead of a shm segment.
+        #: The store every worker opens: the caller's (never created,
+        #: moved or deleted here), or from start() the temporary one
+        #: written from ``stack``.
         self._store_path = store_path
         self._store_layers = store_layers
+        #: Removes the temporary store (None for a caller's store) — on
+        #: stop(), or when an un-stopped fleet is collected.
+        self._remove_store: weakref.finalize | None = None
         #: Fleet-side metrics (restarts, crash retries); the front end
         #: passes its own registry so these merge into ``/metrics``.
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -158,7 +233,6 @@ class WorkerFleet:
         #: to 0 on respawn (a fresh worker restarts its seq at 1).
         self._event_cursors: list[int] = []
         self._ctx = multiprocessing.get_context("spawn")
-        self._export: SharedStackExport | None = None
         self._procs: list[Any] = []
         #: Parent-side pipe ends. _request_conns[i] is written only
         #: under _send_locks[i] (Connection.send is not thread-safe);
@@ -175,7 +249,6 @@ class WorkerFleet:
         self._started = False
         self._stopping = False
         self._collector: threading.Thread | None = None
-        self._monitor: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -194,12 +267,16 @@ class WorkerFleet:
             return self._restarts
 
     def start(self) -> "WorkerFleet":
-        """Export the archive, spawn every worker, wait until all are
-        ready (attached + warmed). Idempotent."""
+        """Write a stack to its temporary store, spawn every worker,
+        wait until all are ready (store open + warmed). Idempotent."""
         if self._started:
             return self
         if self._stack is not None:
-            self._export = SharedStackExport(self._stack)
+            root = _write_temporary_store(self._stack, self.config.leaf_size)
+            self._remove_store = weakref.finalize(
+                self, shutil.rmtree, root, ignore_errors=True
+            )
+            self._store_path = str(root)
         self._procs = [None] * self.n_workers
         self._request_conns = [None] * self.n_workers
         self._reply_conns = [None] * self.n_workers
@@ -208,10 +285,11 @@ class WorkerFleet:
         self._load = [0] * self.n_workers
         self._event_cursors = [0] * self.n_workers
         self._started = True
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-fleet-collect", daemon=True
+        self._collector = self._background(
+            "repro-fleet-collect",
+            WorkerFleet._live_reply_conns,
+            WorkerFleet._collect,
         )
-        self._collector.start()
         for worker_id in range(self.n_workers):
             self._spawn(worker_id)
         deadline = time.monotonic() + self.config.start_timeout_s
@@ -222,12 +300,25 @@ class WorkerFleet:
                     f"worker {worker_id} did not become ready within "
                     f"{self.config.start_timeout_s}s"
                 )
-        self._monitor = threading.Thread(
-            target=self._watch, name="repro-fleet-monitor", daemon=True
+        self._background(
+            "repro-fleet-monitor",
+            WorkerFleet._sentinels,
+            WorkerFleet._recover_dead,
         )
-        self._monitor.start()
         self.registry.gauge("fleet.workers", float(self.n_workers))
         return self
+
+    def _background(
+        self, name: str, waitables: Any, handle: Any
+    ) -> threading.Thread:
+        thread = threading.Thread(
+            target=_run_background,
+            args=(weakref.ref(self), waitables, handle),
+            name=name,
+            daemon=True,
+        )
+        thread.start()
+        return thread
 
     def _spawn(self, worker_id: int) -> None:
         """Start (or restart) one worker on a fresh pair of pipes.
@@ -237,13 +328,9 @@ class WorkerFleet:
         writer. New file descriptors make the new worker's channel
         state trivially clean.
         """
-        if self._store_path is not None:
-            manifest: Any = StoreArchiveManifest(
-                path=str(self._store_path), layers=self._store_layers
-            )
-        else:
-            assert self._export is not None
-            manifest = self._export.manifest
+        manifest = StoreArchiveManifest(
+            path=str(self._store_path), layers=self._store_layers
+        )
         request_read, request_write = self._ctx.Pipe(duplex=False)
         reply_read, reply_write = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
@@ -278,7 +365,7 @@ class WorkerFleet:
         )
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        """Drain and terminate the fleet; unlink the shared archive."""
+        """Drain and terminate the fleet; remove a temporary store."""
         if not self._started or self._stopping:
             return
         self._stopping = True
@@ -314,9 +401,8 @@ class WorkerFleet:
                 conn.close()
             except OSError:
                 pass
-        if self._export is not None:
-            self._export.close()
-            self._export = None
+        if self._remove_store is not None:
+            self._remove_store()
 
     def __enter__(self) -> "WorkerFleet":
         return self.start()
@@ -405,38 +491,28 @@ class WorkerFleet:
 
     # -- background threads ------------------------------------------------
 
-    def _collect(self) -> None:
-        """Multiplex worker reply pipes, resolving futures by id."""
-        while not self._stopping:
-            with self._lock:
-                conns = [
-                    conn for conn in self._reply_conns if conn is not None
-                ]
-            if not conns:
-                time.sleep(0.02)
-                continue
+    def _live_reply_conns(self) -> list[Any]:
+        with self._lock:
+            return [conn for conn in self._reply_conns if conn is not None]
+
+    def _collect(self, readable: list[Any]) -> None:
+        """Read one reply off each readable pipe, resolving futures by id."""
+        for conn in readable:
             try:
-                readable = connection_wait(conns, timeout=0.2)
-            except OSError:
-                # A pipe was closed out from under the wait (crash
-                # recovery swap); rebuild the snapshot and keep going.
-                continue
-            for conn in readable:
+                reply: WorkReply = conn.recv()
+            except (EOFError, OSError):
+                # The worker died; the monitor owns recovery. Drop
+                # the pipe so the wait loop stops spinning on it.
+                with self._lock:
+                    for index, live in enumerate(self._reply_conns):
+                        if live is conn:
+                            self._reply_conns[index] = None
                 try:
-                    reply: WorkReply = conn.recv()
-                except (EOFError, OSError):
-                    # The worker died; the monitor owns recovery. Drop
-                    # the pipe so the wait loop stops spinning on it.
-                    with self._lock:
-                        for index, live in enumerate(self._reply_conns):
-                            if live is conn:
-                                self._reply_conns[index] = None
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    continue
-                self._dispatch_reply(reply)
+                    conn.close()
+                except OSError:
+                    pass
+                continue
+            self._dispatch_reply(reply)
 
     def _dispatch_reply(self, reply: WorkReply) -> None:
         if reply.request_id == READY_ID:
@@ -454,40 +530,18 @@ class WorkerFleet:
         if entry is not None:
             entry.future.set_result(reply)
 
-    def _watch(self) -> None:
-        """Detect dead workers; respawn and retry/fail their items."""
-        while not self._stopping:
-            # Split the fleet into live (wait on their sentinels) and
-            # already-dead (recover right now). The second bucket is
-            # essential: a worker that dies in the gap between one wait
-            # timing out and the next snapshot would otherwise be in
-            # neither set and never recovered.
-            sentinels: dict[Any, int] = {}
-            dead_ids: list[int] = []
-            for worker_id, process in enumerate(self._procs):
-                if process is None:
-                    continue
-                if process.is_alive():
-                    sentinels[process.sentinel] = worker_id
-                else:
-                    dead_ids.append(worker_id)
-            for worker_id in dead_ids:
-                if self._stopping:
-                    return
+    def _sentinels(self) -> list[Any]:
+        """Every current worker's sentinel — a dead worker's stays
+        readable, so one that died between two waits ends the next wait
+        at once instead of being missed."""
+        return [
+            process.sentinel for process in self._procs if process is not None
+        ]
+
+    def _recover_dead(self, exited: list[Any]) -> None:
+        if exited:
+            for worker_id in range(self.n_workers):
                 self._recover(worker_id)
-            if dead_ids:
-                continue
-            if not sentinels:
-                time.sleep(0.05)
-                continue
-            try:
-                dead = connection_wait(list(sentinels), timeout=0.2)
-            except OSError:
-                continue
-            for sentinel in dead:
-                if self._stopping:
-                    return
-                self._recover(sentinels[sentinel])
 
     def _recover(self, worker_id: int) -> None:
         """Respawn a dead worker and disposition its unanswered items."""

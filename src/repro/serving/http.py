@@ -1,11 +1,11 @@
 """The asyncio HTTP front end of the serving fleet.
 
 :class:`ServingServer` is the admission-controlled door in front of a
-:class:`~repro.serving.fleet.WorkerFleet`. It is stdlib-only — a
-hand-rolled HTTP/1.1 loop over :func:`asyncio.start_server` with
-keep-alive, the sibling of the thread-per-request
-:class:`~repro.telemetry.server.MetricsServer` (which stays the right
-tool for low-rate diagnostics; this one exists for query traffic).
+:class:`~repro.serving.fleet.WorkerFleet`. It is stdlib-only: the
+HTTP/1.1 plumbing (event-loop thread, parsing, keep-alive, lifecycle) is
+:class:`repro.httpserver.HttpServer`, the package's one HTTP loop —
+:class:`~repro.telemetry.server.MetricsServer` rides the same base —
+and this module adds what is particular to query traffic.
 
 Routes:
 
@@ -59,13 +59,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
-import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.httpserver import HttpServer, Reply, json_reply, limit_param, not_found
 from repro.metrics.registry import MetricsRegistry
 from repro.serving.fleet import WorkerFleet
 from repro.serving.protocol import (
@@ -80,8 +78,6 @@ from repro.telemetry.distributed import FleetTraceCollector, TailSampler
 from repro.telemetry.export import chrome_trace_document
 from repro.telemetry.prometheus import CONTENT_TYPE, render_prometheus
 from repro.telemetry.slo import DEFAULT_SLOS, SLOMonitor, SLOSpec
-
-_TRACE_ID_OK = re.compile(r"^[0-9a-zA-Z_\-]{1,64}$")
 
 #: ``error_kind`` -> HTTP status for failed worker replies.
 _ERROR_STATUS = {"protocol": 400, "query": 400, "crashed": 503}
@@ -138,7 +134,7 @@ class _Pending:
     dispatched_at: float | None = None
 
 
-class ServingServer:
+class ServingServer(HttpServer):
     """Asyncio HTTP front end over a started :class:`WorkerFleet`.
 
     Parameters
@@ -205,230 +201,45 @@ class ServingServer:
             specs=slo_specs if slo_specs is not None else DEFAULT_SLOS,
             event_log=self.event_log,
         )
-        self._requested_host = host
-        self._requested_port = port
+        super().__init__(host, port, "repro-serving-http", self.registry)
         self._buckets: dict[str, TokenBucket] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: "asyncio.Queue[_Pending] | None" = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._bound: tuple[str, int] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ServingServer":
-        """Bind and serve on a dedicated event-loop thread (idempotent)."""
-        if self._thread is not None:
-            return self
         if not self.fleet.started:
             raise RuntimeError("fleet must be started before the server")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-serving-http", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(30.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"serving server failed to start: {self._startup_error}"
-            )
-        if self._bound is None:
-            raise RuntimeError("serving server did not bind within 30s")
-        return self
-
-    def close(self) -> None:
-        """Stop accepting, cancel lanes, join the loop thread."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        if self._thread is not None:
-            self._thread.join(10.0)
-            self._thread = None
-
-    @property
-    def host(self) -> str:
-        return self._bound[0] if self._bound else self._requested_host
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` ephemeral binds)."""
-        return self._bound[1] if self._bound else self._requested_port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "ServingServer":
-        return self.start()
-
-    def __exit__(self, *_exc: object) -> None:
-        self.close()
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._serve())
-        except BaseException as error:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = error
-            self._ready.set()
-        finally:
-            loop.close()
+        return super().start()
 
     async def _serve(self) -> None:
         self._queue = asyncio.Queue()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_client, self._requested_host, self._requested_port
-        )
-        sockname = server.sockets[0].getsockname()
-        self._bound = (sockname[0], sockname[1])
         lanes = [
             asyncio.create_task(self._lane(), name=f"repro-lane-{index}")
             for index in range(self.fleet.n_workers)
         ]
-        self._ready.set()
         try:
-            await self._stop.wait()
+            await super()._serve()
         finally:
-            server.close()
-            await server.wait_closed()
             for lane in lanes:
                 lane.cancel()
             await asyncio.gather(*lanes, return_exceptions=True)
 
-    # -- HTTP plumbing -----------------------------------------------------
-
-    async def _handle_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_host = peer[0] if isinstance(peer, tuple) else "unknown"
-        try:
-            while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    return
-                parts = request_line.decode("latin-1").split()
-                if len(parts) < 2:
-                    await self._respond(
-                        writer,
-                        400,
-                        {"error": "malformed request line"},
-                        extra_headers={
-                            "X-Trace-Id": uuid.uuid4().hex[:16]
-                        },
-                    )
-                    return
-                method, path = parts[0].upper(), parts[1]
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or 0)
-                body = await reader.readexactly(length) if length else b""
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                started = time.monotonic()
-                trace_id = self._trace_id(headers)
-                self.registry.inc("frontend.requests")
-                (
-                    status,
-                    payload,
-                    content_type,
-                    extra_headers,
-                ) = await self._route(
-                    method, path, headers, body, peer_host, trace_id
-                )
-                self.registry.observe(
-                    "frontend.request_seconds", time.monotonic() - started
-                )
-                if status >= 500:
-                    self.registry.inc("frontend.errors")
-                # Every response — success, 400, 429, 5xx — carries the
-                # request's trace id so it correlates with the event log
-                # and any sampled trace.
-                extra_headers = {
-                    "X-Trace-Id": trace_id,
-                    **(extra_headers or {}),
-                }
-                await self._respond(
-                    writer,
-                    status,
-                    payload,
-                    content_type=content_type,
-                    extra_headers=extra_headers,
-                    keep_alive=keep_alive,
-                )
-                if not keep_alive:
-                    return
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            return
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Any,
-        content_type: str = "application/json",
-        extra_headers: "dict[str, str] | None" = None,
-        keep_alive: bool = True,
-    ) -> None:
-        if isinstance(payload, bytes):
-            body = payload
-        else:
-            body = json.dumps(payload, default=str).encode("utf-8")
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 429: "Too Many Requests",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable"}.get(status, "OK")
-        lines = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-        )
-        await writer.drain()
-
     # -- routing -----------------------------------------------------------
 
-    async def _route(
+    async def route(
         self,
         method: str,
         path: str,
         headers: dict[str, str],
         body: bytes,
-        peer_host: str,
-        trace_id: str,
-    ) -> tuple:
+        peer: str,
+    ) -> Reply:
         route = path.split("?", 1)[0].rstrip("/") or "/"
         if route == "/query" or route == "/batch":
             if method != "POST":
-                return 405, {"error": f"{route} requires POST"}, "application/json", None
-            return await self._admit(route, headers, body, peer_host, trace_id)
+                return json_reply(405, {"error": f"{route} requires POST"})
+            return await self._admit(route, headers, body, peer)
         if route == "/metrics":
             return await self._metrics()
         if route == "/healthz":
@@ -441,17 +252,11 @@ class ServingServer:
             return await self._events(path)
         if route == "/slo":
             return await self._slo()
-        return (
-            404,
-            {
-                "error": "not found",
-                "routes": [
-                    "/query", "/batch", "/metrics", "/healthz",
-                    "/traces", "/traces/chrome", "/events", "/slo",
-                ],
-            },
-            "application/json",
-            None,
+        return not_found(
+            [
+                "/query", "/batch", "/metrics", "/healthz",
+                "/traces", "/traces/chrome", "/events", "/slo",
+            ]
         )
 
     async def _merged_snapshot(self) -> dict[str, Any]:
@@ -465,7 +270,7 @@ class ServingServer:
             lambda: self.fleet.merged_metrics(extra=[frontend]),
         )
 
-    async def _metrics(self) -> tuple:
+    async def _metrics(self) -> Reply:
         merged = await self._merged_snapshot()
         # Every scrape doubles as an SLO observation, so burn-rate
         # windows fill at scrape cadence with no extra thread.
@@ -484,57 +289,34 @@ class ServingServer:
         text = render_prometheus(merged, labels=self._labels)
         return 200, text.encode("utf-8"), CONTENT_TYPE, None
 
-    @staticmethod
-    def _limit_param(path: str, default: int | None = None) -> int | None:
-        if "?" not in path:
-            return default
-        for part in path.split("?", 1)[1].split("&"):
-            if part.startswith("limit="):
-                try:
-                    return max(1, int(part[len("limit="):]))
-                except ValueError:
-                    return default
-        return default
-
-    def _traces(self, path: str, chrome: bool) -> tuple:
-        limit = self._limit_param(path)
-        traces = self.collector.recent(limit)
+    def _traces(self, path: str, chrome: bool) -> Reply:
+        traces = self.collector.recent(limit_param(path))
         if chrome:
-            return (
-                200,
-                chrome_trace_document(traces),
-                "application/json",
-                None,
-            )
-        return (
-            200,
-            {"traces": traces, "stats": self.collector.stats()},
-            "application/json",
-            None,
+            return json_reply(200, chrome_trace_document(traces))
+        return json_reply(
+            200, {"traces": traces, "stats": self.collector.stats()}
         )
 
-    async def _events(self, path: str) -> tuple:
+    async def _events(self, path: str) -> Reply:
         assert self._loop is not None
         # Drain worker-side events first so the response reflects the
         # whole fleet, not just what the front end emitted itself.
         await self._loop.run_in_executor(None, self.fleet.poll_events)
-        limit = self._limit_param(path, default=256)
-        return (
+        limit = limit_param(path, default=256)
+        return json_reply(
             200,
             {
                 "events": self.event_log.snapshot(limit),
                 "dropped": self.event_log.dropped,
             },
-            "application/json",
-            None,
         )
 
-    async def _slo(self) -> tuple:
+    async def _slo(self) -> Reply:
         merged = await self._merged_snapshot()
         self.slo.observe(merged)
-        return 200, self.slo.verdict(), "application/json", None
+        return json_reply(200, self.slo.verdict())
 
-    async def _healthz(self) -> tuple:
+    async def _healthz(self) -> Reply:
         assert self._loop is not None
         workers = await self._loop.run_in_executor(None, self.fleet.describe)
         payload = {
@@ -543,18 +325,12 @@ class ServingServer:
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "restarts": self.fleet.restarts,
         }
-        return 200, payload, "application/json", None
+        return json_reply(200, payload)
 
     # -- admission ---------------------------------------------------------
 
     def _client_key(self, headers: dict[str, str], peer_host: str) -> str:
         return headers.get("x-client-id", "") or peer_host
-
-    def _trace_id(self, headers: dict[str, str]) -> str:
-        supplied = headers.get("x-trace-id", "")
-        if supplied and _TRACE_ID_OK.match(supplied):
-            return supplied
-        return uuid.uuid4().hex[:16]
 
     def _deadline_at(self, headers: dict[str, str]) -> float | None:
         raw = headers.get("x-deadline-ms")
@@ -604,10 +380,10 @@ class ServingServer:
         headers: dict[str, str],
         body: bytes,
         peer_host: str,
-        trace_id: str,
-    ) -> tuple:
+    ) -> Reply:
         assert self._queue is not None and self._loop is not None
         admit_started = time.monotonic()
+        trace_id = headers["x-trace-id"]
         # Rate limit first: an over-rate client is refused even when
         # the queue is empty (protects other clients, not the fleet).
         if self.rate_limit is not None:
@@ -624,13 +400,12 @@ class ServingServer:
                     route, trace_id, 429,
                     "client rate limit exceeded", shed="rate",
                 )
-                return (
+                return json_reply(
                     429,
                     {
                         "error": "client rate limit exceeded",
                         "retry_after_s": retry_after,
                     },
-                    "application/json",
                     {"Retry-After": str(max(1, int(retry_after + 0.999)))},
                 )
         # Then queue depth: the fleet is saturated, shed the arrival.
@@ -641,10 +416,9 @@ class ServingServer:
             self._record_rejection(
                 route, trace_id, 429, "server overloaded", shed="queue"
             )
-            return (
+            return json_reply(
                 429,
                 {"error": "server overloaded", "queued": depth},
-                "application/json",
                 {"Retry-After": "1"},
             )
         try:
@@ -653,7 +427,7 @@ class ServingServer:
             self._record_rejection(
                 route, trace_id, 400, f"invalid JSON body: {error}"
             )
-            return 400, {"error": f"invalid JSON body: {error}"}, "application/json", None
+            return json_reply(400, {"error": f"invalid JSON body: {error}"})
         try:
             deadline_at = self._deadline_at(headers)
             if route == "/query":
@@ -694,7 +468,7 @@ class ServingServer:
                 )
         except ProtocolError as error:
             self._record_rejection(route, trace_id, 400, str(error))
-            return 400, {"error": str(error)}, "application/json", None
+            return json_reply(400, {"error": str(error)})
         trace = QueryTrace(trace_id=trace_id)
         trace.metadata["route"] = route
         trace.record_span("admit", time.monotonic() - admit_started)
@@ -731,21 +505,17 @@ class ServingServer:
 
     def _render_reply(
         self, route: str, pending: _Pending, reply: WorkReply
-    ) -> tuple:
-        trace_headers = {"X-Trace-Id": pending.trace_id}
+    ) -> Reply:
         if not reply.ok:
             status = _ERROR_STATUS.get(reply.error_kind or "", 500)
             self._finish_trace(pending, reply, status)
-            return (
-                status,
-                {"error": reply.error, "kind": reply.error_kind},
-                "application/json",
-                trace_headers,
+            return json_reply(
+                status, {"error": reply.error, "kind": reply.error_kind}
             )
         self._finish_trace(pending, reply, 200)
         if route == "/query":
-            return 200, reply.value, "application/json", trace_headers
-        return 200, {"results": reply.value}, "application/json", trace_headers
+            return json_reply(200, reply.value)
+        return json_reply(200, {"results": reply.value})
 
     # -- dispatch lanes ----------------------------------------------------
 

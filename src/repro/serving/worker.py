@@ -1,7 +1,8 @@
 """The worker-process entrypoint of the serving fleet.
 
-:func:`worker_main` is what each fleet process runs: attach the
-shared-memory archive (zero-copy), build a private
+:func:`worker_main` is what each fleet process runs: open the fleet's
+store (:func:`~repro.data.store.open_archive` — band files memory-mapped
+read-only, leaf aggregates precomputed), build a private
 :class:`~repro.service.retrieval.RetrievalService` over it, run the
 configured warm hooks, then loop answering :class:`~repro.serving
 .protocol.WorkItem` requests from the fleet over this worker's own
@@ -50,26 +51,24 @@ from repro.serving.protocol import (
     decode_query,
     encode_result,
 )
-from repro.serving.shm import StackManifest, attach_stack
 from repro.telemetry.distributed import ship_trace
 from repro.telemetry.events import global_event_log
 
-#: Reply ``request_id`` announcing a worker finished startup (attach +
+#: Reply ``request_id`` announcing a worker finished startup (open +
 #: service build + warm hooks) and entered its serve loop.
 READY_ID = -1
 
 
 @dataclass(frozen=True)
 class StoreArchiveManifest:
-    """Spawn-time pointer to an on-disk store instead of shared memory.
+    """Spawn-time pointer to the store a worker serves.
 
-    The disk-backed sibling of :class:`~repro.serving.shm.StackManifest`:
-    instead of attaching exported shared-memory blocks, each worker
-    opens the store directory itself with
+    Each worker opens the store directory itself with
     :func:`~repro.data.store.open_archive` — the band files are
-    memory-mapped read-only, so all workers still share one copy of the
-    archive (the page cache) and per-worker RSS stays bounded by the
-    pages their queries actually touch, not archive size.
+    memory-mapped read-only, so all workers share one copy of the
+    archive (the page cache, or tmpfs pages for a fleet built from an
+    in-memory stack) and per-worker RSS stays bounded by the pages
+    their queries actually touch, not archive size.
 
     ``layers`` selects which raster bands the service screens; ``None``
     serves every raster in the store.
@@ -86,7 +85,6 @@ class WorkerConfig:
     n_shards: int = 1
     pool_workers: int | None = None
     cache_size: int = 128
-    leaf_size: int = 16
     #: Warm specs run before the worker reports ready:
     #: ``{"attributes": [names...], "region": [r0,c0,r1,c1] | None}``.
     warm: list[dict[str, Any]] = field(default_factory=list)
@@ -104,7 +102,7 @@ class WorkerConfig:
 
 def worker_main(
     worker_id: int,
-    manifest: "StackManifest | StoreArchiveManifest",
+    manifest: StoreArchiveManifest,
     requests: Any,
     replies: Any,
     config: WorkerConfig,
@@ -118,39 +116,28 @@ def worker_main(
     # Import here keeps the hot spawn path lean until it is needed and
     # avoids a module-level serving -> service -> telemetry import web
     # in every consumer of the protocol module.
+    from repro.data.raster import RasterLayer
+    from repro.data.store import open_archive
     from repro.service.retrieval import RetrievalService
 
-    attached = None
-    if isinstance(manifest, StoreArchiveManifest):
-        from repro.data.raster import RasterLayer
-        from repro.data.store import open_archive
-
-        archive = open_archive(manifest.path)
-        layers = manifest.layers
-        if layers is None:
-            layers = tuple(
-                name
-                for name in archive.names()
-                if isinstance(archive.item(name), RasterLayer)
-            )
-        stack = archive.stack(list(layers))
-        # The store's leaf size, not the config's: any other size
-        # forfeits the precomputed aggregates and pages every band in
-        # during startup.
-        leaf_size = archive.screen_leaf_size
-        watch = archive
-    else:
-        attached = attach_stack(manifest)
-        stack = attached.stack
-        leaf_size = config.leaf_size
-        watch = None
+    archive = open_archive(manifest.path)
+    layers = manifest.layers
+    if layers is None:
+        layers = tuple(
+            name
+            for name in archive.names()
+            if isinstance(archive.item(name), RasterLayer)
+        )
     service = RetrievalService(
-        stack,
-        leaf_size=leaf_size,
+        archive.stack(list(layers)),
+        # The store's leaf size, never a knob: any other size forfeits
+        # the precomputed aggregates and pages every band in during
+        # startup.
+        leaf_size=archive.screen_leaf_size,
         n_shards=config.n_shards,
         pool_workers=config.pool_workers,
         cache_size=config.cache_size,
-        archive=watch,
+        archive=archive,
         registry=registry,
     )
     registry.gauge("service.worker_id", float(worker_id))
@@ -177,9 +164,6 @@ def worker_main(
             replies.send(_handle(service, registry, item, worker_id, config))
     except (BrokenPipeError, KeyboardInterrupt):
         pass
-    finally:
-        if attached is not None:
-            attached.close()
 
 
 def _warm(service: Any, spec: dict[str, Any]) -> dict[str, Any]:

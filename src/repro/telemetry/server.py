@@ -1,8 +1,10 @@
 """A stdlib HTTP thread serving live metrics, health, and traces.
 
-:class:`MetricsServer` wraps :class:`http.server.ThreadingHTTPServer`
-on a daemon thread — no framework dependency, matching the container's
-baked-in toolchain. Routes:
+:class:`MetricsServer` is a route table over
+:class:`repro.httpserver.HttpServer` — the same asyncio HTTP/1.1 loop
+(own daemon thread, keep-alive) the serving front end rides; no
+framework dependency, matching the container's baked-in toolchain.
+Routes:
 
 ``GET /metrics``
     The owning registry's snapshot rendered as Prometheus text
@@ -25,18 +27,15 @@ port (read it back from :attr:`MetricsServer.port`).
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
-from urllib.parse import parse_qs, urlparse
 
+from repro.httpserver import HttpServer, Reply, json_reply, limit_param, not_found
 from repro.metrics.registry import MetricsRegistry
 from repro.telemetry.export import TelemetrySink
 from repro.telemetry.prometheus import CONTENT_TYPE, render_prometheus
 
 
-class MetricsServer:
+class MetricsServer(HttpServer):
     """Background HTTP server exposing one registry + trace sink.
 
     Parameters
@@ -63,137 +62,47 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        # The registry is what /metrics *shows*; the scrapes themselves
+        # are not accounted into it.
+        super().__init__(host, port, "repro-metrics-http")
         self.registry = registry
         self.sink = sink
         self._health = health
         self._labels = dict(labels) if labels else None
-        owner = self
 
-        class _Handler(BaseHTTPRequestHandler):
-            # Ephemeral diagnostics endpoint: never spam the service's
-            # stdout/stderr with per-request log lines.
-            def log_message(self, *_args: Any) -> None:
-                return
-
-            def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
-                try:
-                    owner._route(self)
-                except BrokenPipeError:
-                    # Client hung up mid-response (curl | head); the
-                    # server thread must survive it.
-                    pass
-
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-http",
-            daemon=True,
-        )
-        self._started = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "MetricsServer":
-        if not self._started:
-            self._thread.start()
-            self._started = True
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        if self._started:
-            self._httpd.shutdown()
-            self._started = False
-        self._httpd.server_close()
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` ephemeral binds)."""
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
-    # -- routing -----------------------------------------------------------
-
-    def _route(self, request: BaseHTTPRequestHandler) -> None:
-        parsed = urlparse(request.path)
-        route = parsed.path.rstrip("/") or "/"
+    async def route(
+        self,
+        method: str,
+        path: str,
+        headers: dict[str, str],
+        body: bytes,
+        peer: str,
+    ) -> Reply:
+        route = path.split("?", 1)[0].rstrip("/") or "/"
         if route == "/metrics":
-            body = render_prometheus(
+            text = render_prometheus(
                 self.registry.snapshot(), labels=self._labels
-            ).encode("utf-8")
-            self._reply(request, 200, CONTENT_TYPE, body)
-        elif route == "/healthz":
+            )
+            return 200, text.encode("utf-8"), CONTENT_TYPE, None
+        if route == "/healthz":
             payload: dict[str, Any] = {"status": "ok"}
             if self._health is not None:
                 payload.update(self._health())
-            self._reply_json(request, 200, payload)
-        elif route == "/traces":
-            limit = _limit_param(parsed.query)
-            traces = (
-                self.sink.recent(limit) if self.sink is not None else []
-            )
-            self._reply_json(request, 200, traces)
-        elif route == "/traces/chrome":
-            limit = _limit_param(parsed.query)
-            document = (
-                self.sink.chrome_trace(limit)
+            return json_reply(200, payload)
+        if route == "/traces":
+            return json_reply(
+                200,
+                self.sink.recent(limit_param(path))
                 if self.sink is not None
-                else {"traceEvents": [], "displayTimeUnit": "ms"}
+                else [],
             )
-            self._reply_json(request, 200, document)
-        else:
-            self._reply_json(
-                request,
-                404,
-                {
-                    "error": "not found",
-                    "routes": [
-                        "/metrics", "/healthz", "/traces", "/traces/chrome"
-                    ],
-                },
+        if route == "/traces/chrome":
+            return json_reply(
+                200,
+                self.sink.chrome_trace(limit_param(path))
+                if self.sink is not None
+                else {"traceEvents": [], "displayTimeUnit": "ms"},
             )
-
-    @staticmethod
-    def _reply(
-        request: BaseHTTPRequestHandler,
-        status: int,
-        content_type: str,
-        body: bytes,
-    ) -> None:
-        request.send_response(status)
-        request.send_header("Content-Type", content_type)
-        request.send_header("Content-Length", str(len(body)))
-        request.end_headers()
-        request.wfile.write(body)
-
-    @classmethod
-    def _reply_json(
-        cls, request: BaseHTTPRequestHandler, status: int, payload: Any
-    ) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        cls._reply(request, status, "application/json", body)
-
-
-def _limit_param(query: str) -> int | None:
-    values = parse_qs(query).get("limit")
-    if not values:
-        return None
-    try:
-        limit = int(values[-1])
-    except ValueError:
-        return None
-    return limit if limit > 0 else None
+        return not_found(
+            ["/metrics", "/healthz", "/traces", "/traces/chrome"]
+        )

@@ -10,6 +10,8 @@ used to live in ``test_service.py``, ``test_service_hardening.py`` and
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,37 @@ def answer_list():
         return [(a.row, a.col, round(a.score, 9)) for a in result.answers]
 
     return _answer_list
+
+
+@pytest.fixture(scope="session")
+def raw_http():
+    """Speak to a started HTTP server over one raw socket.
+
+    ``raw_http(server, request_bytes, expect=n)`` writes the bytes
+    verbatim (so a test controls every header) and parses ``n``
+    responses off the same connection as ``(status, headers, body)``;
+    ``closes=True`` additionally asserts the server then hung up. A
+    dropped connection or a hang fails the test within ``timeout``.
+    """
+
+    def _raw_http(server, request, expect=1, closes=False, timeout=10.0):
+        with socket.create_connection(
+            (server.host, server.port), timeout=timeout
+        ) as sock, sock.makefile("rb") as stream:
+            sock.sendall(request)
+            replies = []
+            # One buffered stream for every response: a reader per
+            # response would swallow the next one's bytes in its buffer.
+            for _ in range(expect):
+                status = int(stream.readline().split()[1])
+                headers = {}
+                while (line := stream.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip()] = value.strip()
+                body = stream.read(int(headers["Content-Length"]))
+                replies.append((status, headers, body))
+            if closes:
+                assert stream.read(1) == b""
+            return replies
+
+    return _raw_http

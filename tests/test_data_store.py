@@ -112,7 +112,10 @@ class TestRoundTrip:
 
         layer = loaded.raster("dem")
         assert isinstance(layer, MemmapRasterLayer)
-        assert isinstance(layer.values, np.memmap)
+        # A plain ndarray view whose base is the read-only mapping: the
+        # np.memmap subclass itself is slower on every slice.
+        assert type(layer.values) is np.ndarray
+        assert isinstance(layer.values.base, np.memmap)
         assert not layer.values.flags.writeable
 
     def test_generation_starts_at_manifest_value(self, archive, tmp_path):

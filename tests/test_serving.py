@@ -1,4 +1,4 @@
-"""Serving-fleet suite: protocol, shared memory, fleet, HTTP front end.
+"""Serving-fleet suite: protocol, worker entrypoint, fleet, HTTP front end.
 
 The headline contract is *bit-identity*: every answer a worker process
 returns over HTTP equals the in-process ``top_k`` / ``top_k_batch``
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import threading
 import time
 
@@ -26,8 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import TopKQuery
+from repro.data.archive import Archive
 from repro.data.raster import RasterLayer, RasterStack
-from repro.exceptions import ArchiveError, QueryError
+from repro.data.store import ArchiveWriter
+from repro.data.store.format import manifest_path
+from repro.exceptions import QueryError
 from repro.metrics.registry import MetricsRegistry, merge_snapshots
 from repro.models.linear import LinearModel
 from repro.service import RetrievalService
@@ -35,8 +39,8 @@ from repro.serving import (
     FleetConfig,
     ProtocolError,
     ServingServer,
+    StoreArchiveManifest,
     WorkerFleet,
-    attach_stack,
     decode_query,
     encode_query,
     encode_result,
@@ -47,7 +51,8 @@ from repro.serving.protocol import (
     batch_key,
     deadline_remaining_s,
 )
-from repro.serving.shm import SharedStackExport
+from repro.serving.worker import READY_ID, WorkerConfig, worker_main
+from repro.telemetry.events import global_event_log
 from repro.telemetry.prometheus import render_prometheus
 
 SHAPE = (96, 96)
@@ -269,46 +274,61 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0.0)
 
 
-# -- shared memory -----------------------------------------------------------
+# -- worker entrypoint --------------------------------------------------------
 
 
-class TestSharedMemory:
-    def test_export_attach_bit_identity_and_read_only(self, serving_stack):
-        export = SharedStackExport(serving_stack)
+class TestWorkerMain:
+    def test_worker_over_store_manifest_bit_identical_to_in_process(
+        self, serving_stack, tmp_path, monkeypatch
+    ):
+        """``worker_main`` driven directly (a thread, two pipes) over a
+        store written from the stack answers exactly what the in-process
+        service answers over the stack itself."""
+        # worker_main wires its registry into the process-global event
+        # log; in a thread that is *this* process's, so put it back.
+        monkeypatch.setattr(global_event_log(), "registry", None)
+        archive = Archive("direct")
+        for name in serving_stack.names:
+            archive.add(serving_stack[name])
+        ArchiveWriter.create(tmp_path / "store", archive, screen_leaf_size=16)
+        manifest = StoreArchiveManifest(
+            path=str(tmp_path / "store"), layers=tuple(serving_stack.names)
+        )
+        request_read, request_write = multiprocessing.Pipe(duplex=False)
+        reply_read, reply_write = multiprocessing.Pipe(duplex=False)
+        worker = threading.Thread(
+            target=worker_main,
+            args=(0, manifest, request_read, reply_write, WorkerConfig()),
+            daemon=True,
+        )
+        worker.start()
         try:
-            attached = attach_stack(export.manifest)
-            try:
-                assert attached.stack.names == serving_stack.names
-                for name in serving_stack.names:
-                    original = serving_stack[name].values
-                    view = attached.stack[name].values
-                    assert view.dtype == np.float64
-                    assert np.array_equal(
-                        view.view(np.uint64), original.view(np.uint64)
-                    ), f"layer {name} not bit-identical through shm"
-                    with pytest.raises((ValueError, RuntimeError)):
-                        view[0, 0] = 1.0
-            finally:
-                attached.close()
-        finally:
-            export.close()
-
-    def test_close_is_idempotent_and_unlinks(self, serving_stack):
-        export = SharedStackExport(serving_stack)
-        names = [spec.shm_name for spec in export.manifest.layers]
-        export.close()
-        export.close()
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_zero_copy_layer_requires_float64(self):
-        with pytest.raises(ArchiveError):
-            RasterLayer(
-                "bad", np.ones((4, 4), dtype=np.float32), copy=False
+            assert reply_read.poll(60)
+            assert reply_read.recv().request_id == READY_ID
+            local = RetrievalService(
+                serving_stack, leaf_size=16, registry=MetricsRegistry()
             )
+            for seed in (31, 32, 33):
+                query = TopKQuery(model=_model(seed), k=7)
+                request_write.send(
+                    WorkItem(
+                        kind="query",
+                        request_id=seed,
+                        payload=encode_query(query),
+                    )
+                )
+                assert reply_read.poll(60)
+                reply = reply_read.recv()
+                assert reply.ok, reply.error
+                expected = encode_result(local.top_k(query))
+                for document in (reply.value, expected):
+                    document["counter"].pop("wall_seconds", None)
+                    document.pop("trace_id", None)
+                assert reply.value == expected
+        finally:
+            request_write.send(WorkItem(kind="shutdown", request_id=0))
+            worker.join(30)
+        assert not worker.is_alive()
 
 
 # -- satellite 1: explicit service concurrency knobs -------------------------
@@ -436,6 +456,29 @@ class TestHttpFrontEnd:
                 server, "/batch", {"queries": []}
             )
             assert status == 400
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), ("99999999999", 413)],
+    )
+    def test_bad_content_length_is_a_typed_4xx(
+        self, fleet, raw_http, caplog, length, status
+    ):
+        with ServingServer(fleet) as server:
+            request = (
+                "POST /query HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\nX-Trace-Id: len-1\r\n\r\n"
+            ).encode()
+            [(got, headers, body)] = raw_http(server, request, closes=True)
+            assert got == status
+            assert "error" in json.loads(body)
+            assert headers["X-Trace-Id"] == "len-1"
+            assert headers["Connection"] == "close"
+            counters = server.registry.snapshot()["counters"]
+            assert counters["frontend.requests"] == 1
+            assert "frontend.errors" not in counters
+        # Refused on purpose, not by an exception escaping the loop.
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
     def test_unknown_route_404_and_wrong_method_405(self, fleet):
         with ServingServer(fleet) as server:
@@ -603,6 +646,7 @@ class TestHttpFrontEnd:
 class TestCrashRecovery:
     def test_crash_is_failed_cleanly_and_inflight_retried(self, fleet):
         before = fleet.restarts
+        store = fleet._store_path
         # The query queued behind the crash dies with the worker; the
         # monitor must resubmit it elsewhere, never hang its future.
         crash = fleet.submit(
@@ -643,3 +687,6 @@ class TestCrashRecovery:
             encode_query(TopKQuery(model=_model(22), k=3))
         ).result(timeout=30)
         assert reply.ok, reply.error
+        # ... out of the same temporary store the fleet wrote at start.
+        assert fleet._store_path == store
+        assert manifest_path(store).exists()

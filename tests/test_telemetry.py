@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 import urllib.request
@@ -432,6 +433,32 @@ class TestMetricsServer:
             assert "/metrics" in payload["routes"]
         finally:
             server.close()
+
+    def test_keep_alive_serves_two_requests_on_one_connection(self, raw_http):
+        with MetricsServer(MetricsRegistry()) as server:
+            request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            replies = raw_http(server, request + request, expect=2)
+            assert [status for status, _, _ in replies] == [200, 200]
+            assert json.loads(replies[1][2]) == {"status": "ok"}
+
+    def test_close_hangs_up_an_idle_keep_alive_connection(self):
+        server = MetricsServer(MetricsRegistry()).start()
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            started = time.monotonic()
+            server.close()
+            assert sock.recv(1) == b""
+            assert time.monotonic() - started < 5
+
+    def test_bad_content_length_is_400(self, raw_http):
+        with MetricsServer(MetricsRegistry()) as server:
+            request = b"GET /metrics HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+            [(status, _, body)] = raw_http(server, request, closes=True)
+            assert status == 400
+            assert "Content-Length" in json.loads(body)["error"]
 
     def test_standalone_server_without_sink(self):
         registry = MetricsRegistry()
