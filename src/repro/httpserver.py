@@ -31,12 +31,18 @@ from repro.metrics.registry import MetricsRegistry
 #: server buffer. Checked against ``Content-Length`` *before* any read.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Largest request head — request line and all header lines together,
+#: so many small headers are refused like one huge one — the loop will
+#: buffer; real heads here are a few hundred bytes.
+MAX_HEAD_BYTES = 64 * 1024
+
 _TRACE_ID_OK = re.compile(r"^[0-9a-zA-Z_\-]{1,64}$")
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: What :meth:`HttpServer.route` returns:
 #: ``(status, payload, content_type, extra_headers)``.
@@ -109,8 +115,8 @@ class HttpServer:
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
         self._bound: tuple[str, int] | None = None
-        #: Open connections: handler task -> its writer.
-        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: The handler task of every open connection.
+        self._clients: set[asyncio.Task] = set()
 
     async def route(
         self,
@@ -189,7 +195,9 @@ class HttpServer:
 
     async def _serve(self) -> None:
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._handle_client, *self._requested)
+        server = await asyncio.start_server(
+            self._handle_client, *self._requested, limit=MAX_HEAD_BYTES
+        )
         sockname = server.sockets[0].getsockname()
         self._bound = (sockname[0], sockname[1])
         self._ready.set()
@@ -198,11 +206,13 @@ class HttpServer:
         finally:
             server.close()
             await server.wait_closed()
-            # Hang up on connections a client left open (idle keep-alive,
-            # a body that never came): their handlers see EOF and end on
-            # their own, so none is left for loop teardown to destroy.
-            for writer in self._clients.values():
-                writer.close()
+            # Cancel the handlers of connections still open (idle
+            # keep-alive, a body that never came, a request waiting for
+            # its answer — whose future is cancelled with it): each
+            # closes its connection on the way out, so none is left for
+            # loop teardown to destroy.
+            for task in self._clients:
+                task.cancel()
             await asyncio.gather(*self._clients, return_exceptions=True)
 
     # -- HTTP plumbing -----------------------------------------------------
@@ -215,13 +225,28 @@ class HttpServer:
         peer = writer.get_extra_info("peername")
         peer_host = peer[0] if isinstance(peer, tuple) else "unknown"
         task = asyncio.current_task()
-        self._clients[task] = writer
+        self._clients.add(task)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
+                try:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except asyncio.LimitOverrunError:
+                    if self._accounting is not None:
+                        self._accounting.inc("frontend.requests")
+                    error = f"request head exceeds the {MAX_HEAD_BYTES}-byte limit"
+                    await self._respond(
+                        writer,
+                        json_reply(431, {"error": error}),
+                        uuid.uuid4().hex[:16],
+                        keep_alive=False,
+                    )
                     return
-                parts = request_line.decode("latin-1").split()
+                request_line, *header_lines = (
+                    head[:-4].decode("latin-1").split("\r\n")
+                )
+                if not request_line:
+                    return
+                parts = request_line.split()
                 if len(parts) < 2:
                     await self._respond(
                         writer,
@@ -232,11 +257,8 @@ class HttpServer:
                     return
                 method, path = parts[0].upper(), parts[1]
                 headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
+                for line in header_lines:
+                    name, _, value = line.partition(":")
                     headers[name.strip().lower()] = value.strip()
                 trace_id = headers.get("x-trace-id", "")
                 if not _TRACE_ID_OK.match(trace_id):
@@ -273,10 +295,14 @@ class HttpServer:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
+            # close() cancelling this handler. It ends here either way;
+            # ending *cancelled* makes the streams callback of Python
+            # < 3.12 log the CancelledError as an unhandled exception.
+            asyncio.CancelledError,
         ):
             return
         finally:
-            del self._clients[task]
+            self._clients.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -295,18 +321,17 @@ class HttpServer:
             body = payload
         else:
             body = json.dumps(payload, default=str).encode("utf-8")
-        lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
         # Every response — success, 4xx, 429, 5xx — carries the request's
         # trace id so it correlates with the event log and any sampled
         # trace.
-        for name, value in {"X-Trace-Id": trace_id, **(extra_headers or {})}.items():
-            lines.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"X-Trace-Id: {trace_id}\r\n"
         )
+        for name, value in (extra_headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        writer.write((head + "\r\n").encode("latin-1") + body)
         await writer.drain()

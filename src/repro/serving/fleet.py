@@ -20,6 +20,13 @@ front end:
   worker's replies blocked forever. Single-writer/single-reader pipes
   have no cross-process locks to orphan, and a crash costs only that
   worker's pipes, which the respawn replaces with fresh ones;
+* **one reader per reply pipe** — the ``repro-fleet-collect`` thread,
+  except while a :class:`~repro.serving.http.ServingServer` is started
+  on the fleet: then that server's event loop reads the pipes
+  (:meth:`WorkerFleet.read_replies_on`) and the thread stands down, so
+  a reply reaches the coroutine waiting for it with no thread wake-up
+  and no GIL hand-over in between. Either way
+  :meth:`WorkerFleet._collect` is the only code that reads a reply;
 * **least-loaded dispatch** — :meth:`submit` places each
   :class:`~repro.serving.protocol.WorkItem` with the worker holding the
   fewest in-flight items and returns a :class:`concurrent.futures
@@ -44,6 +51,7 @@ importable-by-name, which is what keeps it testable in isolation.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import multiprocessing
 import shutil
@@ -161,7 +169,8 @@ def _run_background(
     fleet_ref: "weakref.ref[WorkerFleet]", waitables: Any, handle: Any
 ) -> None:
     """Body of the fleet's two background threads: wait (at most 0.2 s)
-    on what ``waitables(fleet)`` names, then ``handle(fleet, ready)``.
+    on what ``waitables(fleet)`` names, then ``handle(fleet, ready)``;
+    ``None`` from ``waitables`` ends the thread.
 
     The wait runs *without* a reference to the fleet, so a fleet its
     owner dropped without ``stop()`` is still garbage-collected — its
@@ -173,6 +182,8 @@ def _run_background(
             return
         waiting = waitables(fleet)
         del fleet
+        if waiting is None:
+            return
         if not waiting:
             time.sleep(0.02)
             continue
@@ -236,7 +247,8 @@ class WorkerFleet:
         self._procs: list[Any] = []
         #: Parent-side pipe ends. _request_conns[i] is written only
         #: under _send_locks[i] (Connection.send is not thread-safe);
-        #: _reply_conns[i] is read only by the collector thread.
+        #: _reply_conns[i] is read only by _collect, which only the
+        #: current reader calls: the collector thread or _reader_loop.
         self._request_conns: list[Any] = []
         self._reply_conns: list[Any] = []
         self._send_locks: list[threading.Lock] = []
@@ -248,7 +260,12 @@ class WorkerFleet:
         self._restarts = 0
         self._started = False
         self._stopping = False
+        #: The thread reading the reply pipes, and the event loop asked
+        #: to read them in its place (read_replies_on): the thread hands
+        #: them over as its last act and leaves None here, so the loop
+        #: reads exactly while _reader_loop is set and _collector is not.
         self._collector: threading.Thread | None = None
+        self._reader_loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -285,11 +302,7 @@ class WorkerFleet:
         self._load = [0] * self.n_workers
         self._event_cursors = [0] * self.n_workers
         self._started = True
-        self._collector = self._background(
-            "repro-fleet-collect",
-            WorkerFleet._live_reply_conns,
-            WorkerFleet._collect,
-        )
+        self._collector = self._start_collector()
         for worker_id in range(self.n_workers):
             self._spawn(worker_id)
         deadline = time.monotonic() + self.config.start_timeout_s
@@ -319,6 +332,13 @@ class WorkerFleet:
         )
         thread.start()
         return thread
+
+    def _start_collector(self) -> threading.Thread:
+        return self._background(
+            "repro-fleet-collect",
+            WorkerFleet._thread_reply_conns,
+            WorkerFleet._collect,
+        )
 
     def _spawn(self, worker_id: int) -> None:
         """Start (or restart) one worker on a fresh pair of pipes.
@@ -355,6 +375,11 @@ class WorkerFleet:
             self._procs[worker_id] = process
             self._request_conns[worker_id] = request_write
             self._reply_conns[worker_id] = reply_read
+            if self._reader_loop is not None and self._collector is None:
+                # The loop reads: it must pick up the new pipe.
+                self._reader_loop.call_soon_threadsafe(
+                    self._read_on_loop, self._reader_loop
+                )
         if old_request is not None:
             try:
                 old_request.close()
@@ -384,12 +409,19 @@ class WorkerFleet:
                 process.join(2.0)
         # The collector exits on the stopping flag at its next wait
         # timeout; no sentinel message is needed with pipes.
-        if self._collector is not None:
-            self._collector.join(5.0)
+        collector = self._collector
+        if collector is not None:
+            collector.join(5.0)
         with self._lock:
             pending = list(self._inflight.values())
             self._inflight.clear()
-            conns = [*self._request_conns, *self._reply_conns]
+            conns = list(self._request_conns)
+            # A serving loop still reading keeps the reply pipes: each is
+            # at EOF now that its worker is gone, and _collect unregisters
+            # a pipe before closing it. Closing them here would leave
+            # dead fds in that loop's selector.
+            if self._reader_loop is None or self._collector is not None:
+                conns += self._reply_conns
             self._request_conns = [None] * self.n_workers
             self._reply_conns = [None] * self.n_workers
         for entry in pending:
@@ -489,24 +521,72 @@ class WorkerFleet:
             )
         )
 
-    # -- background threads ------------------------------------------------
+    # -- who reads the reply pipes -----------------------------------------
 
-    def _live_reply_conns(self) -> list[Any]:
+    def read_replies_on(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Ask that ``loop`` (a started server's) read the reply pipes.
+
+        Returns at once: the collector thread hands the pipes over as
+        its last act, at its next wake-up (within 0.2 s), so each pipe
+        has exactly one reader at every instant. The first loop to ask
+        keeps them until its :meth:`release_reader`.
+        """
         with self._lock:
-            return [conn for conn in self._reply_conns if conn is not None]
+            if self._reader_loop is None:
+                self._reader_loop = loop
 
-    def _collect(self, readable: list[Any]) -> None:
-        """Read one reply off each readable pipe, resolving futures by id."""
+    def release_reader(self, loop: asyncio.AbstractEventLoop) -> None:
+        """On ``loop``'s own thread, before it closes: stop reading
+        replies there; the collector thread pumps again (a fleet
+        outlives its servers)."""
+        with self._lock:
+            if self._reader_loop is not loop:
+                return
+            self._reader_loop = None
+            for conn in self._reply_conns:
+                if conn is not None:
+                    loop.remove_reader(conn.fileno())
+            if self._collector is None and not self._stopping:
+                self._collector = self._start_collector()
+
+    def _thread_reply_conns(self) -> "list[Any] | None":
+        """What the collector thread waits on next — or None, its cue
+        to end, once it has handed the pipes to the loop that asked."""
+        with self._lock:
+            loop = self._reader_loop
+            if loop is None:
+                return [conn for conn in self._reply_conns if conn is not None]
+            loop.call_soon_threadsafe(self._read_on_loop, loop)
+            self._collector = None
+            return None
+
+    def _read_on_loop(self, loop: asyncio.AbstractEventLoop) -> None:
+        """On ``loop``: read every live reply pipe there (for one it
+        reads already, ``add_reader`` replaces the registration)."""
+        with self._lock:
+            if self._reader_loop is not loop:
+                return  # released before this callback ran
+            for conn in self._reply_conns:
+                if conn is not None:
+                    loop.add_reader(conn.fileno(), self._collect, [conn], loop)
+
+    def _collect(self, readable: list[Any], loop: Any = None) -> None:
+        """Read one reply off each readable pipe, resolving futures by
+        id. ``loop`` is the event loop calling, when one is the reader."""
         for conn in readable:
             try:
                 reply: WorkReply = conn.recv()
             except (EOFError, OSError):
                 # The worker died; the monitor owns recovery. Drop
-                # the pipe so the wait loop stops spinning on it.
+                # the pipe so its reader stops spinning on it.
                 with self._lock:
                     for index, live in enumerate(self._reply_conns):
                         if live is conn:
                             self._reply_conns[index] = None
+                if loop is not None:
+                    # Before the close frees the fd number for the
+                    # respawn's pipes to reuse.
+                    loop.remove_reader(conn.fileno())
                 try:
                     conn.close()
                 except OSError:
@@ -660,14 +740,28 @@ class WorkerFleet:
             ]
 
     def _broadcast(
-        self, kind: str, payload: Any, timeout_s: float
+        self, kind: str, payloads: list[Any], timeout_s: float
     ) -> list[WorkReply]:
+        """Send worker ``i`` a ``kind`` item carrying ``payloads[i]``
+        and wait for the replies (those that miss the timeout are left
+        out). The one fleet-wide call that blocks on replies — on the
+        loop that reads them it would wait for itself."""
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:
+            running = None  # no loop runs on this thread
+        if running is not None and running is self._reader_loop:
+            raise FleetError(
+                f"a fleet-wide {kind!r} blocks on worker replies and was "
+                "called on the event loop that reads them; use "
+                "loop.run_in_executor"
+            )
         futures = [
             self.submit(
                 WorkItem(kind=kind, request_id=0, payload=payload),
                 worker_id=worker_id,
             )
-            for worker_id in range(self.n_workers)
+            for worker_id, payload in enumerate(payloads)
         ]
         deadline = time.monotonic() + timeout_s
         replies = []
@@ -691,28 +785,11 @@ class WorkerFleet:
             return 0
         with self._lock:
             cursors = list(self._event_cursors)
-        futures = {
-            worker_id: self.submit(
-                WorkItem(
-                    kind="events",
-                    request_id=0,
-                    payload=cursors[worker_id],
-                ),
-                worker_id=worker_id,
-            )
-            for worker_id in range(self.n_workers)
-        }
-        deadline = time.monotonic() + timeout_s
         ingested = 0
-        for worker_id, future in futures.items():
-            try:
-                reply = future.result(
-                    timeout=max(0.05, deadline - time.monotonic())
-                )
-            except TimeoutError:
-                continue
+        for reply in self._broadcast("events", cursors, timeout_s):
             if not reply.ok or not isinstance(reply.value, dict):
                 continue
+            worker_id = reply.worker_id
             for record in reply.value.get("events", ()):
                 record = dict(record)
                 record["attrs"] = {
@@ -733,7 +810,9 @@ class WorkerFleet:
         e.g. mid-respawn — are simply absent from the list)."""
         return [
             reply.value
-            for reply in self._broadcast("stats", None, timeout_s)
+            for reply in self._broadcast(
+                "stats", [None] * self.n_workers, timeout_s
+            )
             if reply.ok
         ]
 
@@ -754,7 +833,7 @@ class WorkerFleet:
             "attributes": list(attributes),
             "region": list(region) if region is not None else None,
         }
-        return self._broadcast("warm", spec, timeout_s)
+        return self._broadcast("warm", [spec] * self.n_workers, timeout_s)
 
     def merged_metrics(
         self, timeout_s: float = 5.0, extra: "list[dict] | None" = None

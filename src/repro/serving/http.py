@@ -33,9 +33,7 @@ Admission control, in the order a request meets it:
    when a token frees up.
 2. **Queue-depth shedding** — when more than ``queue_depth`` requests
    are already waiting for a worker, new arrivals get ``429`` +
-   ``Retry-After`` instead of unbounded queueing. The internal queue
-   itself is unbounded so coalescer *requeues* can never be dropped;
-   only fresh arrivals are shed.
+   ``Retry-After`` instead of unbounded queueing.
 
 Deadlines arrive as an ``X-Deadline-Ms`` header and become an absolute
 ``time.monotonic()`` instant that rides the work item into the worker's
@@ -46,8 +44,15 @@ partial (``complete: false``), exactly like an in-process deadline.
 ``X-Trace-Id`` (or a generated id) is stamped on the worker-side trace,
 so one id follows a request from front-end log to worker waterfall.
 
-Dispatch runs through one lane task per worker. A lane that picks up a
-query opportunistically drains further queued queries with the same
+Dispatch is a callback, not a task: :meth:`ServingServer._dispatch`
+runs when a request is admitted and when a reply lands, and ships
+waiting requests while one of ``fleet.n_workers`` slots is free. The
+loop itself reads the fleet's reply pipes while the server is started
+(:meth:`~repro.serving.fleet.WorkerFleet.read_replies_on`), so a reply
+resolves the handler's future in the same loop iteration that read it —
+socket → handler → pipe → worker → pipe → loop → handler → socket, with
+no thread and no queue hop in between. A dispatched query
+opportunistically takes further waiting queries with the same
 :func:`~repro.serving.protocol.batch_key` (up to ``coalesce_max``) and
 ships them as one ``top_k_batch`` call — under load, compatible
 concurrent clients share one archive traversal for free. Batch members
@@ -59,13 +64,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.httpserver import HttpServer, Reply, json_reply, limit_param, not_found
 from repro.metrics.registry import MetricsRegistry
-from repro.serving.fleet import WorkerFleet
+from repro.serving.fleet import FleetError, WorkerFleet
 from repro.serving.protocol import (
     REPLY_TRACE_KEY,
     ProtocolError,
@@ -81,6 +90,14 @@ from repro.telemetry.slo import DEFAULT_SLOS, SLOMonitor, SLOSpec
 
 #: ``error_kind`` -> HTTP status for failed worker replies.
 _ERROR_STATUS = {"protocol": 400, "query": 400, "crashed": 503}
+
+#: Rate-limit buckets held before the refilled ones are dropped. The
+#: key is ``X-Client-Id`` — outside input — so the table must not grow
+#: with the number of ids ever seen. A bucket back at ``burst`` is
+#: indistinguishable from a new one, so dropping it changes no
+#: decision; one still below ``burst`` is a client being limited and
+#: stays. 1024 is far above the clients a front end limits at once.
+_MAX_BUCKETS = 1024
 
 
 class TokenBucket:
@@ -105,6 +122,11 @@ class TokenBucket:
         self._tokens = float(burst)
         self._stamp = now()
 
+    def is_full(self) -> bool:
+        """Whether it has refilled to ``burst`` — a new bucket's state."""
+        elapsed = self._now() - self._stamp
+        return self._tokens + elapsed * self.rate >= self.burst
+
     def try_acquire(self, n: float = 1.0) -> float:
         current = self._now()
         self._tokens = min(
@@ -117,9 +139,9 @@ class TokenBucket:
         return (n - self._tokens) / self.rate
 
 
-@dataclass
+@dataclass(eq=False)  # a request is itself, whatever it carries
 class _Pending:
-    """One admitted request waiting in the dispatch queue."""
+    """One admitted request: waiting for a slot, then in flight."""
 
     kind: str  # "query" | "batch"
     payload: Any
@@ -203,7 +225,10 @@ class ServingServer(HttpServer):
         )
         super().__init__(host, port, "repro-serving-http", self.registry)
         self._buckets: dict[str, TokenBucket] = {}
-        self._queue: "asyncio.Queue[_Pending] | None" = None
+        #: Admitted requests no worker slot was free for yet (touched
+        #: on the loop thread only), and the slots still free.
+        self._waiting: "deque[_Pending]" = deque()
+        self._free_slots = fleet.n_workers
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -213,17 +238,11 @@ class ServingServer(HttpServer):
         return super().start()
 
     async def _serve(self) -> None:
-        self._queue = asyncio.Queue()
-        lanes = [
-            asyncio.create_task(self._lane(), name=f"repro-lane-{index}")
-            for index in range(self.fleet.n_workers)
-        ]
+        self.fleet.read_replies_on(self._loop)
         try:
             await super()._serve()
         finally:
-            for lane in lanes:
-                lane.cancel()
-            await asyncio.gather(*lanes, return_exceptions=True)
+            self.fleet.release_reader(self._loop)
 
     # -- routing -----------------------------------------------------------
 
@@ -262,9 +281,7 @@ class ServingServer(HttpServer):
     async def _merged_snapshot(self) -> dict[str, Any]:
         assert self._loop is not None
         frontend = self.registry.snapshot()
-        frontend["gauges"]["frontend.queue_depth"] = float(
-            self._queue.qsize() if self._queue is not None else 0
-        )
+        frontend["gauges"]["frontend.queue_depth"] = float(len(self._waiting))
         return await self._loop.run_in_executor(
             None,
             lambda: self.fleet.merged_metrics(extra=[frontend]),
@@ -322,7 +339,7 @@ class ServingServer(HttpServer):
         payload = {
             "status": "ok" if any(w["alive"] for w in workers) else "degraded",
             "workers": workers,
-            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "queue_depth": len(self._waiting),
             "restarts": self.fleet.restarts,
         }
         return json_reply(200, payload)
@@ -381,7 +398,7 @@ class ServingServer(HttpServer):
         body: bytes,
         peer_host: str,
     ) -> Reply:
-        assert self._queue is not None and self._loop is not None
+        assert self._loop is not None
         admit_started = time.monotonic()
         trace_id = headers["x-trace-id"]
         # Rate limit first: an over-rate client is refused even when
@@ -390,6 +407,12 @@ class ServingServer(HttpServer):
             client = self._client_key(headers, peer_host)
             bucket = self._buckets.get(client)
             if bucket is None:
+                if len(self._buckets) >= _MAX_BUCKETS:
+                    self._buckets = {
+                        key: held
+                        for key, held in self._buckets.items()
+                        if not held.is_full()
+                    }
                 bucket = self._buckets[client] = TokenBucket(
                     self.rate_limit, self.rate_burst or self.rate_limit
                 )
@@ -409,7 +432,7 @@ class ServingServer(HttpServer):
                     {"Retry-After": str(max(1, int(retry_after + 0.999)))},
                 )
         # Then queue depth: the fleet is saturated, shed the arrival.
-        depth = self._queue.qsize()
+        depth = len(self._waiting)
         self.registry.gauge("frontend.queue_depth", float(depth))
         if depth >= self.queue_depth:
             self.registry.inc("frontend.shed_queue")
@@ -473,7 +496,8 @@ class ServingServer(HttpServer):
         trace.metadata["route"] = route
         trace.record_span("admit", time.monotonic() - admit_started)
         pending.trace = trace
-        self._queue.put_nowait(pending)
+        self._waiting.append(pending)
+        self._dispatch()
         reply: WorkReply = await pending.future
         return self._render_reply(route, pending, reply)
 
@@ -517,14 +541,14 @@ class ServingServer(HttpServer):
             return json_reply(200, reply.value)
         return json_reply(200, {"results": reply.value})
 
-    # -- dispatch lanes ----------------------------------------------------
+    # -- dispatch ----------------------------------------------------------
 
-    async def _lane(self) -> None:
-        """One dispatch lane: take work, opportunistically coalesce,
-        ship to the fleet, distribute replies."""
-        assert self._queue is not None and self._loop is not None
-        while True:
-            pending = await self._queue.get()
+    def _dispatch(self) -> None:
+        """Ship waiting requests while a worker slot is free (runs on
+        the loop thread: when a request is admitted, when a reply
+        lands), opportunistically coalescing compatible queries."""
+        while self._free_slots and self._waiting:
+            pending = self._waiting.popleft()
             group = [pending]
             if (
                 self.coalesce
@@ -565,38 +589,53 @@ class ServingServer(HttpServer):
                         trace_id=group[0].trace_id,
                         coalesced=True,
                     )
-                reply = await asyncio.wrap_future(future, loop=self._loop)
-            except asyncio.CancelledError:
-                for member in group:
-                    if not member.future.done():
-                        member.future.cancel()
-                raise
-            except Exception as error:  # noqa: BLE001 - lane must survive
-                reply = WorkReply(
-                    request_id=0,
-                    worker_id=-1,
-                    ok=False,
-                    error=f"{type(error).__name__}: {error}",
-                    error_kind="internal",
+            except Exception as error:  # noqa: BLE001 - the loop must survive
+                # A stopped fleet is a backend that is away (503), like
+                # the in-flight requests its stop() failed; anything
+                # else is this server's fault.
+                stopped = isinstance(error, FleetError)
+                self._distribute(
+                    group,
+                    WorkReply(
+                        request_id=0,
+                        worker_id=-1,
+                        ok=False,
+                        error=f"{type(error).__name__}: {error}",
+                        error_kind="crashed" if stopped else "internal",
+                    ),
                 )
-            self._distribute(group, reply)
+                continue
+            self._free_slots -= 1
+            future.add_done_callback(partial(self._replied, group))
+
+    def _replied(
+        self, group: "list[_Pending]", done: "Future[WorkReply]"
+    ) -> None:
+        """Done-callback of a fleet future: free the slot, answer the
+        waiting handlers, ship what waits. A reply the loop read off the
+        pipe arrives on the loop thread already; one resolved elsewhere
+        (crash recovery, fleet stop, the hand-over window) re-enters
+        there."""
+        if threading.current_thread() is not self._thread:
+            try:
+                self._loop.call_soon_threadsafe(self._replied, group, done)
+            except RuntimeError:
+                pass  # the loop has closed; close() cancelled the members
+            return
+        self._free_slots += 1
+        self._distribute(group, done.result())
+        self._dispatch()
 
     def _drain_compatible(self, key: tuple) -> "list[_Pending]":
-        """Pull queued queries sharing ``key`` (requeue the rest)."""
-        assert self._queue is not None
-        taken: list[_Pending] = []
-        requeue: list[_Pending] = []
-        while len(taken) < self.coalesce_max - 1:
-            try:
-                candidate = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if candidate.kind == "query" and candidate.key == key:
-                taken.append(candidate)
-            else:
-                requeue.append(candidate)
-        for candidate in requeue:
-            self._queue.put_nowait(candidate)
+        """Take the first waiting queries sharing ``key`` out of the
+        line (the others keep their order)."""
+        taken = [
+            candidate
+            for candidate in self._waiting
+            if candidate.kind == "query" and candidate.key == key
+        ][: self.coalesce_max - 1]
+        for candidate in taken:
+            self._waiting.remove(candidate)
         return taken
 
     def _distribute(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 import threading
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Any, Mapping
 
@@ -193,7 +194,11 @@ class TailSampler:
         self.sample_rate = sample_rate
         self.slow_fraction = slow_fraction
         self._lock = threading.Lock()
+        #: The sliding window in arrival order, and the same values kept
+        #: in ascending order as they come and go, so the quantile is an
+        #: index rather than a sort of the window on every request.
         self._durations: deque[float] = deque(maxlen=max(1, window))
+        self._ordered: list[float] = []
         self._rng = random.Random(seed)
         self.kept = 0
         self.sampled_out = 0
@@ -212,9 +217,9 @@ class TailSampler:
         return status is not None and int(status) >= 400
 
     def _slow_threshold(self) -> float | None:
-        if not self._durations or self.slow_fraction <= 0.0:
+        ordered = self._ordered
+        if not ordered or self.slow_fraction <= 0.0:
             return None
-        ordered = sorted(self._durations)
         index = int(len(ordered) * (1.0 - self.slow_fraction))
         index = min(index, len(ordered) - 1)
         return ordered[index]
@@ -224,7 +229,13 @@ class TailSampler:
         wall = float(trace.get("wall_seconds", 0.0))
         with self._lock:
             threshold = self._slow_threshold()
+            if len(self._durations) == self._durations.maxlen:
+                # The append below drops the oldest duration.
+                del self._ordered[
+                    bisect_left(self._ordered, self._durations[0])
+                ]
             self._durations.append(wall)
+            insort(self._ordered, wall)
             if self.is_tail(trace):
                 decision = True
             elif threshold is not None and wall >= threshold:

@@ -159,3 +159,20 @@ def raw_http():
             return replies
 
     return _raw_http
+
+
+#: Request heads past the server's 64 KiB head limit, by what is big:
+#: one header line, the request line, or 3,000 small headers (no line
+#: near the limit, 90 KiB together).
+OVERSIZED_HEADS = {
+    "one_header": b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+    "request_line": b"GET /" + b"p" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+    "many_headers": b"GET /healthz HTTP/1.1\r\n"
+    + b"".join(b"X-H%04d: %s\r\n" % (i, b"v" * 20) for i in range(3_000))
+    + b"\r\n",
+}
+
+
+@pytest.fixture(params=sorted(OVERSIZED_HEADS))
+def oversized_head(request) -> bytes:
+    return OVERSIZED_HEADS[request.param]

@@ -16,6 +16,11 @@ from first principles. The production paths must match these bitwise:
   the distinct points and matches duplicates point by point on every
   layer; :func:`repro.index.hull.hull_layers` (which de-duplicates
   once) must return the same arrays.
+* :func:`slow_thresholds_by_sorting` — the tail sampler's "slowest
+  fraction of recent traffic" quantile, taken by sorting the sliding
+  window afresh for every trace; :class:`repro.telemetry.distributed
+  .TailSampler` (which keeps the window ordered as it goes) must hold
+  the same threshold at every step.
 
 The oracles reuse the library's *scoring* primitives (term-order inner
 products, the fusion blend) on purpose — the bitwise contract is about
@@ -168,3 +173,21 @@ def hull_layers_per_point(
         layers.append(np.sort(remaining[peeled_mask]))
         remaining = remaining[~peeled_mask]
     return layers
+
+
+def slow_thresholds_by_sorting(
+    walls: list[float], slow_fraction: float, window: int
+) -> list["float | None"]:
+    """For each duration of a stream, the slow threshold in force when
+    it arrives: the ``(1 - slow_fraction)`` quantile of the (at most
+    ``window``) durations before it, ``None`` while there are none or
+    the rule is off. Sorts the window every time."""
+    thresholds: list["float | None"] = []
+    for position in range(len(walls)):
+        recent = sorted(walls[max(0, position - window):position])
+        if not recent or slow_fraction <= 0.0:
+            thresholds.append(None)
+            continue
+        index = min(int(len(recent) * (1.0 - slow_fraction)), len(recent) - 1)
+        thresholds.append(recent[index])
+    return thresholds

@@ -45,6 +45,7 @@ from repro.serving import (
     encode_query,
     encode_result,
 )
+from repro.serving import http as serving_http
 from repro.serving.http import TokenBucket
 from repro.serving.protocol import (
     WorkItem,
@@ -480,6 +481,23 @@ class TestHttpFrontEnd:
         # Refused on purpose, not by an exception escaping the loop.
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
+    def test_oversized_head_is_a_typed_431(
+        self, fleet, raw_http, caplog, oversized_head
+    ):
+        with ServingServer(fleet) as server:
+            [(status, headers, body)] = raw_http(
+                server, oversized_head, closes=True
+            )
+            assert status == 431
+            assert "limit" in json.loads(body)["error"]
+            assert headers["X-Trace-Id"]
+            assert headers["Connection"] == "close"
+            counters = server.registry.snapshot()["counters"]
+            assert counters["frontend.requests"] == 1
+            assert "frontend.errors" not in counters
+        # Refused on purpose, not by an exception escaping the loop.
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
     def test_unknown_route_404_and_wrong_method_405(self, fleet):
         with ServingServer(fleet) as server:
             status, _ = _get(server, "/nope")
@@ -593,6 +611,47 @@ class TestHttpFrontEnd:
                 headers={"X-Client-Id": "polite"},
             )
             assert other == 200
+
+    def test_rate_limit_table_drops_refilled_buckets_only(
+        self, fleet, raw_http, monkeypatch
+    ):
+        # Buckets on a clock the test turns. A "{}" body passes the rate
+        # limit (or not: 429) and is then refused as a 400, so nothing
+        # here reaches a worker.
+        clock = [0.0]
+        monkeypatch.setattr(
+            serving_http,
+            "TokenBucket",
+            lambda rate, burst: TokenBucket(rate, burst, now=lambda: clock[0]),
+        )
+
+        def ask(client: str) -> bytes:
+            return (
+                f"POST /query HTTP/1.1\r\nX-Client-Id: {client}\r\n"
+                "Content-Length: 2\r\n\r\n{}"
+            ).encode()
+
+        with ServingServer(fleet, rate_limit=1.0, rate_burst=1.0) as server:
+            for batch in range(20):
+                # Everyone refills; the hammer spends its token at once,
+                # then 500 one-shot clients arrive at the same instant.
+                clock[0] += 2.0
+                requests = [ask("hammer"), ask("hammer")] + [
+                    ask(f"once-{batch}-{index}") for index in range(500)
+                ] + [ask("hammer")]
+                statuses = [
+                    status
+                    for status, _, _ in raw_http(
+                        server, b"".join(requests), expect=len(requests)
+                    )
+                ]
+                # Whatever was swept while the 500 arrived, the hammer's
+                # drained bucket was not: a fresh one would let it in.
+                assert statuses[:2] == [400, 429]
+                assert statuses[2:-1] == [400] * 500
+                assert statuses[-1] == 429
+                assert len(server._buckets) <= serving_http._MAX_BUCKETS
+            assert "once-0-0" not in server._buckets
 
     def test_coalescer_groups_compatible_queries(self, fleet, local_service):
         with ServingServer(fleet, coalesce=True, coalesce_max=8) as server:

@@ -460,6 +460,16 @@ class TestMetricsServer:
             assert status == 400
             assert "Content-Length" in json.loads(body)["error"]
 
+    def test_oversized_head_is_431(self, raw_http, caplog, oversized_head):
+        with MetricsServer(MetricsRegistry()) as server:
+            [(status, headers, body)] = raw_http(
+                server, oversized_head, closes=True
+            )
+            assert status == 431
+            assert "limit" in json.loads(body)["error"]
+            assert headers["Connection"] == "close"
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
     def test_standalone_server_without_sink(self):
         registry = MetricsRegistry()
         registry.inc("up")

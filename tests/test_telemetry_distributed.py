@@ -10,6 +10,9 @@ from __future__ import annotations
 import threading
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.service.tracing import BatchTrace, QueryTrace
 from repro.telemetry.distributed import (
     DEFAULT_MAX_SHIP_SPANS,
@@ -20,6 +23,8 @@ from repro.telemetry.distributed import (
     ship_trace,
 )
 from repro.telemetry.export import TraceBuffer, chrome_trace_events
+
+from tests.oracles import slow_thresholds_by_sorting
 
 
 def _finished_trace(n_spans: int = 3, n_shards: int = 2) -> QueryTrace:
@@ -175,6 +180,34 @@ class TestTailSampler:
         for _ in range(100):
             sampler.keep({**ok, "wall_seconds": 0.001})
         assert sampler.keep({**ok, "wall_seconds": 5.0})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        walls=st.lists(
+            # A few repeated values (ties, re-insertion of a value the
+            # window just dropped) mixed with arbitrary ones.
+            st.sampled_from([0.0, 0.001, 0.002, 0.5])
+            | st.floats(min_value=0.0, max_value=10.0),
+            max_size=120,
+        ),
+        slow_fraction=st.sampled_from([0.0, 0.1, 0.5, 1.0])
+        | st.floats(min_value=0.0, max_value=1.0),
+        window=st.integers(min_value=1, max_value=12),
+    )
+    def test_ordered_window_decides_like_sorting_each_time(
+        self, walls, slow_fraction, window
+    ):
+        # sample_rate 0 and an ok trace: kept only by the slow rule.
+        sampler = TailSampler(
+            sample_rate=0.0, slow_fraction=slow_fraction, window=window, seed=1
+        )
+        ok = {"complete": True, "metadata": {"status": 200}}
+        expected = slow_thresholds_by_sorting(walls, slow_fraction, window)
+        for wall, threshold in zip(walls, expected):
+            assert sampler._slow_threshold() == threshold
+            assert sampler.keep({**ok, "wall_seconds": wall}) == (
+                threshold is not None and wall >= threshold
+            )
 
     def test_default_keeps_everything(self):
         sampler = TailSampler()
