@@ -25,8 +25,12 @@ Work is tallied per strategy on a fresh
 
 There is one tile search. A query's frontier state (:class:`_ScanState`
 over the caller's :class:`BatchQuerySpec`) advances through one
-best-first branch-and-bound step, which reads the archive through one
-layer (:class:`_Scan`): ``progressive_top_k`` and
+branch-and-bound step that pops a *wave* of frontier nodes — one node,
+best-first, until the heap holds k answers, then up to
+:data:`WAVE_WIDTH` — bounds all their children in one call over the
+screen's flat node tables and scores all their leaves as one gathered
+cell list. It reads the archive through one layer (:class:`_Scan`):
+``progressive_top_k`` and
 :meth:`RasterRetrievalEngine.shard_search` (the sharded service layer's
 entry point, after :meth:`RasterRetrievalEngine.prepare_tile_query`) run
 one state to exhaustion, :meth:`RasterRetrievalEngine.shared_scan_search`
@@ -49,7 +53,7 @@ import numpy as np
 
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit, RetrievalResult, ScoredLocation
-from repro.core.screening import ScreenNode, TileScreen
+from repro.core.screening import TileScreen
 from repro.data.raster import RasterStack
 from repro.exceptions import PlanError, QueryError
 from repro.metrics.counters import CostCounter
@@ -64,6 +68,16 @@ from repro.models.progressive_linear import (
 if TYPE_CHECKING:  # polled duck-typed; no runtime core->service dep
     from repro.embed.fusion import FusionSpec
     from repro.service.tracing import CancellationToken
+
+#: Frontier nodes one step pops once the heap holds k answers (before
+#: that a step pops one, so the first threshold is found best-first: a
+#: wave from the first pop reads 1.6x the cells of a regional query and
+#: is slower there). A module constant, not a knob — width changes work,
+#: never answers. The sweep that chose it (whole-grid / 128² regional
+#: top-10 at 1024² x 4, in-process floor p50 ms, cells and nodes vs.
+#: width 1) is tabled in DESIGN.md §6: 8-32 are within noise of each
+#: other, 64 reads more cells for no less time.
+WAVE_WIDTH = 16
 
 
 class TopKHeap:
@@ -233,9 +247,11 @@ class _ScanState:
     """One query's best-first frontier — the only search state there is.
 
     Wraps the caller's :class:`BatchQuerySpec` with what the search owns
-    (the frontier and its tie-break counter) and the two things a solo
-    caller may add: a ``fusion`` spec, and an anytime ``work_budget``
-    whose outcome lands in ``regret_bound``.
+    (the frontier of ``(-upper, tiebreak, node id)`` entries and its
+    tie-break counter), what is fixed per query (the cascade's attribute
+    order and signed tail bounds) and the two things a solo caller may
+    add: a ``fusion`` spec, and an anytime ``work_budget`` whose outcome
+    lands in ``regret_bound``.
 
     ``fusion`` (a :class:`repro.embed.fusion.FusionSpec`, duck-typed
     here to keep core free of an embed dependency) blends embedding
@@ -248,7 +264,7 @@ class _ScanState:
 
     __slots__ = (
         "spec", "fusion", "work_budget", "regret_bound",
-        "model", "sign", "frontier", "tiebreak",
+        "model", "sign", "frontier", "tiebreak", "ordered", "signed_tails",
     )
 
     def __init__(
@@ -269,13 +285,33 @@ class _ScanState:
         #: within budget, or the bound at its early stop.
         self.regret_bound = None if work_budget is None else 0.0
         self.model = spec.query.model
-        self.sign = 1.0 if spec.query.maximize else -1.0
+        self.sign = sign = 1.0 if spec.query.maximize else -1.0
         self.frontier: list = []
         self.tiebreak = itertools.count()
+        progressive = spec.progressive
+        if progressive is not None:
+            #: Cascade attributes, contribution order.
+            self.ordered = [
+                term.attribute for term in progressive.contributions
+            ]
+            #: ``signed_tails[n - 1]``: the most the terms after the
+            #: first ``n`` can still add to a signed partial score.
+            self.signed_tails = [
+                max(sign * tail_low, sign * tail_high)
+                for tail_low, tail_high in map(
+                    progressive._tail_bounds, range(1, len(self.ordered))
+                )
+            ]
+
+
+def _per_depth(depths: np.ndarray):
+    """``(depth, n_nodes)`` pairs of an array of node depths (zero
+    counts included; the audit's tallies ignore them)."""
+    return enumerate(np.bincount(depths).tolist())
 
 
 def _audit_abandoned(
-    audit: PruningAudit, frontier: list, reason: str
+    audit: PruningAudit, frontier: list, reason: str, scan: "_Scan"
 ) -> None:
     """Tally a search's leftover frontier into the waterfall.
 
@@ -285,20 +321,9 @@ def _audit_abandoned(
     waterfall's per-depth accounting exhaustive without touching the
     ``tiles_pruned`` envelope-prune total.
     """
-    for _, _, node in frontier:
-        audit.prune_tiles(node.depth, 1, reason=reason)
-
-
-def _intersects(
-    window: tuple[int, int, int, int], region: tuple[int, int, int, int]
-) -> bool:
-    row0, col0, row1, col1 = window
-    return (
-        row0 < region[2]
-        and region[0] < row1
-        and col0 < region[3]
-        and region[1] < col1
-    )
+    ids = [node for _, _, node in frontier]
+    for depth, n_tiles in _per_depth(scan.depth[ids]):
+        audit.prune_tiles(depth, n_tiles, reason=reason)
 
 
 class _Scan:
@@ -306,182 +331,153 @@ class _Scan:
 
     One traversal is one region walked from one root cover — the global
     screen root, or the minimal node cover of a sub-region, so a row
-    band skips the shared upper tree levels. A search never touches the
-    screen or the stack itself; it asks this object for a node's
-    in-region children, a model's bounds over a block of nodes, and a
-    leaf window's cell grid and attribute reads. With one query (this
-    class) each is computed on demand and nothing is kept;
-    :class:`_SharedScan` answers the same questions from batch-wide
-    memos.
+    band skips the shared upper tree levels. Nodes are ids into the
+    screen's flat tables (re-exported here); a search asks this object
+    for a model's bounds over a block of node ids, the cell list of a
+    block of windows, and attribute reads over a cell list — it never
+    touches the stack itself. With one query (this class) each is
+    computed on demand and nothing is kept; :class:`_SharedScan` answers
+    the same questions from batch-wide memos.
     """
 
     def __init__(
         self,
         engine: "RasterRetrievalEngine",
         region: tuple[int, int, int, int],
-        roots: list[ScreenNode],
+        roots: np.ndarray,
         pruning: str,
         heuristic_margin: float,
     ) -> None:
         if pruning not in ("sound", "heuristic"):
             raise QueryError(f"unknown pruning mode {pruning!r}")
         self.stack = engine.stack
-        self.screen = engine.screen
+        self.screen = screen = engine.screen
+        self.child, self.window = screen.child, screen.window
+        self.leaf, self.depth = screen.leaf, screen.depth
         self.region = region
         self.roots = roots
-        self.pruning = pruning
-        self.heuristic_margin = heuristic_margin
+        #: Bound source: ``None`` for the sound min/max envelopes, else
+        #: the margin of the shrunken (unsound) pseudo-envelopes.
+        self.margin = heuristic_margin if pruning == "heuristic" else None
+        #: Whether anything below the roots can stick out of the region.
+        #: A ``region_roots`` cover never does (its nodes lie inside the
+        #: region or are leaves); the global root over a sub-region does.
+        cover = self.window[roots]
+        self.clips = bool(
+            (cover[:, :2] < region[:2]).any()
+            or (cover[:, 2:] > region[2:]).any()
+        )
 
-    def children(self, node: ScreenNode) -> tuple[list[ScreenNode], int]:
-        """``(in-region children, region-dropped count)`` of ``node``."""
-        all_children = self.screen.children(node)
-        children = [
-            child
-            for child in all_children
-            if _intersects(child.window, self.region)
-        ]
-        return children, len(all_children) - len(children)
-
-    def envelopes(self, parent: ScreenNode | None, nodes: list[ScreenNode]):
-        """Per-attribute ``(lows, highs)`` envelope arrays of ``nodes``
-        (``parent``'s children, or the scan's roots when ``None``).
-
-        One envelope fancy-index replaces per-node dict building; the
-        bound source is the min/max envelope, or under ``"heuristic"``
-        pruning the shrunken (unsound) pseudo-envelope.
-        """
-        if self.pruning == "heuristic":
-            envelopes = self.screen.heuristic_envelopes_block(
-                nodes, self.heuristic_margin, None
-            )
-        else:
-            envelopes = self.screen.envelopes_block(nodes, None)
-        lows = {name: pair[0] for name, pair in envelopes.items()}
-        highs = {name: pair[1] for name, pair in envelopes.items()}
-        return lows, highs
+    def inside(self, ids: np.ndarray) -> np.ndarray:
+        """Mask of the nodes ``ids`` that intersect the region."""
+        row0, col0, row1, col1 = self.region
+        window = self.window[ids].T
+        return (
+            (window[0] < row1) & (row0 < window[2])
+            & (window[1] < col1) & (col0 < window[3])
+        )
 
     def bounds(
-        self, model: Model, parent: ScreenNode | None,
-        nodes: list[ScreenNode],
+        self, model: Model, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``model``'s interval ``(low, high)`` over each of ``nodes``."""
-        return model.evaluate_interval_batch(*self.envelopes(parent, nodes))
-
-    def grid(self, window: tuple[int, int, int, int]):
-        """Flat (rows, cols) cell coordinates of ``window``."""
-        row0, col0, row1, col1 = window
-        rows, cols = np.meshgrid(
-            np.arange(row0, row1), np.arange(col0, col1), indexing="ij"
+        """``model``'s interval ``(low, high)`` over each node of ``ids``."""
+        return model.evaluate_interval_batch(
+            *self.screen.envelope_block(ids, self.margin)
         )
-        return rows.reshape(-1), cols.reshape(-1)
 
-    def window(
-        self, name: str, window: tuple[int, int, int, int],
-        counter: CostCounter | None,
-    ) -> np.ndarray:
-        """``read_window`` of attribute ``name``, charged to ``counter``."""
-        return self.stack[name].read_window(*window, counter)
+    def leaf_cells(self, ids: np.ndarray):
+        """``(rows, cols, sizes)`` of the leaves ``ids``: their windows,
+        clipped to the region, as one cell list; ``sizes[p]`` cells of
+        ``ids[p]``, leaf after leaf."""
+        windows = self.window[ids]
+        if self.clips:
+            windows = np.hstack((
+                np.maximum(windows[:, :2], self.region[:2]),
+                np.minimum(windows[:, 2:], self.region[2:]),
+            ))
+        return self.cells(windows)
 
-    def cells(
-        self, name: str, window: tuple[int, int, int, int],
-        rows: np.ndarray, cols: np.ndarray,
-    ) -> np.ndarray:
-        """Level-1 cascade gather ``values[rows, cols]`` for ``window``
-        (``rows``/``cols`` are its :meth:`grid`; the caller charges)."""
+    @staticmethod
+    def cells(windows: np.ndarray):
+        """Flat ``(rows, cols, sizes)`` of an ``(n, 4)`` block of
+        windows, each in row-major order, by broadcasting: no per-window
+        work, ragged windows masked out of the common bounding shape."""
+        row0, col0, row1, col1 = windows.T
+        heights, widths = row1 - row0, col1 - col0
+        height, width = int(heights.max()), int(widths.max())
+        shape = (len(windows), height, width)
+        down = np.arange(height)[None, :, None]
+        across = np.arange(width)[None, None, :]
+        rows = np.broadcast_to(row0[:, None, None] + down, shape)
+        cols = np.broadcast_to(col0[:, None, None] + across, shape)
+        if heights.min() == height and widths.min() == width:
+            return rows.reshape(-1), cols.reshape(-1), heights * widths
+        ragged = (down < heights[:, None, None]) & (
+            across < widths[:, None, None]
+        )
+        return rows[ragged], cols[ragged], heights * widths
+
+    def read(self, name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Attribute ``name`` at the cells ``(rows, cols)``; the caller
+        charges its counter per value."""
         return self.stack[name].gather(rows, cols)
 
 
 class _SharedScan(_Scan):
     """A scan several same-region queries take turns on.
 
-    Child-node construction, envelope block fetches, node bounds and
-    leaf-window reads are each computed once per batch and memoized,
-    handing back read-only arrays. Envelope/children keys are the node
-    (``None`` for the roots: all queries share one region and one root
-    cover, so region filtering agrees); bounds additionally key on the
-    model instance, so same-model queries (different k, direction, or
-    deadline) share bound work. Each query's counter is still charged
-    exactly what the unshared path charges — the batch saves wall clock,
-    never counted (attributable) work.
+    Node bounds are computed once per batch and memoized per node id in
+    dense per-model tables, so a member's wave costs two fancy-indexes
+    for whatever part of it another member already bounded; same-model
+    queries (different k, direction, or deadline) share one table. Each
+    query's counter is still charged exactly what the unshared path
+    charges — the batch saves wall clock, never counted (attributable)
+    work.
     """
 
     def __init__(
         self, engine, region, roots, pruning, heuristic_margin, models
     ):
         super().__init__(engine, region, roots, pruning, heuristic_margin)
-        self._memo: dict[tuple, object] = {}
         # Plain linear models sharing one attribute order are bounded
-        # *stacked*: the first query to pop a block computes the whole
-        # group's bounds in one elementwise pass (bitwise identical per
-        # row to each model's own evaluate_interval_batch) and seeds the
-        # memo for everyone. Other model families bound per model.
-        linear_groups: dict[tuple[str, ...], list[LinearModel]] = {}
+        # *stacked*: the first query to reach a block of nodes computes
+        # the whole group's bounds in one elementwise pass (bitwise
+        # identical per row to each model's own evaluate_interval_batch)
+        # and fills every member's table. Other model families, and
+        # lone linear models, are groups of one.
+        groups: dict[object, list[Model]] = {}
         for model in models:
-            if type(model) is LinearModel:
-                group = linear_groups.setdefault(model.attributes, [])
-                if not any(member is model for member in group):
-                    group.append(model)
-        self._stack_group_of: dict[int, list[LinearModel]] = {
-            id(member): group
-            for group in linear_groups.values()
-            if len(group) >= 2
-            for member in group
-        }
+            key = (
+                model.attributes if type(model) is LinearModel else id(model)
+            )
+            group = groups.setdefault(key, [])
+            if not any(member is model for member in group):
+                group.append(model)
+        n_nodes = self.depth.size
+        #: id(model) -> (its group, the group's "bounded" mask, its own
+        #: (2, n_nodes) low/high table).
+        self._memo = {}
+        for group in groups.values():
+            known = np.zeros(n_nodes, dtype=bool)
+            for member in group:
+                self._memo[id(member)] = (
+                    group, known, np.empty((2, n_nodes))
+                )
 
-    def children(self, node):
-        # The dropped count is memoized beside the list so every query's
-        # audit records the same region-miss tally its solo search would.
-        cached = self._memo.get(("children", node))
-        if cached is None:
-            cached = self._memo["children", node] = super().children(node)
-        return cached
-
-    def envelopes(self, parent, nodes):
-        cached = self._memo.get(("envelopes", parent))
-        if cached is None:
-            cached = super().envelopes(parent, nodes)
-            self._memo["envelopes", parent] = cached
-        return cached
-
-    def bounds(self, model, parent, nodes):
-        key = ("bounds", id(model), parent)
-        if key not in self._memo:
-            group = self._stack_group_of.get(id(model))
-            if group is None:
-                self._memo[key] = super().bounds(model, parent, nodes)
+    def bounds(self, model, ids):
+        group, known, table = self._memo[id(model)]
+        missing = ids[~known[ids]]
+        if missing.size:
+            lows, highs = self.screen.envelope_block(missing, self.margin)
+            if len(group) == 1:
+                table[:, missing] = model.evaluate_interval_batch(lows, highs)
             else:
-                lows, highs = self.envelopes(parent, nodes)
                 for member, member_bounds in zip(
                     group, stacked_interval_batch(group, lows, highs)
                 ):
-                    self._memo["bounds", id(member), parent] = member_bounds
-        return self._memo[key]
-
-    def grid(self, window):
-        cached = self._memo.get(("grid", window))
-        if cached is None:
-            cached = self._memo["grid", window] = super().grid(window)
-            for coordinates in cached:
-                coordinates.setflags(write=False)
-        return cached
-
-    def window(self, name, window, counter):
-        view = self._memo.get(("window", name, window))
-        if view is None:
-            # Charge-free read into the memo; every consumer is charged
-            # below, exactly like its own read_window call would be.
-            view = super().window(name, window, None)
-            self._memo["window", name, window] = view
-        counter.add_data_points(view.size)
-        return view
-
-    def cells(self, name, window, rows, cols):
-        values = self._memo.get(("cells", name, window))
-        if values is None:
-            values = super().cells(name, window, rows, cols)
-            values.setflags(write=False)
-            self._memo["cells", name, window] = values
-        return values
+                    self._memo[id(member)][2][:, missing] = member_bounds
+            known[missing] = True
+        return table[0, ids], table[1, ids]
 
 
 class RasterRetrievalEngine:
@@ -589,6 +585,10 @@ class RasterRetrievalEngine:
         (min/max envelopes — exact results, the default) or
         ``"heuristic"`` (mean +/- ``heuristic_margin`` half-spreads —
         faster, may *miss answers*; the DESIGN.md pruning-rule ablation).
+        Which answers it misses depends on the order nodes are expanded
+        in (an unsound bound prunes against whatever threshold the heap
+        holds at the time), so heuristic results are reproducible but
+        tied to :data:`WAVE_WIDTH`; sound results are not.
 
         ``work_budget`` makes the retrieval *anytime* (Section 3.1's
         "incremental generation of model predictions"): once counted
@@ -598,8 +598,8 @@ class RasterRetrievalEngine:
 
         ``cancel`` makes the tile search cooperatively cancellable
         (deadline or explicit): the branch-and-bound loop polls the
-        token between frontier pops and, once it fires, returns a
-        partial result flagged ``complete=False`` whose answers are
+        token between waves of frontier pops and, once it fires, returns
+        a partial result flagged ``complete=False`` whose answers are
         prefix-sound — every returned score is exact, but better cells
         may remain unexplored. Only the tile path polls; the
         ``use_tiles=False`` strategies evaluate one window and finish.
@@ -611,7 +611,8 @@ class RasterRetrievalEngine:
             )
         region = query.clip_region(self.stack.shape)
         scan = _Scan(
-            self, region, [self.screen.root()], pruning, heuristic_margin
+            self, region, np.zeros(1, dtype=np.intp), pruning,
+            heuristic_margin,
         )
         if work_budget is not None:
             if work_budget <= 0:
@@ -640,7 +641,8 @@ class RasterRetrievalEngine:
         if use_tiles:
             self._search([state], scan)
         else:
-            self._evaluate_window(state, region, scan)
+            rows, cols, _ = scan.cells(np.array([region]))
+            self._evaluate_cells(state, rows, cols, scan)
 
         strategy = {
             (True, True): "both",
@@ -759,7 +761,7 @@ class RasterRetrievalEngine:
         pruning and never drops an answer.
 
         ``cancel`` (a :class:`~repro.service.tracing.CancellationToken`)
-        is polled between frontier pops; when it fires the shard stops
+        is polled between waves of frontier pops; when it fires the shard stops
         promptly, leaving its exact discoveries in the shared heap.
         Returns whether the shard ran to completion (``False`` when the
         token stopped it early).
@@ -769,7 +771,7 @@ class RasterRetrievalEngine:
             cancel=cancel,
         )
         scan = _Scan(
-            self, region, self.screen.region_roots(region), pruning,
+            self, region, self.screen.region_root_ids(region), pruning,
             heuristic_margin,
         )
         self._search([_ScanState(spec, fusion=fusion)], scan)
@@ -794,7 +796,7 @@ class RasterRetrievalEngine:
         attributable work its solo search would have counted. A group of
         one shares nothing and is exactly the solo search.
 
-        Queries advance round-robin, one frontier step per turn; a query
+        Queries advance round-robin, one wave per turn; a query
         *retires* — drops out of the scan while the others continue —
         when its frontier empties, when its best remaining bound falls
         below its own top-K threshold, or when its cancel token fires
@@ -814,7 +816,7 @@ class RasterRetrievalEngine:
                     f"model {type(spec.query.model).__name__} cannot bound "
                     "intervals; tile search needs evaluate_interval"
                 )
-        roots = self.screen.region_roots(region)
+        roots = self.screen.region_root_ids(region)
         if len(specs) > 1:
             scan = _SharedScan(
                 self, region, roots, pruning, heuristic_margin,
@@ -829,16 +831,18 @@ class RasterRetrievalEngine:
         to retirement: round-robin while several are alive (timing each
         turn into ``attributed_seconds``), and straight through once one
         is left — nobody remains to take turns with."""
+        roots = scan.roots.tolist()
         for state in states:
             spec = state.spec
             start = time.perf_counter()
             for upper, root in zip(
-                self._uppers(state, None, scan.roots, scan), scan.roots
+                self._uppers(state, scan.roots, scan).tolist(), roots
             ):
                 heapq.heappush(
                     state.frontier, (-upper, next(state.tiebreak), root)
                 )
-                spec.audit.root_tiles(root.depth, 1)
+            for depth, n_tiles in _per_depth(scan.depth[scan.roots]):
+                spec.audit.root_tiles(depth, n_tiles)
             spec.attributed_seconds += time.perf_counter() - start
         active = states
         while len(active) > 1:
@@ -857,14 +861,20 @@ class RasterRetrievalEngine:
             state.spec.attributed_seconds += time.perf_counter() - start
 
     def _step(self, state: _ScanState, scan: _Scan) -> bool:
-        """One frontier pop for one query; False once it retires.
+        """One wave of frontier pops for one query; False once it retires.
 
-        Best-first branch-and-bound over the tile screen, one decision
-        sequence for every caller: frontier-empty exit, then the cancel
-        poll and the budget stop, then the pop and threshold retirement,
-        then leaf evaluation or child screening. The token is polled
-        once per pop and leaf evaluations are never interrupted, so
-        every heap entry is an exact score.
+        Branch-and-bound over the tile screen, one decision sequence for
+        every caller: frontier-empty exit, then the cancel poll and the
+        budget stop, then the pops — one while the heap is still filling
+        (strict best-first finds the first threshold with the fewest
+        reads), up to :data:`WAVE_WIDTH` once it is full — then the
+        wave's leaves scored as one cell list, then the children of its
+        internal nodes bounded, screened and pushed as one block. A head
+        that no longer beats the threshold retires the rest of the
+        frontier, but the nodes this wave already popped beat it and are
+        still searched. The token is polled once per wave and leaf
+        evaluations are never interrupted, so every heap entry is an
+        exact score.
         """
         spec = state.spec
         frontier = state.frontier
@@ -885,7 +895,7 @@ class RasterRetrievalEngine:
         ):
             stop = "budget"
         if stop is not None:
-            _audit_abandoned(audit, frontier, stop)
+            _audit_abandoned(audit, frontier, stop, scan)
             if state.work_budget is not None:
                 # Anytime regret: the best remaining frontier bound caps
                 # how much any unexamined location can beat the K-th best.
@@ -893,115 +903,114 @@ class RasterRetrievalEngine:
                     0.0, -frontier[0][0] - heap.threshold
                 )
             return False
-        neg_upper, _, node = heapq.heappop(frontier)
-        if heap.full and -neg_upper < heap.threshold:
-            # Every remaining node is bounded below the K-th best: the
-            # popped node and the rest of the frontier retire under the
-            # global threshold (waterfall reason only — they are not
-            # envelope prunes, so ``tiles_pruned`` stays untouched).
-            audit.prune_tiles(node.depth, 1, reason="threshold")
-            _audit_abandoned(audit, frontier, "threshold")
-            frontier.clear()
-            return False
-        if node.is_leaf:
-            row0, col0, row1, col1 = node.window
-            region_row0, region_col0, region_row1, region_col1 = scan.region
-            window = (
-                max(row0, region_row0),
-                max(col0, region_col0),
-                min(row1, region_row1),
-                min(col1, region_col1),
-            )
-            self._evaluate_window(state, window, scan)
-            return True
-        children, region_dropped = scan.children(node)
-        if region_dropped:
-            audit.prune_tiles(
-                node.depth + 1, region_dropped, reason="region"
-            )
-        if not children:
-            return True
-        child_uppers = self._uppers(state, node, children, scan)
-        audit.screen_tiles(node.depth + 1, len(children))
-        # One threshold read covers the whole sibling batch: the heap
-        # cannot change between siblings here (offers happen only at
-        # leaves), and under a shared heap a concurrently-raised
-        # threshold only ever tightens pruning.
+        # One threshold read covers the wave's pops: the heap cannot
+        # change until the leaves below are offered, and under a shared
+        # heap a concurrently-raised threshold only tightens pruning.
         full = heap.full
-        prune_below = heap.threshold
-        for child_upper, child in zip(child_uppers, children):
-            if full and child_upper < prune_below:
-                audit.prune_tiles(child.depth, 1)
-                continue
-            heapq.heappush(
-                frontier, (-child_upper, next(state.tiebreak), child)
-            )
+        threshold = heap.threshold
+        width = WAVE_WIDTH if full else 1
+        popped = []
+        while frontier and len(popped) < width:
+            if full and -frontier[0][0] < threshold:
+                # Every remaining node is bounded below the K-th best:
+                # the whole frontier retires under the global threshold
+                # (waterfall reason only — these are not envelope
+                # prunes, so ``tiles_pruned`` stays untouched).
+                _audit_abandoned(audit, frontier, "threshold", scan)
+                frontier.clear()
+                break
+            popped.append(heapq.heappop(frontier)[2])
+        if not popped:
+            return False
+        nodes = np.array(popped)
+        at_leaf = scan.leaf[nodes]
+        leaves = nodes[at_leaf]
+        if leaves.size:
+            rows, cols, sizes = scan.leaf_cells(leaves)
+            self._evaluate_cells(state, rows, cols, scan, leaves, sizes)
+        children = scan.child[nodes[~at_leaf]].reshape(-1)
+        children = children[children >= 0]
+        if scan.clips and children.size:
+            inside = scan.inside(children)
+            for depth, n_tiles in _per_depth(scan.depth[children[~inside]]):
+                audit.prune_tiles(depth, n_tiles, reason="region")
+            children = children[inside]
+        if not children.size:
+            return True
+        uppers = self._uppers(state, children, scan)
+        depths = scan.depth[children]
+        for depth, n_tiles in _per_depth(depths):
+            audit.screen_tiles(depth, n_tiles)
+        if heap.full:
+            # Read after the wave's leaves were offered: they can only
+            # have raised it.
+            pruned = uppers < heap.threshold
+            if pruned.any():
+                for depth, n_tiles in _per_depth(depths[pruned]):
+                    audit.prune_tiles(depth, n_tiles)
+                children, uppers = children[~pruned], uppers[~pruned]
+        for upper, child in zip(uppers.tolist(), children.tolist()):
+            heapq.heappush(frontier, (-upper, next(state.tiebreak), child))
         return True
 
-    def _uppers(
-        self,
-        state: _ScanState,
-        parent: ScreenNode | None,
-        nodes: list[ScreenNode],
-        scan: _Scan,
-    ) -> list[float]:
-        """Signed upper bounds of ``nodes`` for one query's objective.
+    def _uppers(self, state: _ScanState, ids: np.ndarray, scan: _Scan):
+        """Signed upper bounds (an array) of the nodes ``ids`` for one
+        query's objective.
 
-        ``nodes`` are ``parent``'s in-region children, or the scan's
-        roots when ``parent`` is ``None``. One block evaluation replaces
-        scalar interval calls; charged as ``len(nodes)`` scalar
-        boundings (one aggregate-node visit per attribute per node, one
-        partial model evaluation per node) whether or not the scan
-        answered from a memo.
+        One block evaluation replaces scalar interval calls; charged as
+        ``len(ids)`` scalar boundings (one aggregate-node visit per
+        attribute per node, one partial model evaluation per node)
+        whether or not the scan answered from a memo.
         """
         counter = state.spec.counter
-        counter.add_nodes(len(nodes) * len(self.screen.attributes))
-        counter.add_partial_evals(
-            len(nodes), flops_each=state.model.complexity
-        )
-        low, high = scan.bounds(state.model, parent, nodes)
+        counter.add_nodes(len(ids) * len(self.screen.attributes))
+        counter.add_partial_evals(len(ids), flops_each=state.model.complexity)
+        low, high = scan.bounds(state.model, ids)
         if state.fusion is not None:
-            low, high = state.fusion.combine_bounds(nodes, low, high, counter)
-        uppers = high if state.sign > 0 else -low
-        return uppers.tolist()
+            low, high = state.fusion.combine_bounds(ids, low, high, counter)
+        return high if state.sign > 0 else -low
 
-    def _evaluate_window(
+    def _evaluate_cells(
         self,
         state: _ScanState,
-        window: tuple[int, int, int, int],
+        rows: np.ndarray,
+        cols: np.ndarray,
         scan: _Scan,
+        leaves: np.ndarray | None = None,
+        sizes: np.ndarray | None = None,
     ) -> None:
-        """Exact evaluation of a window, with optional level cascade.
+        """Exact evaluation of a cell list, with optional level cascade.
 
-        Cell-grid and attribute reads go through ``scan`` (a shared scan
-        serves them from its batch-wide memo), while the query's counter
-        is charged exactly as an unshared read charges — sharing saves
-        wall clock, never counted work.
+        The one leaf routine: a wave's leaf windows arrive concatenated
+        (``leaves``/``sizes`` say which screen leaves, and how many
+        cells of each, back to back), ``use_tiles=False`` passes its one
+        rectangle. Every attribute read goes through ``scan``; the
+        query's counter is charged per value read, exactly as a solo
+        read charges — sharing saves wall clock, never counted work.
 
-        A ``state.fusion`` spec blends the containing tile's embedding
-        cosine into every cell's score before the sign is applied; fused
-        windows arrive from the tile search, so each lies inside a
-        single screen leaf and shares one cosine.
+        A ``state.fusion`` spec blends each cell's leaf-tile embedding
+        cosine into its score before the sign is applied (fused cells
+        always arrive with their ``leaves``).
         """
-        row0, col0, row1, col1 = window
-        if row0 >= row1 or col0 >= col1:
+        if rows.size == 0:
             return
         spec = state.spec
-        query, progressive = spec.query, spec.progressive
         heap, counter, audit = spec.heap, spec.counter, spec.audit
         sign = state.sign
-        model = query.model
-        rows, cols = scan.grid(window)
+        model = state.model
 
-        if progressive is None:
+        if spec.progressive is None:
             columns = {
-                name: scan.window(name, window, counter)
+                name: scan.read(name, rows, cols)
                 for name in model.attributes
             }
-            scores = model.evaluate_batch(columns).reshape(-1)
+            counter.add_data_points(rows.size * len(columns))
+            scores = model.evaluate_batch(columns)
             counter.add_model_evals(scores.size, flops_each=model.complexity)
             if state.fusion is not None:
-                scores = state.fusion.combine_window(window, scores, counter)
+                scores = state.fusion.combine_leaves(
+                    leaves, sizes, scores, counter
+                )
             heap.offer_block(sign * scores, rows, cols)
             return
 
@@ -1011,36 +1020,29 @@ class RasterRetrievalEngine:
         # descending partial-score order ("more complete model on the
         # regions predicted high risk sooner", Section 3.1): the heap
         # fills with strong scores early, so later candidates prune after
-        # reading only the first attribute.
-        coefficients = progressive.model.coefficients
-        ordered = [term.attribute for term in progressive.contributions]
-        n_levels = len(ordered)
-
-        first_attribute = ordered[0]
+        # reading only the first attribute. Partial sums accumulate in
+        # contribution order — the arithmetic the ``both-*`` strategy
+        # labels promise (ROADMAP 2a changes the offered value here).
+        coefficients = model.coefficients
+        ordered, signed_tails = state.ordered, state.signed_tails
         audit.enter_level(1, rows.size)
-        values = scan.cells(first_attribute, window, rows, cols)
+        values = scan.read(ordered[0], rows, cols)
         counter.add_data_points(values.size)
-        partial = progressive.model.intercept + (
-            coefficients[first_attribute] * values
-        )
+        partial = model.intercept + coefficients[ordered[0]] * values
         counter.add_partial_evals(values.size, flops_each=2)
-
-        if n_levels == 1:
+        if len(ordered) == 1:
             heap.offer_block(sign * partial, rows, cols)
             return
 
         signed_partial = sign * partial
         order = np.argsort(-signed_partial, kind="stable")
-        tail_low_1, tail_high_1 = progressive._tail_bounds(1)
-        signed_tail_1 = max(sign * tail_low_1, sign * tail_high_1)
-
-        block_size = max(4 * query.k, 256)
+        block_size = max(4 * spec.query.k, 256)
         for start in range(0, order.size, block_size):
             block = order[start: start + block_size]
             # Every remaining candidate's bound is at most the block
             # leader's; once that falls below the K-th best, stop.
             if heap.full and (
-                signed_partial[block[0]] + signed_tail_1 < heap.threshold
+                signed_partial[block[0]] + signed_tails[0] < heap.threshold
             ):
                 audit.prune_at_level(1, int(order.size - start))
                 break
@@ -1050,9 +1052,7 @@ class RasterRetrievalEngine:
             block_partial = partial[block]
             for level, attribute in enumerate(ordered[1:], start=2):
                 if heap.full:
-                    tail_low, tail_high = progressive._tail_bounds(level - 1)
-                    signed_tail = max(sign * tail_low, sign * tail_high)
-                    upper = sign * block_partial + signed_tail
+                    upper = sign * block_partial + signed_tails[level - 2]
                     keep = upper >= heap.threshold
                     pruned = int(np.count_nonzero(~keep))
                     if pruned:
@@ -1063,9 +1063,7 @@ class RasterRetrievalEngine:
                         if block_rows.size == 0:
                             break
                 audit.enter_level(level, block_rows.size)
-                layer_values = self.stack[attribute].gather(
-                    block_rows, block_cols
-                )
+                layer_values = scan.read(attribute, block_rows, block_cols)
                 counter.add_data_points(layer_values.size)
                 block_partial = block_partial + (
                     coefficients[attribute] * layer_values

@@ -8,11 +8,15 @@ aligned, so any tree node corresponds to one spatial window with a
 ``Model.evaluate_interval`` needs to bound scores over the window.
 
 Screen nodes are the branch-and-bound frontier of the retrieval engine.
-Since PR 2 they are plain ``(depth, row_index, col_index)`` coordinates
-into the quadtrees' per-depth aggregate grids: envelope assembly for a
-whole frontier (:meth:`TileScreen.envelopes_block`) is one fancy-index
-per depth into arrays stacked ``(n_attrs, n_row_intervals,
-n_col_intervals)``, not a walk over node objects.
+Inside the search a node is one integer: its position in the screen's
+*flat node tables*, every depth's grid concatenated in depth order
+(``id = offset[depth] + row_index * n_cols[depth] + col_index``). The
+envelopes are two ``(n_attrs, n_nodes)`` arrays and the structure —
+child ids, windows, leaf mask, depth — four more, so bounding, region
+filtering and auditing a whole wave of nodes is a handful of
+fancy-indexes (:meth:`TileScreen.envelope_block`). :class:`ScreenNode`
+objects exist only at the public edges (:meth:`TileScreen.root`,
+:meth:`~TileScreen.children`, :meth:`~TileScreen.region_roots`).
 """
 
 from __future__ import annotations
@@ -64,10 +68,14 @@ class TileScreen:
         evaluation, so smaller leaves prune more but bound more often.
 
     All per-attribute trees share one structure (same shape, same leaf
-    size), so alignment holds by construction; their per-depth min/max
-    grids are stacked into ``(n_attrs, n_rows, n_cols)`` arrays so a
-    frontier of nodes resolves to per-attribute envelope *arrays* in one
-    indexing operation per depth.
+    size), so alignment holds by construction. The flat tables are public
+    read-only state for the engine: ``lows``/``highs`` ``(n_attrs,
+    n_nodes)`` envelopes (rewritten in place by :meth:`refresh_region`),
+    and the structure tables ``child`` ``(n_nodes, 4)`` (-1 where a node
+    has fewer than four children), ``window`` ``(n_nodes, 4)``, ``leaf``
+    and ``depth`` ``(n_nodes,)``, built once and never touched again.
+    Grid entries that are no tree node (a leaf's intervals persist to
+    deeper grids) occupy ids no ``child`` row ever names.
     """
 
     def __init__(
@@ -88,19 +96,79 @@ class TileScreen:
             name: QuadTree(stack[name], leaf_size=leaf_size)
             for name in self.attributes
         }
-        self._structure = self._trees[self.attributes[0]]
-        self._level_mins = [
-            np.stack(
-                [self._trees[name].level_mins(depth) for name in self.attributes]
-            )
-            for depth in range(self._structure.n_depths)
+        self._structure = structure = self._trees[self.attributes[0]]
+        shapes = [
+            structure.level_shape(depth) for depth in range(structure.n_depths)
         ]
-        self._level_maxs = [
-            np.stack(
-                [self._trees[name].level_maxs(depth) for name in self.attributes]
+        self._n_cols = [n_cols for _, n_cols in shapes]
+        self._offsets = [0]
+        for n_rows, n_cols in shapes:
+            self._offsets.append(self._offsets[-1] + n_rows * n_cols)
+        n_attrs, n_nodes = len(self.attributes), self._offsets[-1]
+        self.lows = np.empty((n_attrs, n_nodes))
+        self.highs = np.empty((n_attrs, n_nodes))
+        self._copy_envelopes()
+        self._build_structure_tables()
+
+    def _copy_envelopes(self) -> None:
+        """Write every attribute tree's per-depth grids into their
+        slices of the flat envelope arrays, in place."""
+        for a, name in enumerate(self.attributes):
+            tree = self._trees[name]
+            for depth, (start, stop) in enumerate(
+                zip(self._offsets, self._offsets[1:])
+            ):
+                self.lows[a, start:stop] = tree.level_mins(depth).ravel()
+                self.highs[a, start:stop] = tree.level_maxs(depth).ravel()
+
+    def _build_structure_tables(self) -> None:
+        """Child ids, windows, leaf mask and depth of every node id.
+
+        Children sit in row-major slot order — the order the recursive
+        build appends them in — with -1 in the slots of an unsplit axis,
+        so dropping the negatives of ``child[ids]`` lists each node's
+        children exactly as :meth:`QuadTree.child_indices` does.
+        """
+        structure, leaf_size = self._structure, self.leaf_size
+        children, windows, leaves, depths = [], [], [], []
+        for depth in range(structure.n_depths):
+            row_starts, row_lengths, col_starts, col_lengths = (
+                structure.level_intervals(depth)
             )
-            for depth in range(self._structure.n_depths)
-        ]
+            shape = (row_starts.size, col_starts.size)
+            window = np.empty(shape + (4,), dtype=np.intp)
+            window[..., 0] = row_starts[:, None]
+            window[..., 1] = col_starts[None, :]
+            window[..., 2] = (row_starts + row_lengths)[:, None]
+            window[..., 3] = (col_starts + col_lengths)[None, :]
+            tall = (row_lengths > leaf_size)[:, None]
+            wide = (col_lengths > leaf_size)[None, :]
+            child = np.full(shape + (4,), -1, dtype=np.intp)
+            if depth < structure.max_depth:
+                # A child interval starts where its parent does.
+                next_rows, _, next_cols, _ = structure.level_intervals(
+                    depth + 1
+                )
+                first = (
+                    self._offsets[depth + 1]
+                    + np.searchsorted(next_rows, row_starts)[:, None]
+                    * next_cols.size
+                    + np.searchsorted(next_cols, col_starts)[None, :]
+                )
+                child[..., 0] = np.where(tall | wide, first, -1)
+                child[..., 1] = np.where(wide, first + 1, -1)
+                child[..., 2] = np.where(tall, first + next_cols.size, -1)
+                child[..., 3] = np.where(
+                    tall & wide, first + next_cols.size + 1, -1
+                )
+            children.append(child.reshape(-1, 4))
+            windows.append(window.reshape(-1, 4))
+            leaves.append(~(tall | wide).reshape(-1))
+            depths.append(np.full(leaves[-1].size, depth, dtype=np.intp))
+        self.child = np.concatenate(children)
+        self.window = np.concatenate(windows)
+        self.leaf = np.concatenate(leaves)
+        self.depth = np.concatenate(depths)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,38 +193,41 @@ class TileScreen:
         The region-scoped invalidation hook: after an in-place mutation
         of the underlying layers (disk-store ``append_region``), each
         attribute tree recomputes only the touched leaf aggregates and
-        re-derives its coarser grids, and the stacked per-depth envelope
-        arrays are re-stacked. Without this the screen would keep
-        pruning against pre-mutation envelopes — silently unsound.
+        re-derives its coarser grids, which are then copied into the
+        flat envelope arrays in place — the structure tables depend on
+        the grid shape alone and are not rebuilt. Without this the
+        screen would keep pruning against pre-mutation envelopes —
+        silently unsound.
         """
         for name in self.attributes:
             self._trees[name].refresh_region(region)
-        self._level_mins = [
-            np.stack(
-                [self._trees[name].level_mins(depth) for name in self.attributes]
-            )
-            for depth in range(self._structure.n_depths)
-        ]
-        self._level_maxs = [
-            np.stack(
-                [self._trees[name].level_maxs(depth) for name in self.attributes]
-            )
-            for depth in range(self._structure.n_depths)
-        ]
+        self._copy_envelopes()
 
-    def _make_node(self, depth: int, i: int, j: int) -> ScreenNode:
-        structure = self._structure
+    def node_id(self, node: ScreenNode) -> int:
+        """Flat-table id of a screen node."""
+        return (
+            self._offsets[node.depth]
+            + node.row_index * self._n_cols[node.depth]
+            + node.col_index
+        )
+
+    def node(self, node_id: int) -> ScreenNode:
+        """The :class:`ScreenNode` at a flat-table id."""
+        depth = int(self.depth[node_id])
+        row_index, col_index = divmod(
+            int(node_id) - self._offsets[depth], self._n_cols[depth]
+        )
         return ScreenNode(
             depth=depth,
-            row_index=i,
-            col_index=j,
-            window=structure.index_window(depth, i, j),
-            is_leaf=structure.index_is_leaf(depth, i, j),
+            row_index=row_index,
+            col_index=col_index,
+            window=tuple(self.window[node_id].tolist()),
+            is_leaf=bool(self.leaf[node_id]),
         )
 
     def root(self) -> ScreenNode:
         """The whole-grid screen node."""
-        return self._make_node(0, 0, 0)
+        return self.node(0)
 
     def children(self, node: ScreenNode) -> list[ScreenNode]:
         """Aligned children of a screen node (empty for leaves).
@@ -165,10 +236,9 @@ class TileScreen:
         per-attribute window matching — alignment holds by construction.
         """
         return [
-            self._make_node(node.depth + 1, i, j)
-            for i, j in self._structure.child_indices(
-                node.depth, node.row_index, node.col_index
-            )
+            self.node(child)
+            for child in self.child[self.node_id(node)].tolist()
+            if child >= 0
         ]
 
     def envelopes(
@@ -181,41 +251,34 @@ class TileScreen:
         """
         if counter is not None:
             counter.add_nodes(len(self.attributes))
-        mins = self._level_mins[node.depth][:, node.row_index, node.col_index]
-        maxs = self._level_maxs[node.depth][:, node.row_index, node.col_index]
+        node_id = self.node_id(node)
         return {
             name: (float(low), float(high))
-            for name, low, high in zip(self.attributes, mins, maxs)
+            for name, low, high in zip(
+                self.attributes, self.lows[:, node_id], self.highs[:, node_id]
+            )
         }
 
-    def envelopes_block(
-        self, nodes: list[ScreenNode], counter: CostCounter | None = None
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per-attribute (mins, maxs) arrays over a frontier of nodes.
+    def envelope_block(
+        self, ids: np.ndarray, margin: float | None = None
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Per-attribute ``(lows, highs)`` dicts over an array of node ids.
 
-        The batched counterpart of :meth:`envelopes`: element ``p`` of
-        each returned array pair is the envelope of ``nodes[p]``. Mixed
-        depths are allowed (``region_roots`` covers produce them); nodes
-        are grouped per depth and resolved with one fancy-index each.
-        Charged identically to ``len(nodes)`` scalar calls.
+        The batched counterpart of :meth:`envelopes`, in the shape
+        ``Model.evaluate_interval_batch`` takes: element ``p`` of each
+        array is the envelope of node ``ids[p]``, any mix of depths, one
+        fancy-index per side. With ``margin`` the envelopes are the
+        (unsound) :meth:`heuristic_envelopes`, same formula elementwise.
         """
-        if counter is not None:
-            counter.add_nodes(len(nodes) * len(self.attributes))
-        n_attrs = len(self.attributes)
-        lows = np.empty((n_attrs, len(nodes)))
-        highs = np.empty((n_attrs, len(nodes)))
-        by_depth: dict[int, list[int]] = {}
-        for position, node in enumerate(nodes):
-            by_depth.setdefault(node.depth, []).append(position)
-        for depth, positions in by_depth.items():
-            ii = np.array([nodes[p].row_index for p in positions])
-            jj = np.array([nodes[p].col_index for p in positions])
-            lows[:, positions] = self._level_mins[depth][:, ii, jj]
-            highs[:, positions] = self._level_maxs[depth][:, ii, jj]
-        return {
-            name: (lows[a], highs[a])
-            for a, name in enumerate(self.attributes)
-        }
+        lows, highs = self.lows[:, ids], self.highs[:, ids]
+        if margin is not None:
+            if margin < 0:
+                raise PlanError("margin must be non-negative")
+            half_spread = (highs - lows) / 2.0
+            midpoint = (lows + highs) / 2.0
+            lows = midpoint - margin * half_spread
+            highs = midpoint + margin * half_spread
+        return dict(zip(self.attributes, lows)), dict(zip(self.attributes, highs))
 
     def heuristic_envelopes(
         self,
@@ -240,33 +303,13 @@ class TileScreen:
             raise PlanError("margin must be non-negative")
         if counter is not None:
             counter.add_nodes(len(self.attributes))
-        mins = self._level_mins[node.depth][:, node.row_index, node.col_index]
-        maxs = self._level_maxs[node.depth][:, node.row_index, node.col_index]
+        node_id = self.node_id(node)
         result = {}
-        for name, low, high in zip(self.attributes, mins, maxs):
+        for name, low, high in zip(
+            self.attributes, self.lows[:, node_id], self.highs[:, node_id]
+        ):
             half_spread = (float(high) - float(low)) / 2.0
             midpoint = (float(low) + float(high)) / 2.0
-            result[name] = (
-                midpoint - margin * half_spread,
-                midpoint + margin * half_spread,
-            )
-        return result
-
-    def heuristic_envelopes_block(
-        self,
-        nodes: list[ScreenNode],
-        margin: float,
-        counter: CostCounter | None = None,
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Batched :meth:`heuristic_envelopes` (same formula, same
-        counter charge, arrays instead of scalars)."""
-        if margin < 0:
-            raise PlanError("margin must be non-negative")
-        envelopes = self.envelopes_block(nodes, counter)
-        result = {}
-        for name, (lows, highs) in envelopes.items():
-            half_spread = (highs - lows) / 2.0
-            midpoint = (lows + highs) / 2.0
             result[name] = (
                 midpoint - margin * half_spread,
                 midpoint + margin * half_spread,
@@ -287,6 +330,12 @@ class TileScreen:
         the region, and together they cover it (leaves may overhang; the
         engine clips leaf evaluation to the region).
         """
+        return [self.node(i) for i in self.region_root_ids(region).tolist()]
+
+    def region_root_ids(
+        self, region: tuple[int, int, int, int]
+    ) -> np.ndarray:
+        """:meth:`region_roots` as flat-table ids, in window order."""
         rows, cols = self.shape
         row0, col0 = max(0, region[0]), max(0, region[1])
         row1, col1 = min(rows, region[2]), min(cols, region[3])
@@ -294,36 +343,25 @@ class TileScreen:
             raise PlanError(
                 f"region {region} does not intersect grid {self.shape}"
             )
-        structure = self._structure
-        result: list[ScreenNode] = []
-        stack: list[tuple[int, int, int]] = [(0, 0, 0)]
-        while stack:
-            depth, i, j = stack.pop()
-            node_row0, node_col0, node_row1, node_col1 = (
-                structure.index_window(depth, i, j)
+        cover = []
+        ids = np.zeros(1, dtype=np.intp)
+        while ids.size:  # one tree level per turn
+            window = self.window[ids].T
+            touching = (
+                (window[0] < row1) & (row0 < window[2])
+                & (window[1] < col1) & (col0 < window[3])
             )
-            if not (
-                node_row0 < row1
-                and row0 < node_row1
-                and node_col0 < col1
-                and col0 < node_col1
-            ):
-                continue
-            contained = (
-                row0 <= node_row0
-                and node_row1 <= row1
-                and col0 <= node_col0
-                and node_col1 <= col1
+            ids, window = ids[touching], window[:, touching]
+            resolved = self.leaf[ids] | (
+                (row0 <= window[0]) & (window[2] <= row1)
+                & (col0 <= window[1]) & (window[3] <= col1)
             )
-            if contained or structure.index_is_leaf(depth, i, j):
-                result.append(self._make_node(depth, i, j))
-                continue
-            stack.extend(
-                (depth + 1, child_i, child_j)
-                for child_i, child_j in structure.child_indices(depth, i, j)
-            )
-        result.sort(key=lambda screen_node: screen_node.window[:2])
-        return result
+            cover.append(ids[resolved])
+            ids = self.child[ids[~resolved]].reshape(-1)
+            ids = ids[ids >= 0]
+        cover = np.concatenate(cover)
+        origin = self.window[cover]
+        return cover[np.lexsort((origin[:, 1], origin[:, 0]))]
 
     def attribute_ranges(self) -> dict[str, tuple[float, float]]:
         """Whole-grid (min, max) per attribute (root envelopes)."""

@@ -18,7 +18,7 @@ cosine inside its cap, the blend of the two upper (lower) bounds upper-
 monotone under multiplication by a non-negative constant and addition,
 the *computed* bound also dominates the *computed* leaf score, so the
 bitwise tie-break conventions survive fusion. The engine consumes the
-spec duck-typed (:meth:`combine_bounds` / :meth:`combine_window`), which
+spec duck-typed (:meth:`combine_bounds` / :meth:`combine_leaves`), which
 keeps ``repro.core`` free of an embed dependency.
 """
 
@@ -59,7 +59,11 @@ class FusionSpec:
         self.dim = dim
         self.n_tiles = n_tiles
         self._cosines = cosines
-        self._caps = caps
+        # Caps flattened into the tile screen's node-id layout (every
+        # depth's grid concatenated in depth order), so a wave of node
+        # ids resolves to its caps in one fancy-index per side.
+        self._cap_lows = np.concatenate([low.ravel() for low, _ in caps])
+        self._cap_highs = np.concatenate([high.ravel() for _, high in caps])
         self._row_starts = row_starts
         self._col_starts = col_starts
 
@@ -102,22 +106,17 @@ class FusionSpec:
 
     def combine_bounds(
         self,
-        nodes: list,
+        ids: np.ndarray,
         low: np.ndarray,
         high: np.ndarray,
         counter,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Blend model interval bounds with per-node cosine caps."""
-        cos_low = np.empty(len(nodes))
-        cos_high = np.empty(len(nodes))
-        for position, node in enumerate(nodes):
-            node_low, node_high = self._caps[node.depth]
-            cos_low[position] = node_low[node.row_index, node.col_index]
-            cos_high[position] = node_high[node.row_index, node.col_index]
-        counter.add_partial_evals(len(nodes), flops_each=BLEND_FLOPS)
+        """Blend model interval bounds with the cosine caps of the
+        screen nodes ``ids``."""
+        counter.add_partial_evals(len(ids), flops_each=BLEND_FLOPS)
         return (
-            self.alpha * low + self.beta * cos_low,
-            self.alpha * high + self.beta * cos_high,
+            self.alpha * low + self.beta * self._cap_lows[ids],
+            self.alpha * high + self.beta * self._cap_highs[ids],
         )
 
     def blend(self, scores: np.ndarray, cosines) -> np.ndarray:
@@ -136,7 +135,7 @@ class FusionSpec:
 
         The embed-scan strategy and the exhaustive oracle broadcast tile
         cosines to cells through this one lookup, so both see the exact
-        floats :meth:`tile_cosine` hands the progressive leaf blend.
+        floats :meth:`combine_leaves` blends into the progressive leaves.
         """
         row_tiles = (
             np.searchsorted(
@@ -156,28 +155,21 @@ class FusionSpec:
         )
         return self._cosines[np.ix_(row_tiles, col_tiles)]
 
-    def tile_cosine(self, window: tuple[int, int, int, int]) -> float:
-        """Cosine of the tile containing ``window``'s top-left cell."""
-        i = int(
-            np.searchsorted(self._row_starts, window[0], side="right") - 1
-        )
-        j = int(
-            np.searchsorted(self._col_starts, window[1], side="right") - 1
-        )
-        return float(self._cosines[i, j])
-
-    def combine_window(
+    def combine_leaves(
         self,
-        window: tuple[int, int, int, int],
+        ids: np.ndarray,
+        sizes: np.ndarray,
         scores: np.ndarray,
         counter,
     ) -> np.ndarray:
-        """Blend exact leaf scores with the leaf's (exact) cosine.
+        """Blend exact cell scores with their leaves' (exact) cosines.
 
-        Leaf windows from the tile search lie inside a single screen
-        leaf, so one cosine covers every cell: the blend is exactly the
-        per-cell fused objective, term-ordered as
-        ``alpha * model + beta * cosine``.
+        ``scores`` lists the cells of screen leaves ``ids`` back to back,
+        ``sizes[p]`` of them for ``ids[p]``. A leaf is one tile, so its
+        cap is its cosine — the float :meth:`region_cosines` hands the
+        embed-scan for every cell of that tile — repeated per cell; the
+        blend is the per-cell fused objective, term-ordered as
+        ``alpha * model + beta * cosine``. Charged once per leaf.
         """
-        counter.add_partial_evals(1, flops_each=BLEND_FLOPS)
-        return self.blend(scores, self.tile_cosine(window))
+        counter.add_partial_evals(len(ids), flops_each=BLEND_FLOPS)
+        return self.blend(scores, np.repeat(self._cap_lows[ids], sizes))

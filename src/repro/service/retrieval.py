@@ -31,8 +31,8 @@ Hardening (bounded-latency serving):
 * **Deadlines and cancellation** — ``top_k(..., deadline_s=...)`` (or a
   caller-owned :class:`~repro.service.tracing.CancellationToken` via
   ``cancel=``) threads one token through every shard's branch-and-bound
-  loop. When it fires, all shards stop at their next frontier pop and
-  the service returns a *partial* result flagged ``complete=False``:
+  loop. When it fires, all shards stop at their next wave of frontier
+  pops and the service returns a *partial* result flagged ``complete=False``:
   whatever the shared heap holds, every score exact (offers only happen
   after exact evaluation), but possibly not the true top-K. Partial
   results are never cached.

@@ -4,8 +4,8 @@ Two primitives the hardened :class:`~repro.service.retrieval
 .RetrievalService` threads through the engine hot path:
 
 * :class:`CancellationToken` — a latch the engine's branch-and-bound
-  loops poll between frontier pops. It fires either because a caller
-  called :meth:`CancellationToken.cancel` or because a wall-clock
+  loops poll between waves of frontier pops. It fires either because a
+  caller called :meth:`CancellationToken.cancel` or because a wall-clock
   deadline passed; tokens chain (``parent=``), so a service-created
   deadline token also observes a caller-supplied token. Cancellation is
   *cooperative*: shards notice the latch at loop granularity and return

@@ -53,6 +53,20 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture()
+def wave_width_one(monkeypatch):
+    """Run the tile search one frontier pop per step.
+
+    At ``WAVE_WIDTH = 1`` the search is node for node the strict
+    best-first loop it replaced, so expected values that *are* that
+    loop's work counts (pinned from earlier commits) stay valid without
+    being edited. Only tests whose expectations are such counts take
+    this fixture; everything that compares two runs of the current step,
+    or answers against an oracle, runs at the shipped width.
+    """
+    monkeypatch.setattr("repro.core.engine.WAVE_WIDTH", 1)
+
+
 @pytest.fixture(scope="session")
 def make_tie_stack():
     """Factory for stacks with heavy score-tie structure.

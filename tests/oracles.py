@@ -12,6 +12,8 @@ from first principles. The production paths must match these bitwise:
 * :func:`exhaustive_fused` — score every cell of a region as
   ``alpha * model + (1 - alpha) * cosine`` and rank, plus the exact
   counter dict the service's ``embed-scan`` strategy must produce.
+* :func:`exhaustive_cascade` — the same dense ranking under the level
+  cascade's contribution-order summation.
 * :func:`hull_layers_per_point` — convex-hull peeling that re-derives
   the distinct points and matches duplicates point by point on every
   layer; :func:`repro.index.hull.hull_layers` (which de-duplicates
@@ -137,6 +139,33 @@ def exhaustive_fused(
             + n_cells * BLEND_FLOPS
         )
     return answers, expected
+
+
+def exhaustive_cascade(
+    stack, progressive, query, region: tuple[int, int, int, int]
+) -> list[tuple[int, int, float]]:
+    """Reference answers under the level cascade's arithmetic.
+
+    The ``both`` / ``model-progressive`` strategies sum a linear model's
+    terms one at a time in *contribution order* (``progressive`` is the
+    query's :class:`ProgressiveLinearModel`), which can differ from
+    ``evaluate_batch`` in the last ulp; this scores every cell of
+    ``region`` that way and ranks with :func:`rank_top_k`.
+    """
+    row0, col0, row1, col1 = region
+    model = query.model
+    scores = model.intercept
+    for term in progressive.contributions:
+        window = stack[term.attribute].read_window(row0, col0, row1, col1, None)
+        scores = scores + model.coefficients[term.attribute] * window
+    scores = scores.reshape(-1)
+    sign = 1.0 if query.maximize else -1.0
+    flat = np.arange(scores.size)
+    ranked = rank_top_k(
+        sign * scores, row0 + flat // (col1 - col0),
+        col0 + flat % (col1 - col0), query.k,
+    )
+    return [(cell[0], cell[1], sign * signed) for signed, cell in ranked]
 
 
 def exact_answers(result) -> list[tuple[int, int, float]]:

@@ -251,7 +251,10 @@ PINNED = {
 
 class TestBudgetAndFusionKeepTheirNumbers:
     """The anytime budget and the fused bounds now run the shared step;
-    their outputs must be what the solo-only loop produced."""
+    their outputs must be what the solo-only loop produced. The pinned
+    numbers are work counts of strict best-first order, which the step
+    reproduces at wave width 1 (the ``wave_width_one`` fixture); the
+    values themselves are untouched."""
 
     @staticmethod
     def _scenarios(seed, make_noise_stack, make_random_linear_model):
@@ -278,6 +281,7 @@ class TestBudgetAndFusionKeepTheirNumbers:
             ),
         }
 
+    @pytest.mark.usefixtures("wave_width_one")
     @pytest.mark.parametrize("seed", [11, 12])
     def test_pinned_from_the_parent_commit(
         self, seed, make_noise_stack, make_random_linear_model
