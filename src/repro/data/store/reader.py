@@ -150,6 +150,13 @@ class DiskArchive(Archive):
         """
         return int(self._manifest["screen_leaf_size"])
 
+    @property
+    def index_dir(self) -> Path:
+        """Where indexes derived from this store persist:
+        ``<store>.index``, *beside* the store directory — derived data
+        stays out of the tree whose bytes the manifest accounts for."""
+        return Path(f"{self.root.resolve()}.index")
+
     def writer(self) -> Any:
         """The bound writer (created on first use)."""
         if self._writer is None:

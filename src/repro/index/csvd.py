@@ -28,11 +28,32 @@ from dataclasses import dataclass
 import heapq
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.data.table import Table
 from repro.exceptions import IndexError_
 from repro.metrics.counters import CostCounter
+
+
+def _kmeans_labels(points: np.ndarray, n_clusters: int, seed: int) -> np.ndarray:
+    """k-means++ cluster label per row, with no cluster left empty.
+
+    More clusters than *distinct* points leaves k-means++ nothing to
+    seed the surplus from (its sampling weights are all zero), so the
+    count is clipped to the distinct points; and should Lloyd's
+    iterations still empty a cluster, one fewer is asked for.
+    """
+    # Imported where it runs: nothing on the serving path clusters.
+    from scipy.cluster.vq import ClusterError, kmeans2
+
+    n_clusters = min(n_clusters, np.unique(points, axis=0).shape[0])
+    while True:
+        try:
+            _, labels = kmeans2(
+                points, n_clusters, minit="++", seed=seed, missing="raise"
+            )
+            return labels
+        except ClusterError:
+            n_clusters -= 1
 
 
 @dataclass
@@ -56,7 +77,7 @@ class CSVDIndex:
     attributes:
         Indexed columns (defaults to all).
     n_clusters:
-        k-means cluster count (clipped to the row count).
+        k-means cluster count (clipped to the distinct-row count).
     kept_dims:
         Local SVD components kept per cluster (clipped to dimensionality).
     seed:
@@ -83,20 +104,14 @@ class CSVDIndex:
             raise IndexError_("kept_dims must be positive")
 
         points = table.matrix(self.attributes)
-        n_rows, n_dims = points.shape
+        n_dims = points.shape[1]
         self._points = points
-        n_clusters = min(n_clusters, n_rows)
         kept_dims = min(kept_dims, n_dims)
         self.kept_dims = kept_dims
-
-        centroids, labels = kmeans2(
-            points, n_clusters, minit="++", seed=seed
-        )
+        labels = _kmeans_labels(points, n_clusters, seed)
         self._clusters: list[_Cluster] = []
-        for cluster_id in range(n_clusters):
+        for cluster_id in range(int(labels.max()) + 1):
             member_rows = np.where(labels == cluster_id)[0]
-            if member_rows.size == 0:
-                continue
             members = points[member_rows]
             centroid = members.mean(axis=0)
             centered = members - centroid

@@ -9,7 +9,6 @@ peels a point set into onion layers (hull, hull of the remainder, ...).
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from repro.exceptions import IndexError_
 
@@ -65,6 +64,10 @@ def _unique_hull_vertices(unique: np.ndarray) -> np.ndarray:
         projected = centered @ v_transpose[:rank].T
         return hull_vertices(projected)
 
+    # Imported where Qhull runs: scipy.spatial is a third of a worker's
+    # import time, and a process that peels nothing never needs it.
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return ConvexHull(unique).vertices
     except QhullError:
@@ -110,5 +113,11 @@ def hull_layers(
         n_layers += 1
         remaining = np.delete(remaining, peeled)
     # Duplicates of a peeled point leave with it (and join its layer).
-    point_layer = layer_of[inverse.reshape(-1)]
-    return [np.flatnonzero(point_layer == layer) for layer in range(n_layers)]
+    return group_by_layer(layer_of[inverse.reshape(-1)])
+
+
+def group_by_layer(layer_of: np.ndarray) -> list[np.ndarray]:
+    """The layers as ascending row-index arrays, from each row's layer
+    number (the inverse of labelling rows by the layer they are on)."""
+    order = np.argsort(layer_of, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(layer_of))[:-1])

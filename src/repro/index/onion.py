@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.exceptions import IndexError_
-from repro.index.hull import hull_layers
+from repro.index.hull import group_by_layer, hull_layers
 from repro.metrics.counters import CostCounter
 
 
@@ -42,9 +42,18 @@ class OnionIndex:
     attributes:
         Columns to index (the model's attribute space); defaults to all.
     max_layers:
-        Optional cap on peeling depth; remaining interior tuples form one
-        final bucket. ``None`` peels fully (exact for any K). A cap
-        trades build time for exactness only when K exceeds the cap.
+        How many layers the peel may produce: ``max_layers - 1`` true
+        hull layers — the index's :attr:`depth` — and one final interior
+        bucket of whatever is left inside them. ``None`` peels fully. A
+        top-K query with K up to the depth reads its K hull layers; a
+        larger K also reads the bucket, which makes it every tuple:
+        always exact, at the price of a scan. Depth buys speed for deep
+        queries with build time, never exactness. :meth:`deepen` peels
+        an existing index's bucket further.
+    layer_of:
+        Each row's layer number from an earlier peel of these same
+        tuples at this ``max_layers`` (:meth:`layer_of`), adopted in
+        place of peeling — how a persisted index is reopened.
 
     Notes
     -----
@@ -59,6 +68,7 @@ class OnionIndex:
         table: Table,
         attributes: list[str] | None = None,
         max_layers: int | None = None,
+        layer_of: np.ndarray | None = None,
     ) -> None:
         self.table = table
         self.attributes = (
@@ -69,11 +79,26 @@ class OnionIndex:
         if max_layers is not None and max_layers <= 0:
             raise IndexError_("max_layers must be positive")
         self._points = table.matrix(self.attributes)
-        self._layers = hull_layers(self._points, max_layers=max_layers)
-        self._capped = max_layers is not None
         self._max_layers = max_layers
+        if layer_of is None:
+            self._layers = hull_layers(self._points, max_layers=max_layers)
+        else:
+            if layer_of.shape != (len(table),):
+                raise IndexError_("layer_of must hold one layer per row")
+            self._layers = group_by_layer(layer_of)
         self._pending: list[np.ndarray] = []
         self._next_row = len(table)
+
+    @property
+    def max_layers(self) -> int | None:
+        """The layer cap this index is peeled to (``None``: fully)."""
+        return self._max_layers
+
+    @property
+    def depth(self) -> int | None:
+        """Hull layers a query can read before it needs the interior
+        bucket: the deepest K answered from layers alone (``None``: any)."""
+        return None if self._max_layers is None else self._max_layers - 1
 
     @property
     def n_layers(self) -> int:
@@ -83,6 +108,47 @@ class OnionIndex:
     def layer_sizes(self) -> list[int]:
         """Tuple count per layer, outermost first."""
         return [int(layer.size) for layer in self._layers]
+
+    def layer_of(self) -> np.ndarray:
+        """Each indexed row's layer number (pending tuples excluded)."""
+        labels = np.empty(self._points.shape[0], dtype=int)
+        for number, rows in enumerate(self._layers):
+            labels[rows] = number
+        return labels
+
+    def layers_needed(self, k: int) -> int:
+        """Layers a top-``k`` query must read: the outermost ``k``
+        (containment theorem) — or all of them, the interior bucket
+        included, when the peel was capped short of ``k`` hull layers
+        and the bucket may hold deeper optima."""
+        n_layers = len(self._layers)
+        if self._max_layers is not None and k > n_layers - 1:
+            return n_layers
+        return min(k, n_layers)
+
+    def deepen(self, max_layers: int | None) -> None:
+        """Peel the interior bucket on, to ``max_layers`` in all.
+
+        The result is layer for layer what peeling to ``max_layers``
+        from scratch gives: duplicates leave with their representative,
+        so the bucket holds every copy of each point still inside and
+        its own peel is the continuation of the outer one. A depth the
+        index already has is a no-op.
+        """
+        if self._max_layers is None or (
+            max_layers is not None and max_layers <= self._max_layers
+        ):
+            return
+        if len(self._layers) == self._max_layers:  # the last is a bucket
+            bucket = self._layers[-1]
+            inner = hull_layers(
+                self._points[bucket],
+                max_layers=None
+                if max_layers is None
+                else max_layers - self._max_layers + 1,
+            )
+            self._layers = self._layers[:-1] + [bucket[rows] for rows in inner]
+        self._max_layers = max_layers
 
     def layer(self, index: int) -> np.ndarray:
         """Row indices on the given layer (0 = outermost)."""
@@ -160,11 +226,7 @@ class OnionIndex:
         # it. A strict score-only comparison here would keep whichever
         # tied row arrived first — hull-layer order, not row order.
         heap: list[tuple[float, int]] = []
-        layers_needed = min(k, len(self._layers))
-        if self._capped and k > len(self._layers) - 1:
-            layers_needed = len(self._layers)  # include the interior bucket
-
-        for layer_index in range(layers_needed):
+        for layer_index in range(self.layers_needed(k)):
             rows = self._layers[layer_index]
             scores = sign * (self._points[rows] @ weights)
             if counter is not None:

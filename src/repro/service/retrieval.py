@@ -67,7 +67,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.engine import (
     BatchQuerySpec,
@@ -101,7 +101,9 @@ from repro.sproc.query import Assignment, CompositeQuery
 from repro.telemetry.events import global_event_log
 from repro.telemetry.explain import ExplainReport, explain_result
 from repro.telemetry.export import TelemetrySink
-from repro.telemetry.server import MetricsServer
+
+if TYPE_CHECKING:
+    from repro.telemetry.server import MetricsServer
 
 
 class SharedTopKHeap(TopKHeap):
@@ -257,7 +259,13 @@ class RetrievalService:
         # Cost-based strategy router (ROADMAP item 1). Construction is
         # cheap — Onion indexes inside its cache build lazily on the
         # first query routed onto them, keyed on archive generation.
-        self.router = QueryRouter(stack, registry=self.registry)
+        # An archive opened from a store names a directory beside it
+        # where built indexes persist for the next process to open.
+        self.router = QueryRouter(
+            stack,
+            registry=self.registry,
+            sidecar_dir=getattr(archive, "index_dir", None),
+        )
         # Shared shard pool, created lazily on the first multi-band
         # query and reused for every later one (spinning a pool up per
         # query costs more than small queries themselves). The finalizer
@@ -346,6 +354,10 @@ class RetrievalService:
         returned server's ``.port``. Idempotent per service; ``close()``
         the returned server to release the socket.
         """
+        # Imported here: the HTTP loop brings asyncio, which a fleet
+        # worker (it never serves its own diagnostics) should not load.
+        from repro.telemetry.server import MetricsServer
+
         with self._lock:
             if self._metrics_server is not None:
                 return self._metrics_server
@@ -1044,7 +1056,7 @@ class RetrievalService:
             key = (region, tuple(query.model.attributes), self._seen_generation)
             if self.router.index_cache.peek(*key) is None:
                 with trace.span("index_build"):
-                    self.router.index_cache.get(*key)
+                    self.router.index_cache.get(*key, k=query.k)
         started = time.perf_counter()
         if resolved in ("quadtree", "fused"):
             result = self._execute(
@@ -1186,7 +1198,7 @@ class RetrievalService:
         with trace.span("search"):
             with counter.timed():
                 candidates = built.candidate_rows(query.k)
-                layers = built.layers_needed(query.k)
+                layers = built.index.layers_needed(query.k)
                 counter.add_nodes(layers)
                 counter.add_tuples(int(candidates.size))
                 columns = {
@@ -1283,19 +1295,31 @@ class RetrievalService:
         ahead of traffic keeps the one-time construction out of the
         first query's latency; the build is keyed on the current archive
         generation like every lazy build.
+
+        **Depth.** Names alone peel ``PAPER_DEPTH`` (10) hull layers —
+        what top-10 reads; a query peels ``max(10, query.k)``, deepening
+        an index that is already cached but shallower (both within the
+        cache's ``max_layers``). This is the one place an index gets
+        deeper: a query whose ``k`` exceeds the depth it finds is
+        answered exactly through the interior bucket, which ``auto``
+        prices as a scan and routes elsewhere. Over a store, the index
+        is opened from ``<store>.index/`` when an earlier process built
+        it for the same window values, and published there otherwise.
         """
         self._check_archive_generation()
+        k = 0
         if isinstance(attributes, TopKQuery):
             query = attributes
             names = tuple(query.model.attributes)
             region = query.clip_region(self.engine.stack.shape)
+            k = query.k
         else:
             names = tuple(attributes)
             if region is None:
                 rows, cols = self.engine.stack.shape
                 region = (0, 0, rows, cols)
         return self.router.index_cache.get(
-            region, names, self._seen_generation
+            region, names, self._seen_generation, k
         )
 
     def composite_top_k(

@@ -33,13 +33,8 @@ in-process ``top_k`` / ``top_k_batch`` result for the same query
 same float64 bits, and JSON float round-trips are exact.
 """
 
-from repro.serving.fleet import (
-    FleetConfig,
-    WorkerFleet,
-    fleet_for_stack,
-    fleet_for_store,
-)
-from repro.serving.http import ServingServer
+import importlib
+
 from repro.serving.protocol import (
     REPLY_TRACE_KEY,
     ProtocolError,
@@ -49,6 +44,27 @@ from repro.serving.protocol import (
     encode_result,
 )
 from repro.serving.worker import StoreArchiveManifest
+
+#: The parent-side names, resolved on first access (PEP 562): a spawned
+#: worker imports this package on its way to :mod:`repro.serving.worker`
+#: and must not pay for the fleet, the HTTP front end and asyncio, none
+#: of which it runs.
+_LAZY = {
+    "FleetConfig": "fleet",
+    "WorkerFleet": "fleet",
+    "fleet_for_stack": "fleet",
+    "fleet_for_store": "fleet",
+    "ServingServer": "http",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "FleetConfig",

@@ -8,7 +8,9 @@ front end:
   with worker *code*, not archive size. An in-memory stack is written
   once, at :meth:`WorkerFleet.start`, to a temporary store on tmpfs
   that the fleet owns and removes; a store the caller names with
-  ``store_path`` is only ever read;
+  ``store_path`` is only ever read — what the workers derive from it
+  (built Onion indexes) is published *beside* it, in
+  ``<store_path>.index/``, where the next start finds it;
 * **per-worker pipes, no shared locks** — each worker talks over its
   own pair of one-way :func:`multiprocessing.Pipe` connections (parent
   writes requests, worker writes replies). ``multiprocessing.Queue``
@@ -88,8 +90,11 @@ class FleetError(RuntimeError):
 
 
 def _write_temporary_store(stack: RasterStack, leaf_size: int) -> Path:
-    """Write ``stack`` as an ordinary store in a fresh private directory
-    (removed again on failure).
+    """Write ``stack`` as an ordinary store, ``store`` inside a fresh
+    private directory, and return that directory (removed again on
+    failure). Everything derived from the store — the workers' index
+    sidecar ``store.index`` — lands beside it, so removing the one
+    directory removes it all.
 
     Under ``/dev/shm`` when the platform has one — tmpfs, where POSIX
     shared-memory segments live too, so the archive stays in memory
@@ -105,7 +110,9 @@ def _write_temporary_store(stack: RasterStack, leaf_size: int) -> Path:
         archive = Archive("fleet")
         for name in stack.names:
             archive.add(stack[name])
-        ArchiveWriter.create(root, archive, screen_leaf_size=leaf_size)
+        ArchiveWriter.create(
+            root / "store", archive, screen_leaf_size=leaf_size
+        )
     except ArchiveError as error:
         # An unstorable stack; the message names the offending layer.
         shutil.rmtree(root, ignore_errors=True)
@@ -293,7 +300,7 @@ class WorkerFleet:
             self._remove_store = weakref.finalize(
                 self, shutil.rmtree, root, ignore_errors=True
             )
-            self._store_path = str(root)
+            self._store_path = str(root / "store")
         self._procs = [None] * self.n_workers
         self._request_conns = [None] * self.n_workers
         self._reply_conns = [None] * self.n_workers

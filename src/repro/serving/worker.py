@@ -15,7 +15,9 @@ Design points:
   is built *before* the worker reports ready, so fleet-wide Onion
   index construction happens during startup, never on a user's first
   query (the fix for ``warm_index()`` only warming the calling
-  process).
+  process). An index some earlier process already built for the same
+  window values is opened from the store's sidecar directory instead
+  of peeled — milliseconds, and no scipy import.
 * **Deadlines** — requests carry absolute ``time.monotonic()``
   deadlines; the worker converts to a remaining budget and hands it to
   the service, which threads it into the existing

@@ -62,12 +62,23 @@ from repro.telemetry.prometheus import (
     render_prometheus,
     sanitize_metric_name,
 )
-from repro.telemetry.server import MetricsServer
 from repro.telemetry.slo import (
     DEFAULT_SLOS,
     SLOMonitor,
     SLOSpec,
 )
+
+
+def __getattr__(name: str):
+    # The diagnostics server is the one export that needs the HTTP loop
+    # (and asyncio); a fleet worker imports this package and never
+    # serves, so it loads on first use.
+    if name == "MetricsServer":
+        from repro.telemetry.server import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CONTENT_TYPE",

@@ -14,6 +14,8 @@ from first principles. The production paths must match these bitwise:
   counter dict the service's ``embed-scan`` strategy must produce.
 * :func:`exhaustive_cascade` — the same dense ranking under the level
   cascade's contribution-order summation.
+* :func:`table_top_k` — dense linear top-K over a table's rows, the
+  reference for :class:`repro.index.onion.OnionIndex` at every depth.
 * :func:`hull_layers_per_point` — convex-hull peeling that re-derives
   the distinct points and matches duplicates point by point on every
   layer; :func:`repro.index.hull.hull_layers` (which de-duplicates
@@ -166,6 +168,18 @@ def exhaustive_cascade(
         col0 + flat % (col1 - col0), query.k,
     )
     return [(cell[0], cell[1], sign * signed) for signed, cell in ranked]
+
+
+def table_top_k(
+    points: np.ndarray, weights: np.ndarray, k: int, maximize: bool = True
+) -> list[tuple[int, float]]:
+    """Dense linear top-``k`` over the rows of a point matrix, as the
+    ``(row, score)`` pairs the table indexes return (ties to the
+    smallest row)."""
+    sign = 1.0 if maximize else -1.0
+    rows = np.arange(points.shape[0])
+    ranked = rank_top_k(sign * (points @ weights), rows, np.zeros_like(rows), k)
+    return [(cell[0], sign * signed) for signed, cell in ranked]
 
 
 def exact_answers(result) -> list[tuple[int, int, float]]:

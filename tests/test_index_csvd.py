@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.table import Table
 from repro.exceptions import IndexError_
 from repro.index.csvd import CSVDIndex
 from repro.index.scan import scan_top_k
@@ -54,6 +57,29 @@ class TestConstruction:
         small = generate_gaussian_table(5, 2, seed=1)
         index = CSVDIndex(small, n_clusters=50, seed=0)
         assert index.n_clusters <= 5
+
+
+    @pytest.mark.parametrize("alphabet", [1, 2, 3])
+    def test_more_clusters_than_distinct_points(self, alphabet):
+        """k-means++ has nothing to seed a surplus cluster from, and used
+        to say so twice (a 0/0 sampling weight, then an empty cluster)."""
+        generator = np.random.default_rng(alphabet)
+        values = generator.integers(0, alphabet, size=(40, 2)).astype(float)
+        table = Table("dupes", {"x": values[:, 0], "y": values[:, 1]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index = CSVDIndex(table, n_clusters=12, seed=0)
+        assert 1 <= index.n_clusters <= alphabet**2
+        covered = sorted(
+            int(row) for cluster in index._clusters for row in cluster.rows
+        )
+        assert covered == list(range(40))
+        assert index.nearest({"x": 0.0, "y": 0.0}, k=3) == [
+            (int(row), float(np.linalg.norm(values[row])))
+            for row in np.argsort(
+                np.linalg.norm(values, axis=1), kind="stable"
+            )[:3]
+        ]
 
 
 class TestNearestNeighbour:

@@ -72,6 +72,10 @@ def no_temporary_store_outlives_the_session():
     assert _temporary_stores() <= before
 
 
+#: A warm hook over the whole of :func:`_stack`.
+WARM = {"attributes": ["a", "b"], "region": None}
+
+
 def _stack(names=("a", "b")) -> RasterStack:
     generator = np.random.default_rng(7)
     stack = RasterStack()
@@ -92,13 +96,22 @@ def _tree_digest(root: Path) -> dict[str, str]:
 
 class TestTemporaryStore:
     def test_written_at_start_removed_by_stop(self):
-        fleet = fleet_for_stack(_stack(), n_workers=1, leaf_size=8)
+        # The warm hook publishes an index beside the store: the whole
+        # private root — store and sidecar — must go, not just the store.
+        fleet = fleet_for_stack(
+            _stack(), n_workers=1, leaf_size=8, warm=[WARM]
+        )
         try:
-            root = Path(fleet._store_path)
+            store = Path(fleet._store_path)
+            root = store.parent
             assert root.parent == _temp_root()
-            manifest = read_manifest(root)
+            manifest = read_manifest(store)
             assert manifest["screen_leaf_size"] == 8
             assert [item["name"] for item in manifest["items"]] == ["a", "b"]
+            assert sorted(p.name for p in root.iterdir()) == [
+                "store", "store.index",
+            ]
+            assert len(list((root / "store.index").glob("onion-*.npz"))) == 1
             reply = fleet.submit_query(
                 encode_query(
                     TopKQuery(model=LinearModel({"a": 1.0, "b": -1.0}), k=3)
@@ -111,9 +124,9 @@ class TestTemporaryStore:
         fleet.stop()  # idempotent
 
     def test_dropped_unstopped_fleet_is_collected_and_cleans_up(self):
-        fleet = fleet_for_stack(_stack(), n_workers=1)
-        root = Path(fleet._store_path)
-        assert root.exists()
+        fleet = fleet_for_stack(_stack(), n_workers=1, warm=[WARM])
+        root = Path(fleet._store_path).parent
+        assert (root / "store.index").is_dir()
         del fleet
         # The background threads wait without holding the fleet, so
         # between their steps it is garbage like any other.
