@@ -27,6 +27,9 @@ mid-query. Routed answers are identical to every forced strategy's; the
 decision is exported in trace metadata and the explain waterfall. :meth:`RetrievalService.composite_top_k` routes SPROC
 fuzzy composite queries the same way.
 
+One query or many, a request takes the same stages (admit, route,
+cache, plan, execute, store, record — :mod:`repro.service.retrieval`),
+and what a strategy *is* lives in one table, :data:`EXECUTORS`.
 For busy-archive traffic, :meth:`RetrievalService.top_k_batch` answers
 many queries at once: a :class:`BatchPlanner` groups same-region,
 interval-boundable queries and each group shares *one* archive
@@ -41,13 +44,14 @@ See ``docs/TUTORIAL.md`` §8 and ``benchmarks/bench_service.py``.
 from repro.service.batching import BatchPlan, BatchPlanner, PlannedQuery
 from repro.service.cache import QueryCache, model_fingerprint, query_fingerprint
 from repro.service.retrieval import (
+    EXECUTORS,
+    Executor,
     RetrievalService,
     ServiceStats,
     SharedTopKHeap,
 )
 from repro.service.routing import (
     COMPOSITE_STRATEGIES,
-    RASTER_STRATEGIES,
     BuiltOnion,
     CostModel,
     OnionIndexCache,
@@ -71,12 +75,13 @@ __all__ = [
     "COMPOSITE_STRATEGIES",
     "CancellationToken",
     "CostModel",
+    "EXECUTORS",
+    "Executor",
     "OnionIndexCache",
     "PlannedQuery",
     "QueryCache",
     "QueryRouter",
     "QueryTrace",
-    "RASTER_STRATEGIES",
     "RetrievalService",
     "RoutingDecision",
     "ServiceStats",

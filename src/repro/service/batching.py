@@ -1,12 +1,12 @@
 """Batch planning: which queries may share one archive traversal.
 
-:meth:`RetrievalService.top_k_batch` peels cache hits off a batch, then
-hands the remaining queries to a :class:`BatchPlanner`, which partitions
+The plan stage of :class:`~repro.service.retrieval.RetrievalService`
+hands a call's cache misses to a :class:`BatchPlanner`, which partitions
 them into *shared-scan groups* (answered by one
 :meth:`~repro.core.engine.RasterRetrievalEngine.shared_scan_search`
-traversal each) and *singletons* (answered by the ordinary sharded
-path). The grouping rules are deliberately conservative — a query only
-joins a group when sharing cannot perturb its answer:
+traversal each) and *singletons* (each run through its own executor, as
+it would alone). The grouping rules are deliberately conservative — a
+query only joins a group when sharing cannot perturb its answer:
 
 * **Same clipped region.** A shared scan walks one region's tile cover;
   queries over different windows walk different frontiers and gain
@@ -14,25 +14,24 @@ joins a group when sharing cannot perturb its answer:
   (Archive and resolution are fixed per service — one stack, one tile
   screen — so the paper's "same archive/region/resolution" rule reduces
   to the region here.)
-* **Interval-boundable model.** The tile scan prunes on envelope
-  bounds; a model without ``evaluate_interval`` support cannot ride it
-  and raises :class:`~repro.exceptions.QueryError`, exactly as the
-  single-query path does. Linear, knowledge, and fuzzy-rule models all
-  qualify.
+* **Default structure, interval-boundable model.** The shared scan is
+  the model-only tile search: it prunes on envelope bounds and cannot
+  blend embeddings, so a fused (``similar_to``) query stays a singleton,
+  and so does a model without ``evaluate_interval`` support — where it
+  raises the :class:`~repro.exceptions.QueryError` it raises alone.
 * **Sound pruning only.** Heuristic pruning is unsound by design — its
   answers already depend on traversal order, so there is no bit-for-bit
   contract to preserve and batching it would only entangle the noise.
-  The planner sends every query of a heuristic batch down the singleton
-  path.
 * **No lone groups.** A group of one would run the very search the
-  singleton path runs (the engine has one step; a lone query shares
-  nothing). Singletons stay separate because the singleton path is
-  where the per-call ``n_shards`` row-band fan-out and its
-  ``-sharded[n]`` strategy label live; a shared scan is one thread and
-  labels its members ``-batch[n]``.
+  singleton runs (the engine has one step; a lone query shares nothing),
+  and the singleton path is where the per-call ``n_shards`` fan-out and
+  its ``-sharded[n]`` label live; a shared scan is one thread and labels
+  its members ``-batch[n]``.
 
-Planning never looks at ``k``, direction, deadlines, or the per-query
-level-cascade knob: the shared-scan executor keeps those per query.
+Planning reads a member's ``query`` and ``region`` only — never ``k``,
+direction, deadlines, or the level-cascade knob, which the shared-scan
+executor keeps per query. The service plans its own request records;
+:class:`PlannedQuery` is the same shape for callers planning by hand.
 """
 
 from __future__ import annotations
@@ -98,14 +97,13 @@ class BatchPlanner:
             if item.query.fused:
                 # Fused members blend whole-model bounds with cosine
                 # caps; the shared scan's per-member level machinery
-                # does not apply, so they keep the singleton path (which
-                # knows how to build their FusionSpec).
+                # does not apply, so they run alone, with their
+                # FusionSpec.
                 plan.singletons.append(item)
                 continue
             if not item.query.model.supports_intervals:
-                # Unanswerable by tile search; the executor raises the
-                # same QueryError the single-query path raises. Routing
-                # it as a singleton keeps the error paths identical.
+                # Unanswerable by tile search; preparing it alone raises
+                # the QueryError the single-query path raises.
                 plan.singletons.append(item)
                 continue
             by_region.setdefault(item.region, []).append(item)

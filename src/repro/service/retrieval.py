@@ -1,73 +1,85 @@
-"""The concurrent retrieval service: sharded search behind a query cache.
+"""The retrieval service: one request pipeline behind a query cache.
 
 This is the serving layer the ROADMAP's north star asks for on top of
-the single-threaded engine. A :class:`RetrievalService` answers a
-:class:`~repro.core.query.TopKQuery` by
+the single-threaded engine. A :class:`RetrievalService` answers one
+:class:`~repro.core.query.TopKQuery` (:meth:`RetrievalService.top_k`,
+one :class:`_Request` under a root :class:`~repro.service.tracing
+.QueryTrace`) or many (:meth:`RetrievalService.top_k_batch`, N under one
+:class:`~repro.service.tracing.BatchTrace`) by the same stages — the
+paper's flow (§4.2): a model query is admitted, matched to a
+model-specific structure and answered top-K. A stage costs a request
+the same either way:
 
-1. checking an LRU cache keyed on a fingerprint of (model coefficients /
-   attributes, clipped region, k, maximize, strategy knobs), invalidated
-   when a watched archive's :attr:`~repro.data.archive.Archive.generation`
-   moves or :meth:`RetrievalService.invalidate` is called;
-2. on a miss, partitioning the region into disjoint row bands and
-   running the engine's branch-and-bound per band on a thread pool. All
-   shards offer into one lock-protected :class:`SharedTopKHeap`, so a
-   strong discovery in any band immediately raises the pruning threshold
-   in every other band — the shards cooperate rather than redundantly
-   exploring;
-3. merging the per-shard :class:`~repro.metrics.counters.CostCounter`
-   and :class:`~repro.core.results.PruningAudit` records into one
-   result.
+1. **admit** — what can be refused from the query, the knobs and the
+   stack's layer names is refused here, the same
+   :class:`~repro.exceptions.QueryError` whichever strategy was asked
+   for: an unknown strategy or pruning mode, a strategy of the other
+   query family, a model attribute the stack lacks, a region off the grid.
+2. **route** — a request not left on the default structure gets a
+   :class:`~repro.service.routing.RoutingDecision` (``route`` span):
+   ``"auto"`` picks by predicted wall time, a named strategy is checked.
+3. **cache** — one fingerprint (model, clipped region, k, direction,
+   fusion pair, knobs, and the strategy unless it is its family's
+   default), one LRU lookup. A hit is answered here, a ``"-cached"``
+   defensive copy, before anything else is built. Entries go when a
+   watched archive's :attr:`~repro.data.archive.Archive.generation`
+   moves (only those a dirty rectangle can have touched, when the
+   archive names one) or on :meth:`RetrievalService.invalidate`.
+4. **plan** — each miss gets, once, what its executor consumes: a
+   missing Onion index or embedding grid under its own span (never on
+   the router's clock), then the level cascade and fusion spec
+   (``plan``). The :class:`~repro.service.batching.BatchPlanner` groups
+   >= 2 default-structure misses over one region under sound pruning.
+5. **execute** — one :meth:`~repro.core.engine.RasterRetrievalEngine
+   .shared_scan_search` per group (a solo tile search is its group of
+   one, so the exactness argument is "same code"); every other miss
+   through its row of :data:`EXECUTORS`, the one table that says what a
+   strategy is. Under ``"auto"`` a strategy that raises falls back to
+   its family's default; a routed execution is reported to the router.
+6. **store** — a complete answer is cached, as a copy; a partial never.
+7. **record** — the trace is finished and :class:`ServiceStats` and the
+   registry move, together and only here: a request that raised leaves
+   both as it found them.
 
-Because every pruning test in the engine compares *strictly* against
-the shared threshold and the deterministic smallest-``(row, col)``
-tie-break is applied on every offer, the merged answer set is identical
-to the single-engine :meth:`RasterRetrievalEngine.progressive_top_k`
-answer at every shard count (property-tested, including boundary-score
-ties). Heuristic pruning (``pruning="heuristic"``, ``margin < 1``) is
-the one exception — it is unsound by design, sharded or not.
+The default structure is the progressive tile search, optionally split
+into disjoint row bands on one service-lifetime thread pool. All shards
+offer into one lock-protected :class:`SharedTopKHeap`, so a discovery in
+any band raises the pruning threshold in every other, and the per-shard
+counters and audits are merged into one result. Because every pruning
+test compares *strictly* against the shared threshold and the smallest-
+``(row, col)`` tie-break is applied on every offer, the answer set is
+the single-engine :meth:`RasterRetrievalEngine.progressive_top_k` answer
+at every shard count (property-tested, boundary ties included).
+Heuristic pruning (``margin < 1``) is unsound by design, sharded or not.
 
 Hardening (bounded-latency serving):
 
-* **Deadlines and cancellation** — ``top_k(..., deadline_s=...)`` (or a
-  caller-owned :class:`~repro.service.tracing.CancellationToken` via
-  ``cancel=``) threads one token through every shard's branch-and-bound
-  loop. When it fires, all shards stop at their next wave of frontier
-  pops and the service returns a *partial* result flagged ``complete=False``:
-  whatever the shared heap holds, every score exact (offers only happen
-  after exact evaluation), but possibly not the true top-K. Partial
-  results are never cached.
-* **Tracing and metrics** — every query carries a
-  :class:`~repro.service.tracing.QueryTrace` (sequential stage spans
-  ``cache_lookup`` / ``plan`` / ``search`` / ``merge`` /
-  ``cache_store`` plus per-shard pruning stats) on ``result.trace``,
-  and the service aggregates counts and stage latencies into a
-  :class:`~repro.metrics.registry.MetricsRegistry` (the process-wide
-  :func:`~repro.metrics.registry.global_registry` unless one is
-  injected). Tracing never touches :class:`CostCounter` tallies:
-  counted work is identical with tracing on.
-* **Cache isolation** — cached entries are stored *and* served as
-  defensive copies (fresh answer list, copied counter and audit), so a
-  caller mutating a returned result can never corrupt later hits.
-
-Batch serving: :meth:`RetrievalService.top_k_batch` answers many
-queries through one cache pass, one plan, and (per compatible group)
-one shared archive traversal — see :mod:`repro.service.batching` for
-the grouping rules and
-:meth:`~repro.core.engine.RasterRetrievalEngine.shared_scan_search`
-for the executor (a solo shard search is its group of one, so the
-exactness argument is "same code"). Shard fan-out for solo queries
-and singleton fallbacks runs on one service-lifetime thread pool
-instead of a per-query executor.
+* **Deadlines and cancellation** — ``deadline_s=`` (or a caller-owned
+  :class:`~repro.service.tracing.CancellationToken` via ``cancel=``)
+  threads one token through every shard's branch-and-bound loop. When it
+  fires, all shards stop at their next wave of frontier pops and the
+  result is *partial*, flagged ``complete=False``: every score exact
+  (offers only happen after exact evaluation), but possibly not the true
+  top-K.
+* **Tracing and metrics** — every answer carries its trace (sequential
+  stage spans plus per-shard pruning stats) on ``result.trace``, folded
+  into a :class:`~repro.metrics.registry.MetricsRegistry` (the
+  process-wide one unless injected). Tracing never touches
+  :class:`CostCounter` tallies: counted work is identical with it on.
+* **Cache isolation** — entries are stored *and* served as defensive
+  copies (fresh answer list, copied counter and audit), so a caller
+  mutating a returned result can never corrupt later hits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.core.engine import (
     BatchQuerySpec,
@@ -82,10 +94,10 @@ from repro.data.raster import RasterStack
 from repro.embed.fusion import BLEND_FLOPS, FusionSpec
 from repro.embed.tiles import TileEmbeddings
 from repro.exceptions import QueryError
-from repro.index.vector import FlatIPIndex, IVFIPIndex
+from repro.index.vector import FlatIPIndex
 from repro.metrics.counters import CostCounter
 from repro.metrics.registry import MetricsRegistry, global_registry
-from repro.service.batching import BatchPlanner, PlannedQuery
+from repro.service.batching import BatchPlanner
 from repro.service.cache import QueryCache, query_fingerprint
 from repro.service.routing import (
     BuiltOnion,
@@ -103,6 +115,7 @@ from repro.telemetry.explain import ExplainReport, explain_result
 from repro.telemetry.export import TelemetrySink
 
 if TYPE_CHECKING:
+    from repro.models.progressive_linear import ProgressiveLinearModel
     from repro.telemetry.server import MetricsServer
 
 
@@ -154,7 +167,9 @@ class ServiceStats:
 
     Plain data: the owning :class:`RetrievalService` performs every
     mutation under its service lock, so the tallies stay exact under
-    concurrent callers (the threaded-hammer regression test).
+    concurrent callers (the threaded-hammer regression test) — and in
+    the record stage, beside the registry counters of the same names,
+    so an answered request moves both and a rejected one neither.
     """
 
     queries: int = 0
@@ -173,6 +188,297 @@ class ServiceStats:
         return self.cache_hits / self.queries
 
 
+@dataclass(slots=True)
+class _Request:
+    """One query on its way through the pipeline: the entry points fill
+    the fields without a default from their arguments, and each stage
+    reads what the stages before it left and fills in its own."""
+
+    query: TopKQuery
+    #: As requested; admission substitutes a fused query's default.
+    strategy: str
+    use_model_levels: bool
+    pruning: str
+    heuristic_margin: float
+    #: ``None`` until admission resolves it to the service's default.
+    n_shards: int | None
+    #: The caller's token, a deadline chained onto it; ``None`` for a
+    #: query nothing can cut short.
+    cancel: CancellationToken | None
+    trace: QueryTrace
+    region: tuple[int, int, int, int] | None = None
+    #: The strategy that runs: the admitted one until the route stage
+    #: (or a fallback) names another.
+    resolved: str = ""
+    decision: RoutingDecision | None = None
+    #: Cache key; ``None`` while the request bypasses the cache.
+    key: Hashable = None
+    progressive: "ProgressiveLinearModel | None" = None
+    fusion: FusionSpec | None = None
+    #: Seconds of the plan stage's per-query share (cascade, fusion
+    #: spec), which the router's sample includes; builds are excluded.
+    plan_seconds: float = 0.0
+    result: RetrievalResult | None = None
+
+
+# -- executors and builds (the columns of EXECUTORS) ----------------------
+
+
+def _search_tiles(
+    service: "RetrievalService", request: _Request
+) -> RetrievalResult:
+    """The progressive tile search over ``n_shards`` row bands, with the
+    cascade and (for a fused query) the fusion spec the plan stage left."""
+    engine = service.engine
+    query, trace, fusion = request.query, request.trace, request.fusion
+    bands = row_band_shards(request.region, request.n_shards)
+    heap = SharedTopKHeap(query.k)
+    counters = [CostCounter() for _ in bands]
+    audits = [PruningAudit() for _ in bands]
+    shard_complete = [True] * len(bands)
+
+    def run_shard(index: int) -> None:
+        band, counter, audit = bands[index], counters[index], audits[index]
+        started_s = trace.elapsed_s()
+        start = time.perf_counter()
+        ok = engine.shard_search(
+            query, band, heap, counter, audit,
+            progressive=request.progressive, pruning=request.pruning,
+            heuristic_margin=request.heuristic_margin,
+            cancel=request.cancel, fusion=fusion,
+        )
+        shard_complete[index] = ok
+        # Trace-only timing: per-shard wall time is recorded beside
+        # (never into) the shard counter, so merged counter tallies
+        # stay identical to the untraced pre-hardening service.
+        trace.add_shard(
+            shard=index,
+            band=band,
+            started_s=started_s,
+            wall_seconds=time.perf_counter() - start,
+            tiles_screened=audit.tiles_screened,
+            tiles_pruned=audit.tiles_pruned,
+            total_work=counter.total_work,
+            complete=ok,
+        )
+
+    total = CostCounter()
+    if fusion is not None:
+        # The one-off cosine grid is charged once per query (not per
+        # shard), at the same rate embed-scan and the oracle charge.
+        fusion.charge_build(total)
+    with trace.span("search"):
+        with total.timed():
+            if len(bands) == 1:
+                run_shard(0)
+            else:
+                pool = service._shard_pool()
+                futures = [
+                    pool.submit(run_shard, index)
+                    for index in range(len(bands))
+                ]
+                for future in futures:
+                    future.result()
+
+    with trace.span("merge"):
+        audit = PruningAudit()
+        for shard_counter, shard_audit in zip(counters, audits):
+            total += shard_counter
+            audit.absorb(shard_audit)
+        total.note("shards", len(bands))
+        answers = ranked_answers(heap, query.maximize)
+        complete = all(shard_complete)
+        if fusion is not None:
+            strategy = request.resolved
+        elif request.use_model_levels:
+            strategy = "both"
+        else:
+            strategy = "data-progressive"
+        if request.pruning == "heuristic":
+            strategy += "-heuristic"
+        strategy += f"-sharded[{len(bands)}]"
+        if not complete:
+            strategy += "-partial"
+    return RetrievalResult(
+        answers=answers, counter=total, audit=audit, strategy=strategy,
+        complete=complete,
+    )
+
+
+def _search_onion(
+    service: "RetrievalService", request: _Request
+) -> RetrievalResult:
+    """Onion-layer execution: candidate generation + exact re-score.
+
+    The index is used purely as a *candidate generator* — the union
+    of the outermost K hull layers, which the containment theorem
+    guarantees holds the true top-K of any linear objective. The
+    candidates are then re-scored through ``model.evaluate_batch``
+    and offered into the engine's :class:`TopKHeap`: the same
+    per-cell arithmetic and the same tie-break machinery as the
+    quadtree and scan paths, which is what makes routed answers
+    bit-identical to theirs.
+    """
+    query, region, trace = request.query, request.region, request.trace
+    model = query.model
+    with trace.span("index"):
+        built = service.router.index_cache.get(
+            region, tuple(model.attributes), service._seen_generation
+        )
+    counter = CostCounter()
+    with trace.span("search"):
+        with counter.timed():
+            candidates = built.candidate_rows(query.k)
+            layers = built.index.layers_needed(query.k)
+            counter.add_nodes(layers)
+            counter.add_tuples(int(candidates.size))
+            columns = {
+                name: built.columns[name][candidates]
+                for name in model.attributes
+            }
+            counter.add_data_points(
+                int(candidates.size) * len(model.attributes)
+            )
+            scores = model.evaluate_batch(columns)
+            counter.add_model_evals(
+                int(candidates.size), flops_each=model.complexity
+            )
+            sign = 1.0 if query.maximize else -1.0
+            heap = TopKHeap(query.k)
+            # Region-local row-major flattening: local flat order is
+            # global (row, col) lexicographic order restricted to
+            # the region, so decoding preserves tie semantics.
+            width = region[3] - region[1]
+            local_rows, local_cols = divmod(candidates, width)
+            heap.offer_block(
+                sign * scores,
+                region[0] + local_rows,
+                region[1] + local_cols,
+            )
+    with trace.span("merge"):
+        answers = ranked_answers(heap, query.maximize)
+        counter.note("onion_layers", layers)
+        counter.note("onion_candidates", int(candidates.size))
+    return RetrievalResult(
+        answers=answers, counter=counter, strategy=request.resolved
+    )
+
+
+def _scan(
+    service: "RetrievalService", request: _Request
+) -> RetrievalResult:
+    """Sequential-scan execution (the router's calibration oracles).
+
+    :meth:`RasterRetrievalEngine.dense_top_k` cell for cell — the
+    routine behind ``exhaustive_top_k`` — plus trace spans and the tuple
+    tally the router reads. For a fused query this is embed-all-then-
+    blend, the cosine-grid build and one blend per cell charged at the
+    fused tile search's rates: ``tests/oracles.py`` mirrors it counter
+    for counter and ``benchmarks/bench_embed.py`` gates that search
+    against it.
+    """
+    query, region, fusion = request.query, request.region, request.fusion
+    n_cells = (region[2] - region[0]) * (region[3] - region[1])
+    counter = CostCounter()
+    with request.trace.span("search"):
+        with counter.timed():
+            heap = service.engine.dense_top_k(query, region, counter, fusion)
+            counter.add_tuples(n_cells)
+            if fusion is not None:
+                fusion.charge_build(counter)
+                counter.add_partial_evals(
+                    n_cells, flops_each=BLEND_FLOPS
+                )
+    with request.trace.span("merge"):
+        answers = ranked_answers(heap, query.maximize)
+    return RetrievalResult(
+        answers=answers, counter=counter, strategy=request.resolved
+    )
+
+
+def _build_embeddings(service: "RetrievalService", request: _Request) -> None:
+    """The tile embedding grid, when no fused query has built it yet."""
+    if service._embeddings is None:
+        with request.trace.span("embed_build"):
+            service.embeddings()
+
+
+def _build_index(service: "RetrievalService", request: _Request) -> None:
+    """The Onion index over the request's window, when it is missing
+    (deep enough for the request's ``k``)."""
+    query = request.query
+    key = (
+        request.region, tuple(query.model.attributes),
+        service._seen_generation,
+    )
+    if service.router.index_cache.peek(*key) is None:
+        with request.trace.span("index_build"):
+            service.router.index_cache.get(*key, k=query.k)
+
+
+def _tallied_tuples(counter: CostCounter, query: TopKQuery) -> int:
+    """Index and scan executions tally ``tuples_examined`` directly."""
+    return counter.tuples_examined
+
+
+def _window_tuples(counter: CostCounter, query: TopKQuery) -> int:
+    """The tile search counts window reads as data points, so its tuple
+    count is data points per attribute."""
+    return int(counter.data_points // max(1, len(query.model.attributes)))
+
+
+@dataclass(frozen=True)
+class Executor:
+    """One row of :data:`EXECUTORS`: what the pipeline knows about a
+    strategy. Nothing else in the service names one."""
+
+    #: The query family it answers: fused (``similar_to``) queries, or
+    #: model-only ones.
+    fused: bool
+    #: How it runs: the answer to a planned request.
+    run: Callable[["RetrievalService", _Request], RetrievalResult]
+    #: Its family's default structure, the progressive tile search:
+    #: what a query left on the default runs, what ``"auto"`` falls back
+    #: to, whose entries keep the bare cache key (so routed and unrouted
+    #: callers share them), and what the plan stage prepares a level
+    #: cascade for.
+    default: bool = False
+    #: What must exist before the clock starts, built when missing.
+    prebuild: Callable[["RetrievalService", _Request], None] | None = None
+    #: How the tuples it examined are read off its counter for the
+    #: router's feedback.
+    tuples: Callable[[CostCounter, TopKQuery], int] = _tallied_tuples
+
+
+#: Strategy name -> executor: *the* place a strategy is added. The
+#: strategies ``top_k`` accepts, the family legality rules, the default
+#: and fallback per family, the cache-key rule, the builds kept off the
+#: router's clock and the dispatch are all read off these rows. (The
+#: router prices the same names in ``routing._PRIOR_RATES``; the wire
+#: protocol lists them in ``protocol.STRATEGIES``.)
+EXECUTORS: dict[str, Executor] = {
+    "quadtree": Executor(
+        fused=False, run=_search_tiles, default=True, tuples=_window_tuples
+    ),
+    "onion": Executor(fused=False, run=_search_onion, prebuild=_build_index),
+    "scan": Executor(fused=False, run=_scan),
+    "fused": Executor(
+        fused=True, run=_search_tiles, default=True,
+        prebuild=_build_embeddings, tuples=_window_tuples,
+    ),
+    "embed-scan": Executor(fused=True, run=_scan, prebuild=_build_embeddings),
+}
+
+#: Query family (``query.fused``) -> its default structure.
+_FAMILY_DEFAULT = {
+    row.fused: name for name, row in EXECUTORS.items() if row.default
+}
+
+#: What ``strategy=`` defaults to: a model-only query's default
+#: structure, unrouted; admission reads it as "the family's default".
+DEFAULT_STRATEGY = _FAMILY_DEFAULT[False]
+
+
 class RetrievalService:
     """Sharded, cached top-K retrieval over a raster stack.
 
@@ -188,7 +494,7 @@ class RetrievalService:
         measured so far fanning a query out costs 1.4-2.4x the
         single-shard time (``service.shard_overhead_ratio``;
         ``BENCH_batch.json``: 31 ms at 1 shard vs. 48 ms at 4). A run on
-        >= 4 cores (ROADMAP item 5e) is what could reverse this.
+        >= 4 cores (ROADMAP item 1(f)) is what could reverse this.
     pool_workers:
         Thread count of the service-lifetime shard pool. The default
         (``None``) resolves to ``max(8, 2 * n_shards)`` — enough threads
@@ -256,7 +562,7 @@ class RetrievalService:
         self._embedding_dim = int(embedding_dim)
         self._embedding_seed = int(embedding_seed)
         self._embeddings: TileEmbeddings | None = None
-        # Cost-based strategy router (ROADMAP item 1). Construction is
+        # Cost-based strategy router. Construction is
         # cheap — Onion indexes inside its cache build lazily on the
         # first query routed onto them, keyed on archive generation.
         # An archive opened from a store names a directory beside it
@@ -514,35 +820,19 @@ class RetrievalService:
             return embeddings
 
     def similar_tiles(
-        self,
-        cell: tuple[int, int],
-        k: int = 5,
-        index: str = "flat",
-        nprobe: int | None = None,
+        self, cell: tuple[int, int], k: int = 5
     ) -> list[ScoredLocation]:
         """Pure query-by-example: tiles most similar to ``cell``'s tile.
 
         Equivalent to ``top_k`` with ``alpha=0`` but at tile
-        granularity: answers are tile-origin cells scored by cosine.
-        ``index="flat"`` scans every tile vector (exact);
-        ``index="ivf"`` goes through the coarse quantizer — exact with
-        ``nprobe=None`` (cap-ordered probing with the threshold stop
-        rule), approximate with a fixed ``nprobe``.
+        granularity: answers are tile-origin cells scored by cosine,
+        from one exact scan of every tile vector (a service has a few
+        thousand of them at most, so the scan is microseconds).
         """
         embeddings = self.embeddings()
-        query_vector = embeddings.tile_vector(cell)
-        if index == "flat":
-            ranked = FlatIPIndex.from_embeddings(embeddings).search(
-                query_vector, k
-            )
-        elif index == "ivf":
-            ranked, _probed = IVFIPIndex.from_embeddings(embeddings).search(
-                query_vector, k, nprobe=nprobe
-            )
-        else:
-            raise QueryError(
-                f"unknown vector index {index!r}; expected 'flat' or 'ivf'"
-            )
+        ranked = FlatIPIndex.from_embeddings(embeddings).search(
+            embeddings.tile_vector(cell), k
+        )
         return [
             ScoredLocation(row=location[0], col=location[1], score=score)
             for score, location in ranked
@@ -565,28 +855,6 @@ class RetrievalService:
         }
         return fusion
 
-    def _cache_region(
-        self, query: TopKQuery, region: tuple[int, int, int, int]
-    ) -> tuple[int, int, int, int]:
-        """The rectangle a cached answer for ``query`` depends on.
-
-        A fused answer reads the query region *and* the example tile
-        (its vector is the similarity target), so the cache entry covers
-        their bounding box — a mutation under the example tile then
-        invalidates the entry. The bbox over-approximates (cells between
-        the two rectangles also hit it), which only costs extra
-        invalidation, never a stale answer.
-        """
-        if not query.fused:
-            return region
-        window = self.embeddings().tile_window(query.similar_to)
-        return (
-            min(region[0], window[0]),
-            min(region[1], window[1]),
-            max(region[2], window[2]),
-            max(region[3], window[3]),
-        )
-
     def top_k(
         self,
         query: TopKQuery,
@@ -598,7 +866,7 @@ class RetrievalService:
         deadline_s: float | None = None,
         cancel: CancellationToken | None = None,
         explain: bool = False,
-        strategy: str = "quadtree",
+        strategy: str = DEFAULT_STRATEGY,
         trace_id: str | None = None,
     ) -> "RetrievalResult | ExplainReport":
         """Answer ``query`` through the cache and the shard pool.
@@ -610,10 +878,13 @@ class RetrievalService:
         compute it — and ``"-cached"`` appended to the strategy label;
         mutating any returned result never affects later hits.
 
-        ``strategy`` selects the execution structure:
+        ``strategy`` selects the execution structure (a row of
+        :data:`EXECUTORS`, or ``"auto"``); what none of them can answer
+        — a model attribute the stack lacks, a region off the grid — is
+        the same :class:`~repro.exceptions.QueryError` for all:
 
-        * ``"quadtree"`` (default) — the existing sharded progressive
-          tile search, byte-for-byte the pre-router code path.
+        * ``"quadtree"`` (default) — the sharded progressive tile
+          search, unrouted.
         * ``"auto"`` — the cost-based :class:`~repro.service.routing
           .QueryRouter` predicts the wall time of sequential scan,
           quadtree, and Onion-layer top-K from their measured executions
@@ -622,12 +893,11 @@ class RetrievalService:
           measured. Should the chosen index error mid-query, the service
           falls back to the quadtree path and records the reason.
           Answers (cells and order) are identical to every forced
-          strategy's (property-tested);
-          the full decision — candidates with predicted seconds and
-          sample counts, chosen strategy, whether it was a probe,
-          predicted vs actual seconds, fallback reason — rides
-          on ``result.trace.metadata["routing"]`` and in the
-          ``explain=True`` waterfall.
+          strategy's (property-tested); the full decision — candidates
+          with predicted seconds and sample counts, chosen strategy,
+          whether it was a probe, predicted vs actual seconds, fallback
+          reason — rides on ``result.trace.metadata["routing"]`` and in
+          the ``explain=True`` waterfall.
         * ``"onion"`` / ``"scan"`` — force that structure (errors
           propagate; no fallback). Forcing ``"onion"`` on a non-linear
           model raises :class:`~repro.exceptions.QueryError`.
@@ -639,11 +909,10 @@ class RetrievalService:
           whole region exhaustively — the fused calibration oracle.
           Model-only strategies cannot answer fused queries and raise.
 
-        Routed strategies build any missing Onion index on first use
-        (cached per (region, attributes), keyed on archive generation —
-        an archive mutation transparently rebuilds). Index build time is
-        never charged to query counters, matching the paper's amortized
-        convention.
+        A routed strategy builds a missing Onion index on first use
+        (cached per (region, attributes) and archive generation). Build
+        time is never charged to query counters, matching the paper's
+        amortized convention.
 
         ``deadline_s`` bounds the query's wall time: when it expires,
         every shard stops at its next loop check and the result comes
@@ -663,141 +932,18 @@ class RetrievalService:
         counter (the underlying answer and counted work are unchanged;
         the result itself rides on ``report.result``).
         """
-        _check_knobs(pruning, n_shards)
-        if strategy not in (
-            "quadtree", "auto", "onion", "scan", "fused", "embed-scan"
-        ):
-            raise QueryError(
-                f"unknown strategy {strategy!r}; expected 'quadtree', "
-                "'auto', 'onion', 'scan', 'fused', or 'embed-scan'"
-            )
-        if query.fused:
-            if strategy in ("onion", "scan"):
-                raise QueryError(
-                    f"strategy {strategy!r} cannot answer a fused "
-                    "(similar_to) query; use 'fused', 'embed-scan', or "
-                    "'auto'"
-                )
-            if strategy == "quadtree":
-                # The default structure for a fused query *is* the fused
-                # tile search — same frontier, blended bounds.
-                strategy = "fused"
-        elif strategy in ("fused", "embed-scan"):
-            raise QueryError(
-                f"strategy {strategy!r} needs a similar_to example cell "
-                "(with alpha < 1) on the query"
-            )
-        # ``trace_id`` lets a fronting process (the HTTP fleet) stamp
-        # its correlation id on the worker-side trace, so one id follows
-        # a request from admission through shard search in the exports.
-        trace = QueryTrace(trace_id=trace_id)
-        # A probe runs a strategy predicted slower; a query that may be
-        # cut short must never be the one that pays for it.
-        may_probe = deadline_s is None and cancel is None
-        cancel = _deadline_token(deadline_s, cancel)
-        with self._lock:
-            self.stats.queries += 1
-
-        decision: RoutingDecision | None = None
-        resolved = "quadtree"
-        if strategy != "quadtree":
-            with trace.span("route"):
-                # Routing observes the *fresh* generation so a stale
-                # index can never be scored as already built.
-                self._check_archive_generation()
-                route_region = query.clip_region(self.engine.stack.shape)
-                decision = self.router.route(
-                    query,
-                    route_region,
-                    strategy=strategy,
-                    generation=self._seen_generation,
-                    probe=may_probe,
-                )
-                resolved = decision.chosen
-                trace.metadata["routing"] = decision.as_dict()
-
-        cached: RetrievalResult | None = None
-        with trace.span("cache_lookup"):
-            self._check_archive_generation()
-            region = query.clip_region(self.engine.stack.shape)
-            knobs = {
-                "use_model_levels": use_model_levels,
-                "pruning": pruning,
-                "heuristic_margin": heuristic_margin,
-            }
-            # A routed quadtree uses the legacy key so auto-routed and
-            # legacy callers share cache entries (the answers are
-            # identical); "fused" is likewise the default structure for
-            # fused queries (the similar_to/alpha pair in the
-            # fingerprint already separates them from model-only
-            # entries). Other strategies answer with different counted
-            # work and carry their own entries.
-            if resolved not in ("quadtree", "fused"):
-                knobs["strategy"] = resolved
-            key = query_fingerprint(query, region, **knobs)
-            if use_cache and self.cache is not None:
-                trace.cache_checked = True
-                cached = self.cache.get(key)
-        if cached is not None:
-            result = self._serve_hit(cached, trace)
-            if explain:
-                return explain_result(result, query, region)
-            return result
-        if use_cache and self.cache is not None:
-            with self._lock:
-                self.stats.cache_misses += 1
-
-        shards = self.n_shards if n_shards is None else n_shards
-        run = (
-            query, region, shards, use_model_levels, pruning,
-            heuristic_margin, cancel, trace,
+        request = _Request(
+            query, strategy, use_model_levels, pruning, heuristic_margin,
+            n_shards, _deadline_token(deadline_s, cancel),
+            # ``trace_id`` lets a fronting process (the HTTP fleet) stamp
+            # its correlation id on the worker-side trace, so one id
+            # follows a request from admission to shard search.
+            QueryTrace(trace_id=trace_id),
         )
-        try:
-            result, seconds = self._run_strategy(resolved, *run)
-        except Exception as error:
-            # Graceful degradation: fall back to the always-capable
-            # path for the query family (quadtree, or the fused tile
-            # search for similar_to queries), recording why. Forced
-            # strategies propagate: the caller asked for this structure
-            # specifically. The fallback result is cached under the
-            # *fallback* key (that is what actually answered), never
-            # under the failed strategy's key.
-            fallback = "fused" if query.fused else "quadtree"
-            if strategy != "auto" or resolved == fallback:
-                raise
-            assert decision is not None
-            decision.record_fallback(
-                failed=resolved,
-                reason=f"{type(error).__name__}: {error}",
-                to=fallback,
-            )
-            resolved = fallback
-            knobs.pop("strategy", None)
-            key = query_fingerprint(query, region, **knobs)
-            result, seconds = self._run_strategy(resolved, *run)
-        if decision is not None:
-            self.router.observe(
-                decision,
-                seconds=seconds,
-                tuples_examined=_observed_tuples(result, query),
-                complete=result.complete,
-            )
-            trace.metadata["routing"] = decision.as_dict()
-
-        if use_cache and self.cache is not None and result.complete:
-            # Partial (deadline-truncated) answers must never be served
-            # to a later query that had no deadline; the stored entry is
-            # a copy, so the caller may freely mutate the returned one.
-            with trace.span("cache_store"):
-                self.cache.put(
-                    key,
-                    _result_copy(result, result.strategy),
-                    region=self._cache_region(query, region),
-                )
-        self._conclude(result, trace, cancel)
+        self._serve([request], use_cache)
         if explain:
-            return explain_result(result, query, region)
-        return result
+            return explain_result(request.result, query, request.region)
+        return request.result
 
     def top_k_batch(
         self,
@@ -820,36 +966,36 @@ class RetrievalService:
         answers, orderings, tie-breaks, and counted work — to what
         :meth:`top_k` would return for that query alone (a batch member
         runs the engine's one search step, the very step its solo search
-        runs, over memoized traversal state; see DESIGN.md). The
-        pipeline:
+        runs, over memoized traversal state; see DESIGN.md). The members
+        go through the stages :meth:`top_k` goes through (module
+        docstring), every member on its default structure; what a batch
+        adds:
 
-        1. **Cache peel** — each query is looked up individually;
-           hits are returned as ``"-cached"`` copies without planning.
-        2. **Plan** — the :class:`~repro.service.batching.BatchPlanner`
-           groups remaining queries by clipped region; groups of >= 2
-           interval-boundable models share one
-           :meth:`~repro.core.engine.RasterRetrievalEngine
-           .shared_scan_search` traversal, everything else (lone
-           regions, ``pruning="heuristic"``) falls back to the ordinary
-           sharded path. Validation is fail-fast: an unanswerable query
-           raises :class:`~repro.exceptions.QueryError` before any
-           query in the batch executes.
-        3. **Execute** — shared scans run per group; each query keeps
-           its own heap, counter, audit, and cancel token, so counted
-           work stays attributable and a deadline retires *its* query
-           prefix-soundly (``complete=False``, ``"-partial"``, never
-           cached) while the rest of the group finishes exactly.
+        * **Fail-fast.** Every member is admitted, and every miss
+          planned, before any member executes: an unanswerable query
+          raises :class:`~repro.exceptions.QueryError` for the whole
+          batch and leaves the tallies untouched.
+        * **Shared scans.** The
+          :class:`~repro.service.batching.BatchPlanner` groups misses by
+          clipped region; groups of >= 2 interval-boundable models share
+          one :meth:`~repro.core.engine.RasterRetrievalEngine
+          .shared_scan_search` traversal (``"-batch[N]"``), everything
+          else (lone regions, fused members, ``pruning="heuristic"``)
+          runs as it would alone. Each member keeps its own heap,
+          counter, audit, and cancel token, so counted work stays
+          attributable and a deadline retires *its* query prefix-soundly
+          (``complete=False``, ``"-partial"``, never cached) while the
+          rest of the group finishes exactly.
 
         ``use_model_levels``, ``deadline_s``, and ``cancel`` accept
         either one value for the whole batch or a sequence with one
         entry per query (mixed batches need per-query level knobs:
         knowledge/fuzzy models require ``use_model_levels=False``).
         Deadlines are measured from batch start. ``n_shards`` only
-        shapes singleton fallbacks; shared scans are single-threaded by
-        construction. The returned results carry per-query traces whose
-        parent is the batch's :class:`~repro.service.tracing.BatchTrace`.
+        shapes members that run alone; shared scans are single-threaded
+        by construction. Each result's trace hangs off the batch's
+        :class:`~repro.service.tracing.BatchTrace`.
         """
-        _check_knobs(pruning, n_shards)
         queries = list(queries)
         n_queries = len(queries)
         if n_queries == 0:
@@ -857,431 +1003,341 @@ class RetrievalService:
         levels = _broadcast(use_model_levels, n_queries, "use_model_levels")
         deadlines = _broadcast(deadline_s, n_queries, "deadline_s")
         cancels = _broadcast(cancel, n_queries, "cancel")
-        tokens = [
-            _deadline_token(value, parent)
-            for value, parent in zip(deadlines, cancels)
+        batch = BatchTrace(batch_size=n_queries, trace_id=trace_id)
+        requests = [
+            _Request(
+                query, DEFAULT_STRATEGY, level, pruning, heuristic_margin,
+                n_shards, _deadline_token(deadline, parent), batch.child(),
+            )
+            for query, level, deadline, parent in zip(
+                queries, levels, deadlines, cancels
+            )
         ]
-
-        trace = BatchTrace(batch_size=n_queries, trace_id=trace_id)
-        with self._lock:
-            self.stats.queries += n_queries
-            self.stats.batches += 1
-        children = [trace.child() for _ in range(n_queries)]
-        results: list[RetrievalResult | None] = [None] * n_queries
-        keys: list = [None] * n_queries
-        regions: list = [None] * n_queries
-        misses: list[int] = []
-
-        with trace.span("cache_lookup"):
-            self._check_archive_generation()
-            for index, query in enumerate(queries):
-                child = children[index]
-                cached: RetrievalResult | None = None
-                with child.span("cache_lookup"):
-                    regions[index] = query.clip_region(
-                        self.engine.stack.shape
-                    )
-                    keys[index] = query_fingerprint(
-                        query,
-                        regions[index],
-                        use_model_levels=levels[index],
-                        pruning=pruning,
-                        heuristic_margin=heuristic_margin,
-                    )
-                    if use_cache and self.cache is not None:
-                        child.cache_checked = True
-                        cached = self.cache.get(keys[index])
-                if cached is not None:
-                    results[index] = self._serve_hit(cached, child)
-                    continue
-                if use_cache and self.cache is not None:
-                    with self._lock:
-                        self.stats.cache_misses += 1
-                misses.append(index)
-
-        plan = None
-        if misses:
-            with trace.span("plan"):
-                planned = []
-                for index in misses:
-                    # Fail-fast for the whole batch: every query is
-                    # validated (and its cascade built) before any query
-                    # runs, so a bad member can never leave the batch
-                    # half-executed. (Fused members run the singleton
-                    # path, where _execute builds their FusionSpec.)
-                    with children[index].span("plan"):
-                        progressive = self._prepare_tiles(
-                            queries[index], levels[index]
-                        )
-                    planned.append(
-                        PlannedQuery(
-                            index=index,
-                            query=queries[index],
-                            region=regions[index],
-                            use_model_levels=levels[index],
-                            progressive=progressive,
-                        )
-                    )
-                plan = self._planner.plan(planned, pruning=pruning)
-
-        if plan is not None:
-            with self._lock:
-                self.stats.batched_queries += plan.batched
-            for group in plan.groups:
-                specs = [
-                    BatchQuerySpec(
-                        query=item.query,
-                        heap=TopKHeap(item.query.k),
-                        counter=CostCounter(),
-                        audit=PruningAudit(),
-                        progressive=item.progressive,
-                        cancel=tokens[item.index],
-                    )
-                    for item in group
-                ]
-                with trace.span("search"):
-                    self.engine.shared_scan_search(
-                        specs, group[0].region, pruning=pruning,
-                        heuristic_margin=heuristic_margin,
-                    )
-                for item, spec in zip(group, specs):
-                    results[item.index] = _batch_member_result(
-                        item, spec, len(group), children[item.index]
-                    )
-            for item in plan.singletons:
-                results[item.index] = self._execute(
-                    item.query,
-                    item.region,
-                    self.n_shards if n_shards is None else n_shards,
-                    item.use_model_levels,
-                    pruning,
-                    heuristic_margin,
-                    tokens[item.index],
-                    children[item.index],
-                )
-
-        if misses and use_cache and self.cache is not None:
-            with trace.span("cache_store"):
-                for index in misses:
-                    result = results[index]
-                    if result.complete:
-                        self.cache.put(
-                            keys[index],
-                            _result_copy(result, result.strategy),
-                            region=self._cache_region(
-                                queries[index], regions[index]
-                            ),
-                        )
-        for index in misses:
-            result = results[index]
-            token = tokens[index]
-            if not result.complete:
-                # Why this member was truncated (deadline vs explicit
-                # cancel) — exported with the trace so a retired
-                # "-batch[N]-partial" member is diagnosable after the
-                # fact.
-                children[index].metadata["retire_reason"] = (
-                    token.reason if token is not None else None
-                ) or "cancelled"
-            self._conclude(result, children[index], token)
-
-        trace.finish(complete=all(r.complete for r in results))
+        batched = self._serve(requests, use_cache, batch)
+        results = [request.result for request in requests]
+        batch.finish(complete=all(result.complete for result in results))
         sink = self._telemetry
         if sink is not None:
-            sink.record(trace)
+            sink.record(batch)
+        with self._lock:
+            self.stats.batches += 1
+            self.stats.batched_queries += batched
         registry = self.registry
         registry.inc("service.batches")
-        if plan is not None and plan.batched:
-            registry.inc("service.batched_queries", plan.batched)
-        registry.observe("service.batch_seconds", trace.wall_seconds)
+        if batched:
+            registry.inc("service.batched_queries", batched)
+        registry.observe("service.batch_seconds", batch.wall_seconds)
         registry.observe("service.batch_size", float(n_queries))
         return results
 
-    def _serve_hit(
-        self, cached: RetrievalResult, trace: QueryTrace
-    ) -> RetrievalResult:
-        """Finish ``trace`` as a cache hit and hand out a ``"-cached"``
-        defensive copy of the stored result."""
-        with self._lock:
-            self.stats.cache_hits += 1
+    # -- the pipeline's stages, over one _Request per query ----------------
+
+    def _admit(self, request: _Request) -> None:
+        """Reject what no strategy can answer; resolve the rest. Runs
+        before routing, the cache and every tally, so a client's mistake
+        is the same error whatever the router would have picked, and
+        leaves no trace in the tallies, the probe schedule or a key."""
+        query, strategy = request.query, request.strategy
+        if request.pruning not in ("sound", "heuristic"):
+            raise QueryError(f"unknown pruning mode {request.pruning!r}")
+        if request.n_shards is None:
+            request.n_shards = self.n_shards
+        elif request.n_shards < 1:
+            raise QueryError(
+                f"n_shards must be positive, got {request.n_shards}"
+            )
+        if strategy == DEFAULT_STRATEGY:
+            # A fused query's default structure *is* the fused tile
+            # search — same frontier, blended bounds.
+            strategy = request.strategy = _FAMILY_DEFAULT[query.fused]
+        elif strategy != "auto":
+            if strategy not in EXECUTORS:
+                raise QueryError(
+                    f"unknown strategy {strategy!r}; expected 'auto' or "
+                    f"one of {tuple(EXECUTORS)}"
+                )
+            if EXECUTORS[strategy].fused != query.fused:
+                family = tuple(
+                    n for n, e in EXECUTORS.items() if e.fused == query.fused
+                )
+                raise QueryError(
+                    f"strategy {strategy!r} cannot answer a "
+                    + ("fused (similar_to)" if query.fused else "model-only")
+                    + " query (a fused one carries a similar_to example "
+                    f"cell with alpha < 1); use 'auto' or one of {family}"
+                )
+        stack = self.engine.stack
+        layers = stack.layers
+        missing = [a for a in query.model.attributes if a not in layers]
+        if missing:
+            raise QueryError(f"stack lacks model attributes {missing}")
+        request.region = query.clip_region(stack.shape)
+        request.resolved = strategy
+
+    def _serve(
+        self,
+        requests: list[_Request],
+        use_cache: bool,
+        batch: BatchTrace | None = None,
+    ) -> int:
+        """Take requests through every stage, leaving each one's answer
+        on ``request.result``. A batch's stages are spans of its trace
+        as well; returns how many requests rode a shared scan."""
+        stage = batch.span if batch is not None else contextlib.nullcontext
+        caching = use_cache and self.cache is not None
+        for request in requests:
+            self._admit(request)
+        # Once, ahead of both readers: routing must see the fresh
+        # generation (a stale index is never scored as already built)
+        # and the cache must have dropped what a mutation invalidated.
+        self._check_archive_generation()
+        for request in requests:
+            if request.strategy != DEFAULT_STRATEGY:
+                self._route(request)
+        with stage("cache_lookup"):
+            misses = [r for r in requests if not self._lookup(r, caching)]
+        batched = 0
+        if misses:
+            with stage("plan"):
+                # Every miss is prepared before any of them runs, so a
+                # bad member can never leave a batch half-executed.
+                for request in misses:
+                    try:
+                        self._prepare(request)
+                    except Exception as error:
+                        self._fall_back(request, error)
+                plan = self._planner.plan(misses, pruning=misses[0].pruning)
+            batched = plan.batched
+            for group in plan.groups:
+                with stage("search"):
+                    self._scan_group(group)
+            for request in plan.singletons:
+                self._execute(request)
+            if caching:
+                with stage("cache_store"):
+                    for request in misses:
+                        self._store(request)
+        for request in requests:
+            self._record(request)
+        return batched
+
+    def _route(self, request: _Request) -> None:
+        trace = request.trace
+        with trace.span("route"):
+            decision = self.router.route(
+                request.query,
+                request.region,
+                strategy=request.strategy,
+                generation=self._seen_generation,
+                # A probe runs a strategy predicted slower; a query that
+                # may be cut short must never be the one that pays.
+                probe=request.cancel is None,
+            )
+            request.decision = decision
+            request.resolved = decision.chosen
+            trace.metadata["routing"] = decision.as_dict()
+
+    def _cache_key(self, request: _Request) -> Hashable:
+        knobs = {
+            "use_model_levels": request.use_model_levels,
+            "pruning": request.pruning,
+            "heuristic_margin": request.heuristic_margin,
+        }
+        # A family's default structure keeps the bare key, so routed and
+        # unrouted callers share entries (the answers are identical; the
+        # similar_to/alpha pair in the fingerprint already separates
+        # fused entries from model-only ones). Other strategies answer
+        # with different counted work and carry their own entries.
+        if not EXECUTORS[request.resolved].default:
+            knobs["strategy"] = request.resolved
+        return query_fingerprint(request.query, request.region, **knobs)
+
+    def _lookup(self, request: _Request, caching: bool) -> bool:
+        """The cache stage for one request; True when a hit answered it
+        (finished here, so its wall time is the hit's own)."""
+        trace = request.trace
+        hit: RetrievalResult | None = None
+        with trace.span("cache_lookup"):
+            if caching:
+                request.key = self._cache_key(request)
+                trace.cache_checked = True
+                hit = self.cache.get(request.key)
+        if hit is None:
+            return False
         trace.cache_hit = True
-        trace.finish(complete=cached.complete)
-        self._record(trace)
-        return _result_copy(
-            cached, strategy=cached.strategy + "-cached", trace=trace
+        trace.finish(complete=hit.complete)
+        request.result = _result_copy(
+            hit, strategy=hit.strategy + "-cached", trace=trace
         )
+        return True
 
-    def _conclude(
-        self,
-        result: RetrievalResult,
-        trace: QueryTrace,
-        cancel: CancellationToken | None,
-    ) -> None:
-        """Where every executed query ends: tally a partial answer,
-        finish its trace, attach it to the result and record it."""
-        if not result.complete:
-            with self._lock:
-                self.stats.partial_results += 1
-        trace.finish(
-            complete=result.complete,
-            cancel_reason=cancel.reason if cancel is not None else None,
-        )
-        result.trace = trace
-        self._record(trace)
+    def _prepare(self, request: _Request) -> None:
+        """Put on the record what ``request.resolved`` will consume.
 
-    def _run_strategy(
-        self,
-        resolved: str,
-        query: TopKQuery,
-        region: tuple[int, int, int, int],
-        n_shards: int,
-        use_model_levels: bool,
-        pruning: str,
-        heuristic_margin: float,
-        cancel: CancellationToken | None,
-        trace: QueryTrace,
-    ) -> tuple[RetrievalResult, float]:
-        """Run one strategy; returns its result and execution seconds.
-
-        What the strategy needs built once per process or generation —
-        the tile embeddings, a missing Onion index — is built first,
-        under its own span: the seconds returned are what the router
-        learns from, and a one-off build charged to whichever strategy
-        happened to run first would be held against it for good.
+        What it needs built once per process or generation comes first,
+        under its own span and off the clock: the router learns from a
+        query's own seconds, and a one-off build charged to whichever
+        strategy happened to run first would be held against it for good.
         """
-        if query.fused and self._embeddings is None:
-            with trace.span("embed_build"):
-                self.embeddings()
-        if resolved == "onion":
-            key = (region, tuple(query.model.attributes), self._seen_generation)
-            if self.router.index_cache.peek(*key) is None:
-                with trace.span("index_build"):
-                    self.router.index_cache.get(*key, k=query.k)
+        executor = EXECUTORS[request.resolved]
+        if executor.prebuild is not None:
+            executor.prebuild(self, request)
+        if not (executor.default or executor.fused):
+            return
+        query, trace = request.query, request.trace
         started = time.perf_counter()
-        if resolved in ("quadtree", "fused"):
-            result = self._execute(
-                query, region, n_shards, use_model_levels, pruning,
-                heuristic_margin, cancel, trace,
-            )
-        elif resolved == "onion":
-            result = self._execute_onion(query, region, trace)
-        elif resolved == "embed-scan":
-            result = self._execute_embed_scan(query, region, trace)
-        else:
-            result = self._execute_scan(query, region, trace)
-        return result, time.perf_counter() - started
-
-    def _prepare_tiles(self, query: TopKQuery, use_model_levels: bool):
-        """Validate ``query`` for the tile search; its cascade or None.
-
-        Fused queries blend *whole-model* interval bounds with cosine
-        caps; the level cascade does not apply, so their
-        ``use_model_levels`` knob is ignored rather than an error.
-        """
-        return self.engine.prepare_tile_query(
-            query, use_model_levels=use_model_levels and not query.fused
-        )
-
-    def _execute(
-        self,
-        query: TopKQuery,
-        region: tuple[int, int, int, int],
-        n_shards: int,
-        use_model_levels: bool,
-        pruning: str,
-        heuristic_margin: float,
-        cancel: CancellationToken | None,
-        trace: QueryTrace,
-    ) -> RetrievalResult:
-        engine = self.engine
-        fusion: FusionSpec | None = None
         with trace.span("plan"):
-            progressive = self._prepare_tiles(query, use_model_levels)
-            if query.fused:
-                fusion = self._fusion_spec(query, trace)
-            bands = row_band_shards(region, n_shards)
-            heap = SharedTopKHeap(query.k)
-            counters = [CostCounter() for _ in bands]
-            audits = [PruningAudit() for _ in bands]
-        shard_complete = [True] * len(bands)
+            if executor.default:
+                # Fused queries blend *whole-model* interval bounds with
+                # cosine caps; the level cascade does not apply, so their
+                # ``use_model_levels`` knob is ignored rather than an
+                # error.
+                levels = request.use_model_levels and not query.fused
+                request.progressive = self.engine.prepare_tile_query(
+                    query, use_model_levels=levels
+                )
+            if executor.fused:
+                request.fusion = self._fusion_spec(query, trace)
+        request.plan_seconds = time.perf_counter() - started
 
-        def run_shard(index: int) -> None:
-            band, counter, audit = bands[index], counters[index], audits[index]
-            started_s = trace.elapsed_s()
-            start = time.perf_counter()
-            ok = engine.shard_search(
-                query, band, heap, counter, audit,
-                progressive=progressive, pruning=pruning,
-                heuristic_margin=heuristic_margin, cancel=cancel,
-                fusion=fusion,
-            )
-            shard_complete[index] = ok
-            # Trace-only timing: per-shard wall time is recorded beside
-            # (never into) the shard counter, so merged counter tallies
-            # stay identical to the untraced pre-hardening service.
-            trace.add_shard(
-                shard=index,
-                band=band,
-                started_s=started_s,
-                wall_seconds=time.perf_counter() - start,
-                tiles_screened=audit.tiles_screened,
-                tiles_pruned=audit.tiles_pruned,
-                total_work=counter.total_work,
-                complete=ok,
-            )
+    def _fall_back(self, request: _Request, error: Exception) -> None:
+        """Graceful degradation: re-aim an ``"auto"`` request whose
+        strategy raised at its family's always-capable default, noting
+        why on the decision. Re-raises for a forced strategy (the caller
+        asked for that structure) and when the default itself failed.
+        The answer is cached under the *fallback's* key — that is what
+        answers — never under the failed strategy's.
+        """
+        fallback = _FAMILY_DEFAULT[request.query.fused]
+        if request.strategy != "auto" or request.resolved == fallback:
+            raise error
+        request.decision.record_fallback(
+            failed=request.resolved,
+            reason=f"{type(error).__name__}: {error}",
+            to=fallback,
+        )
+        request.resolved = fallback
+        if request.key is not None:
+            request.key = self._cache_key(request)
+        self._prepare(request)
 
-        total = CostCounter()
+    def _scan_group(self, group: list[_Request]) -> None:
+        """One shared scan answering a planner group."""
+        specs = [
+            BatchQuerySpec(
+                query=request.query,
+                heap=TopKHeap(request.query.k),
+                counter=CostCounter(),
+                audit=PruningAudit(),
+                progressive=request.progressive,
+                cancel=request.cancel,
+            )
+            for request in group
+        ]
+        first = group[0]
+        self.engine.shared_scan_search(
+            specs, first.region, pruning=first.pruning,
+            heuristic_margin=first.heuristic_margin,
+        )
+        for request, spec in zip(group, specs):
+            request.result = _batch_member_result(request, spec, len(group))
+
+    def _execute(self, request: _Request) -> None:
+        """Run one miss through its row of :data:`EXECUTORS`; a routed
+        execution's seconds (the fallback's own after a fallback, never
+        the failed attempt's) and tuples are reported to the router."""
+        started = time.perf_counter()
+        try:
+            result = EXECUTORS[request.resolved].run(self, request)
+        except Exception as error:
+            self._fall_back(request, error)
+            started = time.perf_counter()
+            result = EXECUTORS[request.resolved].run(self, request)
+        seconds = request.plan_seconds + time.perf_counter() - started
+        request.result = result
+        decision = request.decision
+        if decision is not None:
+            tuples = EXECUTORS[request.resolved].tuples
+            self.router.observe(
+                decision,
+                seconds=seconds,
+                tuples_examined=tuples(result.counter, request.query),
+                complete=result.complete,
+            )
+            request.trace.metadata["routing"] = decision.as_dict()
+
+    def _store(self, request: _Request) -> None:
+        result = request.result
+        if not result.complete:
+            # A partial (deadline-truncated) answer must never be served
+            # to a later query that had no deadline.
+            return
+        region, fusion = request.region, request.fusion
         if fusion is not None:
-            # The one-off cosine grid is charged once per query (not per
-            # shard), at the same rate embed-scan and the oracle charge.
-            fusion.charge_build(total)
-        with trace.span("search"):
-            with total.timed():
-                if len(bands) == 1:
-                    run_shard(0)
-                else:
-                    pool = self._shard_pool()
-                    futures = [
-                        pool.submit(run_shard, index)
-                        for index in range(len(bands))
-                    ]
-                    for future in futures:
-                        future.result()
-
-        with trace.span("merge"):
-            audit = PruningAudit()
-            for shard_counter, shard_audit in zip(counters, audits):
-                total += shard_counter
-                audit.absorb(shard_audit)
-            total.note("shards", len(bands))
-            answers = ranked_answers(heap, query.maximize)
-            complete = all(shard_complete)
-            if fusion is not None:
-                strategy = "fused"
-            elif use_model_levels:
-                strategy = "both"
-            else:
-                strategy = "data-progressive"
-            if pruning == "heuristic":
-                strategy += "-heuristic"
-            strategy += f"-sharded[{len(bands)}]"
-            if not complete:
-                strategy += "-partial"
-        return RetrievalResult(
-            answers=answers, counter=total, audit=audit, strategy=strategy,
-            complete=complete,
-        )
-
-    def _execute_onion(
-        self,
-        query: TopKQuery,
-        region: tuple[int, int, int, int],
-        trace: QueryTrace,
-    ) -> RetrievalResult:
-        """Onion-layer execution: candidate generation + exact re-score.
-
-        The index is used purely as a *candidate generator* — the union
-        of the outermost K hull layers, which the containment theorem
-        guarantees holds the true top-K of any linear objective. The
-        candidates are then re-scored through ``model.evaluate_batch``
-        and offered into the engine's :class:`TopKHeap`: the same
-        per-cell arithmetic and the same tie-break machinery as the
-        quadtree and scan paths, which is what makes routed answers
-        bit-identical to theirs.
-        """
-        model = query.model
-        with trace.span("index"):
-            built = self.router.index_cache.get(
-                region, tuple(model.attributes), self._seen_generation
+            # A fused answer reads the query region *and* the example
+            # tile (its vector is the similarity target), so the entry
+            # covers their bounding box and a mutation under the example
+            # tile invalidates it. The bbox over-approximates (cells
+            # between the two rectangles also hit it), which only costs
+            # extra invalidation, never a stale answer.
+            window = fusion.example_window
+            region = (
+                min(region[0], window[0]),
+                min(region[1], window[1]),
+                max(region[2], window[2]),
+                max(region[3], window[3]),
             )
-        counter = CostCounter()
-        with trace.span("search"):
-            with counter.timed():
-                candidates = built.candidate_rows(query.k)
-                layers = built.index.layers_needed(query.k)
-                counter.add_nodes(layers)
-                counter.add_tuples(int(candidates.size))
-                columns = {
-                    name: built.columns[name][candidates]
-                    for name in model.attributes
-                }
-                counter.add_data_points(
-                    int(candidates.size) * len(model.attributes)
-                )
-                scores = model.evaluate_batch(columns)
-                counter.add_model_evals(
-                    int(candidates.size), flops_each=model.complexity
-                )
-                sign = 1.0 if query.maximize else -1.0
-                heap = TopKHeap(query.k)
-                # Region-local row-major flattening: local flat order is
-                # global (row, col) lexicographic order restricted to
-                # the region, so decoding preserves tie semantics.
-                width = region[3] - region[1]
-                local_rows, local_cols = divmod(candidates, width)
-                heap.offer_block(
-                    sign * scores,
-                    region[0] + local_rows,
-                    region[1] + local_cols,
-                )
-        with trace.span("merge"):
-            answers = ranked_answers(heap, query.maximize)
-            counter.note("onion_layers", layers)
-            counter.note("onion_candidates", int(candidates.size))
-        return RetrievalResult(
-            answers=answers, counter=counter, strategy="onion"
-        )
+        with request.trace.span("cache_store"):
+            # The stored entry is a copy, so the caller may freely
+            # mutate the returned one.
+            self.cache.put(
+                request.key, _result_copy(result, result.strategy),
+                region=region,
+            )
 
-    def _execute_scan(
-        self,
-        query: TopKQuery,
-        region: tuple[int, int, int, int],
-        trace: QueryTrace,
-        fusion: FusionSpec | None = None,
-    ) -> RetrievalResult:
-        """Sequential-scan execution (the router's calibration oracle).
-
-        :meth:`RasterRetrievalEngine.dense_top_k` cell for cell — the
-        routine behind ``exhaustive_top_k`` — with the service's trace
-        spans and tuple tallies added for the router's feedback. With
-        ``fusion`` this is the ``embed-scan`` strategy: the cosine-grid
-        build and one blend per cell are charged at the rates the
-        progressive fused path and ``tests/oracles.py`` charge.
-        """
-        n_cells = (region[2] - region[0]) * (region[3] - region[1])
-        counter = CostCounter()
-        with trace.span("search"):
-            with counter.timed():
-                heap = self.engine.dense_top_k(query, region, counter, fusion)
-                counter.add_tuples(n_cells)
-                if fusion is not None:
-                    fusion.charge_build(counter)
-                    counter.add_partial_evals(
-                        n_cells, flops_each=BLEND_FLOPS
-                    )
-        with trace.span("merge"):
-            answers = ranked_answers(heap, query.maximize)
-        return RetrievalResult(
-            answers=answers, counter=counter,
-            strategy="scan" if fusion is None else "embed-scan",
-        )
-
-    def _execute_embed_scan(
-        self,
-        query: TopKQuery,
-        region: tuple[int, int, int, int],
-        trace: QueryTrace,
-    ) -> RetrievalResult:
-        """Exhaustive fused execution (the fused calibration oracle).
-
-        Embed-all-then-blend: the dense scan with every cell's score
-        blended with its tile's cosine. ``tests/oracles.py`` mirrors
-        this path counter for counter, and ``benchmarks/bench_embed.py``
-        gates the progressive fused path against it.
-        """
-        with trace.span("index"):
-            fusion = self._fusion_spec(query, trace)
-        return self._execute_scan(query, region, trace, fusion)
+    def _record(self, request: _Request) -> None:
+        """Where every answered request ends: an executed one's trace
+        is finished and attached, the tallies and the registry counters
+        of the same names move together, the trace is exported (a batch
+        child once, inside its parent's tree)."""
+        trace, result = request.trace, request.result
+        if not trace.cache_hit:
+            token = request.cancel
+            reason = token.reason if token is not None else None
+            if not result.complete:
+                # Why it was truncated (deadline vs explicit cancel) —
+                # exported with the trace so a retired "-partial" answer
+                # is diagnosable after the fact.
+                trace.metadata["retire_reason"] = reason or "cancelled"
+            trace.finish(complete=result.complete, cancel_reason=reason)
+            result.trace = trace
+        stats, registry = self.stats, self.registry
+        with self._lock:
+            stats.queries += 1
+            if trace.cache_hit:
+                stats.cache_hits += 1
+            elif trace.cache_checked:
+                stats.cache_misses += 1
+            if not trace.complete:
+                stats.partial_results += 1
+            hit_rate = stats.hit_rate
+        sink = self._telemetry
+        if sink is not None and trace.parent is None:
+            sink.record(trace)
+        registry.inc("service.queries")
+        if trace.cache_checked:
+            registry.inc(
+                "service.cache_hits" if trace.cache_hit
+                else "service.cache_misses"
+            )
+        if not trace.complete:
+            registry.inc("service.partial_results")
+        if trace.cancel_reason is not None:
+            registry.inc(f"service.cancelled.{trace.cancel_reason}")
+        registry.observe("service.query_seconds", trace.wall_seconds)
+        for name, seconds in trace.stage_seconds().items():
+            registry.observe(f"service.stage.{name}_seconds", seconds)
+        registry.gauge("service.cache_hit_rate", hit_rate)
 
     def warm_index(
         self,
@@ -1355,31 +1411,6 @@ class RetrievalService:
         self.registry.inc("service.composite_queries")
         return answers, decision
 
-    def _record(self, trace: QueryTrace) -> None:
-        """Fold one finished trace into the metrics registry and export
-        it. Batch children are folded into the registry individually but
-        exported only once, inside their parent's trace tree."""
-        sink = self._telemetry
-        if sink is not None and trace.parent is None:
-            sink.record(trace)
-        registry = self.registry
-        registry.inc("service.queries")
-        if trace.cache_checked:
-            registry.inc(
-                "service.cache_hits" if trace.cache_hit
-                else "service.cache_misses"
-            )
-        if not trace.complete:
-            registry.inc("service.partial_results")
-        if trace.cancel_reason is not None:
-            registry.inc(f"service.cancelled.{trace.cancel_reason}")
-        registry.observe("service.query_seconds", trace.wall_seconds)
-        for stage, seconds in trace.stage_seconds().items():
-            registry.observe(f"service.stage.{stage}_seconds", seconds)
-        with self._lock:
-            hit_rate = self.stats.hit_rate
-        registry.gauge("service.cache_hit_rate", hit_rate)
-
     def __repr__(self) -> str:
         cached = len(self.cache) if self.cache is not None else 0
         return (
@@ -1387,19 +1418,6 @@ class RetrievalService:
             f"n_shards={self.n_shards}, cached={cached}, "
             f"queries={self.stats.queries})"
         )
-
-
-def _check_knobs(pruning: str, n_shards: int | None) -> None:
-    """Validate the knobs every strategy shares, once, at the door.
-
-    Runs before stats, routing and the cache, so an invalid call is an
-    error whatever the router would have picked and leaves no trace in
-    the tallies, the probe schedule or a cache key.
-    """
-    if pruning not in ("sound", "heuristic"):
-        raise QueryError(f"unknown pruning mode {pruning!r}")
-    if n_shards is not None and n_shards < 1:
-        raise QueryError(f"n_shards must be positive, got {n_shards}")
 
 
 def _deadline_token(
@@ -1412,20 +1430,6 @@ def _deadline_token(
     if deadline_s <= 0:
         raise QueryError(f"deadline_s must be positive, got {deadline_s}")
     return CancellationToken(deadline_s=deadline_s, parent=parent)
-
-
-def _observed_tuples(result: RetrievalResult, query: TopKQuery) -> int:
-    """Tuples a finished execution examined, for cost-model feedback.
-
-    Onion/scan executions tally ``tuples_examined`` directly; the
-    quadtree path counts window reads as data points, so its tuple
-    count is derived as data points per attribute.
-    """
-    counter = result.counter
-    if counter.tuples_examined:
-        return counter.tuples_examined
-    n_attrs = max(1, len(query.model.attributes))
-    return int(counter.data_points // n_attrs)
 
 
 def _broadcast(value, n_queries: int, name: str) -> list:
@@ -1442,10 +1446,7 @@ def _broadcast(value, n_queries: int, name: str) -> list:
 
 
 def _batch_member_result(
-    item: PlannedQuery,
-    spec: BatchQuerySpec,
-    group_size: int,
-    child: QueryTrace,
+    request: _Request, spec: BatchQuerySpec, group_size: int
 ) -> RetrievalResult:
     """Assemble one shared-scan member's result and per-query trace.
 
@@ -1455,19 +1456,20 @@ def _batch_member_result(
     of the same attributed duration, so summing child spans across the
     batch never exceeds the batch's wall time.
     """
+    child = request.trace
     spec.counter.wall_seconds += spec.attributed_seconds
     spec.counter.note("batch_group", group_size)
-    strategy = "both" if item.use_model_levels else "data-progressive"
+    strategy = "both" if request.use_model_levels else "data-progressive"
     strategy += f"-batch[{group_size}]"
     if not spec.complete:
         strategy += "-partial"
         # The strategy suffix alone says only that it was truncated;
-        # top_k_batch adds *why* (``retire_reason``) for every member.
+        # the record stage adds *why* (``retire_reason``).
         child.metadata["retired"] = f"batch[{group_size}]-partial"
     child.record_span("batch_search", spec.attributed_seconds)
     child.add_shard(
         shard=0,
-        band=item.region,
+        band=request.region,
         started_s=max(0.0, child.elapsed_s() - spec.attributed_seconds),
         wall_seconds=spec.attributed_seconds,
         tiles_screened=spec.audit.tiles_screened,

@@ -59,14 +59,11 @@ from repro.service.cache import regions_intersect
 from repro.sproc.query import CompositeQuery
 from repro.telemetry.events import global_event_log
 
-#: Raster strategies the router arbitrates between, plus the composite
-#: family routed separately by :meth:`QueryRouter.route_composite`.
-RASTER_STRATEGIES = ("quadtree", "onion", "scan")
+#: The composite (SPROC) family, routed by
+#: :meth:`QueryRouter.route_composite`. The raster and fused strategies
+#: are the rows of :data:`repro.service.retrieval.EXECUTORS`; the router
+#: only prices them (:data:`_PRIOR_RATES`) and says who may bid.
 COMPOSITE_STRATEGIES = ("naive", "dp", "fast")
-
-#: Strategies for fused (``similar_to``) queries: the progressive tile
-#: search with blended bounds, and the exhaustive embed-all baseline.
-FUSED_STRATEGIES = ("fused", "embed-scan")
 
 #: Prior seconds per size unit, read off the benchmark box once: region
 #: cells for quadtree/scan/fused/embed-scan, candidate tuples for onion,
@@ -736,7 +733,6 @@ class QueryRouter:
             return self._route_scored(
                 strategy,
                 self._fused_candidates(query, n_cells),
-                FUSED_STRATEGIES,
                 generation,
                 probe,
             )
@@ -750,19 +746,19 @@ class QueryRouter:
                 "via composite_top_k",
             ),
         ]
-        return self._route_scored(
-            strategy, candidates, RASTER_STRATEGIES, generation, probe
-        )
+        return self._route_scored(strategy, candidates, generation, probe)
 
     def _route_scored(
         self,
         strategy: str,
         candidates: list[StrategyCandidate],
-        family: tuple[str, ...],
         generation: int | None,
         probe: bool,
     ) -> RoutingDecision:
-        """Pick (or validate) a strategy from a scored candidate list."""
+        """Pick (or validate) a strategy from a scored candidate list.
+        The list's names identify the query family: one probe schedule
+        per family."""
+        family = tuple(c.name for c in candidates)
         eligible = [c for c in candidates if c.eligible]
         preferred = min(eligible, key=lambda c: c.predicted_seconds)
         for candidate in eligible:
@@ -952,9 +948,7 @@ class QueryRouter:
             self._candidate(name, int(min(work[name], 2**62)))
             for name in COMPOSITE_STRATEGIES
         ]
-        return self._route_scored(
-            strategy, candidates, COMPOSITE_STRATEGIES, None, probe=True
-        )
+        return self._route_scored(strategy, candidates, None, probe=True)
 
     # -- feedback ---------------------------------------------------------
 
@@ -1006,11 +1000,9 @@ __all__ = [
     "BuiltOnion",
     "COMPOSITE_STRATEGIES",
     "CostModel",
-    "FUSED_STRATEGIES",
     "OnionIndexCache",
     "PAPER_DEPTH",
     "QueryRouter",
-    "RASTER_STRATEGIES",
     "RoutingDecision",
     "SIDECAR_VERSION",
     "StrategyCandidate",

@@ -31,7 +31,6 @@ import itertools
 import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -164,7 +163,9 @@ class QueryTrace:
         #: Correlation id shared by every span of this query — and, for
         #: batch members, by the whole batch (children inherit the batch
         #: trace id so one grep/filter finds the full tree).
-        self.trace_id = trace_id if trace_id is not None else uuid.uuid4().hex[:16]
+        self.trace_id = (
+            trace_id if trace_id is not None else os.urandom(8).hex()
+        )
         #: Span-id allocator; a batch hands its own allocator to every
         #: child so ids stay unique across the combined span tree.
         self._ids = _ids if _ids is not None else itertools.count(1)

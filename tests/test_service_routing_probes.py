@@ -11,13 +11,14 @@ feedback loop (DESIGN.md routing section):
 * a probe never runs for a forced strategy or for a query that may be
   cut short, and never builds an index.
 
-Ground truth is made unambiguous by slowing one executor with a short
-sleep (never more than 50 ms), or by pinning predictions where only the
-probe schedule is under test.
+Ground truth is made unambiguous by slowing one row of the executor
+table with a short sleep (never more than 50 ms), or by pinning
+predictions where only the probe schedule is under test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -26,12 +27,10 @@ from repro.core.query import TopKQuery
 from repro.embed.tiles import TileEmbeddings
 from repro.metrics.registry import MetricsRegistry
 from repro.service import RetrievalService
-from repro.service import routing
+from repro.service import retrieval, routing
 from repro.service.tracing import CancellationToken
 
 GRID = 64
-#: The method that executes each fused strategy.
-EXECUTOR = {"fused": "_execute", "embed-scan": "_execute_embed_scan"}
 OTHER = {"fused": "embed-scan", "embed-scan": "fused"}
 #: Added to the executor that must lose. On this white-noise grid the
 #: tile search cannot prune and takes about 5 ms against the scan's
@@ -45,14 +44,17 @@ def _service(stack) -> RetrievalService:
     )
 
 
-def _slow_down(service: RetrievalService, strategy: str, seconds: float):
-    real = getattr(service, EXECUTOR[strategy])
+def _slow_down(monkeypatch, strategy: str, seconds: float):
+    """Add ``seconds`` to every run of ``strategy``'s executor."""
+    row = retrieval.EXECUTORS[strategy]
 
-    def slowed(*args, **kwargs):
+    def slowed(service, request):
         time.sleep(seconds)
-        return real(*args, **kwargs)
+        return row.run(service, request)
 
-    setattr(service, EXECUTOR[strategy], slowed)
+    monkeypatch.setitem(
+        retrieval.EXECUTORS, strategy, dataclasses.replace(row, run=slowed)
+    )
 
 
 def _fused_query(model, index: int = 0) -> TopKQuery:
@@ -92,7 +94,7 @@ class TestPoisoning:
 
         monkeypatch.setattr(TileEmbeddings, "build", slow_build)
         service = _service(stack)
-        _slow_down(service, OTHER[faster], SLOW_S)
+        _slow_down(monkeypatch, OTHER[faster], SLOW_S)
 
         first = service.top_k(
             _fused_query(model), strategy="auto", n_shards=1
@@ -115,10 +117,10 @@ class TestPoisoning:
         )
 
     def test_one_wild_sample_on_a_warm_strategy_changes_nothing(
-        self, stack, model
+        self, monkeypatch, stack, model
     ):
         service = _service(stack)
-        _slow_down(service, "embed-scan", SLOW_S)
+        _slow_down(monkeypatch, "embed-scan", SLOW_S)
         warm = [
             _routing(service, _fused_query(model, index))
             for index in range(8)
@@ -252,14 +254,15 @@ class TestProbeSchedule:
 
 class TestDeterminism:
     def test_same_sequence_same_labels_on_fresh_services(
-        self, stack, model
+        self, monkeypatch, stack, model
     ):
         """Real timings, made unambiguous: the tile search (quadtree and
         fused alike) is slowed, so both families settle on their scan."""
+        for tile_search in ("quadtree", "fused"):
+            _slow_down(monkeypatch, tile_search, 0.003)
 
         def labels() -> list[tuple[str, str | None]]:
             service = _service(stack)
-            _slow_down(service, "fused", 0.003)
             out = []
             for index in range(36):
                 query = (

@@ -458,6 +458,21 @@ class TestHttpFrontEnd:
             )
             assert status == 400
 
+    def test_unknown_attribute_is_400_on_a_forced_strategy(self, fleet):
+        """The front end cannot know the stack's layers, so a typo in a
+        model reaches a worker — whose admit stage refuses it as a
+        client error whatever the strategy (a forced scan used to die
+        on the stack lookup: 500 ``internal``)."""
+        payload = encode_query(
+            TopKQuery(model=LinearModel({"band_a": 1.0, "zzz": 2.0}), k=3)
+        )
+        payload["strategy"] = "scan"
+        with ServingServer(fleet) as server:
+            status, body, _ = _post(server, "/query", payload)
+            assert status == 400
+            assert body["kind"] == "query"
+            assert "stack lacks model attributes ['zzz']" in body["error"]
+
     @pytest.mark.parametrize(
         "length, status",
         [("abc", 400), ("-5", 400), ("99999999999", 413)],
