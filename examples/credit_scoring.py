@@ -51,7 +51,7 @@ def main() -> None:
 
     print("\nnote: with 6 indexed attributes the hull layers are fat "
           "(curse of dimensionality); the paper's 3-attribute benchmark in "
-          "benchmarks/bench_onion.py shows the dramatic ratios.")
+          "experiments/bench_onion.py shows the dramatic ratios.")
 
 
 if __name__ == "__main__":

@@ -16,12 +16,21 @@ import pytest
 
 from repro.core.engine import RasterRetrievalEngine
 from repro.core.query import TopKQuery
+from repro.metrics.counters import CostCounter
 from repro.metrics.efficiency import EfficiencyModel
 from repro.models.linear import hps_risk_model
 from repro.synth.landsat import generate_scene
 from repro.synth.terrain import generate_dem
 
 SHAPE = (512, 512)
+
+
+def _timed(run, query):
+    """``(result, wall_seconds)`` of one engine call."""
+    clock = CostCounter()
+    with clock.timed():
+        result = run(query)
+    return result, clock.wall_seconds
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +51,10 @@ class TestEfficiencyModel:
     def test_four_way_ablation(self, benchmark, engine, model, report, k):
         report.header("O(nN) -> O(nN/(pm*pd)); combined beats either alone")
         query = TopKQuery(model=model, k=k)
-        exhaustive = engine.exhaustive_top_k(query)
+        exhaustive, scan_s = _timed(engine.exhaustive_top_k, query)
         model_only = engine.progressive_top_k(query, use_tiles=False)
         data_only = engine.progressive_top_k(query, use_model_levels=False)
-        both = engine.progressive_top_k(query)
+        both, both_s = _timed(engine.progressive_top_k, query)
 
         baseline_scores = sorted(round(s, 9) for s in exhaustive.scores)
         for result in (model_only, data_only, both):
@@ -62,6 +71,7 @@ class TestEfficiencyModel:
             combined=efficiency.combined,
             predicted_pm_x_pd=efficiency.predicted_combined,
             synergy=efficiency.synergy,
+            wall_ratio=scan_s / both_s,
         )
         assert efficiency.pm > 1.0
         assert efficiency.pd > 1.0
@@ -222,8 +232,8 @@ class TestEfficiencyModel:
             stack.add(dem)
             engine_n = RasterRetrievalEngine(stack, leaf_size=16)
             query = TopKQuery(model=model, k=10)
-            exhaustive = engine_n.exhaustive_top_k(query)
-            both = engine_n.progressive_top_k(query)
+            exhaustive, scan_s = _timed(engine_n.exhaustive_top_k, query)
+            both, both_s = _timed(engine_n.progressive_top_k, query)
             assert sorted(round(s, 6) for s in both.scores) == sorted(
                 round(s, 6) for s in exhaustive.scores
             )
@@ -236,6 +246,7 @@ class TestEfficiencyModel:
                 scan_work=exhaustive.counter.total_work,
                 progressive_work=both.counter.total_work,
                 speedup=ratio,
+                wall_ratio=scan_s / both_s,
             )
         assert speedups == sorted(speedups), (
             "speedup must widen with archive size"

@@ -50,10 +50,15 @@ def _chain_query(n_components: int, n_objects: int, seed: int) -> CompositeQuery
     )
 
 
-def _work(evaluate, query, k=5) -> int:
+def _run(evaluate, query, k=5) -> CostCounter:
     counter = CostCounter()
-    evaluate(query, k, counter)
-    return counter.tuples_examined
+    with counter.timed():
+        evaluate(query, k, counter)
+    return counter
+
+
+def _work(evaluate, query, k=5) -> int:
+    return _run(evaluate, query, k).tuples_examined
 
 
 class TestSprocComplexity:
@@ -73,14 +78,16 @@ class TestSprocComplexity:
             assert scores == [round(s, 10) for _, s in answers["dp"]]
             assert scores == [round(s, 10) for _, s in answers["fast"]]
 
-            work["naive"].append(_work(naive_top_k, dense))
-            work["dp"].append(_work(sproc_top_k, dense))
+            naive, dp = _run(naive_top_k, dense), _run(sproc_top_k, dense)
+            work["naive"].append(naive.tuples_examined)
+            work["dp"].append(dp.tuples_examined)
             work["fast"].append(_work(fast_top_k, chain))
             report.row(
                 L=n_objects,
                 naive=work["naive"][-1],
                 dp=work["dp"][-1],
                 fast_chain=work["fast"][-1],
+                wall_ratio=naive.wall_seconds / dp.wall_seconds,
             )
 
         def exponent(series):
@@ -101,9 +108,15 @@ class TestSprocComplexity:
         report.header("naive explodes with M; DP grows linearly (L=10, K=3)")
         for n_components in (2, 3, 4):
             dense = _dense_query(n_components, 10, seed=2)
-            naive_work = _work(naive_top_k, dense, k=3)
-            dp_work = _work(sproc_top_k, dense, k=3)
-            report.row(M=n_components, naive=naive_work, dp=dp_work)
+            naive = _run(naive_top_k, dense, k=3)
+            dp = _run(sproc_top_k, dense, k=3)
+            naive_work, dp_work = naive.tuples_examined, dp.tuples_examined
+            report.row(
+                M=n_components,
+                naive=naive_work,
+                dp=dp_work,
+                wall_ratio=naive.wall_seconds / dp.wall_seconds,
+            )
             if n_components == 4:
                 assert naive_work > 20 * dp_work
         benchmark(lambda: None)

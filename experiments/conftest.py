@@ -1,10 +1,14 @@
-"""Shared benchmark fixtures and report plumbing.
+"""Shared experiment fixtures and report plumbing.
 
-Every benchmark prints its paper-vs-measured table through the
-``report`` fixture so `pytest benchmarks/ --benchmark-only -s` yields the
-full EXPERIMENTS.md evidence in one run. Work ratios (counted operations)
-are the primary reproduction measurement; pytest-benchmark adds
-wall-clock for the core operations.
+Every experiment prints its paper-vs-measured table through the
+``report`` fixture, so one command yields the full EXPERIMENTS.md
+evidence::
+
+    PYTHONPATH=src python -m pytest experiments -o addopts="" --benchmark-only -s
+
+Work ratios (counted operations) are the primary reproduction
+measurement; the speed claims print a ``wall_ratio`` beside them and
+pytest-benchmark adds wall-clock for the core operations.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import pytest
 
 
 class ReportPrinter:
-    """Tiny helper giving benchmark tables a uniform look."""
+    """Tiny helper giving experiment tables a uniform look."""
 
     def __init__(self, experiment: str) -> None:
         self.experiment = experiment

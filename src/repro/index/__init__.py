@@ -22,13 +22,12 @@ from repro.index.hull import hull_layers, hull_vertices
 from repro.index.onion import OnionIndex
 from repro.index.rtree import RStarTree, Rect
 from repro.index.scan import scan_top_k
-from repro.index.vector import FlatIPIndex, IVFIPIndex, ip_scores
+from repro.index.vector import FlatIPIndex, ip_scores
 
 __all__ = [
     "CSVDIndex",
     "FlatIPIndex",
     "GridFileIndex",
-    "IVFIPIndex",
     "OnionIndex",
     "RStarTree",
     "Rect",

@@ -1,24 +1,16 @@
-"""Vector similarity indexes over tile embeddings (DESIGN.md §10).
+"""Vector similarity index over tile embeddings (DESIGN.md §10).
 
-Two inner-product top-K indexes over a flat set of embedding vectors,
-both funnelled through :class:`~repro.core.engine.TopKHeap` so they
-inherit the library-wide tie-break convention (equal score -> smallest
-``(row, col)``):
-
-* :class:`FlatIPIndex` — score every vector, one ``offer_block``. The
-  exact reference the differential suite pins bitwise against a numpy
-  argsort oracle.
-* :class:`IVFIPIndex` — an IVF-style coarse quantizer: k-means
-  partitions with sound per-partition score caps
-  ``ip(centroid, q) + radius * ||q||`` (Cauchy-Schwarz). Probing every
-  partition reproduces the flat answer bit-for-bit; probing in
-  descending cap order with the threshold stop rule is *exact* while
-  skipping partitions no top-K member can live in; a fixed ``nprobe``
-  trades recall for work.
+:class:`FlatIPIndex` is an exact inner-product top-K over a flat set of
+embedding vectors — score every vector, one ``offer_block`` into
+:class:`~repro.core.engine.TopKHeap`, so it inherits the library-wide
+tie-break convention (equal score -> smallest ``(row, col)``). The
+differential suite pins it bitwise against a numpy argsort oracle. At
+the scale it serves (at most a few thousand tile vectors) the full scan
+is microseconds, which is why there is no coarse quantizer beside it.
 
 Scores accumulate dimension-by-dimension in float64 (term order, never
-a BLAS matmul), so a gathered partition subset scores bitwise what the
-flat scan scores — the property the IVF==flat differential leans on.
+a BLAS matmul), so a gathered row subset (a refresh block, a region's
+tiles) scores bitwise what the full matrix scores.
 """
 
 from __future__ import annotations
@@ -29,21 +21,14 @@ from repro.core.engine import TopKHeap
 from repro.exceptions import IndexError_
 from repro.metrics.counters import CostCounter
 
-#: Relative + absolute inflation applied to partition caps, absorbing
-#: the rounding of the cap arithmetic itself (a handful of float64 ops,
-#: error ~1e-15 relative) so "no true member ever pruned" holds in
-#: floats, not just in exact arithmetic.
-CAP_RELATIVE_SLACK = 1e-9
-CAP_ABSOLUTE_SLACK = 1e-12
-
 
 def ip_scores(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Float64 inner products of each row with ``query``, term-ordered.
 
-    Accumulates one dimension at a time so any row subset (an IVF
-    partition gather, a refresh block) produces bitwise the same score
-    per row as the full matrix would — summation-order stability that a
-    GEMV call does not guarantee.
+    Accumulates one dimension at a time so any row subset (a refresh
+    block, a region's tiles) produces bitwise the same score per row as
+    the full matrix would — summation-order stability that a GEMV call
+    does not guarantee.
     """
     matrix = np.asarray(vectors)
     if matrix.ndim != 2:
@@ -122,156 +107,3 @@ class FlatIPIndex:
         heap = TopKHeap(k)
         heap.offer_block(scores, self._cells[:, 0], self._cells[:, 1])
         return heap.ranked()
-
-
-def _kmeans(
-    vectors: np.ndarray, n_partitions: int, seed: int, n_iters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic seeded Lloyd iterations; ``(centroids, labels)``.
-
-    Ties in assignment go to the lowest centroid index (``argmin``);
-    empty partitions keep their previous centroid. Everything is
-    float64 elementwise, so rebuilds are bit-reproducible.
-    """
-    n = vectors.shape[0]
-    rng = np.random.default_rng(seed)
-    centroids = vectors[np.sort(rng.permutation(n)[:n_partitions])].copy()
-    labels = np.zeros(n, dtype=np.intp)
-    for _ in range(n_iters):
-        # Squared distance argmin; the ||v||^2 term is rank-neutral per
-        # row, so it is omitted.
-        distances = np.empty((n, centroids.shape[0]))
-        for p in range(centroids.shape[0]):
-            delta = vectors - centroids[p]
-            distances[:, p] = np.einsum("nd,nd->n", delta, delta)
-        labels = np.argmin(distances, axis=1)
-        for p in range(centroids.shape[0]):
-            members = labels == p
-            if members.any():
-                centroids[p] = vectors[members].mean(axis=0)
-    return centroids, labels
-
-
-class IVFIPIndex:
-    """Coarse-quantized inner-product index with sound partition caps."""
-
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        cells: np.ndarray,
-        n_partitions: int = 8,
-        seed: int = 0,
-        n_iters: int = 8,
-    ) -> None:
-        self._vectors = np.asarray(vectors)
-        if self._vectors.ndim != 2 or self._vectors.shape[0] == 0:
-            raise IndexError_(
-                "IVF index needs a non-empty (n, dim) vector matrix"
-            )
-        if n_partitions < 1:
-            raise IndexError_(
-                f"n_partitions must be >= 1, got {n_partitions}"
-            )
-        self._cells = _check_cells(cells, self._vectors.shape[0])
-        vectors64 = self._vectors.astype(np.float64)
-        n_partitions = min(int(n_partitions), vectors64.shape[0])
-        self.centroids, labels = _kmeans(
-            vectors64, n_partitions, seed, n_iters
-        )
-        self._members: list[np.ndarray] = [
-            np.flatnonzero(labels == p)
-            for p in range(self.centroids.shape[0])
-        ]
-        self.radii = np.zeros(self.centroids.shape[0])
-        for p, members in enumerate(self._members):
-            if members.size:
-                delta = vectors64[members] - self.centroids[p]
-                self.radii[p] = float(
-                    np.sqrt(np.einsum("nd,nd->n", delta, delta).max())
-                )
-
-    @classmethod
-    def from_embeddings(cls, embeddings, **kwargs) -> "IVFIPIndex":
-        flat = FlatIPIndex.from_embeddings(embeddings)
-        return cls(flat._vectors, flat._cells, **kwargs)
-
-    @property
-    def n(self) -> int:
-        return self._vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self._vectors.shape[1]
-
-    @property
-    def n_partitions(self) -> int:
-        return self.centroids.shape[0]
-
-    def partition_caps(self, query: np.ndarray) -> np.ndarray:
-        """Sound per-partition upper bounds on any member's IP score.
-
-        For member ``v`` of partition ``p``:
-        ``ip(v, q) = ip(c_p, q) + ip(v - c_p, q)
-                  <= ip(c_p, q) + radius_p * ||q||`` (Cauchy-Schwarz),
-        then inflated by a relative+absolute slack covering the cap
-        arithmetic's own rounding.
-        """
-        flat_query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if flat_query.size != self.dim:
-            raise IndexError_(
-                f"query has {flat_query.size} dims, index has {self.dim}"
-            )
-        center_ip = ip_scores(self.centroids, flat_query)
-        caps = center_ip + self.radii * float(
-            np.sqrt(np.sum(flat_query * flat_query))
-        )
-        return caps + (CAP_RELATIVE_SLACK * np.abs(caps) + CAP_ABSOLUTE_SLACK)
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        nprobe: int | None = None,
-        counter: CostCounter | None = None,
-    ) -> tuple[list[tuple[float, tuple[int, int]]], int]:
-        """Top-``k`` by partition probing; ``(ranked, probed)``.
-
-        ``nprobe=None`` is the *exact* mode: partitions are probed in
-        descending cap order and probing stops once the heap is full
-        and the next cap falls strictly below the K-th best score — a
-        pruned partition then provably holds no answer, not even a
-        boundary tie (caps dominate member scores, and an equal cap is
-        still probed). Any other ``nprobe`` probes exactly that many
-        partitions: recall may drop, and ``nprobe=n_partitions``
-        reproduces the flat answer bit-for-bit.
-        """
-        caps = self.partition_caps(query)
-        if counter is not None:
-            counter.add_partial_evals(
-                caps.size, flops_each=2 * self.dim + 2
-            )
-        order = np.argsort(-caps, kind="stable")
-        heap = TopKHeap(k)
-        probed = 0
-        for p in order.tolist():
-            if nprobe is not None and probed >= nprobe:
-                break
-            if nprobe is None and heap.full and caps[p] < heap.threshold:
-                break
-            members = self._members[p]
-            if members.size == 0:
-                probed += 1
-                continue
-            scores = ip_scores(self._vectors[members], query)
-            if counter is not None:
-                counter.add_tuples(members.size)
-                counter.add_model_evals(
-                    members.size, flops_each=2 * self.dim
-                )
-            heap.offer_block(
-                scores,
-                self._cells[members, 0],
-                self._cells[members, 1],
-            )
-            probed += 1
-        return heap.ranked(), probed

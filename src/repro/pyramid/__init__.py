@@ -14,7 +14,7 @@ volumes), with more detailed views at higher resolutions."
 """
 
 from repro.pyramid.pyramid import PyramidLevel, ResolutionPyramid
-from repro.pyramid.quadtree import QuadTree, QuadTreeNode
+from repro.pyramid.quadtree import QuadTree
 from repro.pyramid.series_pyramid import SeriesLevel, SeriesPyramid
 from repro.pyramid.streaming import ProgressiveStream, Refinement
 from repro.pyramid.wavelet import (
@@ -28,7 +28,6 @@ __all__ = [
     "ProgressiveStream",
     "PyramidLevel",
     "QuadTree",
-    "QuadTreeNode",
     "Refinement",
     "ResolutionPyramid",
     "SeriesLevel",

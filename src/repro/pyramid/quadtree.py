@@ -1,15 +1,10 @@
 """Quadtree aggregates over raster layers.
 
 A quadtree stores per-node min/max/mean/count for recursively quartered
-windows of a raster. It answers two queries the progressive engine needs:
-
-* :meth:`QuadTree.window_envelope` — sound (min, max) bounds over an
-  arbitrary window, assembled from O(log-area) nodes;
-* :meth:`QuadTree.nodes_at_depth` — the tiling of the raster at a given
-  granularity, used as the screening frontier.
-
-Unlike the dyadic pyramid, quadtree node visits are charged per node
-(``nodes_visited``), reflecting that aggregates are tiny relative to data.
+windows of a raster — the sound ``(min, max)`` envelopes the tile screen
+(:mod:`repro.core.screening`) bounds and prunes with. Aggregates are
+tiny relative to data, so users charge node visits per node
+(``nodes_visited``), not per cell.
 
 The build is *array-backed* (the kernel layer, DESIGN.md): because a node
 splits its row range iff the range is longer than ``leaf_size`` (and
@@ -19,115 +14,19 @@ column-interval hierarchy. Aggregates therefore live in per-depth dense
 grids of shape ``(n_row_intervals, n_col_intervals)``: the finest grid is
 one vectorized blockwise ``reduceat`` over the raster, every coarser grid
 combines its children with two more ``reduceat`` passes, and no Python
-code ever loops over raster cells. Node objects (:class:`QuadTreeNode`)
-are materialized lazily for the legacy walking API; hot paths index the
-grids directly. :func:`build_recursive` keeps the original top-down
-scalar build as the reference implementation for property tests and
-benchmarks.
+code ever loops over raster cells. A node is a grid index ``(depth, i,
+j)``; there are no node objects. The original top-down scalar build
+lives on in ``tests/oracles.py`` as the reference the grids are
+property-tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.raster import RasterLayer
-from repro.metrics.counters import CostCounter
-
-
-@dataclass
-class QuadTreeNode:
-    """One quadtree node covering window ``[row0:row1, col0:col1]``."""
-
-    row0: int
-    col0: int
-    row1: int
-    col1: int
-    depth: int
-    minimum: float
-    maximum: float
-    mean: float
-    count: int
-    children: list["QuadTreeNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        """Whether this node has no children."""
-        return not self.children
-
-    @property
-    def size(self) -> int:
-        """Number of raster cells covered."""
-        return (self.row1 - self.row0) * (self.col1 - self.col0)
-
-    def window(self) -> tuple[int, int, int, int]:
-        """Covered half-open window ``(row0, col0, row1, col1)``."""
-        return (self.row0, self.col0, self.row1, self.col1)
-
-    def intersects(self, row0: int, col0: int, row1: int, col1: int) -> bool:
-        """Whether the node window intersects the given window."""
-        return (
-            self.row0 < row1
-            and row0 < self.row1
-            and self.col0 < col1
-            and col0 < self.col1
-        )
-
-    def contained_in(self, row0: int, col0: int, row1: int, col1: int) -> bool:
-        """Whether the node window lies fully inside the given window."""
-        return (
-            row0 <= self.row0
-            and self.row1 <= row1
-            and col0 <= self.col0
-            and self.col1 <= col1
-        )
-
-
-def build_recursive(values: np.ndarray, leaf_size: int) -> QuadTreeNode:
-    """Top-down recursive quadtree build (the original scalar path).
-
-    Recomputes ``min``/``max``/``mean`` over every node's full window —
-    O(area · depth) data touches. Kept as the reference implementation the
-    array-backed build is property-tested against, and as the scalar
-    baseline ``benchmarks/bench_kernels.py`` measures speedups from.
-    """
-    if leaf_size <= 0:
-        raise ValueError(f"leaf_size must be positive, got {leaf_size}")
-    values = np.asarray(values, dtype=float)
-
-    def _build(row0: int, col0: int, row1: int, col1: int, depth: int) -> QuadTreeNode:
-        window = values[row0:row1, col0:col1]
-        node = QuadTreeNode(
-            row0=row0,
-            col0=col0,
-            row1=row1,
-            col1=col1,
-            depth=depth,
-            minimum=float(window.min()),
-            maximum=float(window.max()),
-            mean=float(window.mean()),
-            count=window.size,
-        )
-        rows = row1 - row0
-        cols = col1 - col0
-        if rows <= leaf_size and cols <= leaf_size:
-            return node
-        row_mid = row0 + rows // 2 if rows > leaf_size else row1
-        col_mid = col0 + cols // 2 if cols > leaf_size else col1
-        for child_row0, child_row1 in ((row0, row_mid), (row_mid, row1)):
-            if child_row0 >= child_row1:
-                continue
-            for child_col0, child_col1 in ((col0, col_mid), (col_mid, col1)):
-                if child_col0 >= child_col1:
-                    continue
-                node.children.append(
-                    _build(child_row0, child_col0, child_row1, child_col1, depth + 1)
-                )
-        return node
-
-    rows, cols = values.shape
-    return _build(0, 0, rows, cols, depth=0)
 
 
 @dataclass
@@ -360,19 +259,6 @@ class QuadTree:
                 row_levels[depth].lengths, col_levels[depth].lengths
             )
 
-        n_nodes = 1
-        for depth in range(1, n_depths):
-            row_split = row_levels[depth].from_split
-            col_split = col_levels[depth].from_split
-            # A grid entry is a real node iff its parent was internal,
-            # i.e. at least one of its intervals came from a split.
-            n_nodes += int(
-                row_split.size * col_split.size
-                - np.count_nonzero(~row_split) * np.count_nonzero(~col_split)
-            )
-        self._n_nodes = n_nodes
-        self._object_root: QuadTreeNode | None = None
-
     def _combine_coarser(self) -> None:
         """(Re)build every coarser grid from the finest, children-wise."""
         for depth in range(self.max_depth - 1, -1, -1):
@@ -423,9 +309,6 @@ class QuadTree:
         if touched == (0, 0, 0, 0):
             return
         self._combine_coarser()
-        # The lazily materialized object tree (legacy walking API) holds
-        # stale copies of the aggregates; drop it for rebuild on demand.
-        self._object_root = None
 
     # -- array accessors (the kernel surface) ------------------------------
 
@@ -475,8 +358,7 @@ class QuadTree:
         """(mins, maxs) grids over the finest tiling.
 
         The finest grid's windows are exactly the tree's leaf windows
-        (leaves persist unchanged to the deepest depth), so this is the
-        vectorized equivalent of walking :meth:`leaves`.
+        (leaves persist unchanged to the deepest depth).
         """
         return (self._mins[self.max_depth], self._maxs[self.max_depth])
 
@@ -500,7 +382,7 @@ class QuadTree:
 
         Empty for leaves; otherwise the row-major product of the node's
         row children and column children at depth + 1 — the same order
-        the recursive build appends children in.
+        the reference top-down build appends children in.
         """
         if self.index_is_leaf(depth, i, j):
             return []
@@ -520,130 +402,8 @@ class QuadTree:
         if not 0 <= depth <= self.max_depth:
             raise ValueError(f"depth {depth} outside 0..{self.max_depth}")
 
-    # -- legacy node-object surface ----------------------------------------
-
-    @property
-    def root(self) -> QuadTreeNode:
-        """Root node of the lazily materialized object tree."""
-        if self._object_root is None:
-            self._object_root = self._materialize()
-        return self._object_root
-
-    def _make_node(self, depth: int, i: int, j: int) -> QuadTreeNode:
-        row0, col0, row1, col1 = self.index_window(depth, i, j)
-        return QuadTreeNode(
-            row0=row0,
-            col0=col0,
-            row1=row1,
-            col1=col1,
-            depth=depth,
-            minimum=float(self._mins[depth][i, j]),
-            maximum=float(self._maxs[depth][i, j]),
-            mean=float(self._sums[depth][i, j] / self._counts[depth][i, j]),
-            count=int(self._counts[depth][i, j]),
-        )
-
-    def _materialize(self) -> QuadTreeNode:
-        """Build the full node-object tree from the per-depth grids."""
-        root = self._make_node(0, 0, 0)
-        stack = [(0, 0, 0, root)]
-        while stack:
-            depth, i, j, node = stack.pop()
-            for child_i, child_j in self.child_indices(depth, i, j):
-                child = self._make_node(depth + 1, child_i, child_j)
-                node.children.append(child)
-                stack.append((depth + 1, child_i, child_j, child))
-        return root
-
-    @property
-    def n_nodes(self) -> int:
-        """Total node count."""
-        return self._n_nodes
-
-    def window_envelope(
-        self,
-        row0: int,
-        col0: int,
-        row1: int,
-        col1: int,
-        counter: CostCounter | None = None,
-    ) -> tuple[float, float]:
-        """Sound (min, max) over window ``[row0:row1, col0:col1]``.
-
-        Assembled from aggregate nodes only — no raster cells are read.
-        Partially overlapping leaves contribute their whole-node bounds,
-        so the envelope is conservative (never too tight).
-        """
-        rows, cols = self.layer.shape
-        row0, row1 = max(0, row0), min(rows, row1)
-        col0, col1 = max(0, col0), min(cols, col1)
-        if row0 >= row1 or col0 >= col1:
-            raise ValueError("empty query window")
-
-        low = float("inf")
-        high = float("-inf")
-        stack = [(0, 0, 0)]
-        while stack:
-            depth, i, j = stack.pop()
-            if counter is not None:
-                counter.add_nodes(1)
-            node_row0, node_col0, node_row1, node_col1 = self.index_window(
-                depth, i, j
-            )
-            if not (
-                node_row0 < row1
-                and row0 < node_row1
-                and node_col0 < col1
-                and col0 < node_col1
-            ):
-                continue
-            contained = (
-                row0 <= node_row0
-                and node_row1 <= row1
-                and col0 <= node_col0
-                and node_col1 <= col1
-            )
-            if contained or self.index_is_leaf(depth, i, j):
-                low = min(low, float(self._mins[depth][i, j]))
-                high = max(high, float(self._maxs[depth][i, j]))
-                continue
-            stack.extend(
-                (depth + 1, child_i, child_j)
-                for child_i, child_j in self.child_indices(depth, i, j)
-            )
-        return (low, high)
-
-    def nodes_at_depth(self, depth: int) -> list[QuadTreeNode]:
-        """All nodes at the given depth (leaves shallower than ``depth``
-        are included, so the returned set always tiles the raster)."""
-        if depth < 0:
-            raise ValueError("depth must be non-negative")
-        result: list[QuadTreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.depth == depth or (node.depth < depth and node.is_leaf):
-                result.append(node)
-            elif node.depth < depth:
-                stack.extend(node.children)
-        result.sort(key=lambda n: (n.row0, n.col0))
-        return result
-
-    def leaves(self) -> list[QuadTreeNode]:
-        """All leaf nodes, sorted by window origin."""
-        result: list[QuadTreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                result.append(node)
-            else:
-                stack.extend(node.children)
-        result.sort(key=lambda n: (n.row0, n.col0))
-        return result
-
     def __repr__(self) -> str:
         return (
-            f"QuadTree({self.layer.name!r}, nodes={self.n_nodes}, "
+            f"QuadTree({self.layer.name!r}, depths={self.n_depths}, "
             f"leaf_size={self.leaf_size})"
         )

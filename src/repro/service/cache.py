@@ -129,7 +129,7 @@ class QueryCache:
 
     ``get`` refreshes recency; ``put`` evicts the least-recently-used
     entry beyond ``maxsize``. Hit/miss tallies are exposed for the
-    service's stats and the cache benchmarks.
+    service's stats and the benchmark's ``cache.*`` metrics.
     """
 
     def __init__(self, maxsize: int = 128) -> None:

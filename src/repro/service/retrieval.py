@@ -374,8 +374,8 @@ def _scan(
     tally the router reads. For a fused query this is embed-all-then-
     blend, the cosine-grid build and one blend per cell charged at the
     fused tile search's rates: ``tests/oracles.py`` mirrors it counter
-    for counter and ``benchmarks/bench_embed.py`` gates that search
-    against it.
+    for counter and ``experiments/bench_embed.py`` (E11) holds that
+    search to >= 3x fewer tuples than this scan.
     """
     query, region, fusion = request.query, request.region, request.fusion
     n_cells = (region[2] - region[0]) * (region[3] - region[1])
@@ -492,9 +492,9 @@ class RetrievalService:
         Default row-band count per query (overridable per call). One by
         default: shard threads share the GIL, and on the machines
         measured so far fanning a query out costs 1.4-2.4x the
-        single-shard time (``service.shard_overhead_ratio``;
-        ``BENCH_batch.json``: 31 ms at 1 shard vs. 48 ms at 4). A run on
-        >= 4 cores (ROADMAP item 1(f)) is what could reverse this.
+        single-shard time (``service.shard_overhead_ratio`` in
+        ``BENCHMARK.json``). A run on >= 4 cores (ROADMAP item 1(f))
+        is what could reverse this.
     pool_workers:
         Thread count of the service-lifetime shard pool. The default
         (``None``) resolves to ``max(8, 2 * n_shards)`` — enough threads
@@ -664,11 +664,6 @@ class RetrievalService:
         # worker (it never serves its own diagnostics) should not load.
         from repro.telemetry.server import MetricsServer
 
-        with self._lock:
-            if self._metrics_server is not None:
-                return self._metrics_server
-        sink = self.enable_telemetry()
-
         def health() -> dict:
             with self._lock:
                 return {
@@ -678,16 +673,18 @@ class RetrievalService:
                     "batches": self.stats.batches,
                 }
 
-        server = MetricsServer(
-            registry=self.registry,
-            sink=sink,
-            health=health,
-            host=host,
-            port=port,
-        ).start()
+        # Check and create under one hold of the (reentrant) lock: two
+        # concurrent first callers must not each bind a socket.
         with self._lock:
-            self._metrics_server = server
-        return server
+            if self._metrics_server is None:
+                self._metrics_server = MetricsServer(
+                    registry=self.registry,
+                    sink=self.enable_telemetry(),
+                    health=health,
+                    host=host,
+                    port=port,
+                ).start()
+            return self._metrics_server
 
     @classmethod
     def from_archive(

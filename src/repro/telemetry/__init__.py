@@ -30,9 +30,13 @@ actually look at:
   stdlib-only terminal dashboard over ``/healthz`` + ``/slo`` +
   ``/events``.
 
-Everything is overhead-bounded: with no sink attached the serving hot
-path pays one ``None`` check per query (benchmarked <5% end to end in
-``benchmarks/bench_telemetry.py`` with exporters *enabled*).
+With no sink attached the serving hot path pays one ``None`` check per
+query. What the rest costs is measured, not assumed: the benchmark
+(``BENCHMARK.json``) prices cross-process span shipping as
+``telemetry.span_ship_overhead_ratio`` and span recording as
+``bench.trace_overhead_ratio``. The in-process JSONL exporter is not
+measured today — its last recorded run read about 11 % — and is
+ROADMAP item 6(e)'s to price and gate.
 """
 
 from repro.telemetry.distributed import (

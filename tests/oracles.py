@@ -7,8 +7,7 @@ work is part of the contract — recompute the expected counter ledger
 from first principles. The production paths must match these bitwise:
 
 * :func:`flat_ip_oracle` — dense inner-product top-K over a vector set,
-  the reference for :class:`repro.index.vector.FlatIPIndex` (and, via
-  probe-everything, :class:`~repro.index.vector.IVFIPIndex`).
+  the reference for :class:`repro.index.vector.FlatIPIndex`.
 * :func:`exhaustive_fused` — score every cell of a region as
   ``alpha * model + (1 - alpha) * cosine`` and rank, plus the exact
   counter dict the service's ``embed-scan`` strategy must produce.
@@ -20,6 +19,11 @@ from first principles. The production paths must match these bitwise:
   the distinct points and matches duplicates point by point on every
   layer; :func:`repro.index.hull.hull_layers` (which de-duplicates
   once) must return the same arrays.
+* :func:`build_recursive` — the original top-down scalar quadtree
+  build, one node object per window with aggregates recomputed over
+  the node's full window; the per-depth grids of
+  :class:`repro.pyramid.quadtree.QuadTree` must hold the same windows,
+  child order and aggregates node for node.
 * :func:`slow_thresholds_by_sorting` — the tail sampler's "slowest
   fraction of recent traffic" quantile, taken by sorting the sliding
   window afresh for every trace; :class:`repro.telemetry.distributed
@@ -34,6 +38,8 @@ in disguise. The *ranking* is independent: lexsort, no heaps.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,6 +222,68 @@ def hull_layers_per_point(
         layers.append(np.sort(remaining[peeled_mask]))
         remaining = remaining[~peeled_mask]
     return layers
+
+
+@dataclass
+class QuadTreeNode:
+    """One reference quadtree node over ``[row0:row1, col0:col1]``."""
+
+    row0: int
+    col0: int
+    row1: int
+    col1: int
+    depth: int
+    minimum: float
+    maximum: float
+    mean: float
+    count: int
+    children: list["QuadTreeNode"] = field(default_factory=list)
+
+    def window(self) -> tuple[int, int, int, int]:
+        return (self.row0, self.col0, self.row1, self.col1)
+
+
+def build_recursive(values: np.ndarray, leaf_size: int) -> QuadTreeNode:
+    """The quadtree build as it shipped before the array-backed grids
+    (moved here from ``repro.pyramid.quadtree``): top-down recursion
+    that recomputes ``min``/``max``/``mean`` over every node's full
+    window — O(area · depth) data touches."""
+    if leaf_size <= 0:
+        raise ValueError(f"leaf_size must be positive, got {leaf_size}")
+    values = np.asarray(values, dtype=float)
+
+    def _build(row0: int, col0: int, row1: int, col1: int, depth: int) -> QuadTreeNode:
+        window = values[row0:row1, col0:col1]
+        node = QuadTreeNode(
+            row0=row0,
+            col0=col0,
+            row1=row1,
+            col1=col1,
+            depth=depth,
+            minimum=float(window.min()),
+            maximum=float(window.max()),
+            mean=float(window.mean()),
+            count=window.size,
+        )
+        rows = row1 - row0
+        cols = col1 - col0
+        if rows <= leaf_size and cols <= leaf_size:
+            return node
+        row_mid = row0 + rows // 2 if rows > leaf_size else row1
+        col_mid = col0 + cols // 2 if cols > leaf_size else col1
+        for child_row0, child_row1 in ((row0, row_mid), (row_mid, row1)):
+            if child_row0 >= child_row1:
+                continue
+            for child_col0, child_col1 in ((col0, col_mid), (col_mid, col1)):
+                if child_col0 >= child_col1:
+                    continue
+                node.children.append(
+                    _build(child_row0, child_col0, child_row1, child_col1, depth + 1)
+                )
+        return node
+
+    rows, cols = values.shape
+    return _build(0, 0, rows, cols, depth=0)
 
 
 def slow_thresholds_by_sorting(

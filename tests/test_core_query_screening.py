@@ -11,6 +11,7 @@ from repro.data.raster import RasterLayer, RasterStack
 from repro.exceptions import PlanError, QueryError
 from repro.metrics.counters import CostCounter
 from repro.models.linear import LinearModel
+from tests.oracles import build_recursive
 
 
 def _stack() -> RasterStack:
@@ -73,6 +74,32 @@ class TestTileScreen:
                 low, high = envelopes[name]
                 assert low <= window.min() + 1e-12
                 assert high >= window.max() - 1e-12
+
+    @pytest.mark.parametrize("leaf_size", [3, 4, 8])
+    def test_every_node_matches_the_reference_build(self, leaf_size):
+        """The screen's flat node tables hold, per attribute, the tree
+        the top-down reference build produces: same windows, same child
+        order, exact extrema, leaves where it has leaves."""
+        stack = _stack()
+        screen = TileScreen(stack, leaf_size=leaf_size)
+        references = {
+            name: build_recursive(stack[name].values, leaf_size)
+            for name in stack.names
+        }
+        walk = [(screen.root(), references)]
+        while walk:
+            node, expected = walk.pop()
+            envelopes = screen.envelopes(node)
+            for name, reference in expected.items():
+                assert node.window == reference.window()
+                assert node.is_leaf == (not reference.children)
+                assert envelopes[name] == (reference.minimum, reference.maximum)
+            children = screen.children(node)
+            assert len(children) == len(expected["a"].children)
+            walk.extend(
+                (child, {name: expected[name].children[index] for name in expected})
+                for index, child in enumerate(children)
+            )
 
     def test_envelope_counter_charges_nodes_only(self):
         screen = TileScreen(_stack(), leaf_size=8)

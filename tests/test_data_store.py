@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -407,6 +409,45 @@ class TestSyntheticIngest:
         assert answers_and_counters(
             mapped.progressive_top_k(query)
         ) == answers_and_counters(plain.progressive_top_k(query))
+
+
+    def test_cli_ingest_serves_regional_probes_like_the_twin(self, tmp_path):
+        """``python -m repro ingest`` in a child process writes a store
+        the parent serves through memory maps: region-scoped probes and
+        one whole-grid query return the in-memory twin's answers *and*
+        cost counters."""
+        size, bands, seed = 128, 2, 17
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro", "ingest",
+                "--out", str(tmp_path / "cli"),
+                "--size", str(size), "--bands", str(bands), "--seed", str(seed),
+            ],
+            check=True,
+            timeout=120,
+        )
+        disk = open_archive(tmp_path / "cli")
+        names = [f"band{b}" for b in range(bands)]
+        mapped = RasterRetrievalEngine(
+            disk.stack(names), leaf_size=disk.screen_leaf_size
+        )
+        plain = RasterRetrievalEngine(
+            synthetic_stack(size, n_bands=bands, seed=seed).subset(names)
+        )
+        rng = np.random.default_rng(5)
+        window = size // 4
+        corners = [
+            (0, 0), (0, size - window), (size - window, 0), (size // 2, size // 2)
+        ]
+        regions = [
+            (row0, col0, row0 + window, col0 + window) for row0, col0 in corners
+        ]
+        for region in (*regions, None):
+            model = LinearModel({name: float(rng.normal()) for name in names})
+            query = TopKQuery(model=model, k=10, region=region)
+            assert answers_and_counters(
+                mapped.progressive_top_k(query)
+            ) == answers_and_counters(plain.progressive_top_k(query))
 
 
 class TestMemmapLayer:

@@ -1,10 +1,8 @@
-"""Property tests for the vector indexes and the tile embedder.
+"""Property tests for the vector index and the tile embedder.
 
 Pins the flat inner-product index bitwise to a numpy argsort oracle,
-the IVF index to the flat one (probe-everything and exact-mode alike),
-the soundness of the IVF partition caps, and the region-scoped
-embedding refresh contract (dirty tiles only, bit-identical to a full
-rebuild).
+and the region-scoped embedding refresh contract (dirty tiles only,
+bit-identical to a full rebuild).
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from tests.oracles import flat_ip_oracle
 from repro.core.screening import TileScreen
 from repro.embed.tiles import TileEmbedder, TileEmbeddings
 from repro.exceptions import EmbeddingError, IndexError_
-from repro.index.vector import FlatIPIndex, IVFIPIndex, ip_scores
+from repro.index.vector import FlatIPIndex, ip_scores
 from repro.metrics.counters import CostCounter
 
 
@@ -81,82 +79,6 @@ class TestFlatIndex:
         full = ip_scores(vectors, query)
         subset = np.array([3, 17, 17, 40, 63])
         assert np.array_equal(ip_scores(vectors[subset], query), full[subset])
-
-
-class TestIVFIndex:
-    @given(
-        n=st.integers(2, 100),
-        dim=st.integers(1, 8),
-        k=st.integers(1, 12),
-        n_partitions=st.integers(1, 12),
-        seed=st.integers(0, 300),
-        ties=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_probe_everything_equals_flat(
-        self, n, dim, k, n_partitions, seed, ties
-    ):
-        vectors, cells, query = _vector_set(n, dim, seed, ties)
-        flat = FlatIPIndex(vectors, cells).search(query, k)
-        ivf = IVFIPIndex(vectors, cells, n_partitions=n_partitions, seed=seed)
-        ranked, probed = ivf.search(query, k, nprobe=ivf.n_partitions)
-        assert ranked == flat
-        assert probed == ivf.n_partitions
-
-    @given(
-        n=st.integers(2, 100),
-        dim=st.integers(1, 8),
-        k=st.integers(1, 12),
-        n_partitions=st.integers(1, 12),
-        seed=st.integers(0, 300),
-        ties=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_exact_mode_equals_flat_with_fewer_probes(
-        self, n, dim, k, n_partitions, seed, ties
-    ):
-        """nprobe=None prunes on caps yet must stay exact — the cap
-        soundness contract, checked answer-for-answer."""
-        vectors, cells, query = _vector_set(n, dim, seed, ties)
-        flat = FlatIPIndex(vectors, cells).search(query, k)
-        ivf = IVFIPIndex(vectors, cells, n_partitions=n_partitions, seed=seed)
-        ranked, probed = ivf.search(query, k)
-        assert ranked == flat
-        assert probed <= ivf.n_partitions
-
-    @given(
-        n=st.integers(2, 80),
-        dim=st.integers(1, 8),
-        n_partitions=st.integers(1, 10),
-        seed=st.integers(0, 300),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_partition_caps_dominate_member_scores(
-        self, n, dim, n_partitions, seed
-    ):
-        """Every member's true inner product sits at or below its
-        partition's cap — no true answer can ever be pruned."""
-        vectors, cells, query = _vector_set(n, dim, seed)
-        ivf = IVFIPIndex(vectors, cells, n_partitions=n_partitions, seed=seed)
-        caps = ivf.partition_caps(query)
-        scores = ip_scores(vectors, query)
-        for p, members in enumerate(ivf._members):
-            if members.size:
-                assert scores[members].max() <= caps[p]
-
-    def test_limited_nprobe_probes_exactly_that_many(self):
-        vectors, cells, query = _vector_set(60, 6, 1)
-        ivf = IVFIPIndex(vectors, cells, n_partitions=6, seed=1)
-        ranked, probed = ivf.search(query, 5, nprobe=2)
-        assert probed == 2
-        assert len(ranked) <= 5
-
-    def test_rejects_bad_config(self):
-        vectors, cells, _ = _vector_set(10, 3, 0)
-        with pytest.raises(IndexError_):
-            IVFIPIndex(vectors, cells, n_partitions=0)
-        with pytest.raises(IndexError_):
-            IVFIPIndex(np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 def _stack(rows, cols, seed, make_noise_stack):

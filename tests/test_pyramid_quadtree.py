@@ -1,4 +1,9 @@
-"""Tests for quadtree aggregates."""
+"""Tests for quadtree aggregates.
+
+A node is a grid index ``(depth, i, j)`` into the per-depth aggregate
+grids; every property is stated on those grids, against the top-down
+reference build in :mod:`tests.oracles`.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +14,53 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.raster import RasterLayer
-from repro.metrics.counters import CostCounter
-from repro.pyramid.quadtree import QuadTree, build_recursive
+from repro.pyramid.quadtree import QuadTree
+from tests.oracles import build_recursive
+from tests.test_index_vector import _poke
 
 
 def _tree(values: np.ndarray, leaf_size: int = 4) -> QuadTree:
     return QuadTree(RasterLayer("x", values), leaf_size=leaf_size)
+
+
+def _cover(tree: QuadTree, row0: int, col0: int, row1: int, col1: int):
+    """Nodes whose aggregates assemble the window's envelope: descend
+    from the root, stop at nodes the window contains and at leaves it
+    touches. Returns ``(cover, visited)``."""
+    cover, visited = [], 0
+    stack = [(0, 0, 0)]
+    while stack:
+        depth, i, j = stack.pop()
+        visited += 1
+        n_row0, n_col0, n_row1, n_col1 = tree.index_window(depth, i, j)
+        if not (n_row0 < row1 and row0 < n_row1 and n_col0 < col1 and col0 < n_col1):
+            continue
+        contained = (
+            row0 <= n_row0 and n_row1 <= row1 and col0 <= n_col0 and n_col1 <= col1
+        )
+        if contained or tree.index_is_leaf(depth, i, j):
+            cover.append((depth, i, j))
+            continue
+        stack.extend(
+            (depth + 1, child_i, child_j)
+            for child_i, child_j in tree.child_indices(depth, i, j)
+        )
+    return cover, visited
+
+
+def _envelope(tree: QuadTree, cover) -> tuple[float, float]:
+    return (
+        min(float(tree.level_mins(d)[i, j]) for d, i, j in cover),
+        max(float(tree.level_maxs(d)[i, j]) for d, i, j in cover),
+    )
+
+
+def _assert_grids_equal(left: QuadTree, right: QuadTree) -> None:
+    for depth in range(left.n_depths):
+        for grid in ("level_mins", "level_maxs", "level_means"):
+            np.testing.assert_array_equal(
+                getattr(left, grid)(depth), getattr(right, grid)(depth)
+            )
 
 
 class TestArrayBuildMatchesRecursive:
@@ -34,20 +80,27 @@ class TestArrayBuildMatchesRecursive:
         tree = _tree(values, leaf_size=leaf_size)
         reference = build_recursive(values, leaf_size)
 
-        stack = [(tree.root, reference)]
-        visited = 0
+        stack = [((0, 0, 0), reference)]
+        deepest = 0
         while stack:
-            node, expected = stack.pop()
-            visited += 1
-            assert node.window() == expected.window()
-            assert node.depth == expected.depth
-            assert node.count == expected.count
-            assert node.minimum == expected.minimum
-            assert node.maximum == expected.maximum
-            assert node.mean == pytest.approx(expected.mean, rel=1e-12)
-            assert len(node.children) == len(expected.children)
-            stack.extend(zip(node.children, expected.children))
-        assert visited == tree.n_nodes
+            (depth, i, j), expected = stack.pop()
+            deepest = max(deepest, depth)
+            assert tree.index_window(depth, i, j) == expected.window()
+            assert depth == expected.depth
+            assert tree.level_counts(depth)[i, j] == expected.count
+            assert tree.level_mins(depth)[i, j] == expected.minimum
+            assert tree.level_maxs(depth)[i, j] == expected.maximum
+            assert tree.level_means(depth)[i, j] == pytest.approx(
+                expected.mean, rel=1e-12
+            )
+            assert tree.index_is_leaf(depth, i, j) == (not expected.children)
+            children = tree.child_indices(depth, i, j)
+            assert len(children) == len(expected.children)
+            stack.extend(
+                ((depth + 1, child_i, child_j), child)
+                for (child_i, child_j), child in zip(children, expected.children)
+            )
+        assert deepest == tree.max_depth
 
     def test_recursive_build_validates_leaf_size(self):
         with pytest.raises(ValueError):
@@ -57,31 +110,33 @@ class TestArrayBuildMatchesRecursive:
 class TestConstruction:
     def test_root_covers_grid(self):
         tree = _tree(np.zeros((10, 14)))
-        assert tree.root.window() == (0, 0, 10, 14)
+        assert tree.level_shape(0) == (1, 1)
+        assert tree.index_window(0, 0, 0) == (0, 0, 10, 14)
 
     def test_leaf_size_respected(self):
         tree = _tree(np.zeros((32, 32)), leaf_size=8)
-        for leaf in tree.leaves():
-            rows = leaf.row1 - leaf.row0
-            cols = leaf.col1 - leaf.col0
-            assert rows <= 8 and cols <= 8
+        _, row_lengths, _, col_lengths = tree.level_intervals(tree.max_depth)
+        assert row_lengths.max() <= 8 and col_lengths.max() <= 8
 
     def test_leaves_partition_grid(self):
         values = np.arange(9.0 * 13).reshape(9, 13)
         tree = _tree(values, leaf_size=4)
         covered = np.zeros(values.shape, dtype=int)
-        for leaf in tree.leaves():
-            covered[leaf.row0: leaf.row1, leaf.col0: leaf.col1] += 1
+        n_i, n_j = tree.level_shape(tree.max_depth)
+        for i in range(n_i):
+            for j in range(n_j):
+                assert tree.index_is_leaf(tree.max_depth, i, j)
+                row0, col0, row1, col1 = tree.index_window(tree.max_depth, i, j)
+                covered[row0:row1, col0:col1] += 1
         assert np.all(covered == 1)
 
     def test_node_aggregates_correct(self):
         values = np.arange(16.0).reshape(4, 4)
         tree = _tree(values, leaf_size=2)
-        root = tree.root
-        assert root.minimum == 0.0
-        assert root.maximum == 15.0
-        assert root.mean == pytest.approx(7.5)
-        assert root.count == 16
+        assert tree.level_mins(0)[0, 0] == 0.0
+        assert tree.level_maxs(0)[0, 0] == 15.0
+        assert tree.level_means(0)[0, 0] == pytest.approx(7.5)
+        assert tree.level_counts(0)[0, 0] == 16
 
     def test_leaf_size_validation(self):
         with pytest.raises(ValueError):
@@ -106,56 +161,99 @@ class TestWindowEnvelope:
         row1 = data.draw(st.integers(row0 + 1, rows))
         col0 = data.draw(st.integers(0, cols - 1))
         col1 = data.draw(st.integers(col0 + 1, cols))
-        low, high = tree.window_envelope(row0, col0, row1, col1)
+        cover, _ = _cover(tree, row0, col0, row1, col1)
+        low, high = _envelope(tree, cover)
         window = values[row0:row1, col0:col1]
-        assert low <= window.min() + 1e-9
-        assert high >= window.max() - 1e-9
+        assert low <= window.min()
+        assert high >= window.max()
 
     def test_exact_on_aligned_windows(self):
-        """Fully contained node windows give exact extrema."""
+        """Every grid entry holds the exact extrema of its own window."""
         rng = np.random.default_rng(3)
-        values = rng.random((16, 16))
+        values = rng.random((16, 20))
         tree = _tree(values, leaf_size=4)
-        low, high = tree.window_envelope(0, 0, 16, 16)
-        assert low == values.min()
-        assert high == values.max()
+        for depth in range(tree.n_depths):
+            n_i, n_j = tree.level_shape(depth)
+            for i in range(n_i):
+                for j in range(n_j):
+                    row0, col0, row1, col1 = tree.index_window(depth, i, j)
+                    window = values[row0:row1, col0:col1]
+                    assert tree.level_mins(depth)[i, j] == window.min()
+                    assert tree.level_maxs(depth)[i, j] == window.max()
 
     def test_counter_tallies_nodes_not_cells(self):
-        tree = _tree(np.zeros((64, 64)), leaf_size=4)
-        counter = CostCounter()
-        tree.window_envelope(5, 5, 30, 30, counter)
-        assert counter.nodes_visited > 0
-        assert counter.data_points == 0
+        """A window's envelope is assembled from a few aggregate nodes
+        and no raster cells: the descent visits far fewer nodes than
+        the window has cells, and the grids do not alias the raster."""
+        rng = np.random.default_rng(5)
+        values = rng.random((64, 64))
+        tree = _tree(values.copy(), leaf_size=4)
+        cover, visited = _cover(tree, 5, 5, 30, 30)
+        assert 0 < visited < 25 * 25 // 4
+        before = _envelope(tree, cover)
+        _poke(tree.layer, (0, 0, 64, 64), np.nan)
+        assert _envelope(tree, cover) == before
+        assert before[0] <= values[5:30, 5:30].min()
+        assert before[1] >= values[5:30, 5:30].max()
 
     def test_empty_window_rejected(self):
-        tree = _tree(np.zeros((8, 8)))
-        with pytest.raises(ValueError):
-            tree.window_envelope(4, 4, 4, 8)
+        """A dirty window that is empty, or misses the grid, refreshes
+        nothing — even though the values under it changed."""
+        values = np.arange(64.0).reshape(8, 8)
+        tree = _tree(values.copy())
+        stale = _tree(values.copy())
+        _poke(tree.layer, (0, 0, 8, 8), -1.0)
+        tree.refresh_region((4, 4, 4, 8))
+        tree.refresh_region((20, 20, 30, 30))
+        _assert_grids_equal(tree, stale)
 
     def test_window_clipped_to_grid(self):
+        """A dirty window overhanging the grid is clipped to it: the
+        refreshed grids equal a from-scratch build."""
         values = np.arange(16.0).reshape(4, 4)
-        tree = _tree(values, leaf_size=2)
-        low, high = tree.window_envelope(-5, -5, 99, 99)
-        assert (low, high) == (0.0, 15.0)
+        tree = _tree(values.copy(), leaf_size=2)
+        _poke(tree.layer, (0, 0, 4, 4), values[::-1] * 3.0)
+        tree.refresh_region((-5, -5, 99, 99))
+        _assert_grids_equal(tree, _tree(values[::-1] * 3.0, leaf_size=2))
+        assert (tree.level_mins(0)[0, 0], tree.level_maxs(0)[0, 0]) == (0.0, 45.0)
 
 
 class TestNodesAtDepth:
     def test_depth_zero_is_root(self):
         tree = _tree(np.zeros((16, 16)), leaf_size=4)
-        assert tree.nodes_at_depth(0) == [tree.root]
+        assert tree.level_shape(0) == (1, 1)
+        assert tree.level_counts(0)[0, 0] == 256
 
     def test_depth_tiles_grid(self):
-        tree = _tree(np.zeros((16, 16)), leaf_size=2)
-        for depth in range(3):
-            nodes = tree.nodes_at_depth(depth)
-            assert sum(node.size for node in nodes) == 256
+        tree = _tree(np.zeros((16, 24)), leaf_size=2)
+        for depth in range(tree.n_depths):
+            assert tree.level_counts(depth).sum() == 16 * 24
+            row_starts, row_lengths, col_starts, col_lengths = (
+                tree.level_intervals(depth)
+            )
+            assert np.array_equal(row_starts[1:], np.cumsum(row_lengths)[:-1])
+            assert np.array_equal(col_starts[1:], np.cumsum(col_lengths)[:-1])
 
     def test_deep_request_returns_leaves(self):
-        tree = _tree(np.zeros((8, 8)), leaf_size=4)
-        deep = tree.nodes_at_depth(99)
-        assert all(node.is_leaf for node in deep)
-        assert sum(node.size for node in deep) == 64
+        """Leaves persist to the deepest grid: an axis that finished
+        splitting early repeats its intervals, so the finest grid is
+        exactly the leaf tiling."""
+        tree = _tree(np.zeros((8, 32)), leaf_size=4)
+        finest = tree.max_depth
+        n_i, n_j = tree.level_shape(finest)
+        assert all(
+            tree.index_is_leaf(finest, i, j) and not tree.child_indices(finest, i, j)
+            for i in range(n_i)
+            for j in range(n_j)
+        )
+        assert tree.level_counts(finest).sum() == 8 * 32
+        mins, maxs = tree.leaf_envelopes()
+        assert mins.shape == maxs.shape == (n_i, n_j)
 
     def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            _tree(np.zeros((4, 4))).nodes_at_depth(-1)
+        tree = _tree(np.zeros((4, 4)))
+        for accessor in (tree.level_mins, tree.level_shape, tree.level_intervals):
+            with pytest.raises(ValueError):
+                accessor(-1)
+            with pytest.raises(ValueError):
+                accessor(tree.n_depths)

@@ -448,6 +448,52 @@ class TestHttpFrontEnd:
                 member["answers"] for member in local
             ]
 
+    def test_concurrent_keep_alive_clients_see_only_200s(
+        self, fleet, local_service
+    ):
+        """Four clients, one keep-alive connection each, driving
+        uncached queries at once through both workers: every reply is a
+        200 carrying the in-process answer — none shed, dropped or
+        crossed between connections."""
+        queries = {
+            client: [TopKQuery(model=_model(100 * client + i), k=5) for i in range(8)]
+            for client in range(4)
+        }
+        expected = {
+            client: [encode_result(local_service.top_k(q))["answers"] for q in qs]
+            for client, qs in queries.items()
+        }
+        replies = {client: [] for client in queries}
+
+        def drive(server, client):
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=60
+            )
+            try:
+                for query in queries[client]:
+                    body = json.dumps(encode_query(query, use_cache=False))
+                    connection.request("POST", "/query", body=body.encode())
+                    response = connection.getresponse()
+                    replies[client].append(
+                        (response.status, json.loads(response.read()).get("answers"))
+                    )
+            finally:
+                connection.close()
+
+        with ServingServer(fleet, coalesce=False) as server:
+            threads = [
+                threading.Thread(target=drive, args=(server, client), daemon=True)
+                for client in queries
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        for client in queries:
+            assert replies[client] == [
+                (200, answers) for answers in expected[client]
+            ]
+
     def test_malformed_body_is_400_not_worker_work(self, fleet):
         with ServingServer(fleet) as server:
             status, body, _ = _post(server, "/query", {"k": 3})

@@ -32,6 +32,7 @@ from repro.serving import (
 )
 from repro.telemetry.console import render_dashboard
 from repro.telemetry.events import EventLog
+from tests.test_telemetry import lint_promtext
 
 SHAPE = (64, 64)
 LAYERS = ("band_a", "band_b")
@@ -316,9 +317,15 @@ class TestSLOEndpoint:
                 text = response.read().decode()
             finally:
                 connection.close()
+        # The merged fleet document — worker snapshots, front-end
+        # counters, SLO gauges, event tallies — is one well-formed
+        # Prometheus exposition, every line of it.
+        assert lint_promtext(text) > 0
         assert "slo_availability_status" in text
         assert "slo_availability_burn_rate_300s" in text
+        assert "slo_latency_p99_burn_rate_300s" in text
         assert "events_emitted_total" in text
+        assert "frontend_traces_kept_total" in text
 
 
 class TestOpsConsole:

@@ -10,8 +10,7 @@ Covers the tentpole and every satellite:
 * the ``/metrics`` / ``/healthz`` / ``/traces`` HTTP endpoints;
 * ``top_k(..., explain=True)`` pruning waterfalls reconciling exactly
   with the result's :class:`~repro.core.results.PruningAudit`;
-* batch retirement-reason metadata (deadline vs explicit cancel);
-* the benchmark trajectory recorder's regression flagging.
+* batch retirement-reason metadata (deadline vs explicit cancel).
 """
 
 from __future__ import annotations
@@ -53,6 +52,50 @@ def _service(stack, **kwargs):
 def _fetch(url: str) -> bytes:
     with urllib.request.urlopen(url, timeout=10) as reply:
         return reply.read()
+
+
+#: One valid exposition sample: name, optional labels, value, optional
+#: timestamp (a regex, not a client library — the toolchain is stdlib).
+_SAMPLE_RE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
+    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\\n]|\\[\\\"n])*\""
+    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\\n]|\\[\\\"n])*\")*\})?"
+    r" [^ \n]+( [0-9]+)?$"
+)
+_COMMENT_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*$")
+
+
+def lint_promtext(text: str) -> int:
+    """Check a whole ``/metrics`` document against the Prometheus text
+    grammar, line by line, and every histogram family for distinct
+    ``le`` bounds ending in ``+Inf`` with cumulative counts; returns
+    the number of samples."""
+    samples = 0
+    families: dict[str, list[tuple[float, float]]] = {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            assert _COMMENT_RE.match(line), f"bad comment line {number}: {line!r}"
+            continue
+        assert _SAMPLE_RE.match(line), f"bad sample line {number}: {line!r}"
+        samples += 1
+        if "_bucket{" in line:
+            bound = re.search(r'le="([^"]+)"', line)
+            assert bound is not None, f"bucket without le, line {number}: {line!r}"
+            families.setdefault(line.split("{", 1)[0], []).append(
+                (
+                    float(bound.group(1).replace("+Inf", "inf")),
+                    float(line.rsplit(" ", 1)[1]),
+                )
+            )
+    for name, buckets in families.items():
+        bounds = [bound for bound, _ in sorted(buckets)]
+        counts = [count for _, count in sorted(buckets)]
+        assert bounds == sorted(set(bounds)), f"{name}: duplicate le {bounds}"
+        assert bounds[-1] == float("inf"), f"{name}: no le=\"+Inf\" bucket"
+        assert counts == sorted(counts), f"{name}: non-cumulative {counts}"
+    return samples
 
 
 # -- trace-context propagation (tentpole) -------------------------------------
@@ -394,6 +437,7 @@ class TestMetricsServer:
             service.top_k(query)  # cache hit
 
             text = _fetch(f"{server.url}/metrics").decode()
+            assert lint_promtext(text) > 0
             assert "service_queries_total 2" in text.splitlines()
             assert "service_cache_hits_total 1" in text.splitlines()
 
@@ -422,6 +466,40 @@ class TestMetricsServer:
             assert service.serve_metrics() is server
         finally:
             server.close()
+
+    def test_concurrent_first_callers_start_one_server(
+        self, make_noise_stack, monkeypatch
+    ):
+        """Two threads racing the first ``serve_metrics`` get the same
+        server, and only one socket was ever bound."""
+        service = _service(make_noise_stack(8, 8, 1, seed=9))
+        started = []
+        real_start = MetricsServer.start
+
+        def counting_start(server):
+            started.append(real_start(server))
+            time.sleep(0.05)  # hold the window open for the other caller
+            return started[-1]
+
+        monkeypatch.setattr(MetricsServer, "start", counting_start)
+        barrier = threading.Barrier(2)
+        returned = []
+
+        def call():
+            barrier.wait(timeout=30)
+            returned.append(service.serve_metrics(port=0))
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(returned) == 2 and returned[0] is returned[1]
+            assert [server.port for server in started] == [returned[0].port]
+        finally:
+            for server in started:
+                server.close()
 
     def test_unknown_route_404s_with_route_list(self):
         server = MetricsServer(MetricsRegistry()).start()
@@ -660,64 +738,6 @@ class TestServiceTelemetryWiring:
         assert len(recorded) == 2
         assert "children" not in recorded[0]
         assert len(recorded[1]["children"]) == 3
-
-
-# -- trajectory recorder (tentpole + satellite 6) -----------------------------
-
-
-class TestTrajectoryRecorder:
-    @pytest.fixture()
-    def record(self):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-        )
-        try:
-            import record as module
-            yield module
-        finally:
-            sys.path.pop(0)
-
-    def test_appends_entries_with_sha_and_timestamp(self, record, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        entry = record.record_run("demo", {"query_s": 0.5}, path=path)
-        assert entry["regressions"] == []
-        assert re.fullmatch(
-            r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", entry["timestamp"]
-        )
-        entries = json.loads(path.read_text())
-        assert len(entries) == 1
-        record.record_run("demo", {"query_s": 0.55}, path=path)
-        assert len(json.loads(path.read_text())) == 2
-
-    def test_flags_timing_regressions_over_threshold(self, record, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        record.record_run("bench", {"query_s": 1.0, "speedup": 4.0}, path=path)
-        entry = record.record_run(
-            "bench", {"query_s": 1.5, "speedup": 2.0}, path=path
-        )
-        flagged = {item["metric"] for item in entry["regressions"]}
-        assert flagged == {"query_s", "speedup"}  # slower AND less speedup
-
-    def test_within_threshold_changes_not_flagged(self, record, tmp_path):
-        path = tmp_path / "t.json"
-        record.record_run("bench", {"query_s": 1.0}, path=path)
-        entry = record.record_run("bench", {"query_s": 1.1}, path=path)
-        assert entry["regressions"] == []
-
-    def test_other_bench_entries_do_not_cross_compare(self, record, tmp_path):
-        path = tmp_path / "t.json"
-        record.record_run("kernels", {"build_s": 0.001}, path=path)
-        entry = record.record_run("service", {"build_s": 10.0}, path=path)
-        assert entry["regressions"] == []
-
-    def test_direction_inference(self, record):
-        assert record.metric_direction("query_s") == "lower"
-        assert record.metric_direction("overhead_fraction") == "lower"
-        assert record.metric_direction("quadtree_speedup") == "higher"
-        assert record.metric_direction("n_queries") == "neutral"
 
 
 # -- span-sum invariant through the whole pipeline ----------------------------
