@@ -310,6 +310,22 @@ def _per_depth(depths: np.ndarray):
     return enumerate(np.bincount(depths).tolist())
 
 
+def _descending(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(-keys, kind="stable")`` from an unstable sort: one
+    integer sort of ``(start of the key's run, index)`` pairs puts each
+    run of equal keys (signed zeros included) back in index order."""
+    order = np.argsort(-keys)
+    ranked = keys[order]
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return order
+    run = np.arange(order.size)
+    run[1:][tied] = 0
+    np.maximum.accumulate(run, out=run)
+    shift = order.size.bit_length()
+    return np.sort((run << shift) | order) & ((1 << shift) - 1)
+
+
 def _audit_abandoned(
     audit: PruningAudit, frontier: list, reason: str, scan: "_Scan"
 ) -> None:
@@ -333,11 +349,11 @@ class _Scan:
     screen root, or the minimal node cover of a sub-region, so a row
     band skips the shared upper tree levels. Nodes are ids into the
     screen's flat tables (re-exported here); a search asks this object
-    for a model's bounds over a block of node ids, the cell list of a
-    block of windows, and attribute reads over a cell list — it never
-    touches the stack itself. With one query (this class) each is
-    computed on demand and nothing is kept; :class:`_SharedScan` answers
-    the same questions from batch-wide memos.
+    for a model's bounds over a block of node ids and the cell list of a
+    block of windows; attributes are read at flat cell ids through the
+    stack's layers. With one query (this class) each is computed on
+    demand and nothing is kept; :class:`_SharedScan` answers the same
+    questions from batch-wide memos.
     """
 
     def __init__(
@@ -351,6 +367,7 @@ class _Scan:
         if pruning not in ("sound", "heuristic"):
             raise QueryError(f"unknown pruning mode {pruning!r}")
         self.stack = engine.stack
+        self.width = engine.stack.shape[1]
         self.screen = screen = engine.screen
         self.child, self.window = screen.child, screen.window
         self.leaf, self.depth = screen.leaf, screen.depth
@@ -416,11 +433,6 @@ class _Scan:
             across < widths[:, None, None]
         )
         return rows[ragged], cols[ragged], heights * widths
-
-    def read(self, name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Attribute ``name`` at the cells ``(rows, cols)``; the caller
-        charges its counter per value."""
-        return self.stack[name].gather(rows, cols)
 
 
 class _SharedScan(_Scan):
@@ -984,7 +996,8 @@ class RasterRetrievalEngine:
         The one leaf routine: a wave's leaf windows arrive concatenated
         (``leaves``/``sizes`` say which screen leaves, and how many
         cells of each, back to back), ``use_tiles=False`` passes its one
-        rectangle. Every attribute read goes through ``scan``; the
+        rectangle. The list becomes flat cell ids once, and every
+        attribute read is one :meth:`RasterLayer.take` of them; the
         query's counter is charged per value read, exactly as a solo
         read charges — sharing saves wall clock, never counted work.
 
@@ -998,11 +1011,12 @@ class RasterRetrievalEngine:
         heap, counter, audit = spec.heap, spec.counter, spec.audit
         sign = state.sign
         model = state.model
+        stack = scan.stack
+        flat = rows * scan.width + cols
 
         if spec.progressive is None:
             columns = {
-                name: scan.read(name, rows, cols)
-                for name in model.attributes
+                name: stack[name].take(flat) for name in model.attributes
             }
             counter.add_data_points(rows.size * len(columns))
             scores = model.evaluate_batch(columns)
@@ -1018,15 +1032,16 @@ class RasterRetrievalEngine:
         # pruning candidates whose best completion cannot reach the K-th
         # best signed score. After level 1, candidates are processed in
         # descending partial-score order ("more complete model on the
-        # regions predicted high risk sooner", Section 3.1): the heap
-        # fills with strong scores early, so later candidates prune after
-        # reading only the first attribute. Partial sums accumulate in
-        # contribution order — the arithmetic the ``both-*`` strategy
-        # labels promise (ROADMAP 2a changes the offered value here).
+        # regions predicted high risk sooner", Section 3.1), a block at a
+        # time: the heap fills with strong scores early, so later blocks
+        # prune after reading only the first attribute. Counts depend on
+        # which cells share a block, so ties keep index order. Partial
+        # sums accumulate in contribution order — the arithmetic the
+        # ``both-*`` labels promise (ROADMAP 2a changes the offered value).
         coefficients = model.coefficients
         ordered, signed_tails = state.ordered, state.signed_tails
         audit.enter_level(1, rows.size)
-        values = scan.read(ordered[0], rows, cols)
+        values = stack[ordered[0]].take(flat)
         counter.add_data_points(values.size)
         partial = model.intercept + coefficients[ordered[0]] * values
         counter.add_partial_evals(values.size, flops_each=2)
@@ -1035,39 +1050,41 @@ class RasterRetrievalEngine:
             return
 
         signed_partial = sign * partial
-        order = np.argsort(-signed_partial, kind="stable")
+        order = _descending(signed_partial)
+        levels = [
+            (level, stack[name], coefficients[name], signed_tails[level - 2])
+            for level, name in enumerate(ordered[1:], start=2)
+        ]
         block_size = max(4 * spec.query.k, 256)
+        # Only an offer moves the heap, so one read per block is exact;
+        # under a heap other shards share, the read goes stale low, which
+        # prunes less and never wrongly.
+        full, threshold = heap.full, heap.threshold
+        read = 0  # values past level 1; each is one partial evaluation
         for start in range(0, order.size, block_size):
             block = order[start: start + block_size]
             # Every remaining candidate's bound is at most the block
             # leader's; once that falls below the K-th best, stop.
-            if heap.full and (
-                signed_partial[block[0]] + signed_tails[0] < heap.threshold
-            ):
+            if full and signed_partial[block[0]] + signed_tails[0] < threshold:
                 audit.prune_at_level(1, int(order.size - start))
                 break
-
-            block_rows = rows[block]
-            block_cols = cols[block]
-            block_partial = partial[block]
-            for level, attribute in enumerate(ordered[1:], start=2):
-                if heap.full:
-                    upper = sign * block_partial + signed_tails[level - 2]
-                    keep = upper >= heap.threshold
-                    pruned = int(np.count_nonzero(~keep))
-                    if pruned:
-                        audit.prune_at_level(level - 1, pruned)
-                        block_rows = block_rows[keep]
-                        block_cols = block_cols[keep]
-                        block_partial = block_partial[keep]
-                        if block_rows.size == 0:
+            sums = partial[block]
+            for level, layer, coefficient, tail in levels:
+                if full:
+                    # ``tail - sums`` is ``-sums + tail`` bit for bit.
+                    upper = sums + tail if sign > 0 else tail - sums
+                    keep = upper >= threshold
+                    kept = int(np.count_nonzero(keep))
+                    if kept < block.size:
+                        audit.prune_at_level(level - 1, block.size - kept)
+                        if not kept:
                             break
-                audit.enter_level(level, block_rows.size)
-                layer_values = scan.read(attribute, block_rows, block_cols)
-                counter.add_data_points(layer_values.size)
-                block_partial = block_partial + (
-                    coefficients[attribute] * layer_values
-                )
-                counter.add_partial_evals(layer_values.size, flops_each=2)
+                        block, sums = block[keep], sums[keep]
+                audit.enter_level(level, block.size)
+                read += block.size
+                sums = sums + coefficient * layer.take(flat[block])
             else:
-                heap.offer_block(sign * block_partial, block_rows, block_cols)
+                heap.offer_block(sign * sums, rows[block], cols[block])
+                full, threshold = heap.full, heap.threshold
+        counter.add_data_points(read)
+        counter.add_partial_evals(read, flops_each=2)

@@ -29,12 +29,12 @@ class RasterLayer:
     name:
         Layer identifier (e.g. ``"tm_band4"``, ``"elevation"``).
     values:
-        2-D array; copied to float64 and made read-only so layers are
-        safely shareable between pyramids, indexes and engines.
+        2-D array; copied to row-major float64 and made read-only so
+        layers are safely shareable between pyramids, indexes and engines.
     """
 
     def __init__(self, name: str, values: np.ndarray) -> None:
-        array = np.array(values, dtype=float)
+        array = np.array(values, dtype=float, order="C")
         if array.ndim != 2:
             raise ArchiveError(f"layer {name!r} must be 2-D, got {array.ndim}-D")
         if array.size == 0:
@@ -111,22 +111,18 @@ class RasterLayer:
             counter.add_data_points(window.size)
         return window
 
-    def gather(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        counter: CostCounter | None = None,
+    def take(
+        self, flat: np.ndarray, counter: CostCounter | None = None
     ) -> np.ndarray:
-        """Fancy-index gather ``values[rows, cols]`` (tallied if counted).
+        """Values at flat cell ids ``row * width + col`` (tallied if counted).
 
-        The engine's leaf-evaluation cascade reads scattered surviving
-        cells through this accessor instead of touching ``.values``
-        directly, so a layer subclass may re-represent its storage (e.g.
-        the memory-mapped layers of :mod:`repro.data.store`) without the
-        engine knowing. Returns a fresh writable array (fancy indexing
-        always copies).
+        The engine's leaf routine reads scattered surviving cells
+        through this accessor instead of touching ``.values`` directly,
+        so a layer subclass may re-represent its storage (e.g. the
+        memory-mapped layers of :mod:`repro.data.store`) without the
+        engine knowing. Returns a fresh writable array.
         """
-        values = self._values[rows, cols]
+        values = self._values.take(flat)
         if counter is not None:
             counter.add_data_points(values.size)
         return values

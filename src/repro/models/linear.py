@@ -16,6 +16,7 @@ Includes:
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -50,6 +51,11 @@ class LinearModel(Model):
         }
         self.intercept = float(intercept)
         self.name = name
+        # A NaN term scores every cell NaN, which no top-K keeps: a search
+        # would answer nothing, silently. The wire refuses these too.
+        terms = [*self._coefficients.values(), self.intercept]
+        if not all(map(math.isfinite, terms)):
+            raise ModelError(f"model {name!r} has a non-finite term")
 
     @property
     def coefficients(self) -> dict[str, float]:
@@ -119,24 +125,22 @@ class LinearModel(Model):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`evaluate_interval` over parallel boxes.
 
-        Accumulates term-by-term in coefficient order — the same
-        left-to-right float additions as the scalar path — so each
-        element is bitwise-identical to the scalar bound for its box.
+        Accumulates term-by-term in coefficient order from the scalar
+        intercept — the same left-to-right float additions as the scalar
+        path — so each element is bitwise-identical to the scalar bound
+        for its box. Columns must be float64 arrays; none is copied.
         """
-        low = high = None
+        low = high = self.intercept
         for attr_name, weight in self._coefficients.items():
             try:
-                attr_low = np.asarray(low_columns[attr_name], dtype=float)
-                attr_high = np.asarray(high_columns[attr_name], dtype=float)
+                attr_low = low_columns[attr_name]
+                attr_high = high_columns[attr_name]
             except KeyError:
                 raise ModelError(
                     f"interval for attribute {attr_name!r} missing"
                 ) from None
             if (attr_low > attr_high).any():
                 raise ModelError(f"invalid interval for {attr_name!r}")
-            if low is None:
-                low = np.full(attr_low.shape, self.intercept)
-                high = np.full(attr_low.shape, self.intercept)
             if weight >= 0:
                 low = low + weight * attr_low
                 high = high + weight * attr_high

@@ -160,11 +160,19 @@ class TestReadBounds:
         with pytest.raises(ArchiveError, match=r"\[10:20, 10:20\]"):
             layer.read_window(10, 10, 20, 20)
 
-    def test_gather_reads_and_tallies(self):
+    def test_take_reads_and_tallies(self):
         layer = RasterLayer("x", np.arange(12.0).reshape(3, 4))
         counter = CostCounter()
-        values = layer.gather(np.array([0, 2]), np.array([1, 3]), counter)
+        # Flat ids are row * width + col: cells (0, 1) and (2, 3).
+        values = layer.take(np.array([0 * 4 + 1, 2 * 4 + 3]), counter)
         assert values.tolist() == [1.0, 11.0]
         assert counter.data_points == 2
         values[0] = -1.0  # returned array is a private writable copy
         assert layer.values[0, 1] == 1.0
+
+    def test_take_indexes_row_major_whatever_the_input_layout(self):
+        values = np.arange(12.0).reshape(3, 4)
+        layer = RasterLayer("x", np.asfortranarray(values))
+        flat = np.arange(12)
+        assert layer.take(flat).tolist() == values.reshape(-1).tolist()
+        assert layer.values.flags.c_contiguous

@@ -470,10 +470,12 @@ class TestMemmapLayer:
         assert value == archive.raster("dem").values[3, 4]
         window = layer.read_window(0, 0, 4, 4, counter)
         assert window.shape == (4, 4)
-        gathered = layer.gather(
-            np.array([0, 1]), np.array([2, 3]), counter
-        )
-        assert gathered.shape == (2,)
+        cols = layer.shape[1]
+        taken = layer.take(np.array([0 * cols + 2, 1 * cols + 3]), counter)
+        assert taken.tolist() == [
+            archive.raster("dem").values[0, 2],
+            archive.raster("dem").values[1, 3],
+        ]
         assert counter.data_points == 1 + 16 + 2
 
     def test_create_empty_is_all_zero(self, tmp_path):

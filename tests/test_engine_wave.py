@@ -416,11 +416,14 @@ class TestTheWaveBatches:
         """A deterministic price tag, no wall clock. Strict best-first
         order (wave width 1) answers this query with 47
         ``evaluate_interval_batch`` calls — one per expansion — and 143
-        ``gather`` calls; the wave needs 17 and 105 for the same answers
-        and 0.05 % fewer cells (what is left of the gathers is the
-        cascade's block loop, which reads per 256-cell block whatever
-        the width). The ceilings leave room for a retuned width, not for
-        a traversal that bounds node by node or reads leaf by leaf."""
+        cell gathers (``RasterLayer.take`` of flat cell ids, the one
+        read the leaf routine makes); the wave needs 17 and 105 for the
+        same answers and 0.05 % fewer cells (what is left of the gathers
+        is the cascade's block loop, which reads per 256-cell block
+        whatever the width). The ceilings leave room for a retuned
+        width, not for a traversal that bounds node by node or reads
+        leaf by leaf — nor for one that reads around ``take``: the
+        cells it gathers must be every value the query is charged."""
         shape = (256, 256)
         dem = generate_dem(shape, seed=7)
         stack = generate_scene(shape, seed=8, terrain=dem)
@@ -430,24 +433,26 @@ class TestTheWaveBatches:
             {"tm_band4": 0.443, "tm_band5": 0.222, "tm_band7": -0.153,
              "elevation": -0.183}
         )
-        calls = {"bounds": 0, "gathers": 0}
+        calls = {"bounds": 0, "gathers": 0, "cells": 0}
         real_bounds = LinearModel.evaluate_interval_batch
-        real_gather = RasterLayer.gather
+        real_take = RasterLayer.take
 
         def bounds(self, lows, highs):
             calls["bounds"] += 1
             return real_bounds(self, lows, highs)
 
-        def gather(self, rows, cols, counter=None):
+        def take(self, flat, counter=None):
             calls["gathers"] += 1
-            return real_gather(self, rows, cols, counter)
+            calls["cells"] += len(flat)
+            return real_take(self, flat, counter)
 
         monkeypatch.setattr(LinearModel, "evaluate_interval_batch", bounds)
-        monkeypatch.setattr(RasterLayer, "gather", gather)
+        monkeypatch.setattr(RasterLayer, "take", take)
         query = TopKQuery(model=model, k=10)
         result = engine.progressive_top_k(query)
         assert exact_answers(result) == exhaustive_cascade(
             stack, engine.prepare_tile_query(query), query, (0, 0) + shape
         )
-        assert calls["bounds"] <= 24
-        assert calls["gathers"] <= 120
+        assert 0 < calls["bounds"] <= 24
+        assert 0 < calls["gathers"] <= 120
+        assert calls["cells"] == result.counter.data_points

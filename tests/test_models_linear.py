@@ -30,6 +30,22 @@ class TestLinearModel:
         with pytest.raises(ModelError):
             LinearModel({})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_terms_rejected(self, bad):
+        """A NaN term scores every cell NaN, which no top-K keeps, so a
+        search used to answer ``[]`` without an error; an infinite one
+        scores cells infinite. Both are refused where the model is made,
+        as the wire refuses them."""
+        with pytest.raises(ModelError, match="finite"):
+            LinearModel({"a": 1.0, "b": bad})
+        with pytest.raises(ModelError, match="finite"):
+            LinearModel({"a": 1.0}, intercept=bad)
+
+    def test_non_finite_fit_rejected(self):
+        columns = {"x": np.array([1.0, 2.0, 3.0])}
+        with pytest.raises(ModelError, match="finite"):
+            fit_linear_model(columns, np.array([1.0, np.nan, 3.0]))
+
     def test_batch_matches_scalar(self):
         model = LinearModel({"a": 0.5, "b": 2.0}, intercept=-1.0)
         columns = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}

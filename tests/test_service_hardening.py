@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import TopKHeap
 from repro.core.query import TopKQuery
-from repro.exceptions import QueryError
+from repro.exceptions import ModelError, QueryError
 from repro.metrics.registry import LatencyHistogram, MetricsRegistry
 from repro.models.base import Model
 from repro.models.linear import LinearModel
@@ -138,6 +138,27 @@ class TestModelFingerprintTokens:
         a = LinearModel({"x": 1.0}, intercept=2.0)
         b = LinearModel({"x": 1.0}, intercept=2.0)
         assert model_fingerprint(a) == model_fingerprint(b)
+
+
+class TestNonFiniteModels:
+    def test_a_nan_term_is_an_error_not_an_empty_answer(
+        self, make_noise_stack
+    ):
+        """No third outcome: the in-process API used to answer a
+        NaN-coefficient query with ``[]`` on every strategy. The wire
+        refuses such a model in ``decode_query``; in process the model
+        itself refuses, so no strategy is ever asked."""
+        service = RetrievalService(
+            make_noise_stack(16, 16, 2, seed=3), leaf_size=4,
+            registry=MetricsRegistry(),
+        )
+        with pytest.raises(ModelError, match="finite"):
+            service.top_k(
+                TopKQuery(
+                    model=LinearModel({"layer0": 1.0, "layer1": np.nan}), k=3
+                )
+            )
+        assert service.stats.queries == 0
 
 
 class TestCacheHitIsolation:
