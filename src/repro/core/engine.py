@@ -265,6 +265,7 @@ class _ScanState:
     __slots__ = (
         "spec", "fusion", "work_budget", "regret_bound",
         "model", "sign", "frontier", "tiebreak", "ordered", "signed_tails",
+        "sided",
     )
 
     def __init__(
@@ -324,6 +325,13 @@ def _descending(keys: np.ndarray) -> np.ndarray:
     np.maximum.accumulate(run, out=run)
     shift = order.size.bit_length()
     return np.sort((run << shift) | order) & ((1 << shift) - 1)
+
+
+def _reaches(last: float, tail: float, threshold: float) -> bool:
+    """Whether a whole cascade block passes the level-2 test: its signed
+    level-1 partials descend (NaNs last) and rounding is monotone, so
+    with a finite tail its ``last`` candidate is its weakest."""
+    return abs(tail) < np.inf and last + tail >= threshold
 
 
 def _audit_abandoned(
@@ -402,10 +410,25 @@ class _Scan:
             *self.screen.envelope_block(ids, self.margin)
         )
 
+    def one_sided(self, state: _ScanState):
+        """Per term of a plain linear model, the ``envelope_table`` row of
+        the side ``state`` reads, and the weights; ``None`` where
+        :meth:`bounds` must serve (fusion blends both sides)."""
+        model, names = state.model, self.screen.attributes
+        if state.fusion is not None or self.margin is not None or (
+            type(model) is not LinearModel
+            or not set(model.attributes) <= set(names)
+        ):
+            return None
+        weights = list(model.coefficients.values())
+        rows = np.array([names.index(name) for name in model.attributes])
+        rows += len(names) * ((np.array(weights) >= 0) == (state.sign > 0))
+        return rows[:, None], weights
+
     def leaf_cells(self, ids: np.ndarray):
-        """``(rows, cols, sizes)`` of the leaves ``ids``: their windows,
-        clipped to the region, as one cell list; ``sizes[p]`` cells of
-        ``ids[p]``, leaf after leaf."""
+        """``(flat, sizes)`` of the leaves ``ids``: their windows,
+        clipped to the region, as one flat cell list; ``sizes[p]`` cells
+        of ``ids[p]``, leaf after leaf."""
         windows = self.window[ids]
         if self.clips:
             windows = np.hstack((
@@ -414,25 +437,24 @@ class _Scan:
             ))
         return self.cells(windows)
 
-    @staticmethod
-    def cells(windows: np.ndarray):
-        """Flat ``(rows, cols, sizes)`` of an ``(n, 4)`` block of
-        windows, each in row-major order, by broadcasting: no per-window
-        work, ragged windows masked out of the common bounding shape."""
+    def cells(self, windows: np.ndarray):
+        """Flat ids ``row * width + col`` and sizes of an ``(n, 4)``
+        block of windows, each in row-major order, window after window:
+        every origin plus one offset template of the block's bounding
+        shape, ragged windows masked out of it."""
         row0, col0, row1, col1 = windows.T
         heights, widths = row1 - row0, col1 - col0
         height, width = int(heights.max()), int(widths.max())
-        shape = (len(windows), height, width)
-        down = np.arange(height)[None, :, None]
-        across = np.arange(width)[None, None, :]
-        rows = np.broadcast_to(row0[:, None, None] + down, shape)
-        cols = np.broadcast_to(col0[:, None, None] + across, shape)
+        down = np.arange(height)[:, None]
+        across = np.arange(width)
+        template = down * self.width + across
+        flat = (row0 * self.width + col0)[:, None, None] + template
         if heights.min() == height and widths.min() == width:
-            return rows.reshape(-1), cols.reshape(-1), heights * widths
+            return flat.reshape(-1), heights * widths
         ragged = (down < heights[:, None, None]) & (
             across < widths[:, None, None]
         )
-        return rows[ragged], cols[ragged], heights * widths
+        return flat[ragged], heights * widths
 
 
 class _SharedScan(_Scan):
@@ -475,6 +497,10 @@ class _SharedScan(_Scan):
                 self._memo[id(member)] = (
                     group, known, np.empty((2, n_nodes))
                 )
+
+    def one_sided(self, state):
+        """Never: the memo tables hold both sides for the whole batch."""
+        return None
 
     def bounds(self, model, ids):
         group, known, table = self._memo[id(model)]
@@ -653,8 +679,8 @@ class RasterRetrievalEngine:
         if use_tiles:
             self._search([state], scan)
         else:
-            rows, cols, _ = scan.cells(np.array([region]))
-            self._evaluate_cells(state, rows, cols, scan)
+            flat, _ = scan.cells(np.array([region]))
+            self._evaluate_cells(state, flat, scan)
 
         strategy = {
             (True, True): "both",
@@ -847,6 +873,7 @@ class RasterRetrievalEngine:
         for state in states:
             spec = state.spec
             start = time.perf_counter()
+            state.sided = scan.one_sided(state)
             for upper, root in zip(
                 self._uppers(state, scan.roots, scan).tolist(), roots
             ):
@@ -938,8 +965,8 @@ class RasterRetrievalEngine:
         at_leaf = scan.leaf[nodes]
         leaves = nodes[at_leaf]
         if leaves.size:
-            rows, cols, sizes = scan.leaf_cells(leaves)
-            self._evaluate_cells(state, rows, cols, scan, leaves, sizes)
+            flat, sizes = scan.leaf_cells(leaves)
+            self._evaluate_cells(state, flat, scan, leaves, sizes)
         children = scan.child[nodes[~at_leaf]].reshape(-1)
         children = children[children >= 0]
         if scan.clips and children.size:
@@ -972,11 +999,20 @@ class RasterRetrievalEngine:
         One block evaluation replaces scalar interval calls; charged as
         ``len(ids)`` scalar boundings (one aggregate-node visit per
         attribute per node, one partial model evaluation per node)
-        whether or not the scan answered from a memo.
+        whether or not the scan answered from a memo. ``sided`` terms
+        accumulate one side, as ``evaluate_interval_batch`` does it.
         """
         counter = state.spec.counter
         counter.add_nodes(len(ids) * len(self.screen.attributes))
         counter.add_partial_evals(len(ids), flops_each=state.model.complexity)
+        if state.sided is not None:
+            rows, weights = state.sided
+            bound = state.model.intercept
+            for weight, side in zip(
+                weights, scan.screen.envelope_table[rows, ids]
+            ):
+                bound = bound + weight * side
+            return bound if state.sign > 0 else -bound
         low, high = scan.bounds(state.model, ids)
         if state.fusion is not None:
             low, high = state.fusion.combine_bounds(ids, low, high, counter)
@@ -985,47 +1021,46 @@ class RasterRetrievalEngine:
     def _evaluate_cells(
         self,
         state: _ScanState,
-        rows: np.ndarray,
-        cols: np.ndarray,
+        flat: np.ndarray,
         scan: _Scan,
         leaves: np.ndarray | None = None,
         sizes: np.ndarray | None = None,
     ) -> None:
         """Exact evaluation of a cell list, with optional level cascade.
 
-        The one leaf routine: a wave's leaf windows arrive concatenated
-        (``leaves``/``sizes`` say which screen leaves, and how many
-        cells of each, back to back), ``use_tiles=False`` passes its one
-        rectangle. The list becomes flat cell ids once, and every
-        attribute read is one :meth:`RasterLayer.take` of them; the
-        query's counter is charged per value read, exactly as a solo
-        read charges — sharing saves wall clock, never counted work.
+        The one leaf routine: a wave's leaf windows arrive as one list of
+        flat cell ids ``row * width + col`` (``leaves``/``sizes`` say
+        which screen leaves, and how many cells of each, back to back),
+        ``use_tiles=False`` passes its one rectangle. Every attribute
+        read is one :meth:`RasterLayer.take` of them, and only offered
+        cells are decoded to ``(row, col)``; the query's counter is
+        charged per value read, exactly as a solo read charges — sharing
+        saves wall clock, never counted work.
 
         A ``state.fusion`` spec blends each cell's leaf-tile embedding
         cosine into its score before the sign is applied (fused cells
         always arrive with their ``leaves``).
         """
-        if rows.size == 0:
+        if flat.size == 0:
             return
         spec = state.spec
         heap, counter, audit = spec.heap, spec.counter, spec.audit
         sign = state.sign
         model = state.model
         stack = scan.stack
-        flat = rows * scan.width + cols
 
         if spec.progressive is None:
             columns = {
                 name: stack[name].take(flat) for name in model.attributes
             }
-            counter.add_data_points(rows.size * len(columns))
+            counter.add_data_points(flat.size * len(columns))
             scores = model.evaluate_batch(columns)
             counter.add_model_evals(scores.size, flops_each=model.complexity)
             if state.fusion is not None:
                 scores = state.fusion.combine_leaves(
                     leaves, sizes, scores, counter
                 )
-            heap.offer_block(sign * scores, rows, cols)
+            heap.offer_block(sign * scores, *np.divmod(flat, scan.width))
             return
 
         # Level cascade: evaluate one contribution-ordered term at a time,
@@ -1040,17 +1075,19 @@ class RasterRetrievalEngine:
         # ``both-*`` labels promise (ROADMAP 2a changes the offered value).
         coefficients = model.coefficients
         ordered, signed_tails = state.ordered, state.signed_tails
-        audit.enter_level(1, rows.size)
+        audit.enter_level(1, flat.size)
         values = stack[ordered[0]].take(flat)
         counter.add_data_points(values.size)
         partial = model.intercept + coefficients[ordered[0]] * values
         counter.add_partial_evals(values.size, flops_each=2)
         if len(ordered) == 1:
-            heap.offer_block(sign * partial, rows, cols)
+            heap.offer_block(sign * partial, *np.divmod(flat, scan.width))
             return
 
-        signed_partial = sign * partial
-        order = _descending(signed_partial)
+        # Laid out once in that order, so every block is a slice.
+        signed = sign * partial
+        order = _descending(signed)
+        partial, flat, signed = partial[order], flat[order], signed[order]
         levels = [
             (level, stack[name], coefficients[name], signed_tails[level - 2])
             for level, name in enumerate(ordered[1:], start=2)
@@ -1061,30 +1098,34 @@ class RasterRetrievalEngine:
         # prunes less and never wrongly.
         full, threshold = heap.full, heap.threshold
         read = 0  # values past level 1; each is one partial evaluation
-        for start in range(0, order.size, block_size):
-            block = order[start: start + block_size]
+        for start in range(0, flat.size, block_size):
+            stop = min(start + block_size, flat.size)
             # Every remaining candidate's bound is at most the block
             # leader's; once that falls below the K-th best, stop.
-            if full and signed_partial[block[0]] + signed_tails[0] < threshold:
-                audit.prune_at_level(1, int(order.size - start))
+            if full and signed[start] + signed_tails[0] < threshold:
+                audit.prune_at_level(1, flat.size - start)
                 break
-            sums = partial[block]
+            cells, sums = flat[start:stop], partial[start:stop]
+            screen = full and not _reaches(
+                signed[stop - 1], signed_tails[0], threshold
+            )
             for level, layer, coefficient, tail in levels:
-                if full:
+                if screen:
                     # ``tail - sums`` is ``-sums + tail`` bit for bit.
                     upper = sums + tail if sign > 0 else tail - sums
                     keep = upper >= threshold
                     kept = int(np.count_nonzero(keep))
-                    if kept < block.size:
-                        audit.prune_at_level(level - 1, block.size - kept)
+                    if kept < cells.size:
+                        audit.prune_at_level(level - 1, cells.size - kept)
                         if not kept:
                             break
-                        block, sums = block[keep], sums[keep]
-                audit.enter_level(level, block.size)
-                read += block.size
-                sums = sums + coefficient * layer.take(flat[block])
+                        cells, sums = cells[keep], sums[keep]
+                audit.enter_level(level, cells.size)
+                read += cells.size
+                sums = sums + coefficient * layer.take(cells)
+                screen = full
             else:
-                heap.offer_block(sign * sums, rows[block], cols[block])
+                heap.offer_block(sign * sums, *np.divmod(cells, scan.width))
                 full, threshold = heap.full, heap.threshold
         counter.add_data_points(read)
         counter.add_partial_evals(read, flops_each=2)

@@ -11,7 +11,7 @@ Screen nodes are the branch-and-bound frontier of the retrieval engine.
 Inside the search a node is one integer: its position in the screen's
 *flat node tables*, every depth's grid concatenated in depth order
 (``id = offset[depth] + row_index * n_cols[depth] + col_index``). The
-envelopes are two ``(n_attrs, n_nodes)`` arrays and the structure —
+envelopes are one ``(2 * n_attrs, n_nodes)`` table and the structure —
 child ids, windows, leaf mask, depth — four more, so bounding, region
 filtering and auditing a whole wave of nodes is a handful of
 fancy-indexes (:meth:`TileScreen.envelope_block`). :class:`ScreenNode`
@@ -29,6 +29,9 @@ from repro.data.raster import RasterStack
 from repro.exceptions import PlanError
 from repro.metrics.counters import CostCounter
 from repro.pyramid.quadtree import QuadTree
+
+#: Regions whose root covers a screen keeps (a cover is a few dozen ids).
+COVER_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,11 @@ class TileScreen:
 
     All per-attribute trees share one structure (same shape, same leaf
     size), so alignment holds by construction. The flat tables are public
-    read-only state for the engine: ``lows``/``highs`` ``(n_attrs,
-    n_nodes)`` envelopes (rewritten in place by :meth:`refresh_region`),
-    and the structure tables ``child`` ``(n_nodes, 4)`` (-1 where a node
-    has fewer than four children), ``window`` ``(n_nodes, 4)``, ``leaf``
+    read-only state for the engine: ``envelope_table``, all minima over
+    all maxima ``(2 * n_attrs, n_nodes)``, with halves ``lows``/``highs``
+    as views (rewritten in place by :meth:`refresh_region`), and the
+    structure tables ``child`` ``(n_nodes, 4)`` (-1 where a node has
+    fewer than four children), ``window`` ``(n_nodes, 4)``, ``leaf``
     and ``depth`` ``(n_nodes,)``, built once and never touched again.
     Grid entries that are no tree node (a leaf's intervals persist to
     deeper grids) occupy ids no ``child`` row ever names.
@@ -105,14 +109,15 @@ class TileScreen:
         for n_rows, n_cols in shapes:
             self._offsets.append(self._offsets[-1] + n_rows * n_cols)
         n_attrs, n_nodes = len(self.attributes), self._offsets[-1]
-        self.lows = np.empty((n_attrs, n_nodes))
-        self.highs = np.empty((n_attrs, n_nodes))
+        self.envelope_table = np.empty((2 * n_attrs, n_nodes))
+        self.lows, self.highs = np.split(self.envelope_table, 2)
         self._copy_envelopes()
         self._build_structure_tables()
+        self._covers: dict[tuple[int, int, int, int], np.ndarray] = {}
 
     def _copy_envelopes(self) -> None:
         """Write every attribute tree's per-depth grids into their
-        slices of the flat envelope arrays, in place."""
+        slices of the flat envelope arrays, in place; check min <= max."""
         for a, name in enumerate(self.attributes):
             tree = self._trees[name]
             for depth, (start, stop) in enumerate(
@@ -120,6 +125,8 @@ class TileScreen:
             ):
                 self.lows[a, start:stop] = tree.level_mins(depth).ravel()
                 self.highs[a, start:stop] = tree.level_maxs(depth).ravel()
+        if (self.lows > self.highs).any():
+            raise PlanError("tile screen envelope has a min above its max")
 
     def _build_structure_tables(self) -> None:
         """Child ids, windows, leaf mask and depth of every node id.
@@ -194,10 +201,10 @@ class TileScreen:
         of the underlying layers (disk-store ``append_region``), each
         attribute tree recomputes only the touched leaf aggregates and
         re-derives its coarser grids, which are then copied into the
-        flat envelope arrays in place — the structure tables depend on
-        the grid shape alone and are not rebuilt. Without this the
-        screen would keep pruning against pre-mutation envelopes —
-        silently unsound.
+        flat envelope arrays in place and re-checked — the structure
+        tables and root covers depend on the grid shape alone and are
+        not rebuilt. Without this the screen would keep pruning against
+        pre-mutation envelopes — silently unsound.
         """
         for name in self.attributes:
             self._trees[name].refresh_region(region)
@@ -335,7 +342,9 @@ class TileScreen:
     def region_root_ids(
         self, region: tuple[int, int, int, int]
     ) -> np.ndarray:
-        """:meth:`region_roots` as flat-table ids, in window order."""
+        """:meth:`region_roots` as flat-table ids, in window order, kept
+        read-only per region (up to :data:`COVER_MEMO`, emptied when
+        full): a cover reads only the never-changing structure tables."""
         rows, cols = self.shape
         row0, col0 = max(0, region[0]), max(0, region[1])
         row1, col1 = min(rows, region[2]), min(cols, region[3])
@@ -343,6 +352,10 @@ class TileScreen:
             raise PlanError(
                 f"region {region} does not intersect grid {self.shape}"
             )
+        key = (row0, col0, row1, col1)
+        cover = self._covers.get(key)
+        if cover is not None:
+            return cover
         cover = []
         ids = np.zeros(1, dtype=np.intp)
         while ids.size:  # one tree level per turn
@@ -361,7 +374,12 @@ class TileScreen:
             ids = ids[ids >= 0]
         cover = np.concatenate(cover)
         origin = self.window[cover]
-        return cover[np.lexsort((origin[:, 1], origin[:, 0]))]
+        cover = cover[np.lexsort((origin[:, 1], origin[:, 0]))]
+        cover.setflags(write=False)
+        if len(self._covers) >= COVER_MEMO:
+            self._covers.clear()
+        self._covers[key] = cover
+        return cover
 
     def attribute_ranges(self) -> dict[str, tuple[float, float]]:
         """Whole-grid (min, max) per attribute (root envelopes)."""

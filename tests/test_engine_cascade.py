@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import (
@@ -24,6 +24,10 @@ from repro.core.engine import (
     RasterRetrievalEngine,
     TopKHeap,
     _descending,
+    _reaches,
+    _Scan,
+    _ScanState,
+    _SharedScan,
 )
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit
@@ -347,6 +351,146 @@ class TestDescendingOrder:
         assert np.array_equal(
             _descending(keys), np.argsort(-keys, kind="stable")
         )
+
+
+class TestMonotoneFirstLevel:
+    @given(
+        partials=st.lists(
+            st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]),
+            min_size=1, max_size=300,
+        )
+        | st.lists(st.floats(), min_size=1, max_size=300),
+        maximize=st.booleans(),
+        tail=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.5])
+        | st.floats(allow_nan=False),
+        threshold=st.integers(0, 299) | st.floats(allow_nan=False),
+    )
+    @example(
+        partials=[float("inf"), 1.0], maximize=True, tail=float("-inf"),
+        threshold=float("-inf"),
+    ).via("an infinite partial meets an infinite tail in a NaN")
+    @settings(max_examples=300, deadline=None)
+    def test_decides_as_the_elementwise_test(
+        self, partials, maximize, tail, threshold
+    ):
+        """A block as the cascade lays it out — signed level-1 partials
+        in descending order — passes whole by the shortcut exactly when
+        every candidate passes the elementwise level-2 test (for a
+        finite tail; an infinite one always takes the elementwise
+        test). An integer ``threshold`` picks a candidate's own bound,
+        so ties at the threshold are common."""
+        partial = np.array(partials)
+        sign = 1.0 if maximize else -1.0
+        signed = sign * partial
+        order = _descending(signed)
+        partial, signed = partial[order], signed[order]
+        with np.errstate(invalid="ignore"):
+            upper = partial + tail if maximize else tail - partial
+        if isinstance(threshold, int):
+            threshold = float(upper[threshold % upper.size])
+            assume(not np.isnan(threshold))
+        everyone = bool((upper >= threshold).all())
+        shortcut = _reaches(signed[-1], tail, threshold)
+        assert shortcut == (everyone and np.isfinite(tail))
+
+
+class TestFlatLeafCells:
+    @given(
+        rows=st.integers(4, 40),
+        cols=st.integers(4, 40),
+        leaf=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+        whole=st.booleans(),
+    )
+    @example(rows=32, cols=32, leaf=8, seed=0, whole=True)  # full leaves
+    @example(rows=32, cols=32, leaf=8, seed=1, whole=False)  # clipped
+    @example(rows=37, cols=43, leaf=4, seed=2, whole=True)  # ragged
+    @settings(max_examples=80, deadline=None)
+    def test_template_ids_are_the_row_major_cells(
+        self, rows, cols, leaf, seed, whole
+    ):
+        """Leaf after leaf, row-major within each leaf clipped to the
+        region: what a loop over the windows lists, id for id."""
+        rng = np.random.default_rng(seed)
+        stack = RasterStack({"a": RasterLayer("a", np.zeros((rows, cols)))})
+        engine = RasterRetrievalEngine(stack, leaf_size=leaf)
+        if whole:
+            region = (0, 0, rows, cols)
+        else:
+            row0, row1 = sorted(rng.choice(rows + 1, 2, replace=False))
+            col0, col1 = sorted(rng.choice(cols + 1, 2, replace=False))
+            region = (int(row0), int(col0), int(row1), int(col1))
+        scan = _Scan(engine, region, np.zeros(1, dtype=np.intp), "sound", 1)
+        ids = np.flatnonzero(engine.screen.leaf)
+        ids = rng.permutation(ids[scan.inside(ids)])[: rng.integers(1, 40)]
+        flat, sizes = scan.leaf_cells(ids)
+        windows = [
+            (max(r0, region[0]), max(c0, region[1]),
+             min(r1, region[2]), min(c1, region[3]))
+            for r0, c0, r1, c1 in engine.screen.window[ids].tolist()
+        ]
+        assert flat.tolist() == [
+            row * cols + col
+            for r0, c0, r1, c1 in windows
+            for row in range(r0, r1)
+            for col in range(c0, c1)
+        ]
+        assert sizes.tolist() == [
+            (r1 - r0) * (c1 - c0) for r0, c0, r1, c1 in windows
+        ]
+
+
+class TestOneSidedBounds:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        maximize=st.booleans(),
+        n_terms=st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_is_the_matching_side_bit_for_bit(
+        self, seed, maximize, n_terms, make_noise_stack
+    ):
+        """Random linear models (any term subset and order, weights of
+        both signs including ±0.0) over random node sets: the signed
+        bound ``_uppers`` returns is the side of
+        ``evaluate_interval_batch`` the query reads, byte for byte."""
+        rng = np.random.default_rng(seed)
+        stack = make_noise_stack(29, 35, 4, seed % 50)
+        engine = RasterRetrievalEngine(stack, leaf_size=4)
+        names = rng.permutation(stack.names)[:n_terms].tolist()
+        weights = rng.choice([-0.0, 0.0, -1.0, 1.0, 3.0], n_terms) * (
+            rng.normal(size=n_terms) * 10.0 ** rng.integers(-3, 4, n_terms)
+        )
+        model = LinearModel(
+            dict(zip(names, weights.tolist())), intercept=rng.normal()
+        )
+        region = (0, 0, 29, 35)
+        scan = _Scan(engine, region, np.zeros(1, dtype=np.intp), "sound", 1)
+
+        def state_of(model, fusion=None):
+            query = TopKQuery(model=model, k=3, maximize=maximize)
+            spec = BatchQuerySpec(
+                query, TopKHeap(3), CostCounter(), PruningAudit()
+            )
+            return _ScanState(spec, fusion=fusion)
+
+        state = state_of(model)
+        state.sided = scan.one_sided(state)
+        assert state.sided is not None
+        ids = rng.integers(0, engine.screen.depth.size, rng.integers(1, 300))
+        low, high = model.evaluate_interval_batch(
+            *engine.screen.envelope_block(ids)
+        )
+        want = high if maximize else -low
+        assert engine._uppers(state, ids, scan).tobytes() == want.tobytes()
+        # Where both sides are needed, or other envelopes, it stands down.
+        heuristic = _Scan(engine, region, scan.roots, "heuristic", 0.7)
+        shared = _SharedScan(engine, region, scan.roots, "sound", 1, [model])
+        for other in (heuristic, shared):
+            assert other.one_sided(state) is None
+        wider = LinearModel({**model.coefficients, "absent": 1.0})
+        assert scan.one_sided(state_of(wider)) is None
+        assert scan.one_sided(state_of(model, fusion=object())) is None
 
 
 class TestShardedHeapMeetsTheBlockThreshold:

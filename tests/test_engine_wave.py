@@ -25,11 +25,13 @@ from tests.oracles import (
     exhaustive_fused,
 )
 from repro.core import engine as engine_module
+from repro.core import screening
 from repro.core.engine import BatchQuerySpec, RasterRetrievalEngine
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit
 from repro.core.screening import TileScreen
 from repro.data.raster import RasterLayer, RasterStack
+from repro.exceptions import PlanError
 from repro.metrics.registry import MetricsRegistry
 from repro.models.linear import LinearModel
 from repro.service import RetrievalService
@@ -83,9 +85,9 @@ class _Tally:
                 self.parents.update(parent_of[int(i)] for i in ids)
             return real_uppers(self_, state, ids, scan)
 
-        def cells(self_, state, rows, cols, scan, leaves=None, sizes=None):
+        def cells(self_, state, flat, scan, leaves=None, sizes=None):
             self.leaves += 0 if leaves is None else len(leaves)
-            return real_cells(self_, state, rows, cols, scan, leaves, sizes)
+            return real_cells(self_, state, flat, scan, leaves, sizes)
 
         def step(self_, state, scan):
             before = state.spec.counter.total_work
@@ -97,6 +99,34 @@ class _Tally:
         monkeypatch.setattr(cls, "_uppers", uppers)
         monkeypatch.setattr(cls, "_evaluate_cells", cells)
         monkeypatch.setattr(cls, "_step", step)
+
+
+def _descended_cover(screen: TileScreen, region) -> list[int]:
+    """The minimal root cover by recursion over the public node API: a
+    node touching the clipped region is kept when it is a leaf or lies
+    inside, else its children are visited. Ids in window order."""
+    rows, cols = screen.shape
+    row0, col0 = max(0, region[0]), max(0, region[1])
+    row1, col1 = min(rows, region[2]), min(cols, region[3])
+    kept = []
+
+    def visit(node):
+        r0, c0, r1, c1 = node.window
+        if not (r0 < row1 and row0 < r1 and c0 < col1 and col0 < c1):
+            return
+        if node.is_leaf or (
+            row0 <= r0 and r1 <= row1 and col0 <= c0 and c1 <= col1
+        ):
+            kept.append(node)
+            return
+        for child in screen.children(node):
+            visit(child)
+
+    visit(screen.root())
+    return [
+        screen.node_id(node)
+        for node in sorted(kept, key=lambda node: node.window[:2])
+    ]
 
 
 def _reason_total(audit: PruningAudit, *, exclude=()) -> int:
@@ -385,6 +415,59 @@ class TestRefreshWritesThroughTheFlatTables:
         )):
             assert np.array_equal(mine, fresh)
 
+    def test_a_refreshed_envelope_with_min_above_max_is_refused(
+        self, make_noise_stack
+    ):
+        """The bounds read one side of the envelope table and trust the
+        other, so the screen checks ``min <= max`` itself: an aggregate
+        corrupted outside the dirty rectangle (the refresh recomputes
+        only inside it, then re-derives every coarser grid) is refused
+        when it reaches the flat tables."""
+        stack = make_noise_stack(70, 90, 3, seed=3)
+        screen = TileScreen(stack, leaf_size=8)
+        tree = screen.structure
+        finest = tree.max_depth
+        tree.level_mins(finest)[0, 0] = tree.level_maxs(finest)[0, 0] + 1.0
+        with pytest.raises(PlanError, match="min above its max"):
+            screen.refresh_region((40, 50, 48, 58))
+
+    @given(
+        rows=st.integers(6, 60),
+        cols=st.integers(6, 60),
+        leaf=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_covers_are_the_descent_before_and_after_refresh(
+        self, rows, cols, leaf, seed, make_noise_stack
+    ):
+        """Covers come from the structure tables alone: the memoized,
+        read-only cover of any region — inside the grid or overhanging
+        it — is the fresh descent's, before and after a refresh, and the
+        memo never outgrows its cap."""
+        rng = np.random.default_rng(seed)
+        stack = make_noise_stack(rows, cols, 2, seed % 50)
+        screen = TileScreen(stack, leaf_size=leaf)
+        regions = []
+        while len(regions) < 8:
+            row0, row1 = sorted(rng.integers(-5, rows + 5, 2).tolist())
+            col0, col1 = sorted(rng.integers(-5, cols + 5, 2).tolist())
+            if max(row0, 0) <= min(row1, rows - 1) and max(col0, 0) <= min(
+                col1, cols - 1
+            ):
+                regions.append((row0, col0, row1 + 1, col1 + 1))
+        grid = (0, 0, rows, cols)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(screening, "COVER_MEMO", 5)
+            for _ in range(2):
+                for region in regions + regions[:2]:
+                    cover = screen.region_root_ids(region)
+                    assert not cover.flags.writeable
+                    assert cover.tolist() == _descended_cover(screen, region)
+                    assert len(screen._covers) <= 5
+                _poke(stack["layer0"], grid, rng.normal(size=(rows, cols)))
+                screen.refresh_region(grid)
+
     def test_search_after_an_append_prunes_against_the_new_envelopes(
         self, make_noise_stack
     ):
@@ -414,16 +497,17 @@ class TestRefreshWritesThroughTheFlatTables:
 class TestTheWaveBatches:
     def test_bound_and_gather_calls_per_query(self, monkeypatch):
         """A deterministic price tag, no wall clock. Strict best-first
-        order (wave width 1) answers this query with 47
-        ``evaluate_interval_batch`` calls — one per expansion — and 143
-        cell gathers (``RasterLayer.take`` of flat cell ids, the one
-        read the leaf routine makes); the wave needs 17 and 105 for the
-        same answers and 0.05 % fewer cells (what is left of the gathers
-        is the cascade's block loop, which reads per 256-cell block
-        whatever the width). The ceilings leave room for a retuned
-        width, not for a traversal that bounds node by node or reads
-        leaf by leaf — nor for one that reads around ``take``: the
-        cells it gathers must be every value the query is charged."""
+        order (wave width 1) answers this query with 47 bound calls —
+        ``_uppers``, the one entry every node bound goes through, for
+        the root and then per expansion — and 143 cell gathers
+        (``RasterLayer.take`` of flat cell ids, the one read the leaf
+        routine makes); the wave needs 17 and 105 for the same answers
+        and 0.05 % fewer cells (what is left of the gathers is the
+        cascade's block loop, which reads per 256-cell block whatever
+        the width). The ceilings leave room for a retuned width, not for
+        a traversal that bounds node by node or reads leaf by leaf — nor
+        for one that reads around ``take``: the cells it gathers must be
+        every value the query is charged."""
         shape = (256, 256)
         dem = generate_dem(shape, seed=7)
         stack = generate_scene(shape, seed=8, terrain=dem)
@@ -434,19 +518,19 @@ class TestTheWaveBatches:
              "elevation": -0.183}
         )
         calls = {"bounds": 0, "gathers": 0, "cells": 0}
-        real_bounds = LinearModel.evaluate_interval_batch
+        real_uppers = RasterRetrievalEngine._uppers
         real_take = RasterLayer.take
 
-        def bounds(self, lows, highs):
+        def uppers(self, state, ids, scan):
             calls["bounds"] += 1
-            return real_bounds(self, lows, highs)
+            return real_uppers(self, state, ids, scan)
 
         def take(self, flat, counter=None):
             calls["gathers"] += 1
             calls["cells"] += len(flat)
             return real_take(self, flat, counter)
 
-        monkeypatch.setattr(LinearModel, "evaluate_interval_batch", bounds)
+        monkeypatch.setattr(RasterRetrievalEngine, "_uppers", uppers)
         monkeypatch.setattr(RasterLayer, "take", take)
         query = TopKQuery(model=model, k=10)
         result = engine.progressive_top_k(query)

@@ -95,12 +95,30 @@ class TestPoisoning:
         monkeypatch.setattr(TileEmbeddings, "build", slow_build)
         service = _service(stack)
         _slow_down(monkeypatch, OTHER[faster], SLOW_S)
+        cost_model = service.router.cost_model
+        fed = []
+        real_observe = cost_model.observe
+
+        def observe(strategy, size, seconds):
+            fed.append((strategy, size, seconds))
+            real_observe(strategy, size, seconds)
+
+        monkeypatch.setattr(cost_model, "observe", observe)
+        assert {cost_model.score(name, GRID * GRID)[1] for name in OTHER} == {0}
 
         first = service.top_k(
             _fused_query(model), strategy="auto", n_shards=1
         )
-        assert first.trace.stage_seconds()["embed_build"] >= 0.05
-        assert first.trace.metadata["routing"]["actual_seconds"] < 0.04
+        # What the router was fed: one sample, of the strategy that ran,
+        # timed apart from the build. The build span and the sample lie
+        # in one wall interval without overlapping, so together they fit
+        # in it; a sample that swallowed the build would hold it twice.
+        [(chosen, size, seconds)] = fed
+        assert chosen == first.trace.metadata["routing"]["chosen"]
+        assert seconds == first.trace.metadata["routing"]["actual_seconds"]
+        assert cost_model.score(chosen, size)[1] == 1
+        build = first.trace.stage_seconds()["embed_build"]
+        assert seconds + build <= first.trace.wall_seconds
 
         decisions = [
             _routing(service, _fused_query(model, index))
