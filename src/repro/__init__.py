@@ -20,31 +20,26 @@ Public surface (see README for the tour):
 * :mod:`repro.apps` — the paper's application scenarios, packaged;
 * :mod:`repro.service` — the concurrent serving layer (sharded search
   plus query caching) over the engine.
+
+Every package surface, this one included, is lazy (:mod:`repro._lazy`):
+a name is imported when it is first read.
 """
 
-from repro.core.engine import RasterRetrievalEngine
-from repro.core.query import TopKQuery
-from repro.core.results import RetrievalResult
-from repro.core.workflow import ModelingWorkflow
-from repro.data.archive import Archive
-from repro.index.onion import OnionIndex
-from repro.metrics.counters import CostCounter
-from repro.models.linear import LinearModel, fit_linear_model, hps_risk_model
-from repro.service.retrieval import RetrievalService
+from repro._lazy import surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Archive",
-    "CostCounter",
-    "LinearModel",
-    "ModelingWorkflow",
-    "OnionIndex",
-    "RasterRetrievalEngine",
-    "RetrievalResult",
-    "RetrievalService",
-    "TopKQuery",
-    "fit_linear_model",
-    "hps_risk_model",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        "repro.core.engine": "RasterRetrievalEngine",
+        "repro.core.query": "TopKQuery",
+        "repro.core.results": "RetrievalResult",
+        "repro.core.workflow": "ModelingWorkflow",
+        "repro.data.archive": "Archive",
+        "repro.index.onion": "OnionIndex",
+        "repro.metrics.counters": "CostCounter",
+        "repro.models.linear": "LinearModel fit_linear_model hps_risk_model",
+        "repro.service.retrieval": "RetrievalService",
+    },
+)

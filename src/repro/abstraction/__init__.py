@@ -17,35 +17,21 @@ volumes at the expense of fidelity."
   metadata ladder as an explicit pipeline.
 """
 
-from repro.abstraction.compressed import (
-    CompressedClassification,
-    classify_compressed,
-)
-from repro.abstraction.contours import threshold_regions
-from repro.abstraction.features import (
-    BlockFeatures,
-    cheap_features,
-    expensive_features,
-    extract_block_features,
-)
-from repro.abstraction.levels import AbstractionLevel, AbstractionLadder
-from repro.abstraction.semantics import (
-    BlockClassifier,
-    ProgressiveClassifier,
-    ThresholdClassifier,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "AbstractionLadder",
-    "AbstractionLevel",
-    "BlockClassifier",
-    "BlockFeatures",
-    "CompressedClassification",
-    "classify_compressed",
-    "ProgressiveClassifier",
-    "ThresholdClassifier",
-    "cheap_features",
-    "expensive_features",
-    "extract_block_features",
-    "threshold_regions",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".compressed": "CompressedClassification classify_compressed",
+        ".contours": "threshold_regions",
+        ".features": (
+            "BlockFeatures cheap_features expensive_features "
+            "extract_block_features"
+        ),
+        ".levels": "AbstractionLevel AbstractionLadder",
+        ".semantics": (
+            "BlockClassifier ProgressiveClassifier "
+            "ThresholdClassifier"
+        ),
+    },
+)

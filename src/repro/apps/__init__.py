@@ -16,6 +16,8 @@ entry point:
   Onion index.
 """
 
-from repro.apps import agriculture, credit, epidemiology, fireants, geology
+from repro._lazy import surface
 
-__all__ = ["agriculture", "credit", "epidemiology", "fireants", "geology"]
+__all__, __getattr__, __dir__ = surface(
+    __name__, {}, submodules="agriculture credit epidemiology fireants geology"
+)

@@ -21,39 +21,21 @@ retrieval that beats sequential model application by combining
   → revise → apply loop.
 """
 
-from repro.core.engine import RasterRetrievalEngine
-from repro.core.multimodal import (
-    MultiModalQuery,
-    RasterFactor,
-    RegionFactor,
-)
-from repro.core.planner import ExecutionPlan, plan_query
-from repro.core.query import TopKQuery
-from repro.core.results import RetrievalResult, ScoredLocation
-from repro.core.screening import TileScreen
-from repro.core.series_engine import (
-    SeriesModel,
-    SeriesRetrievalEngine,
-    SpellCountModel,
-    ThresholdCountModel,
-)
-from repro.core.workflow import ModelingWorkflow, WorkflowIteration
+from repro._lazy import surface
 
-__all__ = [
-    "ExecutionPlan",
-    "ModelingWorkflow",
-    "MultiModalQuery",
-    "RasterFactor",
-    "RasterRetrievalEngine",
-    "RegionFactor",
-    "RetrievalResult",
-    "ScoredLocation",
-    "SeriesModel",
-    "SeriesRetrievalEngine",
-    "SpellCountModel",
-    "ThresholdCountModel",
-    "TileScreen",
-    "TopKQuery",
-    "WorkflowIteration",
-    "plan_query",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".engine": "RasterRetrievalEngine",
+        ".multimodal": "MultiModalQuery RasterFactor RegionFactor",
+        ".planner": "ExecutionPlan plan_query",
+        ".query": "TopKQuery",
+        ".results": "RetrievalResult ScoredLocation",
+        ".screening": "TileScreen",
+        ".series_engine": (
+            "SeriesModel SeriesRetrievalEngine SpellCountModel "
+            "ThresholdCountModel"
+        ),
+        ".workflow": "ModelingWorkflow WorkflowIteration",
+    },
+)

@@ -15,35 +15,18 @@ access layer so "data points touched" is measurable:
   (tiled band files + precomputed aggregates + incremental ingest).
 """
 
-from repro.data.archive import Archive
-from repro.data.catalog import CatalogEntry, Modality
-from repro.data.io import load_archive, save_archive
-from repro.data.raster import RasterLayer, RasterStack
-from repro.data.series import DepthSeries, TimeSeries
-from repro.data.store import (
-    ArchiveWriter,
-    DiskArchive,
-    MemmapRasterLayer,
-    open_archive,
-)
-from repro.data.table import Table
-from repro.data.tiles import Tile, TileGrid
+from repro._lazy import surface
 
-__all__ = [
-    "Archive",
-    "ArchiveWriter",
-    "CatalogEntry",
-    "DepthSeries",
-    "DiskArchive",
-    "MemmapRasterLayer",
-    "Modality",
-    "RasterLayer",
-    "RasterStack",
-    "Table",
-    "Tile",
-    "TileGrid",
-    "TimeSeries",
-    "load_archive",
-    "open_archive",
-    "save_archive",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".archive": "Archive",
+        ".catalog": "CatalogEntry Modality",
+        ".io": "load_archive save_archive",
+        ".raster": "RasterLayer RasterStack",
+        ".series": "DepthSeries TimeSeries",
+        ".store": "ArchiveWriter DiskArchive MemmapRasterLayer open_archive",
+        ".table": "Table",
+        ".tiles": "Tile TileGrid",
+    },
+)

@@ -32,6 +32,16 @@ _DEFAULT_MODALITY: dict[type, Modality] = {
 _MUTATION_LOG_SIZE = 256
 
 
+def regions_intersect(
+    a: tuple[int, int, int, int], b: tuple[int, int, int, int]
+) -> bool:
+    """Whether two half-open ``(row0, col0, row1, col1)`` windows share
+    any cell. Empty windows intersect nothing."""
+    if a[0] >= a[2] or a[1] >= a[3] or b[0] >= b[2] or b[1] >= b[3]:
+        return False
+    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
+
+
 class Archive:
     """A named collection of multi-modal data items with a metadata catalog.
 

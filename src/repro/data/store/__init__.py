@@ -29,30 +29,13 @@ any bound :class:`DiskArchive`, which is what lets the serving layer
 invalidate only the cache entries the dirty rectangle intersects.
 """
 
-from repro.data.store.format import (
-    STORE_FORMAT_VERSION,
-    read_manifest,
-    write_manifest,
-)
-from repro.data.store.reader import (
-    DiskArchive,
-    MemmapRasterLayer,
-    open_archive,
-)
-from repro.data.store.writer import (
-    ArchiveWriter,
-    ingest_synthetic,
-    synthetic_stack,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "ArchiveWriter",
-    "DiskArchive",
-    "MemmapRasterLayer",
-    "STORE_FORMAT_VERSION",
-    "ingest_synthetic",
-    "open_archive",
-    "read_manifest",
-    "synthetic_stack",
-    "write_manifest",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".format": "STORE_FORMAT_VERSION read_manifest write_manifest",
+        ".reader": "DiskArchive MemmapRasterLayer open_archive",
+        ".writer": "ArchiveWriter ingest_synthetic synthetic_stack",
+    },
+)

@@ -1,18 +1,11 @@
 """Per-tile embeddings and fused model+similarity queries (DESIGN §10)."""
 
-from repro.embed.fusion import BLEND_FLOPS, FusionSpec
-from repro.embed.tiles import (
-    EMBEDDINGS_FORMAT,
-    TILE_STATS,
-    TileEmbedder,
-    TileEmbeddings,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "BLEND_FLOPS",
-    "EMBEDDINGS_FORMAT",
-    "FusionSpec",
-    "TILE_STATS",
-    "TileEmbedder",
-    "TileEmbeddings",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".fusion": "BLEND_FLOPS FusionSpec",
+        ".tiles": "EMBEDDINGS_FORMAT TILE_STATS TileEmbedder TileEmbeddings",
+    },
+)

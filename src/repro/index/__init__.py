@@ -3,6 +3,9 @@
 * :mod:`repro.index.onion` — the **Onion** convex-hull-layer index [11]
   for linear-optimization top-K queries, the paper's headline index
   (13,000x top-1 / 1,400x top-10 speedups on 3-attribute Gaussian data).
+* :mod:`repro.index.onion_cache` — the serving layer's built Onion
+  indexes over raster windows: cached per (region, attributes) and
+  archive generation, persisted as sidecar files beside a disk store.
 * :mod:`repro.index.hull` — convex-hull peeling utilities with robust
   degenerate-input handling.
 * :mod:`repro.index.rtree` — an R*-tree; the paper's point of contrast
@@ -16,23 +19,18 @@
   every speedup is measured against.
 """
 
-from repro.index.csvd import CSVDIndex
-from repro.index.gridfile import GridFileIndex
-from repro.index.hull import hull_layers, hull_vertices
-from repro.index.onion import OnionIndex
-from repro.index.rtree import RStarTree, Rect
-from repro.index.scan import scan_top_k
-from repro.index.vector import FlatIPIndex, ip_scores
+from repro._lazy import surface
 
-__all__ = [
-    "CSVDIndex",
-    "FlatIPIndex",
-    "GridFileIndex",
-    "OnionIndex",
-    "RStarTree",
-    "Rect",
-    "hull_layers",
-    "hull_vertices",
-    "ip_scores",
-    "scan_top_k",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".csvd": "CSVDIndex",
+        ".gridfile": "GridFileIndex",
+        ".hull": "hull_layers hull_vertices",
+        ".onion": "OnionIndex",
+        ".onion_cache": "BuiltOnion OnionIndexCache",
+        ".rtree": "RStarTree Rect",
+        ".scan": "scan_top_k",
+        ".vector": "FlatIPIndex ip_scores",
+    },
+)

@@ -15,50 +15,22 @@ Three concerns:
   aggregates per-query traces into.
 """
 
-from repro.metrics.accuracy import (
-    AccuracyReport,
-    CostModel,
-    cost_curve,
-    evaluate_cost,
-    optimal_threshold,
-)
-from repro.metrics.counters import CostCounter, counted, merge_counters
-from repro.metrics.efficiency import (
-    EfficiencyModel,
-    SpeedupReport,
-    speedup,
-)
-from repro.metrics.registry import (
-    LatencyHistogram,
-    MetricsRegistry,
-    global_registry,
-)
-from repro.metrics.roc import RocCurve, auc_score, roc_curve
-from repro.metrics.topk import (
-    PrecisionRecall,
-    precision_recall_at_k,
-    precision_recall_curve,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "AccuracyReport",
-    "CostCounter",
-    "CostModel",
-    "EfficiencyModel",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "PrecisionRecall",
-    "RocCurve",
-    "SpeedupReport",
-    "auc_score",
-    "cost_curve",
-    "counted",
-    "evaluate_cost",
-    "global_registry",
-    "merge_counters",
-    "optimal_threshold",
-    "precision_recall_at_k",
-    "precision_recall_curve",
-    "roc_curve",
-    "speedup",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".accuracy": (
+            "AccuracyReport CostModel cost_curve evaluate_cost "
+            "optimal_threshold"
+        ),
+        ".counters": "CostCounter counted merge_counters",
+        ".efficiency": "EfficiencyModel SpeedupReport speedup",
+        ".registry": "LatencyHistogram MetricsRegistry global_registry",
+        ".roc": "RocCurve auc_score roc_curve",
+        ".topk": (
+            "PrecisionRecall precision_recall_at_k "
+            "precision_recall_curve"
+        ),
+    },
+)

@@ -16,74 +16,34 @@
   plus fuzzy rule models for the Figure 3/Figure 4 scenarios.
 """
 
-from repro.models.base import AttributeVector, Model
-from repro.models.bayes import BayesianNetwork, Variable
-from repro.models.embedding import (
-    embedding_attribute,
-    embedding_cells,
-    embedding_columns,
-    embedding_query_model,
-)
-from repro.models.bayes_infer import VariableElimination
-from repro.models.bayes_learn import fit_cpts
-from repro.models.bayes_mpe import most_probable_explanations
-from repro.models.fsm import FiniteStateMachine, State, Transition
-from repro.models.fsm_distance import behavioural_distance, structural_distance
-from repro.models.fsm_learn import learn_fsm, runs_from_machine
-from repro.models.fsm_runner import FSMRun, fire_ants_model, run_fsm
-from repro.models.fuzzy import (
-    FuzzyAnd,
-    FuzzyOr,
-    MembershipFunction,
-    gaussian_membership,
-    sigmoid_membership,
-    trapezoid_membership,
-    triangle_membership,
-)
-from repro.models.knowledge import FuzzyRule, KnowledgeModel, RulePredicate
-from repro.models.linear import LinearModel, fit_linear_model, hps_risk_model
-from repro.models.progressive_linear import (
-    ProgressiveLinearModel,
-    TermContribution,
-    analyze_contributions,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "AttributeVector",
-    "BayesianNetwork",
-    "FSMRun",
-    "FiniteStateMachine",
-    "FuzzyAnd",
-    "FuzzyOr",
-    "FuzzyRule",
-    "KnowledgeModel",
-    "LinearModel",
-    "MembershipFunction",
-    "Model",
-    "ProgressiveLinearModel",
-    "RulePredicate",
-    "State",
-    "TermContribution",
-    "Transition",
-    "Variable",
-    "VariableElimination",
-    "analyze_contributions",
-    "behavioural_distance",
-    "embedding_attribute",
-    "embedding_cells",
-    "embedding_columns",
-    "embedding_query_model",
-    "fire_ants_model",
-    "fit_cpts",
-    "fit_linear_model",
-    "gaussian_membership",
-    "hps_risk_model",
-    "learn_fsm",
-    "most_probable_explanations",
-    "run_fsm",
-    "runs_from_machine",
-    "sigmoid_membership",
-    "structural_distance",
-    "trapezoid_membership",
-    "triangle_membership",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".base": "AttributeVector Model",
+        ".bayes": "BayesianNetwork Variable",
+        ".bayes_infer": "VariableElimination",
+        ".bayes_learn": "fit_cpts",
+        ".bayes_mpe": "most_probable_explanations",
+        ".embedding": (
+            "embedding_attribute embedding_cells embedding_columns "
+            "embedding_query_model"
+        ),
+        ".fsm": "FiniteStateMachine State Transition",
+        ".fsm_distance": "behavioural_distance structural_distance",
+        ".fsm_learn": "learn_fsm runs_from_machine",
+        ".fsm_runner": "FSMRun fire_ants_model run_fsm",
+        ".fuzzy": (
+            "FuzzyAnd FuzzyOr MembershipFunction gaussian_membership "
+            "sigmoid_membership trapezoid_membership "
+            "triangle_membership"
+        ),
+        ".knowledge": "FuzzyRule KnowledgeModel RulePredicate",
+        ".linear": "LinearModel fit_linear_model hps_risk_model",
+        ".progressive_linear": (
+            "ProgressiveLinearModel TermContribution "
+            "analyze_contributions"
+        ),
+    },
+)

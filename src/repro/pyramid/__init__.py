@@ -13,27 +13,18 @@ volumes), with more detailed views at higher resolutions."
   bound queries over arbitrary tiles.
 """
 
-from repro.pyramid.pyramid import PyramidLevel, ResolutionPyramid
-from repro.pyramid.quadtree import QuadTree
-from repro.pyramid.series_pyramid import SeriesLevel, SeriesPyramid
-from repro.pyramid.streaming import ProgressiveStream, Refinement
-from repro.pyramid.wavelet import (
-    haar_decompose_1d,
-    haar_decompose_2d,
-    haar_reconstruct_1d,
-    haar_reconstruct_2d,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "ProgressiveStream",
-    "PyramidLevel",
-    "QuadTree",
-    "Refinement",
-    "ResolutionPyramid",
-    "SeriesLevel",
-    "SeriesPyramid",
-    "haar_decompose_1d",
-    "haar_decompose_2d",
-    "haar_reconstruct_1d",
-    "haar_reconstruct_2d",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".pyramid": "PyramidLevel ResolutionPyramid",
+        ".quadtree": "QuadTree",
+        ".series_pyramid": "SeriesLevel SeriesPyramid",
+        ".streaming": "ProgressiveStream Refinement",
+        ".wavelet": (
+            "haar_decompose_1d haar_decompose_2d haar_reconstruct_1d "
+            "haar_reconstruct_2d"
+        ),
+    },
+)

@@ -43,54 +43,23 @@ the layer as ``service.self_ms``, ``cache.hit_us`` and
 ``batch.speedup_vs_solo``.
 """
 
-from repro.service.batching import BatchPlan, BatchPlanner, PlannedQuery
-from repro.service.cache import QueryCache, model_fingerprint, query_fingerprint
-from repro.service.retrieval import (
-    EXECUTORS,
-    Executor,
-    RetrievalService,
-    ServiceStats,
-    SharedTopKHeap,
-)
-from repro.service.routing import (
-    COMPOSITE_STRATEGIES,
-    BuiltOnion,
-    CostModel,
-    OnionIndexCache,
-    QueryRouter,
-    RoutingDecision,
-    StrategyCandidate,
-)
-from repro.service.sharding import row_band_shards
-from repro.service.tracing import (
-    BatchTrace,
-    CancellationToken,
-    QueryTrace,
-    StageSpan,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "BatchPlan",
-    "BatchPlanner",
-    "BatchTrace",
-    "BuiltOnion",
-    "COMPOSITE_STRATEGIES",
-    "CancellationToken",
-    "CostModel",
-    "EXECUTORS",
-    "Executor",
-    "OnionIndexCache",
-    "PlannedQuery",
-    "QueryCache",
-    "QueryRouter",
-    "QueryTrace",
-    "RetrievalService",
-    "RoutingDecision",
-    "ServiceStats",
-    "SharedTopKHeap",
-    "StageSpan",
-    "StrategyCandidate",
-    "model_fingerprint",
-    "query_fingerprint",
-    "row_band_shards",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".batching": "BatchPlan BatchPlanner PlannedQuery",
+        ".cache": "QueryCache model_fingerprint query_fingerprint",
+        ".retrieval": (
+            "EXECUTORS Executor RetrievalService ServiceStats "
+            "SharedTopKHeap"
+        ),
+        ".routing": (
+            "CostModel QueryRouter RoutingDecision StrategyCandidate"
+        ),
+        ".sharding": "row_band_shards",
+        ".tracing": "BatchTrace CancellationToken QueryTrace StageSpan",
+        "repro.index.onion_cache": "BuiltOnion OnionIndexCache",
+        "repro.sproc.arbitration": "COMPOSITE_STRATEGIES",
+    },
+)

@@ -18,6 +18,7 @@ from typing import Hashable
 
 from repro.core.query import TopKQuery
 from repro.core.results import RetrievalResult
+from repro.data.archive import regions_intersect
 from repro.models.base import Model
 from repro.models.linear import LinearModel
 
@@ -87,16 +88,6 @@ def model_fingerprint(model: Model) -> Hashable:
         tuple(model.attributes),
         _instance_token(model),
     )
-
-
-def regions_intersect(
-    a: tuple[int, int, int, int], b: tuple[int, int, int, int]
-) -> bool:
-    """Whether two half-open ``(row0, col0, row1, col1)`` windows share
-    any cell. Empty windows intersect nothing."""
-    if a[0] >= a[2] or a[1] >= a[3] or b[0] >= b[2] or b[1] >= b[3]:
-        return False
-    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
 
 
 def query_fingerprint(

@@ -99,23 +99,17 @@ from repro.metrics.counters import CostCounter
 from repro.metrics.registry import MetricsRegistry, global_registry
 from repro.service.batching import BatchPlanner
 from repro.service.cache import QueryCache, query_fingerprint
-from repro.service.routing import (
-    BuiltOnion,
-    QueryRouter,
-    RoutingDecision,
-)
+from repro.service.routing import QueryRouter, RoutingDecision
 from repro.service.sharding import row_band_shards
 from repro.service.tracing import BatchTrace, CancellationToken, QueryTrace
-from repro.sproc.dp import sproc_top_k
-from repro.sproc.fast import fast_top_k
-from repro.sproc.naive import naive_top_k
-from repro.sproc.query import Assignment, CompositeQuery
 from repro.telemetry.events import global_event_log
-from repro.telemetry.explain import ExplainReport, explain_result
 from repro.telemetry.export import TelemetrySink
 
 if TYPE_CHECKING:
+    from repro.index.onion_cache import BuiltOnion
     from repro.models.progressive_linear import ProgressiveLinearModel
+    from repro.sproc.query import Assignment, CompositeQuery
+    from repro.telemetry.explain import ExplainReport
     from repro.telemetry.server import MetricsServer
 
 
@@ -939,6 +933,9 @@ class RetrievalService:
         )
         self._serve([request], use_cache)
         if explain:
+            # Loaded here: no fleet request asks for a waterfall.
+            from repro.telemetry.explain import explain_result
+
             return explain_result(request.result, query, request.region)
         return request.result
 
@@ -1391,20 +1388,11 @@ class RetrievalService:
         three implementations return the same answer sets; the routing
         choice affects counted work only.
         """
-        decision = self.router.route_composite(query, k, strategy=strategy)
-        executors = {
-            "naive": naive_top_k,
-            "dp": sproc_top_k,
-            "fast": fast_top_k,
-        }
-        counter = CostCounter()
-        started = time.perf_counter()
-        answers = executors[decision.chosen](query, k, counter=counter)
-        self.router.observe(
-            decision,
-            seconds=time.perf_counter() - started,
-            tuples_examined=counter.tuples_examined,
-        )
+        # Loaded here: the wire carries no composite query, so a worker
+        # never loads SPROC.
+        from repro.sproc.arbitration import composite_top_k
+
+        answers, decision = composite_top_k(self.router, query, k, strategy)
         self.registry.inc("service.composite_queries")
         return answers, decision
 

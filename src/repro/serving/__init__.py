@@ -33,50 +33,20 @@ in-process ``top_k`` / ``top_k_batch`` result for the same query
 same float64 bits, and JSON float round-trips are exact.
 """
 
-import importlib
+from repro._lazy import surface
 
-from repro.serving.protocol import (
-    REPLY_TRACE_KEY,
-    ProtocolError,
-    decode_query,
-    encode_model,
-    encode_query,
-    encode_result,
+# A spawned worker imports this package on its way to
+# :mod:`repro.serving.worker`; it must not pay for the fleet, the HTTP
+# front end and asyncio, none of which it runs.
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".fleet": "FleetConfig WorkerFleet fleet_for_stack fleet_for_store",
+        ".http": "ServingServer",
+        ".protocol": (
+            "REPLY_TRACE_KEY ProtocolError decode_query encode_model "
+            "encode_query encode_result"
+        ),
+        ".worker": "StoreArchiveManifest",
+    },
 )
-from repro.serving.worker import StoreArchiveManifest
-
-#: The parent-side names, resolved on first access (PEP 562): a spawned
-#: worker imports this package on its way to :mod:`repro.serving.worker`
-#: and must not pay for the fleet, the HTTP front end and asyncio, none
-#: of which it runs.
-_LAZY = {
-    "FleetConfig": "fleet",
-    "WorkerFleet": "fleet",
-    "fleet_for_stack": "fleet",
-    "fleet_for_store": "fleet",
-    "ServingServer": "http",
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
-    value = globals()[name] = getattr(module, name)
-    return value
-
-
-__all__ = [
-    "FleetConfig",
-    "StoreArchiveManifest",
-    "WorkerFleet",
-    "fleet_for_stack",
-    "fleet_for_store",
-    "ServingServer",
-    "ProtocolError",
-    "REPLY_TRACE_KEY",
-    "decode_query",
-    "encode_model",
-    "encode_query",
-    "encode_result",
-]

@@ -15,30 +15,26 @@ the improved algorithm of [16] to roughly
 * :mod:`repro.sproc.fast` — sorted best-first evaluation with admissible
   score bounds (the [16] improvement's sorted-list/early-termination
   idea).
+* :mod:`repro.sproc.arbitration` — each implementation's complexity
+  formula as a routing size, and the routed ``composite_top_k`` the
+  serving layer calls.
 
-All three return identical top-K answer sets (tested); they differ only
-in counted work.
+The three implementations return identical top-K answer sets
+(tested); they differ only in counted work.
 """
 
-from repro.sproc.dp import sproc_top_k
-from repro.sproc.fast import fast_top_k
-from repro.sproc.naive import naive_top_k
-from repro.sproc.query import Assignment, CompositeQuery
-from repro.sproc.spatial import (
-    CompositeMatch,
-    find_surrounded,
-    surrounded_by_query,
-    surroundedness,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "Assignment",
-    "CompositeMatch",
-    "CompositeQuery",
-    "fast_top_k",
-    "find_surrounded",
-    "naive_top_k",
-    "sproc_top_k",
-    "surrounded_by_query",
-    "surroundedness",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".dp": "sproc_top_k",
+        ".fast": "fast_top_k",
+        ".naive": "naive_top_k",
+        ".query": "Assignment CompositeQuery",
+        ".spatial": (
+            "CompositeMatch find_surrounded surrounded_by_query "
+            "surroundedness"
+        ),
+    },
+)

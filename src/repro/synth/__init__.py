@@ -10,35 +10,21 @@ All generators take an explicit ``seed`` and use ``numpy.random.Generator``;
 no global random state is touched.
 """
 
-from repro.synth.credit import CreditPopulation, generate_credit_records
-from repro.synth.events import generate_occurrences, latent_risk_field
-from repro.synth.gaussian import generate_gaussian_table
-from repro.synth.landsat import generate_band, generate_scene
-from repro.synth.landuse import LanduseScene, generate_landuse
-from repro.synth.terrain import generate_dem
-from repro.synth.weather import WeatherParams, generate_weather
-from repro.synth.welllog import (
-    LITHOLOGY_CODES,
-    LITHOLOGY_NAMES,
-    WellLogParams,
-    generate_well_log,
-)
+from repro._lazy import surface
 
-__all__ = [
-    "CreditPopulation",
-    "LITHOLOGY_CODES",
-    "LITHOLOGY_NAMES",
-    "LanduseScene",
-    "WeatherParams",
-    "WellLogParams",
-    "generate_landuse",
-    "generate_band",
-    "generate_credit_records",
-    "generate_dem",
-    "generate_gaussian_table",
-    "generate_occurrences",
-    "generate_scene",
-    "generate_weather",
-    "generate_well_log",
-    "latent_risk_field",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".credit": "CreditPopulation generate_credit_records",
+        ".events": "generate_occurrences latent_risk_field",
+        ".gaussian": "generate_gaussian_table",
+        ".landsat": "generate_band generate_scene",
+        ".landuse": "LanduseScene generate_landuse",
+        ".terrain": "generate_dem",
+        ".weather": "WeatherParams generate_weather",
+        ".welllog": (
+            "LITHOLOGY_CODES LITHOLOGY_NAMES WellLogParams "
+            "generate_well_log"
+        ),
+    },
+)

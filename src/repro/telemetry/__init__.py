@@ -39,74 +39,27 @@ measured today — its last recorded run read about 11 % — and is
 ROADMAP item 6(e)'s to price and gate.
 """
 
-from repro.telemetry.distributed import (
-    FleetTraceCollector,
-    TailSampler,
-    count_spans,
-    reparent_shipped,
-    ship_trace,
-)
-from repro.telemetry.events import (
-    EventLog,
-    global_event_log,
-    set_global_event_log,
-)
-from repro.telemetry.explain import ExplainReport, explain_result
-from repro.telemetry.export import (
-    JsonlTraceExporter,
-    TelemetrySink,
-    TraceBuffer,
-    chrome_trace_document,
-    chrome_trace_events,
-    export_chrome_trace,
-)
-from repro.telemetry.prometheus import (
-    CONTENT_TYPE,
-    escape_label_value,
-    render_prometheus,
-    sanitize_metric_name,
-)
-from repro.telemetry.slo import (
-    DEFAULT_SLOS,
-    SLOMonitor,
-    SLOSpec,
-)
+from repro._lazy import surface
 
-
-def __getattr__(name: str):
-    # The diagnostics server is the one export that needs the HTTP loop
-    # (and asyncio); a fleet worker imports this package and never
-    # serves, so it loads on first use.
-    if name == "MetricsServer":
-        from repro.telemetry.server import MetricsServer
-
-        return MetricsServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CONTENT_TYPE",
-    "DEFAULT_SLOS",
-    "EventLog",
-    "ExplainReport",
-    "FleetTraceCollector",
-    "JsonlTraceExporter",
-    "MetricsServer",
-    "SLOMonitor",
-    "SLOSpec",
-    "TailSampler",
-    "TelemetrySink",
-    "TraceBuffer",
-    "chrome_trace_document",
-    "chrome_trace_events",
-    "count_spans",
-    "escape_label_value",
-    "explain_result",
-    "export_chrome_trace",
-    "global_event_log",
-    "render_prometheus",
-    "reparent_shipped",
-    "sanitize_metric_name",
-    "set_global_event_log",
-    "ship_trace",
-]
+__all__, __getattr__, __dir__ = surface(
+    __name__,
+    {
+        ".distributed": (
+            "FleetTraceCollector TailSampler count_spans "
+            "reparent_shipped ship_trace"
+        ),
+        ".events": "EventLog global_event_log set_global_event_log",
+        ".explain": "ExplainReport explain_result",
+        ".export": (
+            "JsonlTraceExporter TelemetrySink TraceBuffer "
+            "chrome_trace_document chrome_trace_events "
+            "export_chrome_trace"
+        ),
+        ".prometheus": (
+            "CONTENT_TYPE escape_label_value render_prometheus "
+            "sanitize_metric_name"
+        ),
+        ".server": "MetricsServer",
+        ".slo": "DEFAULT_SLOS SLOMonitor SLOSpec",
+    },
+)

@@ -29,7 +29,7 @@ from repro.metrics.counters import CostCounter
 from repro.metrics.registry import MetricsRegistry
 from repro.models.linear import LinearModel
 from repro.service import RetrievalService
-from repro.service.routing import PAPER_DEPTH, OnionIndexCache
+from repro.index.onion_cache import PAPER_DEPTH, OnionIndexCache
 from tests.oracles import exact_answers, exhaustive_fused, table_top_k
 
 

@@ -28,7 +28,7 @@ from repro.data.store import ArchiveWriter, open_archive
 from repro.metrics.registry import MetricsRegistry
 from repro.models.linear import LinearModel
 from repro.service import RetrievalService
-from repro.service.routing import SIDECAR_VERSION, OnionIndexCache
+from repro.index.onion_cache import SIDECAR_VERSION, OnionIndexCache
 from repro.serving import fleet_for_store
 from repro.serving.protocol import WorkItem, encode_query
 from repro.telemetry.events import EventLog, set_global_event_log

@@ -37,6 +37,7 @@ from repro.service.routing import (
     RoutingDecision,
 )
 from repro.sproc import CompositeQuery, fast_top_k, naive_top_k, sproc_top_k
+from repro.sproc.arbitration import route_composite
 from repro.telemetry.explain import ExplainReport
 
 
@@ -470,7 +471,7 @@ class TestCompositeRouting:
         big = CompositeQuery(
             [f"c{i}" for i in range(4)], rng.random((4, 200))
         )
-        decision = router.route_composite(big, k=5)
+        decision = route_composite(router, big, k=5)
         # 200^4 = 1.6e9 component touches: the cost model must route
         # away from full enumeration.
         assert decision.chosen != "naive"
