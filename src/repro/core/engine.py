@@ -330,8 +330,9 @@ def _descending(keys: np.ndarray) -> np.ndarray:
 def _reaches(last: float, tail: float, threshold: float) -> bool:
     """Whether a whole cascade block passes the level-2 test: its signed
     level-1 partials descend (NaNs last) and rounding is monotone, so
-    with a finite tail its ``last`` candidate is its weakest."""
-    return abs(tail) < np.inf and last + tail >= threshold
+    with a finite tail its ``last`` candidate is its weakest. The sum is
+    taken in Python floats: an overflow is infinity, without a warning."""
+    return abs(tail) < np.inf and float(last) + tail >= threshold
 
 
 def _audit_abandoned(
@@ -530,7 +531,7 @@ class RasterRetrievalEngine:
 
     Notes
     -----
-    The tile screen (quadtree aggregates) is built once at construction
+    The tile screen (the (min, max) quadtree) is built once at construction
     and excluded from query counters, mirroring the paper's treatment of
     index construction as amortized.
     """
@@ -621,8 +622,9 @@ class RasterRetrievalEngine:
 
         ``pruning`` selects the tile screen's bound source: ``"sound"``
         (min/max envelopes — exact results, the default) or
-        ``"heuristic"`` (mean +/- ``heuristic_margin`` half-spreads —
-        faster, may *miss answers*; the DESIGN.md pruning-rule ablation).
+        ``"heuristic"`` (envelope midpoint +/- ``heuristic_margin``
+        half-spreads — faster, may *miss answers*; the DESIGN.md
+        pruning-rule ablation).
         Which answers it misses depends on the order nodes are expanded
         in (an unsound bound prunes against whatever threshold the heap
         holds at the time), so heuristic results are reproducible but

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.query import TopKQuery
 from repro.core.screening import TileScreen
 from repro.exceptions import PlanError
@@ -81,6 +79,7 @@ def _selectivity_order(
     *dispersed* relative to their global range first (they discriminate
     tiles best, the classical planner's instinct)."""
     ranges = screen.attribute_ranges()
+    leaf_lows, leaf_highs = screen.leaf_envelopes()
     dispersions = {}
     for name in model.attributes:
         low, high = ranges[name]
@@ -88,10 +87,8 @@ def _selectivity_order(
         if span == 0:
             dispersions[name] = 0.0
             continue
-        # The finest aggregate grid's windows are exactly the leaf
-        # windows, so leaf envelope widths come out as one array op.
-        leaf_mins, leaf_maxs = screen._trees[name].leaf_envelopes()
-        widths = (leaf_maxs - leaf_mins).reshape(-1)
+        row = screen.attributes.index(name)
+        widths = leaf_highs[row] - leaf_lows[row]
         # Narrow leaf envelopes relative to the global span = selective.
         dispersions[name] = 1.0 - float(widths.mean()) / span
     return sorted(

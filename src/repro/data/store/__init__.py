@@ -14,10 +14,10 @@ rebuilt per process; this package is the persistent form. A store is a
     the tiles it actually visits, so serving RSS is bounded far below
     the raw array footprint.
 ``bands/<i>/aggregates.npz``
-    Precomputed leaf-level quadtree (min, max, sum) grids, so opening a
-    store never scans the raster: the engine's
-    :class:`~repro.core.screening.TileScreen` builds its pyramid from
-    these tiny grids bit-identically to an in-memory build.
+    Precomputed leaf-level (min, max) grids, so opening a store never
+    scans the raster: the engine's
+    :class:`~repro.core.screening.TileScreen` builds its tree from these
+    tiny grids bit-identically to an in-memory build.
 ``series/<i>.npz`` / ``tables/<i>.npz``
     Small eager-loaded items (weather series, well logs, tables).
 

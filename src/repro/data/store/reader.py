@@ -35,6 +35,7 @@ from repro.data.store.format import (
 )
 from repro.data.table import Table
 from repro.exceptions import ArchiveError
+from repro.pyramid.quadtree import finest_intervals
 
 #: The dirty rectangle recorded for mutations that touch no raster cell
 #: (series appends): empty, so it intersects nothing and no spatial
@@ -51,11 +52,10 @@ class MemmapRasterLayer(RasterLayer):
     enforced at the ingest boundary (:class:`ArchiveWriter` rejects
     non-finite blocks), so only cheap structural checks run here.
 
-    The layer also carries the store's precomputed leaf aggregate grids
-    and exposes them through :meth:`quadtree_aggregates` — the
-    duck-typed hook :class:`~repro.pyramid.quadtree.QuadTree` probes, so
-    building a :class:`~repro.core.screening.TileScreen` over a disk
-    stack never reduces over raw pixels.
+    The layer also carries the store's precomputed leaf (min, max)
+    grids and exposes them through :meth:`quadtree_aggregates` — the
+    duck-typed hook :class:`~repro.core.screening.TileScreen` probes, so
+    building a screen over a disk stack never reduces over raw pixels.
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class MemmapRasterLayer(RasterLayer):
         name: str,
         path: str | Path,
         screen_leaf_size: int | None = None,
-        aggregates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         path = Path(path)
         try:
@@ -90,25 +89,26 @@ class MemmapRasterLayer(RasterLayer):
         self._values = values.view(np.ndarray)
         self._path = path
         self._screen_leaf_size = screen_leaf_size
-        self._aggregates = aggregates
+        self._aggregates: tuple[np.ndarray, np.ndarray] | None = None
 
     def quadtree_aggregates(
         self, leaf_size: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Stored finest-level (mins, maxs, sums), if built at this size.
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Stored leaf-level (mins, maxs), if built at this size.
 
-        Returns ``None`` for any other leaf size — the quadtree then
-        falls back to a full reduction over the (memmapped) values,
-        which is correct but pages the whole band in.
+        Returns ``None`` for any other leaf size — the screen then falls
+        back to a full reduction over the (memmapped) values, which is
+        correct but pages the whole band in.
         """
         if self._aggregates is None or leaf_size != self._screen_leaf_size:
             return None
         return self._aggregates
 
     def _set_aggregates(
-        self, grids: tuple[np.ndarray, np.ndarray, np.ndarray]
+        self, grids: tuple[np.ndarray, np.ndarray] | None
     ) -> None:
-        """Writer hook: adopt refreshed aggregate grids after an append."""
+        """Adopt leaf grids: the stored ones at open, refreshed ones
+        after an append."""
         self._aggregates = grids
 
     def __repr__(self) -> str:
@@ -190,7 +190,7 @@ class DiskArchive(Archive):
 
     def _apply_region_append(
         self,
-        refreshed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+        refreshed: dict[str, tuple[np.ndarray, np.ndarray]],
         region: tuple[int, int, int, int],
     ) -> None:
         for name, grids in refreshed.items():
@@ -233,12 +233,10 @@ def open_archive(path: str | Path) -> DiskArchive:
         )
         kind = record["kind"]
         if kind == "raster":
-            grids = _load_aggregates(root, record)
             layer = MemmapRasterLayer(
                 record["name"],
                 values_path(root, record),
                 screen_leaf_size=leaf_size,
-                aggregates=grids,
             )
             expected = (int(record["rows"]), int(record["cols"]))
             if layer.shape != expected:
@@ -246,6 +244,7 @@ def open_archive(path: str | Path) -> DiskArchive:
                     f"band {record['name']!r} at {values_path(root, record)} "
                     f"has shape {layer.shape}, manifest says {expected}"
                 )
+            layer._set_aggregates(_load_aggregates(root, record, leaf_size))
             archive.add(layer, entry)
         elif kind in ("time_series", "depth_series"):
             series_type = TimeSeries if kind == "time_series" else DepthSeries
@@ -284,20 +283,31 @@ def open_archive(path: str | Path) -> DiskArchive:
 
 
 def _load_aggregates(
-    root: Path, record: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    root: Path, record: dict, leaf_size: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A band's leaf ``(mins, maxs)`` grids, checked against the leaf
+    tiling of its grid at ``leaf_size``. A ``sums`` grid, which stores
+    written before the screen dropped it still hold, is ignored."""
     target = aggregates_path(root, record)
     if not target.exists():
         return None
     try:
         with np.load(target) as bundle:
-            return (
-                np.array(bundle["mins"]),
-                np.array(bundle["maxs"]),
-                np.array(bundle["sums"]),
-            )
+            grids = (np.array(bundle["mins"]), np.array(bundle["maxs"]))
     except (OSError, ValueError, KeyError) as error:
         raise ArchiveError(
             f"corrupt aggregates for band {record['name']!r} at {target}: "
             f"{error}"
         ) from None
+    expected = tuple(
+        finest_intervals(int(record[axis]), leaf_size)[0].size
+        for axis in ("rows", "cols")
+    )
+    for name, grid in zip(("mins", "maxs"), grids):
+        if grid.shape != expected:
+            raise ArchiveError(
+                f"aggregates for band {record['name']!r} at {target}: "
+                f"{name} grid has shape {grid.shape}, the leaf tiling at "
+                f"leaf size {leaf_size} needs {expected}"
+            )
+    return grids

@@ -5,16 +5,16 @@
 * :meth:`ArchiveWriter.create` — serialize a whole in-memory
   :class:`~repro.data.archive.Archive`, band values streamed to raw
   ``.npy`` chunk files in row strips (never a second resident copy) and
-  leaf quadtree aggregates precomputed beside them;
+  leaf (min, max) grids precomputed beside them;
 * :meth:`ArchiveWriter.create_empty` — lay out an all-zero store to be
   filled by region appends, which is how bigger-than-RAM archives are
   ingested: the synthetic pipeline (:func:`ingest_synthetic`) is just
   ``create_empty`` + one :meth:`append_region` per row strip;
 * :meth:`ArchiveWriter.append_region` — overwrite one rectangle of one
   or more bands in place and re-reduce **only** the leaf aggregates the
-  rectangle touches (the quadtree-subtree rebuild: coarser levels are
-  re-derived from the finest grid by the reader, so refreshing the
-  finest grid is the whole incremental story on disk);
+  rectangle touches (coarser levels are re-derived from the finest
+  grid by the tile screen, so refreshing the finest grid is the whole
+  incremental story on disk);
 * :meth:`ArchiveWriter.append_days` — extend a time/depth series.
 
 Every mutation bumps the manifest generation (manifest rewritten
@@ -94,7 +94,7 @@ class ArchiveWriter:
         #: ingest.
         self._bound = bound
         #: Per-band writable finest aggregate grids, loaded lazily.
-        self._finest: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._finest: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- properties --------------------------------------------------------
 
@@ -235,9 +235,7 @@ class ArchiveWriter:
             out.flush()
             del out
             zeros = np.zeros(grid_shape)
-            _write_aggregates(
-                aggregates_path(root, record), zeros, zeros, zeros
-            )
+            _write_aggregates(aggregates_path(root, record), zeros, zeros)
             records.append(record)
         manifest = _new_manifest(name, tile_size, screen_leaf_size, records)
         write_manifest(root, manifest)
@@ -273,7 +271,7 @@ class ArchiveWriter:
         row0, col0, row1, col1 = region
         if row0 >= row1 or col0 >= col1:
             raise ArchiveError(f"empty append region {region}")
-        refreshed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        refreshed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name, block in updates.items():
             record = self._raster_record(name)
             rows, cols = int(record["rows"]), int(record["cols"])
@@ -299,7 +297,7 @@ class ArchiveWriter:
             mapped = np.load(values_path(self.root, record), mmap_mode="r+")
             mapped[row0:row1, col0:col1] = block
             mapped.flush()
-            mins, maxs, sums = self._load_finest(name, record)
+            mins, maxs = self._load_finest(name, record)
             row_starts, row_lengths = finest_intervals(
                 rows, self.screen_leaf_size
             )
@@ -314,14 +312,11 @@ class ArchiveWriter:
                 col_lengths,
                 mins,
                 maxs,
-                sums,
                 region,
             )
             del mapped
-            _write_aggregates(
-                aggregates_path(self.root, record), mins, maxs, sums
-            )
-            refreshed[name] = (mins, maxs, sums)
+            _write_aggregates(aggregates_path(self.root, record), mins, maxs)
+            refreshed[name] = (mins, maxs)
         self._manifest["generation"] = self.generation + 1
         write_manifest(self.root, self._manifest)
         _event_log().emit(
@@ -431,15 +426,11 @@ class ArchiveWriter:
 
     def _load_finest(
         self, name: str, record: dict
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         cached = self._finest.get(name)
         if cached is None:
             with np.load(aggregates_path(self.root, record)) as bundle:
-                cached = (
-                    np.array(bundle["mins"]),
-                    np.array(bundle["maxs"]),
-                    np.array(bundle["sums"]),
-                )
+                cached = (np.array(bundle["mins"]), np.array(bundle["maxs"]))
             self._finest[name] = cached
         return cached
 
@@ -500,17 +491,15 @@ def _stream_values(
 
 def _finest_from_values(
     values: np.ndarray, screen_leaf_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = values.shape
     row_starts, _ = finest_intervals(rows, screen_leaf_size)
     col_starts, _ = finest_intervals(cols, screen_leaf_size)
     return finest_grids(values, row_starts, col_starts)
 
 
-def _write_aggregates(
-    target: Path, mins: np.ndarray, maxs: np.ndarray, sums: np.ndarray
-) -> None:
-    np.savez(target, mins=mins, maxs=maxs, sums=sums)
+def _write_aggregates(target: Path, mins: np.ndarray, maxs: np.ndarray) -> None:
+    np.savez(target, mins=mins, maxs=maxs)
 
 
 # -- synthetic ingest (CLI, benchmarks, differential tests) ---------------

@@ -179,10 +179,8 @@ class TileEmbeddings:
         vectors: np.ndarray,
         generation: int | None = None,
     ) -> None:
-        structure = screen.structure
-        finest = structure.max_depth
         row_starts, row_lengths, col_starts, col_lengths = (
-            structure.level_intervals(finest)
+            screen.level_intervals(-1)
         )
         expected = (row_starts.size, col_starts.size, embedder.dim)
         if vectors.shape != expected or vectors.dtype != np.float32:
@@ -206,8 +204,8 @@ class TileEmbeddings:
         # reduceat offsets over the tile grid.
         self._depth_tile_rows = []
         self._depth_tile_cols = []
-        for depth in range(structure.n_depths):
-            d_rows, _, d_cols, _ = structure.level_intervals(depth)
+        for depth in range(screen.n_depths):
+            d_rows, _, d_cols, _ = screen.level_intervals(depth)
             self._depth_tile_rows.append(
                 np.searchsorted(self._row_starts, d_rows, side="left")
             )
@@ -228,9 +226,8 @@ class TileEmbeddings:
     ) -> "TileEmbeddings":
         """Embed every tile of ``stack`` over ``screen``'s leaf tiling."""
         embedder = TileEmbedder(tuple(stack.names), dim=dim, seed=seed)
-        structure = screen.structure
         row_starts, row_lengths, col_starts, col_lengths = (
-            structure.level_intervals(structure.max_depth)
+            screen.level_intervals(-1)
         )
         rows, cols = stack.shape
         columns = {

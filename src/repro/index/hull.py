@@ -78,6 +78,34 @@ def _unique_hull_vertices(unique: np.ndarray) -> np.ndarray:
             raise IndexError_(f"convex hull failed: {error}") from error
 
 
+def touches_hull(vertices: np.ndarray, inside: np.ndarray) -> bool:
+    """Whether any point of ``inside`` lies on the boundary of the convex
+    hull of ``vertices`` (``inside`` lies within that hull).
+
+    A hull of lower dimension than the space has no interior, so every
+    point counts as on it. The test has a small relative tolerance: a
+    point near the boundary counts as on it, never the other way round.
+    """
+    if inside.shape[0] == 0:
+        return False
+    unique = np.unique(np.asarray(vertices, dtype=float), axis=0)
+    if _affine_rank(unique) < unique.shape[1]:
+        return True
+    if unique.shape[1] == 1:
+        low, high = unique[0, 0], unique[-1, 0]
+        return bool(((inside <= low) | (inside >= high)).any())
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        equations = ConvexHull(unique).equations
+    except QhullError:
+        return True
+    # Facet equations are unit normals with offsets: <= 0 inside the hull.
+    slack = inside @ equations[:, :-1].T + equations[:, -1]
+    tolerance = 1e-9 * max(1.0, float(np.abs(unique).max()))
+    return bool((slack.max(axis=1) >= -tolerance).any())
+
+
 def hull_layers(
     points: np.ndarray, max_layers: int | None = None
 ) -> list[np.ndarray]:

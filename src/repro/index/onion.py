@@ -17,7 +17,10 @@ query therefore evaluates only the tuples on the outermost K layers —
 for Gaussian data a vanishing fraction of N — instead of all N tuples.
 
 The optimal-layer containment gives an *exact* answer set; no
-approximation is involved.
+approximation is involved. It bounds scores, not rows: a point inside a
+hull face is one layer deeper than the vertices it ties, so when the
+K-th score is tied on such a face the query reads on
+(:meth:`OnionIndex.reads_on`) for the smaller row.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.exceptions import IndexError_
-from repro.index.hull import group_by_layer, hull_layers
+from repro.index.hull import group_by_layer, hull_layers, touches_hull
 from repro.metrics.counters import CostCounter
 
 
@@ -88,6 +91,7 @@ class OnionIndex:
             self._layers = group_by_layer(layer_of)
         self._pending: list[np.ndarray] = []
         self._next_row = len(table)
+        self._touches: dict[int, bool] = {}
 
     @property
     def max_layers(self) -> int | None:
@@ -148,6 +152,7 @@ class OnionIndex:
                 else max_layers - self._max_layers + 1,
             )
             self._layers = self._layers[:-1] + [bucket[rows] for rows in inner]
+            self._touches = {}
         self._max_layers = max_layers
 
     def layer(self, index: int) -> np.ndarray:
@@ -189,6 +194,36 @@ class OnionIndex:
         self._points = np.vstack([self._points] + self._pending)
         self._pending = []
         self._layers = hull_layers(self._points, max_layers=self._max_layers)
+        self._touches = {}
+
+    def reads_on(
+        self, index: int, scores: np.ndarray, threshold: float, zero: bool
+    ) -> bool:
+        """Whether a query whose K-th signed score is ``threshold`` after
+        reading layers ``0..index`` (``scores``, signed, on the last of
+        them, in :meth:`layer` order) must read layer ``index + 1`` too,
+        to settle a tie by row; ``zero`` says every weight is zero.
+
+        Containment bounds scores, not rows: a deeper tuple scores at
+        most this layer's best, and reaches it only on the hull face
+        where that best is reached. A face with one vertex holds no
+        deeper tuple; a wider face may, if a deeper tuple lies on this
+        layer's hull at all (or every weight is zero, when the whole
+        hull is the face).
+        """
+        tied = scores == threshold
+        if np.count_nonzero(tied) < 2:
+            return False
+        if len(np.unique(self._points[self._layers[index][tied]], axis=0)) < 2:
+            return False
+        if zero:
+            return True
+        if index not in self._touches:
+            self._touches[index] = touches_hull(
+                self._points[self._layers[index]],
+                self._points[np.concatenate(self._layers[index + 1 :])],
+            )
+        return self._touches[index]
 
     def _weights(self, model_weights: dict[str, float]) -> np.ndarray:
         missing = [a for a in self.attributes if a not in model_weights]
@@ -211,7 +246,8 @@ class OnionIndex:
         Evaluates the outermost layers until K layers have been examined
         (the containment theorem guarantees the i-th best lies in the
         first i layers), plus any additional capped interior bucket if K
-        exceeds the peeled depth. Returns ``(row_index, score)`` pairs,
+        exceeds the peeled depth, plus the next layer while a tuple on
+        it may tie the K-th score. Returns ``(row_index, score)`` pairs,
         best first; work is tallied on ``counter``.
         """
         if k <= 0:
@@ -226,7 +262,9 @@ class OnionIndex:
         # it. A strict score-only comparison here would keep whichever
         # tied row arrived first — hull-layer order, not row order.
         heap: list[tuple[float, int]] = []
-        for layer_index in range(self.layers_needed(k)):
+        n_read = self.layers_needed(k)
+        layer_index = 0
+        while layer_index < n_read:
             rows = self._layers[layer_index]
             scores = sign * (self._points[rows] @ weights)
             if counter is not None:
@@ -241,6 +279,11 @@ class OnionIndex:
                     heapq.heappush(heap, entry)
                 elif entry > heap[0]:
                     heapq.heapreplace(heap, entry)
+            layer_index += 1
+            if layer_index == n_read < len(self._layers) and self.reads_on(
+                layer_index - 1, scores, heap[0][0], not weights.any()
+            ):
+                n_read += 1
 
         # Appended tuples live outside the layers until rebuild(): scan
         # the delta buffer so queries stay exact. The buffer is one more

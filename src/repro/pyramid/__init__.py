@@ -9,8 +9,10 @@ volumes), with more detailed views at higher resolutions."
 * :mod:`repro.pyramid.pyramid` — resolution pyramids over rasters with
   per-cell min/max/mean envelopes, the structure progressive engines
   descend through.
-* :mod:`repro.pyramid.quadtree` — quadtree aggregates supporting sound
-  bound queries over arbitrary tiles.
+* :mod:`repro.pyramid.quadtree` — the quadtree tiling of a grid and its
+  leaf (min, max) grids, from which the tile screen
+  (:class:`repro.core.screening.TileScreen`) builds its sound envelope
+  tree and the on-disk store precomputes its aggregates.
 """
 
 from repro._lazy import surface
@@ -19,7 +21,6 @@ __all__, __getattr__, __dir__ = surface(
     __name__,
     {
         ".pyramid": "PyramidLevel ResolutionPyramid",
-        ".quadtree": "QuadTree",
         ".series_pyramid": "SeriesLevel SeriesPyramid",
         ".streaming": "ProgressiveStream Refinement",
         ".wavelet": (

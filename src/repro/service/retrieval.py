@@ -106,6 +106,8 @@ from repro.telemetry.events import global_event_log
 from repro.telemetry.export import TelemetrySink
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.index.onion_cache import BuiltOnion
     from repro.models.progressive_linear import ProgressiveLinearModel
     from repro.sproc.query import Assignment, CompositeQuery
@@ -306,7 +308,9 @@ def _search_onion(
 
     The index is used purely as a *candidate generator* — the union
     of the outermost K hull layers, which the containment theorem
-    guarantees holds the true top-K of any linear objective. The
+    guarantees holds the true top-K scores of any linear objective,
+    and the next layers while :meth:`OnionIndex.reads_on` says a
+    deeper cell may tie the K-th score and win it by its cell. The
     candidates are then re-scored through ``model.evaluate_batch``
     and offered into the engine's :class:`TopKHeap`: the same
     per-cell arithmetic and the same tie-break machinery as the
@@ -320,39 +324,43 @@ def _search_onion(
             region, tuple(model.attributes), service._seen_generation
         )
     counter = CostCounter()
+    sign = 1.0 if query.maximize else -1.0
+    heap = TopKHeap(query.k)
+    # Region-local row-major flattening: local flat order is global
+    # (row, col) lexicographic order restricted to the region, so
+    # decoding preserves tie semantics.
+    width = region[3] - region[1]
+
+    def offer(rows: np.ndarray) -> np.ndarray:
+        counter.add_tuples(int(rows.size))
+        columns = {name: built.columns[name][rows] for name in model.attributes}
+        counter.add_data_points(int(rows.size) * len(model.attributes))
+        scores = sign * model.evaluate_batch(columns)
+        counter.add_model_evals(int(rows.size), flops_each=model.complexity)
+        local_rows, local_cols = divmod(rows, width)
+        heap.offer_block(scores, region[0] + local_rows, region[1] + local_cols)
+        return scores
+
     with trace.span("search"):
         with counter.timed():
+            index = built.index
+            layers = index.layers_needed(query.k)
             candidates = built.candidate_rows(query.k)
-            layers = built.index.layers_needed(query.k)
+            scores = offer(candidates)
+            n_candidates = int(candidates.size)
+            last = scores[n_candidates - index.layer(layers - 1).size :]
+            zero = not any(model.coefficients.values())
+            while layers < index.n_layers and index.reads_on(
+                layers - 1, last, heap.threshold, zero
+            ):
+                last = offer(index.layer(layers))
+                n_candidates += last.size
+                layers += 1
             counter.add_nodes(layers)
-            counter.add_tuples(int(candidates.size))
-            columns = {
-                name: built.columns[name][candidates]
-                for name in model.attributes
-            }
-            counter.add_data_points(
-                int(candidates.size) * len(model.attributes)
-            )
-            scores = model.evaluate_batch(columns)
-            counter.add_model_evals(
-                int(candidates.size), flops_each=model.complexity
-            )
-            sign = 1.0 if query.maximize else -1.0
-            heap = TopKHeap(query.k)
-            # Region-local row-major flattening: local flat order is
-            # global (row, col) lexicographic order restricted to
-            # the region, so decoding preserves tie semantics.
-            width = region[3] - region[1]
-            local_rows, local_cols = divmod(candidates, width)
-            heap.offer_block(
-                sign * scores,
-                region[0] + local_rows,
-                region[1] + local_cols,
-            )
     with trace.span("merge"):
         answers = ranked_answers(heap, query.maximize)
         counter.note("onion_layers", layers)
-        counter.note("onion_candidates", int(candidates.size))
+        counter.note("onion_candidates", n_candidates)
     return RetrievalResult(
         answers=answers, counter=counter, strategy=request.resolved
     )

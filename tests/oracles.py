@@ -20,10 +20,10 @@ from first principles. The production paths must match these bitwise:
   layer; :func:`repro.index.hull.hull_layers` (which de-duplicates
   once) must return the same arrays.
 * :func:`build_recursive` — the original top-down scalar quadtree
-  build, one node object per window with aggregates recomputed over
-  the node's full window; the per-depth grids of
-  :class:`repro.pyramid.quadtree.QuadTree` must hold the same windows,
-  child order and aggregates node for node.
+  build, one node object per window with its extrema recomputed over
+  the node's full window; the flat node tables of
+  :class:`repro.core.screening.TileScreen` must hold the same windows,
+  child order and envelopes node for node.
 * :func:`slow_thresholds_by_sorting` — the tail sampler's "slowest
   fraction of recent traffic" quantile, taken by sorting the sliding
   window afresh for every trace; :class:`repro.telemetry.distributed
@@ -235,7 +235,6 @@ class QuadTreeNode:
     depth: int
     minimum: float
     maximum: float
-    mean: float
     count: int
     children: list["QuadTreeNode"] = field(default_factory=list)
 
@@ -246,8 +245,8 @@ class QuadTreeNode:
 def build_recursive(values: np.ndarray, leaf_size: int) -> QuadTreeNode:
     """The quadtree build as it shipped before the array-backed grids
     (moved here from ``repro.pyramid.quadtree``): top-down recursion
-    that recomputes ``min``/``max``/``mean`` over every node's full
-    window — O(area · depth) data touches."""
+    that recomputes ``min``/``max`` over every node's full window —
+    O(area · depth) data touches."""
     if leaf_size <= 0:
         raise ValueError(f"leaf_size must be positive, got {leaf_size}")
     values = np.asarray(values, dtype=float)
@@ -262,7 +261,6 @@ def build_recursive(values: np.ndarray, leaf_size: int) -> QuadTreeNode:
             depth=depth,
             minimum=float(window.min()),
             maximum=float(window.max()),
-            mean=float(window.mean()),
             count=window.size,
         )
         rows = row1 - row0

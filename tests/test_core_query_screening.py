@@ -8,8 +8,7 @@ import pytest
 from repro.core.query import TopKQuery
 from repro.core.screening import TileScreen
 from repro.data.raster import RasterLayer, RasterStack
-from repro.exceptions import PlanError, QueryError
-from repro.metrics.counters import CostCounter
+from repro.exceptions import QueryError
 from repro.models.linear import LinearModel
 from tests.oracles import build_recursive
 
@@ -20,6 +19,10 @@ def _stack() -> RasterStack:
     stack.add(RasterLayer("a", rng.random((20, 30))))
     stack.add(RasterLayer("b", rng.random((20, 30))))
     return stack
+
+
+def _children(screen: TileScreen, node: int) -> list[int]:
+    return [child for child in screen.child[node].tolist() if child >= 0]
 
 
 class TestTopKQuery:
@@ -52,28 +55,27 @@ class TestTopKQuery:
 class TestTileScreen:
     def test_root_covers_grid(self):
         screen = TileScreen(_stack(), leaf_size=8)
-        assert screen.root().window == (0, 0, 20, 30)
+        assert screen.window[0].tolist() == [0, 0, 20, 30]
 
     def test_children_stay_aligned(self):
         screen = TileScreen(_stack(), leaf_size=4)
-        frontier = [screen.root()]
+        frontier = [0]
         while frontier:
             node = frontier.pop()
-            for child in screen.children(node):
-                assert child.window[0] >= node.window[0]
+            for child in _children(screen, node):
+                assert screen.window[child, 0] >= screen.window[node, 0]
                 frontier.append(child)
 
     def test_envelopes_are_per_attribute_and_sound(self):
         stack = _stack()
         screen = TileScreen(stack, leaf_size=4)
-        for child in screen.children(screen.root()):
-            row0, col0, row1, col1 = child.window
-            envelopes = screen.envelopes(child)
+        for child in _children(screen, 0):
+            row0, col0, row1, col1 = screen.window[child].tolist()
+            lows, highs = screen.envelope_block(np.array([child]))
             for name in ("a", "b"):
                 window = stack[name].values[row0:row1, col0:col1]
-                low, high = envelopes[name]
-                assert low <= window.min() + 1e-12
-                assert high >= window.max() - 1e-12
+                assert lows[name][0] <= window.min() + 1e-12
+                assert highs[name][0] >= window.max() - 1e-12
 
     @pytest.mark.parametrize("leaf_size", [3, 4, 8])
     def test_every_node_matches_the_reference_build(self, leaf_size):
@@ -86,27 +88,22 @@ class TestTileScreen:
             name: build_recursive(stack[name].values, leaf_size)
             for name in stack.names
         }
-        walk = [(screen.root(), references)]
+        walk = [(0, references)]
         while walk:
             node, expected = walk.pop()
-            envelopes = screen.envelopes(node)
+            lows, highs = screen.envelope_block(np.array([node]))
             for name, reference in expected.items():
-                assert node.window == reference.window()
-                assert node.is_leaf == (not reference.children)
-                assert envelopes[name] == (reference.minimum, reference.maximum)
-            children = screen.children(node)
+                assert tuple(screen.window[node].tolist()) == reference.window()
+                assert screen.leaf[node] == (not reference.children)
+                assert (lows[name][0], highs[name][0]) == (
+                    reference.minimum, reference.maximum
+                )
+            children = _children(screen, node)
             assert len(children) == len(expected["a"].children)
             walk.extend(
                 (child, {name: expected[name].children[index] for name in expected})
                 for index, child in enumerate(children)
             )
-
-    def test_envelope_counter_charges_nodes_only(self):
-        screen = TileScreen(_stack(), leaf_size=8)
-        counter = CostCounter()
-        screen.envelopes(screen.root(), counter)
-        assert counter.nodes_visited == 2
-        assert counter.data_points == 0
 
     def test_attribute_ranges(self):
         stack = _stack()
@@ -116,15 +113,14 @@ class TestTileScreen:
         assert ranges["a"][1] == pytest.approx(stack["a"].values.max())
 
     def test_attribute_subset(self):
-        screen = TileScreen(_stack(), attributes=["b"], leaf_size=8)
+        """A screen covers exactly its stack: a one-layer stack gives
+        one-attribute envelopes."""
+        screen = TileScreen(_stack().subset(["b"]), leaf_size=8)
         assert screen.attributes == ["b"]
-        assert set(screen.envelopes(screen.root())) == {"b"}
-
-    def test_missing_attribute_rejected(self):
-        with pytest.raises(PlanError):
-            TileScreen(_stack(), attributes=["z"])
+        assert set(screen.attribute_ranges()) == {"b"}
+        assert screen.envelope_table.shape[0] == 2
 
     def test_leaf_has_no_children(self):
         screen = TileScreen(_stack(), leaf_size=64)
-        assert screen.root().is_leaf
-        assert screen.children(screen.root()) == []
+        assert screen.leaf[0]
+        assert _children(screen, 0) == []

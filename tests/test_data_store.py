@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.core.engine import RasterRetrievalEngine
 from repro.core.query import TopKQuery
+from repro.core.screening import TileScreen
 from repro.data.archive import Archive
 from repro.data.catalog import CatalogEntry, Modality
-from repro.data.raster import RasterLayer
+from repro.data.raster import RasterLayer, RasterStack
 from repro.data.series import DepthSeries, TimeSeries
 from repro.data.store import (
     ArchiveWriter,
@@ -27,7 +28,7 @@ from repro.data.store import (
     synthetic_stack,
 )
 from repro.data.table import Table
-from repro.exceptions import ArchiveError
+from repro.exceptions import ArchiveError, PlanError
 from repro.models.linear import LinearModel
 
 
@@ -238,6 +239,68 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match="manifest says"):
             open_archive(tmp_path / "store")
 
+    def test_wrong_shaped_aggregates_fail_loudly(self, archive, tmp_path):
+        """Leaf grids that do not match the band's leaf tiling are
+        refused at open, naming the band."""
+        ArchiveWriter.create(tmp_path / "store", archive)
+        target = tmp_path / "store" / "bands" / "0" / "aggregates.npz"
+        with np.load(target) as bundle:
+            grids = {key: bundle[key][:-1] for key in bundle.files}
+        np.savez(target, **grids)
+        with pytest.raises(ArchiveError, match="band 'dem'.*needs"):
+            open_archive(tmp_path / "store")
+
+    def test_nan_leaf_aggregate_refused_at_engine_build(self, tmp_path):
+        """A NaN in a stored leaf grid would turn every envelope above
+        it into NaN, which bounds nothing and prunes wrongly: the store
+        opens, but the screen refuses it."""
+        source = Archive("nan")
+        rng = np.random.default_rng(2)
+        source.add(RasterLayer("a", rng.standard_normal((64, 64))))
+        ArchiveWriter.create(tmp_path / "store", source)
+        target = tmp_path / "store" / "bands" / "0" / "aggregates.npz"
+        with np.load(target) as bundle:
+            grids = {key: bundle[key].copy() for key in bundle.files}
+        grids["mins"][2, 1] = np.nan
+        np.savez(target, **grids)
+        loaded = open_archive(tmp_path / "store")
+        with pytest.raises(PlanError, match="NaN"):
+            RasterRetrievalEngine(loaded.stack(["a"]), leaf_size=16)
+
+
+class TestAggregatesWrittenEarlier:
+    def test_a_stored_sums_grid_is_ignored(self, archive, tmp_path):
+        """Stores written before the screen dropped its sums hold a
+        ``sums`` grid beside the minima and maxima: they open and answer
+        as a store without it, and the next append drops it."""
+        ArchiveWriter.create(tmp_path / "store", archive)
+        for band in ("0", "1"):
+            target = tmp_path / "store" / "bands" / band / "aggregates.npz"
+            with np.load(target) as bundle:
+                grids = {key: bundle[key] for key in bundle.files}
+            np.savez(target, sums=np.full_like(grids["mins"], 7.0), **grids)
+        loaded = open_archive(tmp_path / "store")
+        query = TopKQuery(
+            model=LinearModel({"dem": 1.0, "scene": -0.5}), k=5
+        )
+        memory = RasterRetrievalEngine(
+            archive.stack(["dem", "scene"]), leaf_size=16
+        )
+        mapped = RasterRetrievalEngine(
+            loaded.stack(["dem", "scene"]), leaf_size=16
+        )
+        assert np.array_equal(
+            mapped.screen.envelope_table, memory.screen.envelope_table
+        )
+        assert answers_and_counters(
+            memory.progressive_top_k(query)
+        ) == answers_and_counters(mapped.progressive_top_k(query))
+        loaded.append_region({"dem": np.zeros((4, 4))}, (0, 0, 4, 4))
+        with np.load(
+            tmp_path / "store" / "bands" / "0" / "aggregates.npz"
+        ) as bundle:
+            assert sorted(bundle.files) == ["maxs", "mins"]
+
 
 class TestAppendRegion:
     def test_aggregates_bit_identical_to_rebuild(self, archive, tmp_path):
@@ -250,23 +313,18 @@ class TestAppendRegion:
         )
 
         reopened = open_archive(tmp_path / "store")
-        from repro.pyramid.quadtree import QuadTree
-
-        incremental = QuadTree(loaded.raster("dem"), leaf_size=16)
-        rebuilt = QuadTree(
-            RasterLayer("dem", np.array(reopened.raster("dem").values)),
+        incremental = TileScreen(
+            RasterStack({"dem": loaded.raster("dem")}), leaf_size=16
+        )
+        rebuilt = TileScreen(
+            RasterStack({"dem": RasterLayer(
+                "dem", np.array(reopened.raster("dem").values)
+            )}),
             leaf_size=16,
         )
-        for depth in range(incremental.n_depths):
-            assert np.array_equal(
-                incremental.level_mins(depth), rebuilt.level_mins(depth)
-            )
-            assert np.array_equal(
-                incremental.level_maxs(depth), rebuilt.level_maxs(depth)
-            )
-            assert np.array_equal(
-                incremental.level_means(depth), rebuilt.level_means(depth)
-            )
+        assert np.array_equal(
+            incremental.envelope_table, rebuilt.envelope_table
+        )
 
     def test_values_and_answers_after_append(self, archive, tmp_path):
         ArchiveWriter.create(tmp_path / "store", archive)

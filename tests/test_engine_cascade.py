@@ -384,7 +384,7 @@ class TestMonotoneFirstLevel:
         signed = sign * partial
         order = _descending(signed)
         partial, signed = partial[order], signed[order]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             upper = partial + tail if maximize else tail - partial
         if isinstance(threshold, int):
             threshold = float(upper[threshold % upper.size])

@@ -164,7 +164,7 @@ class TestGroupOfOneIsTheSoloSearch:
         engine.shared_scan_search([lone], region, **knobs)
         assert _outcome(lone) == _outcome(solo)
         if region != (0, 0, 40, 48):
-            assert len(engine.screen.region_roots(region)) > 1
+            assert len(engine.screen.region_root_ids(region)) > 1
 
 
 def _summary(result) -> tuple:

@@ -102,31 +102,30 @@ class _Tally:
 
 
 def _descended_cover(screen: TileScreen, region) -> list[int]:
-    """The minimal root cover by recursion over the public node API: a
-    node touching the clipped region is kept when it is a leaf or lies
-    inside, else its children are visited. Ids in window order."""
+    """The minimal root cover by recursion, one node at a time, over the
+    structure tables: a node touching the clipped region is kept when it
+    is a leaf or lies inside, else its children are visited. Ids in
+    window order."""
     rows, cols = screen.shape
     row0, col0 = max(0, region[0]), max(0, region[1])
     row1, col1 = min(rows, region[2]), min(cols, region[3])
     kept = []
 
     def visit(node):
-        r0, c0, r1, c1 = node.window
+        r0, c0, r1, c1 = screen.window[node].tolist()
         if not (r0 < row1 and row0 < r1 and c0 < col1 and col0 < c1):
             return
-        if node.is_leaf or (
+        if screen.leaf[node] or (
             row0 <= r0 and r1 <= row1 and col0 <= c0 and c1 <= col1
         ):
             kept.append(node)
             return
-        for child in screen.children(node):
-            visit(child)
+        for child in screen.child[node].tolist():
+            if child >= 0:
+                visit(child)
 
-    visit(screen.root())
-    return [
-        screen.node_id(node)
-        for node in sorted(kept, key=lambda node: node.window[:2])
-    ]
+    visit(0)
+    return sorted(kept, key=lambda node: screen.window[node, :2].tolist())
 
 
 def _reason_total(audit: PruningAudit, *, exclude=()) -> int:
@@ -419,16 +418,28 @@ class TestRefreshWritesThroughTheFlatTables:
         self, make_noise_stack
     ):
         """The bounds read one side of the envelope table and trust the
-        other, so the screen checks ``min <= max`` itself: an aggregate
-        corrupted outside the dirty rectangle (the refresh recomputes
-        only inside it, then re-derives every coarser grid) is refused
-        when it reaches the flat tables."""
+        other, so the screen checks ``min <= max`` itself: a leaf
+        envelope corrupted outside the dirty rectangle (the refresh
+        recomputes only inside it, then re-derives every coarser depth)
+        is refused when the refresh recombines the tables."""
         stack = make_noise_stack(70, 90, 3, seed=3)
         screen = TileScreen(stack, leaf_size=8)
-        tree = screen.structure
-        finest = tree.max_depth
-        tree.level_mins(finest)[0, 0] = tree.level_maxs(finest)[0, 0] + 1.0
+        leaf_lows, leaf_highs = screen.leaf_envelopes()
+        leaf_lows[0, 0] = leaf_highs[0, 0] + 1.0
         with pytest.raises(PlanError, match="min above its max"):
+            screen.refresh_region((40, 50, 48, 58))
+
+    def test_a_nan_leaf_envelope_is_refused_at_refresh(
+        self, make_noise_stack
+    ):
+        """``min <= max`` is false for a NaN too: a NaN leaf outside the
+        dirty rectangle reaches every envelope above it, and the
+        refresh refuses the tables instead of pruning against them."""
+        stack = make_noise_stack(70, 90, 3, seed=3)
+        screen = TileScreen(stack, leaf_size=8)
+        leaf_lows, _ = screen.leaf_envelopes()
+        leaf_lows[1, 5] = np.nan
+        with pytest.raises(PlanError, match="NaN"):
             screen.refresh_region((40, 50, 48, 58))
 
     @given(

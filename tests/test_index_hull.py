@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import IndexError_
-from repro.index.hull import hull_layers, hull_vertices
+from repro.index.hull import hull_layers, hull_vertices, touches_hull
 
 from tests.oracles import hull_layers_per_point
 
@@ -152,3 +152,25 @@ class TestHullLayers:
         for ours, theirs in zip(actual, expected):
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs)
+
+
+class TestTouchesHull:
+    SQUARE = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
+
+    def test_point_on_an_edge_touches(self):
+        inside = np.array([[1.0, 1.0], [1.0, 0.0]])
+        assert touches_hull(self.SQUARE, inside)
+
+    def test_interior_points_do_not_touch(self):
+        inside = np.array([[1.0, 1.0], [0.5, 1.5]])
+        assert not touches_hull(self.SQUARE, inside)
+        assert not touches_hull(self.SQUARE, np.zeros((0, 2)))
+
+    def test_a_flat_hull_has_no_interior(self):
+        segment = np.array([[0.0, 0.0], [2.0, 2.0]])
+        assert touches_hull(segment, np.array([[1.0, 1.0]]))
+
+    def test_one_dimension(self):
+        ends = np.array([[0.0], [4.0]])
+        assert not touches_hull(ends, np.array([[1.0], [3.0]]))
+        assert touches_hull(np.array([[0.0], [4.0], [4.0]]), np.array([[4.0]]))

@@ -7,11 +7,10 @@ through the bucket beyond — and ``deepen`` must leave exactly the index
 a fresh, deeper peel builds. All data here is integer-valued with
 integer weights, so scores are exact and every comparison is ``==``.
 
-Ties in the differential are ties among *duplicates* (mixed-radix
-weights make the score injective on distinct points). A tie between a
-hull vertex and a distinct point on the same hull face is a defect
-these tests found in the index as it has always been — pinned at the
-bottom of :class:`TestEveryKAtEveryDepth`, listed under ROADMAP 4(d).
+One differential ties only *duplicates* (mixed-radix weights make the
+score injective on distinct points); the other ties distinct points,
+among them a hull vertex and a point inside the same hull face one
+layer deeper, which the query must read on to for the smaller row.
 """
 
 from __future__ import annotations
@@ -104,21 +103,43 @@ class TestEveryKAtEveryDepth:
         else:
             assert needed == index.n_layers
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="layers hold hull vertices only: a point inside a hull "
-        "face ties the face's vertices under the face's normal, sits "
-        "one layer deeper, and loses a tie-break its row number wins",
-    )
-    def test_known_defect_tie_with_a_point_inside_a_hull_face(self):
-        # Row 0 lies on the edge between rows 1 and 2; all three score 0.
+    @given(table=tables, depth=st.integers(0, 5), seed=st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_top_k_equals_the_oracle_on_face_ties(self, table, depth, seed):
+        # Weights from {-2, -1, 1, 2}: distinct points tie, a point inside
+        # a hull face among them.
+        index = OnionIndex(table, max_layers=depth + 1)
+        weights = _weights(table, seed)
+        points = table.matrix(table.column_names)
+        vector = np.array([weights[name] for name in table.column_names])
+        for k in range(1, max(len(table), depth + 1) + 3):
+            for maximize in (True, False):
+                assert index.top_k(weights, k, maximize) == table_top_k(
+                    points, vector, k, maximize
+                ), (k, maximize)
+
+    def test_tie_with_a_point_inside_a_hull_face(self):
+        # Row 0 lies on the edge between rows 1 and 2, one layer deeper;
+        # all three score 0 and row 0 wins the tie, on the index and on
+        # the routed path alike.
         points = np.array(
             [[1, 0], [0, 0], [2, 0], [0, 2], [2, 2], [1, 1]], dtype=float
         )
         table = Table("edge", {"x": points[:, 0], "y": points[:, 1]})
-        assert OnionIndex(table).top_k({"x": 0.0, "y": -1.0}, 1) == (
-            table_top_k(points, np.array([0.0, -1.0]), 1)
+        expected = table_top_k(points, np.array([0.0, -1.0]), 1)
+        assert OnionIndex(table).layer(1).tolist() == [0, 5]
+        assert OnionIndex(table).top_k({"x": 0.0, "y": -1.0}, 1) == expected
+        stack = RasterStack()
+        for j, name in enumerate(("x", "y")):
+            stack.add(RasterLayer(name, points[:, j].reshape(1, 6)))
+        service = RetrievalService(stack, registry=MetricsRegistry())
+        service.router.min_onion_cells = 1
+        result = service.top_k(
+            TopKQuery(model=LinearModel({"x": 0.0, "y": -1.0}), k=1),
+            strategy="onion",
         )
+        assert [(a.row, a.col) for a in result.answers] == [(0, 0)]
+        assert result.counter.nodes_visited == 2
 
 
 class TestDeepen:

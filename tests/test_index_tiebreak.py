@@ -144,6 +144,22 @@ class TestOnionBoundaryTieRegression:
         answers = index.top_k({"x": 0.5, "y": 0.5}, k=2)
         assert _rounded(answers) == [(3, 2.0), (0, 1.0)]
 
+    def test_tie_on_a_deeper_layer_keeps_smallest_row(self):
+        # Collinear points on x + y = 2: the hull keeps the two ends, so
+        # row 0, the midpoint, lands on layer 1 although every row ties
+        # under w = (-1, -1). Top-1 must read on and return row 0.
+        table = Table(
+            "line",
+            {
+                "x": np.array([1.0, 2.0, 2.0, 0.0]),
+                "y": np.array([1.0, 0.0, 0.0, 2.0]),
+            },
+        )
+        index = OnionIndex(table)
+        assert list(index.layer(1)) == [0]
+        answers = index.top_k({"x": -1.0, "y": -1.0}, k=1)
+        assert _rounded(answers) == [(0, -2.0)]
+
     def test_within_layer_tie_keeps_smallest_row(self):
         # All four corners of a square tie under w = (0, 1) except the
         # two top corners; those tie each other and the smaller row must

@@ -341,10 +341,10 @@ class TestSharding:
         stack = make_tie_stack(24, 24, 1, seed=5)
         engine = RasterRetrievalEngine(stack, leaf_size=4)
         region = (5, 3, 17, 22)
-        roots = engine.screen.region_roots(region)
+        roots = engine.screen.region_root_ids(region)
         covered = np.zeros((24, 24), dtype=int)
         for node in roots:
-            row0, col0, row1, col1 = node.window
+            row0, col0, row1, col1 = engine.screen.window[node].tolist()
             assert row0 < region[2] and col0 < region[3]  # intersects
             assert row1 > region[0] and col1 > region[1]
             covered[row0:row1, col0:col1] += 1
@@ -355,7 +355,7 @@ class TestSharding:
         stack = make_tie_stack(8, 8, 1, seed=5)
         engine = RasterRetrievalEngine(stack, leaf_size=4)
         with pytest.raises(PlanError):
-            engine.screen.region_roots((30, 30, 40, 40))
+            engine.screen.region_root_ids((30, 30, 40, 40))
 
 
 class TestSharedTopKHeap:
@@ -406,15 +406,15 @@ class TestHeuristicEnvelopeSoundnessAtFullMargin:
         engine = RasterRetrievalEngine(stack, leaf_size=4)
         screen = engine.screen
 
-        nodes = [screen.root()]
-        while nodes:
-            node = nodes.pop()
-            sound = screen.envelopes(node)
-            pseudo = screen.heuristic_envelopes(node, margin=1.0)
-            for name in sound:
-                assert pseudo[name][0] == pytest.approx(sound[name][0])
-                assert pseudo[name][1] == pytest.approx(sound[name][1])
-            nodes.extend(screen.children(node))
+        nodes = np.zeros(1, dtype=np.intp)
+        while nodes.size:
+            sound = screen.envelope_block(nodes)
+            pseudo = screen.envelope_block(nodes, margin=1.0)
+            for name in sound[0]:
+                assert pseudo[0][name] == pytest.approx(sound[0][name])
+                assert pseudo[1][name] == pytest.approx(sound[1][name])
+            nodes = screen.child[nodes].reshape(-1)
+            nodes = nodes[nodes >= 0]
 
     def test_full_margin_heuristic_is_exact(
         self, make_tie_stack, answer_list
