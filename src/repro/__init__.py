@@ -9,8 +9,8 @@ Public surface (see README for the tour):
   planner, workflow);
 * :mod:`repro.models` — the three model families (linear, finite state,
   Bayesian/knowledge);
-* :mod:`repro.index` — model-specific indexes (Onion, R*-tree, grid
-  file, sequential scan);
+* :mod:`repro.index` — model-specific indexes (Onion, R*-tree, CSVD,
+  sequential scan);
 * :mod:`repro.sproc` — fuzzy Cartesian composite-object retrieval;
 * :mod:`repro.data` / :mod:`repro.pyramid` / :mod:`repro.abstraction` —
   the archive substrate and progressive data representations;

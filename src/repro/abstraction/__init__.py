@@ -12,9 +12,7 @@ volumes at the expense of fidelity."
   extraction ("very rapid identification of areas with low or high
   parameter values, but with a loss of accuracy");
 * :mod:`repro.abstraction.semantics` — block classifiers over pyramid
-  levels, the progressive classification of [13] (experiment E2);
-* :mod:`repro.abstraction.levels` — the raw → feature → semantics →
-  metadata ladder as an explicit pipeline.
+  levels, the progressive classification of [13] (experiment E2).
 """
 
 from repro._lazy import surface
@@ -22,13 +20,11 @@ from repro._lazy import surface
 __all__, __getattr__, __dir__ = surface(
     __name__,
     {
-        ".compressed": "CompressedClassification classify_compressed",
         ".contours": "threshold_regions",
         ".features": (
             "BlockFeatures cheap_features expensive_features "
             "extract_block_features"
         ),
-        ".levels": "AbstractionLevel AbstractionLadder",
         ".semantics": (
             "BlockClassifier ProgressiveClassifier "
             "ThresholdClassifier"

@@ -154,14 +154,6 @@ def hps_bayes_network() -> BayesianNetwork:
     return network
 
 
-def house_risk_posterior(
-    network: BayesianNetwork, evidence: dict[str, str]
-) -> float:
-    """``P(high_risk_house = yes | evidence)`` for one location."""
-    inference = VariableElimination(network)
-    return inference.probability("high_risk_house", "yes", evidence)
-
-
 def multimodal_risk_query(
     scenario: HpsScenario,
     stations: dict[tuple[int, int], "TimeSeries"],

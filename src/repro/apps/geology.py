@@ -122,32 +122,6 @@ def riverbed_query(
     return query, runs
 
 
-def rank_wells_by_hot_gamma(
-    scenario: GeologyScenario,
-    k: int = 5,
-    gamma_threshold: float = GAMMA_RAY_THRESHOLD,
-    counter: CostCounter | None = None,
-) -> list[tuple[str, float]]:
-    """Top-K wells by hot-gamma footage, via the series engine.
-
-    "The Gamma Ray response has to be higher than a certain number" as a
-    whole-well screening query: rank wells by how many samples exceed
-    the threshold, answered progressively (bound-and-refine over each
-    log's 1-D pyramid) with exact results. Returns ``(well_name,
-    n_samples_above)`` pairs, best first.
-    """
-    from repro.core.series_engine import (
-        SeriesRetrievalEngine,
-        ThresholdCountModel,
-    )
-
-    engine = SeriesRetrievalEngine(
-        {well.name: well for well in scenario.wells}, n_levels=8
-    )
-    model = ThresholdCountModel("gamma_ray", gamma_threshold)
-    return engine.progressive_top_k(model, k, counter)
-
-
 @dataclass(frozen=True)
 class RiverbedMatch:
     """One riverbed candidate in one well."""

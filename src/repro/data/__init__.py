@@ -7,7 +7,6 @@ access layer so "data points touched" is measurable:
 
 * :mod:`repro.data.raster` — 2-D gridded layers and aligned stacks,
 * :mod:`repro.data.series` — time series and depth series,
-* :mod:`repro.data.tiles` — fixed-size tiling of rasters,
 * :mod:`repro.data.table` — tabular record sets (credit records, tuples),
 * :mod:`repro.data.catalog` — metadata catalog (modalities, provenance),
 * :mod:`repro.data.archive` — the named collection tying it together,
@@ -27,6 +26,5 @@ __all__, __getattr__, __dir__ = surface(
         ".series": "DepthSeries TimeSeries",
         ".store": "ArchiveWriter DiskArchive MemmapRasterLayer open_archive",
         ".table": "Table",
-        ".tiles": "Tile TileGrid",
     },
 )

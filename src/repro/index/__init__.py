@@ -12,7 +12,6 @@
   ("optimized for spatial range queries ... sub-optimal for model-based
   queries"), equipped with best-first linear top-K so the contrast is
   measurable.
-* :mod:`repro.index.gridfile` — a grid-file index (secondary baseline).
 * :mod:`repro.index.csvd` — clustering + SVD similarity index (the [14]
   technique the paper contrasts model-based indexing with).
 * :mod:`repro.index.scan` — the instrumented sequential-scan baseline
@@ -25,7 +24,6 @@ __all__, __getattr__, __dir__ = surface(
     __name__,
     {
         ".csvd": "CSVDIndex",
-        ".gridfile": "GridFileIndex",
         ".hull": "hull_layers hull_vertices",
         ".onion": "OnionIndex",
         ".onion_cache": "BuiltOnion OnionIndexCache",

@@ -121,10 +121,11 @@ class OnionIndex:
         return labels
 
     def layers_needed(self, k: int) -> int:
-        """Layers a top-``k`` query must read: the outermost ``k``
-        (containment theorem) — or all of them, the interior bucket
-        included, when the peel was capped short of ``k`` hull layers
-        and the bucket may hold deeper optima."""
+        """The containment minimum of layers a top-``k`` query reads:
+        the outermost ``k`` (containment theorem) — or all of them, the
+        interior bucket included, when the peel was capped short of
+        ``k`` hull layers and the bucket may hold deeper optima. A tie
+        at the K-th score may read further (:meth:`reads_on`)."""
         n_layers = len(self._layers)
         if self._max_layers is not None and k > n_layers - 1:
             return n_layers

@@ -24,13 +24,10 @@ __all__, __getattr__, __dir__ = surface(
             "AccuracyReport CostModel cost_curve evaluate_cost "
             "optimal_threshold"
         ),
-        ".counters": "CostCounter counted merge_counters",
+        ".counters": "CostCounter counted",
         ".efficiency": "EfficiencyModel SpeedupReport speedup",
         ".registry": "LatencyHistogram MetricsRegistry global_registry",
         ".roc": "RocCurve auc_score roc_curve",
-        ".topk": (
-            "PrecisionRecall precision_recall_at_k "
-            "precision_recall_curve"
-        ),
+        ".topk": "PrecisionRecall precision_recall_at_k",
     },
 )

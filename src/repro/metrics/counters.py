@@ -157,14 +157,6 @@ class CostCounter:
         return out
 
 
-def merge_counters(counters: Iterator[CostCounter] | list[CostCounter]) -> CostCounter:
-    """Sum an iterable of counters into a fresh counter."""
-    total = CostCounter()
-    for counter in counters:
-        total = total + counter
-    return total
-
-
 @contextlib.contextmanager
 def counted(counter: CostCounter | None) -> Iterator[CostCounter]:
     """Yield ``counter`` or a throwaway counter if ``None``.

@@ -65,16 +65,6 @@ def precision_recall_at_k(
     )
 
 
-def precision_recall_curve(
-    retrieved: Sequence[Hashable],
-    relevant: Iterable[Hashable],
-    ks: Iterable[int],
-) -> list[PrecisionRecall]:
-    """Score a ranked retrieval at several cutoffs."""
-    relevant_set = set(relevant)
-    return [precision_recall_at_k(retrieved, relevant_set, k) for k in ks]
-
-
 def rank_locations_by_risk(risk: np.ndarray) -> list[tuple[int, int]]:
     """Rank all grid locations by descending risk.
 

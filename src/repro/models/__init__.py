@@ -26,10 +26,6 @@ __all__, __getattr__, __dir__ = surface(
         ".bayes_infer": "VariableElimination",
         ".bayes_learn": "fit_cpts",
         ".bayes_mpe": "most_probable_explanations",
-        ".embedding": (
-            "embedding_attribute embedding_cells embedding_columns "
-            "embedding_query_model"
-        ),
         ".fsm": "FiniteStateMachine State Transition",
         ".fsm_distance": "behavioural_distance structural_distance",
         ".fsm_learn": "learn_fsm runs_from_machine",

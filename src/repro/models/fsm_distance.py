@@ -112,43 +112,3 @@ def behavioural_distance(
         if first.is_accepting(state_a) != second.is_accepting(state_b):
             disagreements += 1
     return disagreements / n_steps
-
-
-def equivalent_on(
-    first: FiniteStateMachine,
-    second: FiniteStateMachine,
-    alphabet: Sequence[Hashable],
-    max_depth: int | None = None,
-) -> bool:
-    """Exact acceptance-equivalence over a finite alphabet.
-
-    Breadth-first product construction from the initial state pair; returns
-    False as soon as one machine accepts and the other does not, True when
-    the reachable product space is exhausted. ``max_depth`` optionally
-    truncates the search (then a True result means "no counterexample of
-    length <= max_depth").
-    """
-    if not alphabet:
-        raise FSMError("alphabet must be non-empty")
-    start = (first.initial, second.initial)
-    if first.is_accepting(start[0]) != second.is_accepting(start[1]):
-        return False
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        if max_depth is not None and depth >= max_depth:
-            return True
-        next_frontier = []
-        for state_a, state_b in frontier:
-            for symbol in alphabet:
-                pair = (first.step(state_a, symbol), second.step(state_b, symbol))
-                if pair in seen:
-                    continue
-                if first.is_accepting(pair[0]) != second.is_accepting(pair[1]):
-                    return False
-                seen.add(pair)
-                next_frontier.append(pair)
-        frontier = next_frontier
-        depth += 1
-    return True

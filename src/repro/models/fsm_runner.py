@@ -410,18 +410,3 @@ def run_compiled_batch(
         )
         for r in range(n_series)
     ]
-
-
-def run_fsm_batch(
-    machine: FiniteStateMachine,
-    codes: np.ndarray,
-    alphabet: Sequence[Hashable],
-    counter: CostCounter | None = None,
-) -> list[FSMRun]:
-    """Compile ``machine`` over ``alphabet`` and run a code batch.
-
-    Convenience wrapper over :func:`compile_fsm` +
-    :func:`run_compiled_batch`; callers sweeping many batches should
-    compile once and reuse the :class:`CompiledFSM`.
-    """
-    return run_compiled_batch(compile_fsm(machine, alphabet), codes, counter)

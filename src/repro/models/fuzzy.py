@@ -229,14 +229,6 @@ def sigmoid_membership(
     return MembershipFunction(name, function, batch_function=batch_function)
 
 
-def crisp_membership(
-    predicate: Callable[[float], bool], name: str = "crisp"
-) -> MembershipFunction:
-    """0/1 membership from a boolean predicate (crisp rules as a special
-    case of fuzzy ones)."""
-    return MembershipFunction(name, lambda value: 1.0 if predicate(value) else 0.0)
-
-
 class FuzzyAnd:
     """T-norm conjunction over membership degrees.
 

@@ -4,8 +4,6 @@
 provide rough approximations of information at low resolutions (low data
 volumes), with more detailed views at higher resolutions."
 
-* :mod:`repro.pyramid.wavelet` — 1-D/2-D Haar discrete wavelet transform
-  with perfect reconstruction, the compressed-domain substrate of [13].
 * :mod:`repro.pyramid.pyramid` — resolution pyramids over rasters with
   per-cell min/max/mean envelopes, the structure progressive engines
   descend through.
@@ -22,10 +20,5 @@ __all__, __getattr__, __dir__ = surface(
     {
         ".pyramid": "PyramidLevel ResolutionPyramid",
         ".series_pyramid": "SeriesLevel SeriesPyramid",
-        ".streaming": "ProgressiveStream Refinement",
-        ".wavelet": (
-            "haar_decompose_1d haar_decompose_2d haar_reconstruct_1d "
-            "haar_reconstruct_2d"
-        ),
     },
 )

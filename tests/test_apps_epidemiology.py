@@ -11,6 +11,7 @@ from repro.metrics.topk import (
     rank_locations_by_risk,
     relevant_locations,
 )
+from repro.models.bayes_infer import VariableElimination
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +84,12 @@ class TestBayesNetwork:
         network.validate()
 
     def test_posterior_ordering_follows_evidence(self):
-        network = epidemiology.hps_bayes_network()
-        strong = epidemiology.house_risk_posterior(
-            network,
+        inference = VariableElimination(epidemiology.hps_bayes_network())
+
+        def posterior(evidence):
+            return inference.probability("high_risk_house", "yes", evidence)
+
+        strong = posterior(
             {
                 "house": "yes",
                 "bushes": "yes",
@@ -93,8 +97,8 @@ class TestBayesNetwork:
                 "dry_season": "yes",
             },
         )
-        weak = epidemiology.house_risk_posterior(network, {"house": "no"})
-        neutral = epidemiology.house_risk_posterior(network, {})
+        weak = posterior({"house": "no"})
+        neutral = posterior({})
         assert strong > neutral > weak
 
     def test_rank_houses(self):

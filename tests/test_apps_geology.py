@@ -100,21 +100,3 @@ class TestFindRiverbeds:
             scenario, k_total=10, gamma_threshold=100000.0
         )
         assert all(match.score < 0.01 for match in matches)
-
-
-class TestHotGammaRanking:
-    def test_matches_direct_count(self, scenario):
-        ranked = geology.rank_wells_by_hot_gamma(scenario, k=3)
-        assert len(ranked) == 3
-        for well_name, count in ranked:
-            well = next(w for w in scenario.wells if w.name == well_name)
-            truth = float((well.values("gamma_ray") >= 45.0).sum())
-            assert count == truth
-        counts = [count for _, count in ranked]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_top_well_really_is_top(self, scenario):
-        best_name, best_count = geology.rank_wells_by_hot_gamma(scenario, k=1)[0]
-        for well in scenario.wells:
-            truth = float((well.values("gamma_ray") >= 45.0).sum())
-            assert truth <= best_count

@@ -6,7 +6,7 @@ count) is needed only where a hull is peeled or k-means runs, and
 asyncio only where an HTTP loop runs — neither on a worker's way to its
 serve loop. Every package surface is lazy (:mod:`repro._lazy`), so a
 worker also leaves out the parts of :mod:`repro` that no wire request
-reaches: SPROC, the abstraction ladder, the Bayesian and finite-state
+reaches: SPROC, the abstraction modules, the Bayesian and finite-state
 model families, the R*-tree and the CSVD index. Each check runs in a
 fresh interpreter, because this one has long since imported everything.
 """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import TopKQuery
@@ -90,18 +90,43 @@ class TestEveryKAtEveryDepth:
                 ), (k, maximize)
 
     @given(table=tables, depth=st.integers(0, 5), k=st.integers(1, 70))
+    @example(table=_table(10, 2, 3, 8), depth=1, k=1)
     @settings(max_examples=60, deadline=None)
     def test_layers_needed_is_what_top_k_reads(self, table, depth, k):
+        # Without a tie at the K-th score the query reads exactly the
+        # containment minimum. A tie between distinct points may read on
+        # (the pinned example: rows 0 and 3 both score 4 under (2, 1) on
+        # the outer layer, and a bucket point lies on that layer's hull,
+        # so k = 1 reads the bucket too), and then each layer past the
+        # minimum, and the stop, must be what ``reads_on`` says.
         index = OnionIndex(table, max_layers=depth + 1)
+        weights = _weights(table, 0)
         counter = CostCounter()
-        index.top_k(_weights(table, 0), k, counter=counter)
+        index.top_k(weights, k, counter=counter)
         needed = index.layers_needed(k)
-        assert counter.nodes_visited == needed
-        assert counter.tuples_examined == sum(index.layer_sizes()[:needed])
+        visited = counter.nodes_visited
+        assert counter.tuples_examined == sum(index.layer_sizes()[:visited])
         if k <= depth:
             assert needed == min(k, index.n_layers)
         else:
             assert needed == index.n_layers
+        points = table.matrix(table.column_names)
+        vector = np.array([weights[name] for name in table.column_names])
+        scores = points @ vector
+        answers = table_top_k(points, vector, k)
+        threshold = answers[-1][1]
+        tied = np.unique(points[scores == threshold], axis=0)
+        if len(answers) < k or len(tied) < 2:
+            assert visited == needed
+            return
+        assert needed <= visited <= index.n_layers
+        zero = not vector.any()
+        # The last layer has nothing under it to read on to.
+        for last in range(needed - 1, min(visited, index.n_layers - 1)):
+            layer_scores = points[index.layer(last)] @ vector
+            assert index.reads_on(last, layer_scores, threshold, zero) == (
+                last < visited - 1
+            ), last
 
     @given(table=tables, depth=st.integers(0, 5), seed=st.integers(0, 99))
     @settings(max_examples=60, deadline=None)

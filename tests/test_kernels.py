@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.engine import RasterRetrievalEngine, TopKHeap
 from repro.core.query import TopKQuery
 from repro.core.series_engine import fsm_sweep
-from repro.data.raster import RasterLayer, RasterStack
 from repro.data.series import TimeSeries
 from repro.metrics.counters import CostCounter
 from repro.models.fsm_runner import (
@@ -31,7 +30,6 @@ from repro.models.fsm_runner import (
     naive_window_match,
     run_compiled_batch,
     run_fsm,
-    run_fsm_batch,
     symbolize_weather,
 )
 from repro.models.fuzzy import (
@@ -487,8 +485,8 @@ class TestFSMBatch:
             dtype=np.intp,
         ).reshape(n_series, n_days)
         batch_counter = CostCounter()
-        batch_runs = run_fsm_batch(
-            machine, codes, WEATHER_ALPHABET, batch_counter
+        batch_runs = run_compiled_batch(
+            compile_fsm(machine, WEATHER_ALPHABET), codes, batch_counter
         )
 
         assert [r.trajectory for r in batch_runs] == [

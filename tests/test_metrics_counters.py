@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.counters import CostCounter, counted, merge_counters
+from repro.metrics.counters import CostCounter, counted
 
 
 class TestCostCounter:
@@ -104,7 +104,7 @@ class TestCostCounter:
             counter.add_model_evals(evals, flops_each=2)
             counter.add_tuples(tuples)
             counters.append(counter)
-        merged = merge_counters(counters)
+        merged = sum(counters, CostCounter())
         assert merged.data_points == sum(p[0] for p in parts)
         assert merged.model_evals == sum(p[1] for p in parts)
         assert merged.flops == 2 * sum(p[1] for p in parts)

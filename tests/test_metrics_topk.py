@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.metrics.topk import (
     precision_recall_at_k,
-    precision_recall_curve,
     rank_locations_by_risk,
     relevant_locations,
 )
@@ -53,7 +52,7 @@ class TestPrecisionRecall:
     def test_curve_recall_non_decreasing(self):
         ranking = list("abcdefgh")
         relevant = {"b", "e", "h"}
-        curve = precision_recall_curve(ranking, relevant, range(1, 9))
+        curve = [precision_recall_at_k(ranking, relevant, k) for k in range(1, 9)]
         recalls = [point.recall for point in curve]
         assert recalls == sorted(recalls)
 

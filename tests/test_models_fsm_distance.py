@@ -6,11 +6,7 @@ import pytest
 
 from repro.exceptions import FSMError
 from repro.models.fsm import FiniteStateMachine, State, Transition
-from repro.models.fsm_distance import (
-    behavioural_distance,
-    equivalent_on,
-    structural_distance,
-)
+from repro.models.fsm_distance import behavioural_distance, structural_distance
 
 ALPHABET = ["a", "b"]
 
@@ -97,27 +93,3 @@ class TestBehaviouralDistance:
             behavioural_distance(_machine(), _machine(), [])
         with pytest.raises(FSMError):
             behavioural_distance(_machine(), _machine(), ALPHABET, n_steps=0)
-
-
-class TestEquivalence:
-    def test_renamed_machines_equivalent(self):
-        assert equivalent_on(_machine(), _renamed_machine(), ALPHABET)
-
-    def test_different_guards_not_equivalent(self):
-        assert not equivalent_on(_machine("a"), _machine("b"), ALPHABET)
-
-    def test_initially_distinguishable(self):
-        assert not equivalent_on(
-            _machine(accepting="on"), _machine(accepting="off"), ALPHABET
-        )
-
-    def test_depth_limited_search(self):
-        # Equivalent up to depth 0 (initial states agree) even for
-        # machines that later diverge.
-        assert equivalent_on(
-            _machine("a"), _machine("b"), ALPHABET, max_depth=0
-        )
-
-    def test_empty_alphabet_rejected(self):
-        with pytest.raises(FSMError):
-            equivalent_on(_machine(), _machine(), [])

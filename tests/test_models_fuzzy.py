@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.models.fuzzy import (
     FuzzyAnd,
     FuzzyOr,
-    crisp_membership,
     gaussian_membership,
     sigmoid_membership,
     trapezoid_membership,
@@ -74,11 +73,6 @@ class TestMembershipShapes:
         mf = sigmoid_membership(0.0, steepness=100.0)
         assert mf(1e9) == pytest.approx(1.0, abs=1e-20)
         assert mf(-1e9) == pytest.approx(0.0, abs=1e-20)
-
-    def test_crisp(self):
-        mf = crisp_membership(lambda v: v > 3)
-        assert mf(4.0) == 1.0
-        assert mf(2.0) == 0.0
 
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=50)
