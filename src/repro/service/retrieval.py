@@ -27,9 +27,9 @@ the same either way:
    archive names one) or on :meth:`RetrievalService.invalidate`.
 4. **plan** — each miss gets, once, what its executor consumes: a
    missing Onion index or embedding grid under its own span (never on
-   the router's clock), then the level cascade and fusion spec
-   (``plan``). The :class:`~repro.service.batching.BatchPlanner` groups
-   >= 2 default-structure misses over one region under sound pruning.
+   the router's clock), then the fusion spec (``plan``). The
+   :class:`~repro.service.batching.BatchPlanner` groups >= 2
+   default-structure misses over one region under sound pruning.
 5. **execute** — one :meth:`~repro.core.engine.RasterRetrievalEngine
    .shared_scan_search` per group (a solo tile search is its group of
    one, so the exactness argument is "same code"); every other miss
@@ -109,7 +109,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from repro.index.onion_cache import BuiltOnion
-    from repro.models.progressive_linear import ProgressiveLinearModel
     from repro.sproc.query import Assignment, CompositeQuery
     from repro.telemetry.explain import ExplainReport
     from repro.telemetry.server import MetricsServer
@@ -209,9 +208,8 @@ class _Request:
     decision: RoutingDecision | None = None
     #: Cache key; ``None`` while the request bypasses the cache.
     key: Hashable = None
-    progressive: "ProgressiveLinearModel | None" = None
     fusion: FusionSpec | None = None
-    #: Seconds of the plan stage's per-query share (cascade, fusion
+    #: Seconds of the plan stage's per-query share (model check, fusion
     #: spec), which the router's sample includes; builds are excluded.
     plan_seconds: float = 0.0
     result: RetrievalResult | None = None
@@ -220,11 +218,18 @@ class _Request:
 # -- executors and builds (the columns of EXECUTORS) ----------------------
 
 
+def _plan_label(request: _Request) -> str:
+    """The plan that ran, whatever ``use_model_levels`` asked for: the
+    service scores leaves densely, and a reply checker picks its
+    arithmetic from the label (``both`` would mean the cascade's)."""
+    return request.resolved if request.fusion is not None else "data-progressive"
+
+
 def _search_tiles(
     service: "RetrievalService", request: _Request
 ) -> RetrievalResult:
-    """The progressive tile search over ``n_shards`` row bands, with the
-    cascade and (for a fused query) the fusion spec the plan stage left."""
+    """The progressive tile search over ``n_shards`` row bands, with (for
+    a fused query) the fusion spec the plan stage left."""
     engine = service.engine
     query, trace, fusion = request.query, request.trace, request.fusion
     bands = row_band_shards(request.region, request.n_shards)
@@ -239,7 +244,7 @@ def _search_tiles(
         start = time.perf_counter()
         ok = engine.shard_search(
             query, band, heap, counter, audit,
-            progressive=request.progressive, pruning=request.pruning,
+            pruning=request.pruning,
             heuristic_margin=request.heuristic_margin,
             cancel=request.cancel, fusion=fusion,
         )
@@ -284,12 +289,7 @@ def _search_tiles(
         total.note("shards", len(bands))
         answers = ranked_answers(heap, query.maximize)
         complete = all(shard_complete)
-        if fusion is not None:
-            strategy = request.resolved
-        elif request.use_model_levels:
-            strategy = "both"
-        else:
-            strategy = "data-progressive"
+        strategy = _plan_label(request)
         if request.pruning == "heuristic":
             strategy += "-heuristic"
         strategy += f"-sharded[{len(bands)}]"
@@ -442,8 +442,7 @@ class Executor:
     #: Its family's default structure, the progressive tile search:
     #: what a query left on the default runs, what ``"auto"`` falls back
     #: to, whose entries keep the bare cache key (so routed and unrouted
-    #: callers share them), and what the plan stage prepares a level
-    #: cascade for.
+    #: callers share them), and whose model the plan stage checks.
     default: bool = False
     #: What must exist before the clock starts, built when missing.
     prebuild: Callable[["RetrievalService", _Request], None] | None = None
@@ -872,10 +871,15 @@ class RetrievalService:
 
         The answer set is identical to the single-engine
         ``progressive_top_k`` result (for sound pruning) at every shard
-        count. A cache hit returns a defensive copy of the stored result
-        with its original work counter — the work that *was* done to
-        compute it — and ``"-cached"`` appended to the strategy label;
-        mutating any returned result never affects later hits.
+        count. The tile search scores its leaves densely: the level
+        cascade reads fewer values but costs the served models wall
+        time (DESIGN §6), so ``use_model_levels`` is only checked
+        (knowledge/fuzzy models still need ``False``) and the label
+        reads ``data-progressive``. A cache hit returns a defensive copy
+        of the stored result with its original work counter — the work
+        that *was* done to compute it — and ``"-cached"`` appended to
+        the strategy label; mutating any returned result never affects
+        later hits.
 
         ``strategy`` selects the execution structure (a row of
         :data:`EXECUTORS`, or ``"auto"``); what none of them can answer
@@ -1190,13 +1194,14 @@ class RetrievalService:
         started = time.perf_counter()
         with trace.span("plan"):
             if executor.default:
-                # Fused queries blend *whole-model* interval bounds with
-                # cosine caps; the level cascade does not apply, so their
-                # ``use_model_levels`` knob is ignored rather than an
-                # error.
-                levels = request.use_model_levels and not query.fused
-                request.progressive = self.engine.prepare_tile_query(
-                    query, use_model_levels=levels
+                # Checked as asked (a knowledge/fuzzy model still needs
+                # ``use_model_levels=False``; a fused query's knob is
+                # ignored), then served with dense leaves: on the served
+                # models the level cascade reads fewer values but costs
+                # more wall time (DESIGN §6, "Where the cascade pays").
+                self.engine.prepare_tile_query(
+                    query,
+                    use_model_levels=request.use_model_levels and not query.fused,
                 )
             if executor.fused:
                 request.fusion = self._fusion_spec(query, trace)
@@ -1231,7 +1236,6 @@ class RetrievalService:
                 heap=TopKHeap(request.query.k),
                 counter=CostCounter(),
                 audit=PruningAudit(),
-                progressive=request.progressive,
                 cancel=request.cancel,
             )
             for request in group
@@ -1452,8 +1456,7 @@ def _batch_member_result(
     child = request.trace
     spec.counter.wall_seconds += spec.attributed_seconds
     spec.counter.note("batch_group", group_size)
-    strategy = "both" if request.use_model_levels else "data-progressive"
-    strategy += f"-batch[{group_size}]"
+    strategy = _plan_label(request) + f"-batch[{group_size}]"
     if not spec.complete:
         strategy += "-partial"
         # The strategy suffix alone says only that it was truncated;

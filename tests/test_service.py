@@ -148,7 +148,8 @@ class TestServiceExecution:
         assert result.counter.total_work > 0
         assert result.counter.wall_seconds > 0
         assert result.audit.tiles_screened > 0
-        assert result.strategy == "both-sharded[4]"
+        # The service scores leaves densely, and the label names what ran.
+        assert result.strategy == "data-progressive-sharded[4]"
 
     def test_data_progressive_knob(self, scene, answer_list):
         service = RetrievalService(scene, leaf_size=8, cache_size=0)

@@ -320,10 +320,14 @@ class TestDeadlineAndCancellation:
 
     def test_no_deadline_is_identical_to_engine(self, setup, answer_list):
         _, service, query = setup
-        expected = answer_list(service.engine.progressive_top_k(query))
         result = service.top_k(query, use_cache=False)
+        # Against the engine run with the plan the service runs: dense
+        # leaves.
+        expected = answer_list(
+            service.engine.progressive_top_k(query, use_model_levels=False)
+        )
         assert result.complete is True
-        assert result.strategy == "both-sharded[4]"
+        assert result.strategy == "data-progressive-sharded[4]"
         assert answer_list(result) == expected
 
     def test_partial_results_are_never_cached(self, setup, answer_list):
@@ -492,8 +496,11 @@ class TestQueryTracing:
         service, query = self._service(
             make_noise_stack, make_random_linear_model
         )
-        engine_result = service.engine.progressive_top_k(query)
         service_result = service.top_k(query, n_shards=1, use_cache=False)
+        # The service scores leaves densely; so does this engine run.
+        engine_result = service.engine.progressive_top_k(
+            query, use_model_levels=False
+        )
         for field in ("data_points", "model_evals", "partial_evals", "flops"):
             assert getattr(service_result.counter, field) == getattr(
                 engine_result.counter, field

@@ -42,6 +42,7 @@ from repro.telemetry import (
     sanitize_metric_name,
 )
 from repro.telemetry.export import JsonlTraceExporter
+from repro.telemetry.explain import explain_result
 
 
 def _service(stack, **kwargs):
@@ -571,28 +572,40 @@ class TestExplain:
             stack, leaf_size=8, n_shards=2, registry=MetricsRegistry()
         )
 
-    def test_waterfall_reconciles_with_audit_totals(self, hps_service):
-        report = hps_service.top_k(
-            TopKQuery(model=hps_risk_model(), k=10),
-            explain=True,
-            use_cache=False,
+    @staticmethod
+    def _cascade_report(service, query):
+        """Explain an engine run with the level cascade: the service
+        scores leaves densely, so its replies have no level waterfall."""
+        result = service.engine.progressive_top_k(query, use_model_levels=True)
+        return explain_result(
+            result, query, query.clip_region(service.engine.stack.shape)
         )
-        audit = report.result.audit
-        assert report.totals["visited"] == audit.tiles_screened
-        assert report.totals.get("interval", 0) == audit.tiles_pruned
-        assert sum(
-            row["visited"] for row in report.tile_rows
-        ) == audit.tiles_screened
-        # Level waterfall mirrors the cascade tallies exactly.
-        for row in report.level_rows:
-            level = row["level"]
-            assert row["entered"] == audit.cells_entered_level[level]
-            assert row["pruned"] == audit.cells_pruned_at_level.get(level, 0)
+
+    def test_waterfall_reconciles_with_audit_totals(self, hps_service):
+        query = TopKQuery(model=hps_risk_model(), k=10)
+        served = hps_service.top_k(query, explain=True, use_cache=False)
+        cascade = self._cascade_report(hps_service, query)
+        assert served.level_rows == [] and cascade.level_rows
+        for report in (served, cascade):
+            audit = report.result.audit
+            assert report.totals["visited"] == audit.tiles_screened
+            assert report.totals.get("interval", 0) == audit.tiles_pruned
+            assert sum(
+                row["visited"] for row in report.tile_rows
+            ) == audit.tiles_screened
+            # Level waterfall mirrors the cascade tallies exactly.
+            for row in report.level_rows:
+                level = row["level"]
+                assert row["entered"] == audit.cells_entered_level[level]
+                assert row["pruned"] == audit.cells_pruned_at_level.get(
+                    level, 0
+                )
 
     def test_explain_does_not_change_the_answer(self, hps_service):
-        # Counted work varies run to run (the "both" strategy races two
-        # plans and keeps the winner), so the invariant explain offers
-        # is answer identity plus internal reconciliation — not a
+        # Counted work can vary run to run (the fixture's two shard
+        # threads share one heap, so the threshold a band prunes against
+        # depends on how they interleave), so the invariant explain
+        # offers is answer identity plus internal reconciliation — not a
         # work-for-work match between independent runs.
         query = TopKQuery(model=hps_risk_model(), k=5)
         plain = hps_service.top_k(query, use_cache=False)
@@ -606,11 +619,11 @@ class TestExplain:
         )
 
     def test_render_produces_aligned_tables(self, hps_service):
-        report = hps_service.top_k(
-            TopKQuery(model=hps_risk_model(), k=5),
-            explain=True,
-            use_cache=False,
-        )
+        query = TopKQuery(model=hps_risk_model(), k=5)
+        served = hps_service.top_k(query, explain=True, use_cache=False)
+        assert "tile pyramid" in served.render()
+        assert "model cascade" not in served.render()
+        report = self._cascade_report(hps_service, query)
         text = report.render()
         assert "tile pyramid" in text
         assert "model cascade" in text
