@@ -34,8 +34,8 @@ cell list. It reads the archive through one layer (:class:`_Scan`):
 :meth:`RasterRetrievalEngine.shard_search` (the sharded service layer's
 entry point, after :meth:`RasterRetrievalEngine.prepare_tile_query`) run
 one state to exhaustion, :meth:`RasterRetrievalEngine.shared_scan_search`
-runs N round-robin over a memoizing layer — so "a batch member equals
-its solo search" holds because both are the same code. Likewise one
+runs N round-robin over the same layer — so "a batch member equals its
+solo search" holds because both are the same code. Likewise one
 dense evaluator (:meth:`RasterRetrievalEngine.dense_top_k`) is the
 exhaustive baseline and the service's scan strategies, and every
 executor turns its heap into answers through :func:`ranked_answers`.
@@ -58,7 +58,7 @@ from repro.data.raster import RasterStack
 from repro.exceptions import PlanError, QueryError
 from repro.metrics.counters import CostCounter
 from repro.models.base import Model
-from repro.models.linear import LinearModel, stacked_interval_batch
+from repro.models.linear import LinearModel
 from repro.models.progressive_linear import (
     ProgressiveLinearModel,
     TermContribution,
@@ -236,10 +236,9 @@ class BatchQuerySpec:
     #: Output: False when this query's cancel token retired it early
     #: (its answers are then prefix-sound, not the true top-K).
     complete: bool = field(default=True, init=False)
-    #: Output: wall seconds of scan work attributable to this query
-    #: (its own frontier steps; shared cache fills are charged to
-    #: whichever query triggered them). Child spans built from these
-    #: therefore sum to at most the batch's wall time.
+    #: Output: wall seconds of this query's own frontier steps. Child
+    #: spans built from these therefore sum to at most the batch's wall
+    #: time.
     attributed_seconds: float = field(default=0.0, init=False)
 
 
@@ -360,9 +359,9 @@ class _Scan:
     screen's flat tables (re-exported here); a search asks this object
     for a model's bounds over a block of node ids and the cell list of a
     block of windows; attributes are read at flat cell ids through the
-    stack's layers. With one query (this class) each is computed on
-    demand and nothing is kept; :class:`_SharedScan` answers the same
-    questions from batch-wide memos.
+    stack's layers. Each is computed on demand and nothing is kept, so
+    a batch's members, taking turns on one scan, bound every node
+    exactly as their solo searches do.
     """
 
     def __init__(
@@ -456,67 +455,6 @@ class _Scan:
             across < widths[:, None, None]
         )
         return flat[ragged], heights * widths
-
-
-class _SharedScan(_Scan):
-    """A scan several same-region queries take turns on.
-
-    Node bounds are computed once per batch and memoized per node id in
-    dense per-model tables, so a member's wave costs two fancy-indexes
-    for whatever part of it another member already bounded; same-model
-    queries (different k, direction, or deadline) share one table. Each
-    query's counter is still charged exactly what the unshared path
-    charges — the batch saves wall clock, never counted (attributable)
-    work.
-    """
-
-    def __init__(
-        self, engine, region, roots, pruning, heuristic_margin, models
-    ):
-        super().__init__(engine, region, roots, pruning, heuristic_margin)
-        # Plain linear models sharing one attribute order are bounded
-        # *stacked*: the first query to reach a block of nodes computes
-        # the whole group's bounds in one elementwise pass (bitwise
-        # identical per row to each model's own evaluate_interval_batch)
-        # and fills every member's table. Other model families, and
-        # lone linear models, are groups of one.
-        groups: dict[object, list[Model]] = {}
-        for model in models:
-            key = (
-                model.attributes if type(model) is LinearModel else id(model)
-            )
-            group = groups.setdefault(key, [])
-            if not any(member is model for member in group):
-                group.append(model)
-        n_nodes = self.depth.size
-        #: id(model) -> (its group, the group's "bounded" mask, its own
-        #: (2, n_nodes) low/high table).
-        self._memo = {}
-        for group in groups.values():
-            known = np.zeros(n_nodes, dtype=bool)
-            for member in group:
-                self._memo[id(member)] = (
-                    group, known, np.empty((2, n_nodes))
-                )
-
-    def one_sided(self, state):
-        """Never: the memo tables hold both sides for the whole batch."""
-        return None
-
-    def bounds(self, model, ids):
-        group, known, table = self._memo[id(model)]
-        missing = ids[~known[ids]]
-        if missing.size:
-            lows, highs = self.screen.envelope_block(missing, self.margin)
-            if len(group) == 1:
-                table[:, missing] = model.evaluate_interval_batch(lows, highs)
-            else:
-                for member, member_bounds in zip(
-                    group, stacked_interval_batch(group, lows, highs)
-                ):
-                    self._memo[id(member)][2][:, missing] = member_bounds
-            known[missing] = True
-        return table[0, ids], table[1, ids]
 
 
 class RasterRetrievalEngine:
@@ -824,17 +762,17 @@ class RasterRetrievalEngine:
         pruning: str = "sound",
         heuristic_margin: float = 0.7,
     ) -> None:
-        """One archive traversal answering every spec's query.
+        """One region's scan answering every spec's query in turns.
 
         Each query keeps its own best-first frontier and runs the very
-        step its solo :meth:`shard_search` over ``region`` runs — same
-        pops, same thresholds, same pruning — so every answer is
-        bit-for-bit the solo answer and every per-query counter/audit is
-        bit-for-bit the solo tally. What the scan *shares* is the
-        archive side of the work (:class:`_SharedScan`): the batch pays
-        the traversal cost once while each query is still charged the
-        attributable work its solo search would have counted. A group of
-        one shares nothing and is exactly the solo search.
+        step its solo :meth:`shard_search` over ``region`` runs, on the
+        same :class:`_Scan` — same bounds, pops, thresholds and pruning
+        — so every answer is bit-for-bit the solo answer and every
+        per-query counter/audit is bit-for-bit the solo tally. What the
+        members share is the region's root cover and the scan over it,
+        built once, and their round-robin turns; nothing a member
+        computes is kept for another. A group of one is exactly the solo
+        search.
 
         Queries advance round-robin, one wave per turn; a query
         *retires* — drops out of the scan while the others continue —
@@ -856,14 +794,10 @@ class RasterRetrievalEngine:
                     f"model {type(spec.query.model).__name__} cannot bound "
                     "intervals; tile search needs evaluate_interval"
                 )
-        roots = self.screen.region_root_ids(region)
-        if len(specs) > 1:
-            scan = _SharedScan(
-                self, region, roots, pruning, heuristic_margin,
-                [spec.query.model for spec in specs],
-            )
-        else:
-            scan = _Scan(self, region, roots, pruning, heuristic_margin)
+        scan = _Scan(
+            self, region, self.screen.region_root_ids(region), pruning,
+            heuristic_margin,
+        )
         self._search([_ScanState(spec) for spec in specs], scan)
 
     def _search(self, states: list[_ScanState], scan: _Scan) -> None:
@@ -1000,9 +934,9 @@ class RasterRetrievalEngine:
 
         One block evaluation replaces scalar interval calls; charged as
         ``len(ids)`` scalar boundings (one aggregate-node visit per
-        attribute per node, one partial model evaluation per node)
-        whether or not the scan answered from a memo. ``sided`` terms
-        accumulate one side, as ``evaluate_interval_batch`` does it.
+        attribute per node, one partial model evaluation per node).
+        ``sided`` terms accumulate one side, as
+        ``evaluate_interval_batch`` does it.
         """
         counter = state.spec.counter
         counter.add_nodes(len(ids) * len(self.screen.attributes))

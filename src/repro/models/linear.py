@@ -215,57 +215,6 @@ def fit_linear_model(
     return LinearModel(coefficients, intercept=intercept, name=name)
 
 
-def stacked_interval_batch(
-    models: "list[LinearModel]",
-    low_columns: Mapping[str, np.ndarray],
-    high_columns: Mapping[str, np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Interval bounds for many linear models over the same boxes, in
-    one pass per attribute.
-
-    The shared-scan batch executor bounds one popped tile block for a
-    whole query group at once. Every model must share one attribute
-    order; the accumulation walks that order with elementwise adds and
-    multiplies — the exact operation sequence of each model's own
-    :meth:`LinearModel.evaluate_interval_batch` — so row ``q`` of the
-    result is *bitwise* identical to ``models[q]`` bounding the boxes
-    alone. Returns one ``(low, high)`` array pair per model.
-    """
-    if not models:
-        raise ModelError("stacked interval bounds need at least one model")
-    order = models[0].attributes
-    for model in models[1:]:
-        if model.attributes != order:
-            raise ModelError(
-                "stacked interval bounds need one shared attribute "
-                f"order; got {order} and {model.attributes}"
-            )
-    intercepts = np.array([model.intercept for model in models])
-    low = high = None
-    for attr_name in order:
-        try:
-            attr_low = np.asarray(low_columns[attr_name], dtype=float)
-            attr_high = np.asarray(high_columns[attr_name], dtype=float)
-        except KeyError:
-            raise ModelError(
-                f"interval for attribute {attr_name!r} missing"
-            ) from None
-        if (attr_low > attr_high).any():
-            raise ModelError(f"invalid interval for {attr_name!r}")
-        if low is None:
-            shape = (len(models),) + attr_low.shape
-            low = np.repeat(intercepts[:, None], attr_low.size, axis=1)
-            low = low.reshape(shape)
-            high = low.copy()
-        weights = np.array(
-            [model._coefficients[attr_name] for model in models]
-        )[:, None]
-        positive = weights >= 0
-        low = low + weights * np.where(positive, attr_low, attr_high)
-        high = high + weights * np.where(positive, attr_high, attr_low)
-    return [(low[index], high[index]) for index in range(len(models))]
-
-
 def hps_risk_model() -> LinearModel:
     """The paper's published Hantavirus Pulmonary Syndrome risk model.
 

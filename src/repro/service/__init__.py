@@ -31,12 +31,12 @@ One query or many, a request takes the same stages (admit, route,
 cache, plan, execute, store, record — :mod:`repro.service.retrieval`),
 and what a strategy *is* lives in one table, :data:`EXECUTORS`.
 For busy-archive traffic, :meth:`RetrievalService.top_k_batch` answers
-many queries at once: a :class:`BatchPlanner` groups same-region,
-interval-boundable queries and each group shares *one* archive
-traversal (children, envelopes, bounds, and leaf reads computed once
-per batch), while every query keeps its own heap, counters, and
-deadline — answers and counted work stay bit-for-bit identical to the
-single-query path.
+many queries at once through one pass of those stages and one batch
+trace: a :class:`BatchPlanner` groups same-region, interval-boundable
+queries and each group shares one region cover and takes round-robin
+turns on one scan, while every query keeps its own frontier, bounds,
+heap, counters, and deadline — answers and counted work stay
+bit-for-bit identical to the single-query path.
 
 See ``docs/TUTORIAL.md`` §8; the benchmark (``BENCHMARK.json``) prices
 the layer as ``service.self_ms``, ``cache.hit_us`` and
@@ -48,7 +48,7 @@ from repro._lazy import surface
 __all__, __getattr__, __dir__ = surface(
     __name__,
     {
-        ".batching": "BatchPlan BatchPlanner PlannedQuery",
+        ".batching": "BatchPlan BatchPlanner",
         ".cache": "QueryCache model_fingerprint query_fingerprint",
         ".retrieval": (
             "EXECUTORS Executor RetrievalService ServiceStats "

@@ -1,16 +1,16 @@
-"""Batch planning: which queries may share one archive traversal.
+"""Batch planning: which queries may share one scan.
 
 The plan stage of :class:`~repro.service.retrieval.RetrievalService`
 hands a call's cache misses to a :class:`BatchPlanner`, which partitions
 them into *shared-scan groups* (answered by one
 :meth:`~repro.core.engine.RasterRetrievalEngine.shared_scan_search`
-traversal each) and *singletons* (each run through its own executor, as
-it would alone). The grouping rules are deliberately conservative — a
+each) and *singletons* (each run through its own executor, as it would
+alone). The grouping rules are deliberately conservative — a
 query only joins a group when sharing cannot perturb its answer:
 
 * **Same clipped region.** A shared scan walks one region's tile cover;
   queries over different windows walk different frontiers and gain
-  nothing from a merged traversal, so each region forms its own group.
+  nothing from a shared one, so each region forms its own group.
   (Archive and resolution are fixed per service — one stack, one tile
   screen — so the paper's "same archive/region/resolution" rule reduces
   to the region here.)
@@ -29,34 +29,15 @@ query only joins a group when sharing cannot perturb its answer:
   its members ``-batch[n]``.
 
 Planning reads a member's ``query`` and ``region`` only — never ``k``,
-direction, deadlines, or the level-cascade knob, which the shared-scan
-executor keeps per query. The service plans its own request records;
-:class:`PlannedQuery` is the same shape for callers planning by hand.
+direction or deadlines, which the shared-scan executor keeps per query.
+Any record with those two attributes can be planned; the service plans
+its own request records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.core.query import TopKQuery
-from repro.models.progressive_linear import ProgressiveLinearModel
-
-
-@dataclass(frozen=True)
-class PlannedQuery:
-    """One batch member, resolved for execution.
-
-    ``index`` is the query's position in the caller's batch (results are
-    returned in input order); ``region`` is the query's clipped window;
-    ``progressive`` is the validated level cascade (``None`` when the
-    query runs without model levels).
-    """
-
-    index: int
-    query: TopKQuery
-    region: tuple[int, int, int, int]
-    use_model_levels: bool
-    progressive: ProgressiveLinearModel | None
+from typing import Any
 
 
 @dataclass
@@ -68,8 +49,8 @@ class BatchPlan:
     every planned query exactly once.
     """
 
-    groups: list[list[PlannedQuery]] = field(default_factory=list)
-    singletons: list[PlannedQuery] = field(default_factory=list)
+    groups: list[list[Any]] = field(default_factory=list)
+    singletons: list[Any] = field(default_factory=list)
 
     @property
     def batched(self) -> int:
@@ -81,7 +62,7 @@ class BatchPlanner:
     """Groups compatible queries for shared-scan execution."""
 
     def plan(
-        self, planned: list[PlannedQuery], pruning: str = "sound"
+        self, planned: list[Any], pruning: str = "sound"
     ) -> BatchPlan:
         """Partition ``planned`` into shared-scan groups and singletons.
 
@@ -92,13 +73,12 @@ class BatchPlanner:
         if pruning != "sound":
             plan.singletons = list(planned)
             return plan
-        by_region: dict[tuple[int, int, int, int], list[PlannedQuery]] = {}
+        by_region: dict[tuple[int, int, int, int], list[Any]] = {}
         for item in planned:
             if item.query.fused:
                 # Fused members blend whole-model bounds with cosine
-                # caps; the shared scan's per-member level machinery
-                # does not apply, so they run alone, with their
-                # FusionSpec.
+                # caps, which the shared scan does not carry, so they
+                # run alone, with their FusionSpec.
                 plan.singletons.append(item)
                 continue
             if not item.query.model.supports_intervals:

@@ -192,7 +192,6 @@ class _Request:
     query: TopKQuery
     #: As requested; admission substitutes a fused query's default.
     strategy: str
-    use_model_levels: bool
     pruning: str
     heuristic_margin: float
     #: ``None`` until admission resolves it to the service's default.
@@ -219,9 +218,9 @@ class _Request:
 
 
 def _plan_label(request: _Request) -> str:
-    """The plan that ran, whatever ``use_model_levels`` asked for: the
-    service scores leaves densely, and a reply checker picks its
-    arithmetic from the label (``both`` would mean the cascade's)."""
+    """The plan that ran: the service's tile search scores leaves
+    densely, and a reply checker picks its arithmetic from the label
+    (``both`` would mean the engine's level cascade)."""
     return request.resolved if request.fusion is not None else "data-progressive"
 
 
@@ -857,7 +856,6 @@ class RetrievalService:
         self,
         query: TopKQuery,
         n_shards: int | None = None,
-        use_model_levels: bool = True,
         pruning: str = "sound",
         heuristic_margin: float = 0.7,
         use_cache: bool = True,
@@ -871,15 +869,14 @@ class RetrievalService:
 
         The answer set is identical to the single-engine
         ``progressive_top_k`` result (for sound pruning) at every shard
-        count. The tile search scores its leaves densely: the level
-        cascade reads fewer values but costs the served models wall
-        time (DESIGN §6), so ``use_model_levels`` is only checked
-        (knowledge/fuzzy models still need ``False``) and the label
-        reads ``data-progressive``. A cache hit returns a defensive copy
-        of the stored result with its original work counter — the work
-        that *was* done to compute it — and ``"-cached"`` appended to
-        the strategy label; mutating any returned result never affects
-        later hits.
+        count. The tile search scores its leaves densely, for every
+        model family: the engine's level cascade reads fewer values but
+        costs the served models wall time (DESIGN §6), so the service
+        never runs it and the label reads ``data-progressive``. A cache
+        hit returns a defensive copy of the stored result with its
+        original work counter — the work that *was* done to compute it —
+        and ``"-cached"`` appended to the strategy label; mutating any
+        returned result never affects later hits.
 
         ``strategy`` selects the execution structure (a row of
         :data:`EXECUTORS`, or ``"auto"``); what none of them can answer
@@ -936,8 +933,8 @@ class RetrievalService:
         the result itself rides on ``report.result``).
         """
         request = _Request(
-            query, strategy, use_model_levels, pruning, heuristic_margin,
-            n_shards, _deadline_token(deadline_s, cancel),
+            query, strategy, pruning, heuristic_margin, n_shards,
+            _deadline_token(deadline_s, cancel),
             # ``trace_id`` lets a fronting process (the HTTP fleet) stamp
             # its correlation id on the worker-side trace, so one id
             # follows a request from admission to shard search.
@@ -956,7 +953,6 @@ class RetrievalService:
         queries: Sequence[TopKQuery],
         *,
         n_shards: int | None = None,
-        use_model_levels: bool | Sequence[bool] = True,
         pruning: str = "sound",
         heuristic_margin: float = 0.7,
         use_cache: bool = True,
@@ -966,16 +962,16 @@ class RetrievalService:
         ) = None,
         trace_id: str | None = None,
     ) -> list[RetrievalResult]:
-        """Answer many queries, sharing one archive traversal where legal.
+        """Answer many queries, sharing one region's scan where legal.
 
         Results come back in input order, each bit-for-bit identical —
         answers, orderings, tie-breaks, and counted work — to what
         :meth:`top_k` would return for that query alone (a batch member
         runs the engine's one search step, the very step its solo search
-        runs, over memoized traversal state; see DESIGN.md). The members
-        go through the stages :meth:`top_k` goes through (module
-        docstring), every member on its default structure; what a batch
-        adds:
+        runs, bounding every node as its solo search does; see
+        DESIGN.md). The members go through the stages :meth:`top_k` goes
+        through (module docstring), every member on its default
+        structure; what a batch adds:
 
         * **Fail-fast.** Every member is admitted, and every miss
           planned, before any member executes: an unanswerable query
@@ -985,39 +981,35 @@ class RetrievalService:
           :class:`~repro.service.batching.BatchPlanner` groups misses by
           clipped region; groups of >= 2 interval-boundable models share
           one :meth:`~repro.core.engine.RasterRetrievalEngine
-          .shared_scan_search` traversal (``"-batch[N]"``), everything
-          else (lone regions, fused members, ``pruning="heuristic"``)
-          runs as it would alone. Each member keeps its own heap,
+          .shared_scan_search` (``"-batch[N]"``): the region's cover,
+          built once, and round-robin turns on it. Everything else
+          (lone regions, fused members, ``pruning="heuristic"``) runs as
+          it would alone. Each member keeps its own heap,
           counter, audit, and cancel token, so counted work stays
           attributable and a deadline retires *its* query prefix-soundly
           (``complete=False``, ``"-partial"``, never cached) while the
           rest of the group finishes exactly.
 
-        ``use_model_levels``, ``deadline_s``, and ``cancel`` accept
-        either one value for the whole batch or a sequence with one
-        entry per query (mixed batches need per-query level knobs:
-        knowledge/fuzzy models require ``use_model_levels=False``).
-        Deadlines are measured from batch start. ``n_shards`` only
-        shapes members that run alone; shared scans are single-threaded
-        by construction. Each result's trace hangs off the batch's
+        ``deadline_s`` and ``cancel`` accept either one value for the
+        whole batch or a sequence with one entry per query. Deadlines
+        are measured from batch start. ``n_shards`` only shapes members
+        that run alone; shared scans are single-threaded by
+        construction. Each result's trace hangs off the batch's
         :class:`~repro.service.tracing.BatchTrace`.
         """
         queries = list(queries)
         n_queries = len(queries)
         if n_queries == 0:
             return []
-        levels = _broadcast(use_model_levels, n_queries, "use_model_levels")
         deadlines = _broadcast(deadline_s, n_queries, "deadline_s")
         cancels = _broadcast(cancel, n_queries, "cancel")
         batch = BatchTrace(batch_size=n_queries, trace_id=trace_id)
         requests = [
             _Request(
-                query, DEFAULT_STRATEGY, level, pruning, heuristic_margin,
-                n_shards, _deadline_token(deadline, parent), batch.child(),
+                query, DEFAULT_STRATEGY, pruning, heuristic_margin, n_shards,
+                _deadline_token(deadline, parent), batch.child(),
             )
-            for query, level, deadline, parent in zip(
-                queries, levels, deadlines, cancels
-            )
+            for query, deadline, parent in zip(queries, deadlines, cancels)
         ]
         batched = self._serve(requests, use_cache, batch)
         results = [request.result for request in requests]
@@ -1145,7 +1137,6 @@ class RetrievalService:
 
     def _cache_key(self, request: _Request) -> Hashable:
         knobs = {
-            "use_model_levels": request.use_model_levels,
             "pruning": request.pruning,
             "heuristic_margin": request.heuristic_margin,
         }
@@ -1193,15 +1184,14 @@ class RetrievalService:
         query, trace = request.query, request.trace
         started = time.perf_counter()
         with trace.span("plan"):
-            if executor.default:
-                # Checked as asked (a knowledge/fuzzy model still needs
-                # ``use_model_levels=False``; a fused query's knob is
-                # ignored), then served with dense leaves: on the served
-                # models the level cascade reads fewer values but costs
-                # more wall time (DESIGN §6, "Where the cascade pays").
-                self.engine.prepare_tile_query(
-                    query,
-                    use_model_levels=request.use_model_levels and not query.fused,
+            # The tile search scores leaves densely, so it needs only
+            # node bounds: on the served models the level cascade reads
+            # fewer values but costs more wall time (DESIGN §6, "Where
+            # the cascade pays").
+            if executor.default and not query.model.supports_intervals:
+                raise QueryError(
+                    f"model {type(query.model).__name__} cannot bound "
+                    "intervals; tile search needs evaluate_interval"
                 )
             if executor.fused:
                 request.fusion = self._fusion_spec(query, trace)

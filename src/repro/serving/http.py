@@ -55,7 +55,7 @@ no thread and no queue hop in between. A dispatched query
 opportunistically takes further waiting queries with the same
 :func:`~repro.serving.protocol.batch_key` (up to ``coalesce_max``) and
 ships them as one ``top_k_batch`` call — under load, compatible
-concurrent clients share one archive traversal for free. Batch members
+concurrent clients share one pipeline pass and one scan for free. Batch members
 are bit-identical to solo runs (the planner's contract), so coalescing
 is invisible in the answers.
 """

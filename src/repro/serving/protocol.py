@@ -45,16 +45,18 @@ class ProtocolError(ValueError):
 
 #: Strategies a remote query may request (the service's set).
 STRATEGIES = ("quadtree", "auto", "onion", "scan", "fused", "embed-scan")
-#: Smallest deadline budget forwarded to the engine: an already-expired
-#: request still runs with a token that fires at its first loop check,
-#: yielding a prefix-sound (possibly empty) partial instead of an error.
-MIN_DEADLINE_S = 1e-4
+#: Smallest deadline budget forwarded to the engine: the smallest
+#: positive float, which rounds away when added to the monotonic clock.
+#: An already-expired request therefore still runs, with a token whose
+#: deadline is the instant it was made, so it fires at its first loop
+#: check and yields a prefix-sound (possibly empty) partial instead of
+#: an error.
+MIN_DEADLINE_S = math.ulp(0.0)
 #: Knob defaults a query payload may omit — one source of truth for the
 #: front end's coalescing key and the worker's execution call.
 KNOB_DEFAULTS: dict[str, Any] = {
     "strategy": "quadtree",
     "n_shards": None,
-    "use_model_levels": True,
     "pruning": "sound",
     "heuristic_margin": 0.7,
     "use_cache": True,
@@ -121,7 +123,6 @@ class DecodedQuery:
     query: TopKQuery
     strategy: str = "quadtree"
     n_shards: int | None = None
-    use_model_levels: bool = True
     pruning: str = "sound"
     heuristic_margin: float = 0.7
     use_cache: bool = True
@@ -171,9 +172,6 @@ def decode_query(payload: Any) -> DecodedQuery:
         raise ProtocolError(
             f"n_shards must be a positive integer or null, got {n_shards!r}"
         )
-    use_model_levels = payload.get("use_model_levels", True)
-    if not isinstance(use_model_levels, bool):
-        raise ProtocolError("use_model_levels must be a boolean")
     pruning = payload.get("pruning", "sound")
     if pruning not in ("sound", "heuristic"):
         raise ProtocolError(f"unknown pruning mode {pruning!r}")
@@ -198,7 +196,6 @@ def decode_query(payload: Any) -> DecodedQuery:
         query=query,
         strategy=strategy,
         n_shards=n_shards,
-        use_model_levels=use_model_levels,
         pruning=pruning,
         heuristic_margin=heuristic_margin,
         use_cache=use_cache,
@@ -261,8 +258,8 @@ def batch_key(payload: Mapping[str, Any]) -> tuple:
     Two in-flight ``/query`` requests may share one ``top_k_batch``
     call iff these knobs agree: the batch path runs the quadtree
     structure with one ``pruning``/``heuristic_margin``/``use_cache``/
-    ``n_shards`` setting for the whole call (``use_model_levels`` and
-    deadlines stay per-query, so they are deliberately absent here).
+    ``n_shards`` setting for the whole call (deadlines stay per-query,
+    so they are deliberately absent here).
     """
     return (
         payload.get("strategy", "quadtree"),

@@ -264,7 +264,6 @@ def _run_query(service: Any, item: WorkItem) -> tuple[dict[str, Any], Any]:
     result = service.top_k(
         decoded.query,
         n_shards=decoded.n_shards,
-        use_model_levels=decoded.use_model_levels,
         pruning=decoded.pruning,
         heuristic_margin=decoded.heuristic_margin,
         use_cache=decoded.use_cache,
@@ -299,7 +298,6 @@ def _run_batch(
     results = service.top_k_batch(
         [entry.query for entry in decoded],
         n_shards=decoded[0].n_shards,
-        use_model_levels=[entry.use_model_levels for entry in decoded],
         pruning=decoded[0].pruning,
         heuristic_margin=decoded[0].heuristic_margin,
         use_cache=decoded[0].use_cache,

@@ -11,6 +11,8 @@ plus deterministic scenarios for the cache-mix and retirement paths.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,13 +28,7 @@ from repro.models.fuzzy import (
     triangle_membership,
 )
 from repro.models.knowledge import FuzzyRule, KnowledgeModel, RulePredicate
-from repro.models.linear import LinearModel
-from repro.service import (
-    BatchPlanner,
-    CancellationToken,
-    PlannedQuery,
-    RetrievalService,
-)
+from repro.service import BatchPlanner, CancellationToken, RetrievalService
 
 # Work fields the solo/batch contract covers; wall_seconds and notes are
 # environment-dependent bookkeeping, not counted work.
@@ -82,12 +78,9 @@ def _knowledge_model(names, variant):
     )
 
 
-def _solo(service, query, use_model_levels):
+def _solo(service, query):
     """The single-query reference: one shard, no cache."""
-    return service.top_k(
-        query, n_shards=1, use_cache=False,
-        use_model_levels=use_model_levels,
-    )
+    return service.top_k(query, n_shards=1, use_cache=False)
 
 
 def _assert_bit_identical(batch_result, solo_result, answer_list):
@@ -138,17 +131,11 @@ class TestMixedModelBatches:
                 k=k_knowledge, maximize=maximize,
             ),
         ]
-        # Knowledge models have no level cascade; the knob is per-query.
-        levels = [True, True, False, False]
-        results = service.top_k_batch(
-            queries, use_model_levels=levels, use_cache=False
-        )
+        results = service.top_k_batch(queries, use_cache=False)
         assert len(results) == len(queries)
-        for query, level, result in zip(queries, levels, results):
+        for query, result in zip(queries, results):
             assert result.strategy.endswith(f"-batch[{len(queries)}]")
-            _assert_bit_identical(
-                result, _solo(service, query, level), answer_list
-            )
+            _assert_bit_identical(result, _solo(service, query), answer_list)
 
     @given(
         seed=st.integers(0, 200),
@@ -173,7 +160,7 @@ class TestMixedModelBatches:
         results = service.top_k_batch(queries, use_cache=False)
         for query, result in zip(queries, results):
             _assert_bit_identical(
-                result, _solo(service, query, True), answer_list
+                result, _solo(service, query), answer_list
             )
 
 
@@ -219,18 +206,18 @@ class TestRegionsAndPlanning:
             for index in (0, 1):
                 _assert_bit_identical(
                     results[index],
-                    _solo(service, queries[index], True),
+                    _solo(service, queries[index]),
                     answer_list,
                 )
             # The singleton rode the default sharded path, whose
             # counters depend on the shard split — answers still match.
-            loner = _solo(service, queries[2], True)
+            loner = _solo(service, queries[2])
             assert answer_list(results[2]) == answer_list(loner)
             assert results[2].complete is True
         else:
             for query, result in zip(queries, results):
                 _assert_bit_identical(
-                    result, _solo(service, query, True), answer_list
+                    result, _solo(service, query), answer_list
                 )
 
     def test_heuristic_pruning_never_batches(
@@ -254,17 +241,19 @@ class TestRegionsAndPlanning:
                                     make_tie_stack):
         stack = make_tie_stack(8, 8, 1, seed=1)
         model = make_random_linear_model(stack)
+        # The planner reads a member's query and region, nothing else.
         planned = [
-            PlannedQuery(
-                index=i, query=TopKQuery(model=model, k=2),
+            SimpleNamespace(
+                query=TopKQuery(model=model, k=2),
                 region=(0, 0, 8, 8) if i < 2 else (0, 0, 4, 4),
-                use_model_levels=True, progressive=None,
             )
             for i in range(3)
         ]
         plan = BatchPlanner().plan(planned)
         assert [len(group) for group in plan.groups] == [2]
-        assert [item.index for item in plan.singletons] == [2]
+        assert plan.groups[0][0] is planned[0]
+        assert plan.groups[0][1] is planned[1]
+        assert len(plan.singletons) == 1 and plan.singletons[0] is planned[2]
         assert plan.batched == 2
         # Heuristic pruning: everything is a singleton.
         heuristic = BatchPlanner().plan(planned, pruning="heuristic")
@@ -294,9 +283,7 @@ class TestRegionsAndPlanning:
             TopKQuery(model=Opaque(), k=2),
         ]
         with pytest.raises(QueryError):
-            service.top_k_batch(
-                queries, use_model_levels=[True, False], use_cache=False
-            )
+            service.top_k_batch(queries, use_cache=False)
         # Fail-fast: nothing executed, nothing cached.
         assert service.stats.batched_queries == 0
 
@@ -324,7 +311,7 @@ class TestCacheMixes:
             for i in range(4)
         ]
         references = [
-            answer_list(_solo(service, query, True)) for query in queries
+            answer_list(_solo(service, query)) for query in queries
         ]
         for query in queries[:n_warm]:
             service.top_k(query)  # warm the cache
@@ -399,7 +386,7 @@ class TestRetirement:
         for index in (0, 2, 3):
             _assert_bit_identical(
                 results[index],
-                _solo(service, queries[index], True),
+                _solo(service, queries[index]),
                 answer_list,
             )
         # Partial results never reach the cache.
@@ -428,7 +415,7 @@ class TestRetirement:
         for index in (0, 2):
             _assert_bit_identical(
                 results[index],
-                _solo(service, queries[index], True),
+                _solo(service, queries[index]),
                 answer_list,
             )
 
@@ -443,7 +430,7 @@ class TestRetirement:
         partner = TopKQuery(
             model=make_random_linear_model(stack, seed=2), k=5
         )
-        solo = _solo(service, query, True)
+        solo = _solo(service, query)
         token = CancellationToken()
         token.cancel()
         results = service.top_k_batch(
@@ -480,7 +467,7 @@ class TestBatchProperties:
             )
             for i in range(n_queries)
         ]
-        solos = [_solo(service, query, True) for query in queries]
+        solos = [_solo(service, query) for query in queries]
         results = service.top_k_batch(queries, use_cache=False)
         for solo, result in zip(solos, results):
             for field in COUNTER_FIELDS:
@@ -532,9 +519,7 @@ class TestBatchProperties:
         assert service.top_k_batch([]) == []
         query = TopKQuery(model=make_random_linear_model(stack), k=2)
         with pytest.raises(QueryError):
-            service.top_k_batch(
-                [query, query], use_model_levels=[True]
-            )
+            service.top_k_batch([query, query], deadline_s=[1.0])
         with pytest.raises(QueryError):
             service.top_k_batch([query], deadline_s=[0.0])
 

@@ -202,11 +202,10 @@ class TestAlphaOneIsLegacy:
         cols=st.integers(12, 32),
         seed=st.integers(0, 150),
         k=st.integers(1, 8),
-        use_levels=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
     def test_alpha_one_equals_model_only_path_exactly(
-        self, rows, cols, seed, k, use_levels,
+        self, rows, cols, seed, k,
         make_tie_stack, make_random_linear_model,
     ):
         """similar_to with alpha=1 weights similarity at zero: the query
@@ -220,12 +219,8 @@ class TestAlphaOneIsLegacy:
         )
         plain = TopKQuery(model=model, k=k)
         assert not with_example.fused
-        a = service.top_k(
-            with_example, use_cache=False, use_model_levels=use_levels
-        )
-        b = service.top_k(
-            plain, use_cache=False, use_model_levels=use_levels
-        )
+        a = service.top_k(with_example, use_cache=False)
+        b = service.top_k(plain, use_cache=False)
         assert exact_answers(a) == exact_answers(b)
         assert counter_dict(a.counter) == counter_dict(b.counter)
         assert a.strategy == b.strategy

@@ -27,7 +27,6 @@ from repro.core.engine import (
     _reaches,
     _Scan,
     _ScanState,
-    _SharedScan,
 )
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit
@@ -485,9 +484,7 @@ class TestOneSidedBounds:
         assert engine._uppers(state, ids, scan).tobytes() == want.tobytes()
         # Where both sides are needed, or other envelopes, it stands down.
         heuristic = _Scan(engine, region, scan.roots, "heuristic", 0.7)
-        shared = _SharedScan(engine, region, scan.roots, "sound", 1, [model])
-        for other in (heuristic, shared):
-            assert other.one_sided(state) is None
+        assert heuristic.one_sided(state) is None
         wider = LinearModel({**model.coefficients, "absent": 1.0})
         assert scan.one_sided(state_of(wider)) is None
         assert scan.one_sided(state_of(model, fusion=object())) is None

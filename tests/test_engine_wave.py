@@ -202,11 +202,10 @@ class TestShippedWidthAgainstTheOracle:
         inset=st.integers(0, 5),
         n_shards=st.integers(1, 3),
         fused=st.booleans(),
-        use_model_levels=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_service_shards_and_fusion(
-        self, seed, k, maximize, inset, n_shards, fused, use_model_levels,
+        self, seed, k, maximize, inset, n_shards, fused,
         make_tie_stack, make_random_linear_model,
     ):
         stack = make_tie_stack(40, 48, 3, seed)
@@ -226,13 +225,8 @@ class TestShippedWidthAgainstTheOracle:
                 stack, service.embeddings(), query, region
             )
         else:
-            result = service.top_k(
-                query, n_shards=n_shards, use_model_levels=use_model_levels
-            )
-            want = _oracle(
-                service.engine, query, region,
-                service.engine.prepare_tile_query(query, use_model_levels),
-            )
+            result = service.top_k(query, n_shards=n_shards)
+            want = _oracle(service.engine, query, region, None)
         assert exact_answers(result) == want
 
 

@@ -41,8 +41,7 @@ from repro.models.fuzzy import (
     triangle_membership,
 )
 from repro.models.knowledge import FuzzyRule, KnowledgeModel, RulePredicate
-from repro.exceptions import ModelError
-from repro.models.linear import LinearModel, stacked_interval_batch
+from repro.models.linear import LinearModel
 from repro.service import RetrievalService, SharedTopKHeap
 
 
@@ -267,46 +266,6 @@ class TestIntervalBatch:
             low, high = model.evaluate_interval(box)
             assert batch_low[i] == low
             assert batch_high[i] == high
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_stacked_bitwise_equal_to_per_model(self, data):
-        """The batch executor's stacked bounds must be bitwise equal to
-        each model bounding the boxes on its own — any drift would
-        change frontier ordering between batch and solo searches."""
-        n_attrs = data.draw(st.integers(1, 4))
-        attributes = [f"a{i}" for i in range(n_attrs)]
-        n_models = data.draw(st.integers(1, 6))
-        models = [
-            LinearModel(
-                {
-                    name: data.draw(
-                        st.floats(-3, 3).filter(lambda w: w != 0)
-                    )
-                    for name in attributes
-                },
-                intercept=data.draw(st.floats(-10, 10)),
-            )
-            for _ in range(n_models)
-        ]
-        n = data.draw(st.integers(1, 12))
-        lows, highs = _random_boxes(data, attributes, n)
-        stacked = stacked_interval_batch(models, lows, highs)
-        assert len(stacked) == n_models
-        for model, (stacked_low, stacked_high) in zip(models, stacked):
-            solo_low, solo_high = model.evaluate_interval_batch(
-                lows, highs
-            )
-            assert (stacked_low == solo_low).all()
-            assert (stacked_high == solo_high).all()
-
-    def test_stacked_rejects_mismatched_attribute_orders(self):
-        a = LinearModel({"x": 1.0, "y": 2.0})
-        b = LinearModel({"y": 2.0, "x": 1.0})
-        with pytest.raises(ModelError):
-            stacked_interval_batch([a, b], {}, {})
-        with pytest.raises(ModelError):
-            stacked_interval_batch([], {}, {})
 
     def test_default_fallback_loops_over_scalar(self):
         """Models without a closed form inherit a loop that defers to

@@ -157,7 +157,7 @@ class TestServiceExecution:
         expected = answer_list(
             service.engine.progressive_top_k(query, use_model_levels=False)
         )
-        result = service.top_k(query, n_shards=3, use_model_levels=False)
+        result = service.top_k(query, n_shards=3)
         assert answer_list(result) == expected
         assert result.strategy == "data-progressive-sharded[3]"
 
@@ -221,7 +221,7 @@ class TestQueryCache:
         service = self._service(make_tie_stack, cache_size=8)
         service.top_k(self._query(k=5))
         service.top_k(self._query(k=6))
-        service.top_k(self._query(k=5), use_model_levels=False)
+        service.top_k(self._query(k=5), pruning="heuristic")
         service.top_k(
             TopKQuery(
                 model=LinearModel({"layer0": 2.0, "layer1": 1.0}),

@@ -1,17 +1,15 @@
 """The served tile search scores its leaves densely.
 
 The level cascade reads fewer values but costs the served models wall
-time (DESIGN §6, "Where the cascade pays"), so the service runs the
-tile search without it whatever ``use_model_levels`` asks for, and a
-reply's label names what ran:
+time (DESIGN §6, "Where the cascade pays"), so the service never runs
+it and has no knob to ask for it; a reply's label names what ran:
 
 * a hypothesis differential over random linear models of 1-32 terms,
-  solo and batched, with the knob on and off: every reply is
-  bit-identical to the dense brute force, is labelled
-  ``data-progressive``, and entered no cascade level;
+  solo and batched: every reply is bit-identical to the dense brute
+  force, is labelled ``data-progressive``, and entered no cascade level;
 * a cache hit keeps the label of the search that computed it;
-* the knob is still checked: a knowledge model asking for levels is
-  refused, as before.
+* a knowledge model, which has no cascade, runs on the same defaults,
+  solo and batched.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import TopKQuery
-from repro.exceptions import QueryError
 from repro.metrics.registry import MetricsRegistry
 from repro.models.fuzzy import triangle_membership
 from repro.models.knowledge import FuzzyRule, KnowledgeModel, RulePredicate
@@ -80,35 +77,29 @@ class TestDenseLeavesDifferential:
         k=st.integers(1, 12),
         maximize=st.booleans(),
         region=st.sampled_from([None, (4, 8, 28, 32)]),
-        levels=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_solo_replies_match_the_dense_oracle(
-        self, noise_service, drawn, k, maximize, region, levels
+        self, noise_service, drawn, k, maximize, region
     ):
         stack = noise_service.engine.stack
         query = TopKQuery(
             model=_model(stack, drawn), k=k, maximize=maximize, region=region
         )
-        result = noise_service.top_k(
-            query, use_model_levels=levels, use_cache=False
-        )
+        result = noise_service.top_k(query, use_cache=False)
         _check_reply(noise_service, query, result, "-sharded[")
 
     @given(
         members=st.lists(_models, min_size=2, max_size=4),
         k=st.integers(1, 12),
-        levels=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
     def test_batch_members_match_the_dense_oracle(
-        self, noise_service, members, k, levels
+        self, noise_service, members, k
     ):
         stack = noise_service.engine.stack
         queries = [TopKQuery(model=_model(stack, drawn), k=k) for drawn in members]
-        results = noise_service.top_k_batch(
-            queries, use_model_levels=levels, use_cache=False
-        )
+        results = noise_service.top_k_batch(queries, use_cache=False)
         for query, result in zip(queries, results):
             _check_reply(
                 noise_service, query, result, f"-batch[{len(queries)}]"
@@ -129,26 +120,30 @@ class TestLabelAndKnob:
         assert cold.strategy == "data-progressive-sharded[1]"
         assert hit.strategy == cold.strategy + "-cached"
 
-    def test_levels_are_still_refused_for_a_knowledge_model(
-        self, noise_service
-    ):
-        model = KnowledgeModel(
-            [
-                FuzzyRule(
-                    name="r0",
-                    predicates=(
-                        RulePredicate(
-                            attribute="layer0",
-                            membership=triangle_membership(-1.0, 0.0, 1.0),
-                        ),
+    def test_a_knowledge_model_runs_on_defaults(self, noise_service):
+        """No cascade to refuse: solo and as a batch member, on the
+        defaults, a knowledge model gets the dense brute force."""
+        stack = noise_service.engine.stack
+        rules = [
+            FuzzyRule(
+                name=f"r{index}",
+                predicates=(
+                    RulePredicate(
+                        attribute=f"layer{index}",
+                        membership=triangle_membership(-1.0, 0.0, 1.0),
                     ),
-                )
-            ]
-        )
-        query = TopKQuery(model=model, k=3)
-        with pytest.raises(QueryError, match="use_model_levels=False"):
-            noise_service.top_k(query, use_cache=False)
-        result = noise_service.top_k(
-            query, use_model_levels=False, use_cache=False
-        )
-        assert result.strategy == "data-progressive-sharded[1]"
+                ),
+                weight=1.0 + index,
+            )
+            for index in range(2)
+        ]
+        queries = [
+            TopKQuery(model=KnowledgeModel(rules[:1]), k=3),
+            TopKQuery(model=KnowledgeModel(rules, combination="or"), k=5),
+        ]
+        solo = noise_service.top_k(queries[0], use_cache=False)
+        _check_reply(noise_service, queries[0], solo, "-sharded[1]")
+        for query, member in zip(
+            queries, noise_service.top_k_batch(queries, use_cache=False)
+        ):
+            _check_reply(noise_service, query, member, "-batch[2]")

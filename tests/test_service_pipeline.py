@@ -25,6 +25,7 @@ from repro.core.query import TopKQuery
 from repro.data.raster import RasterLayer, RasterStack
 from repro.exceptions import QueryError
 from repro.metrics.registry import MetricsRegistry
+from repro.models.base import Model
 from repro.models.fuzzy import (
     FuzzyAnd,
     FuzzyOr,
@@ -117,13 +118,10 @@ class TestSoloEqualsBatchOfOne:
         self, stack, answer_list, kind, fused, window, cached
     ):
         query = _query(_model(kind, stack), window, fused)
-        levels = kind == "linear"
         solo_service, batch_service = _service(stack), _service(stack)
         for _ in range(2 if cached else 1):
-            solo = solo_service.top_k(query, use_model_levels=levels)
-            (member,) = batch_service.top_k_batch(
-                [query], use_model_levels=levels
-            )
+            solo = solo_service.top_k(query)
+            (member,) = batch_service.top_k_batch([query])
 
         assert answer_list(member) == answer_list(solo)
         for field in COUNTER_FIELDS:
@@ -153,28 +151,21 @@ class TestSoloEqualsBatchOfOne:
         self, stack, answer_list, kind, fused, window
     ):
         query = _query(_model(kind, stack), window, fused)
-        levels = kind == "linear"
         service = _service(stack)
         service.router.min_onion_cells = 1
-        expected = answer_list(
-            service.top_k(query, use_model_levels=levels, use_cache=False)
-        )
+        expected = answer_list(service.top_k(query, use_cache=False))
         family = [n for n, row in EXECUTORS.items() if row.fused == fused]
         for strategy in ("auto", *family):
             before = (service.stats.queries, _counters(service))
             try:
-                cold = service.top_k(
-                    query, use_model_levels=levels, strategy=strategy
-                )
+                cold = service.top_k(query, strategy=strategy)
             except QueryError:
                 # Onion layers bound linear objectives only: refused by
                 # the route stage, before anything is counted.
                 assert strategy == "onion" and kind != "linear"
                 assert (service.stats.queries, _counters(service)) == before
                 continue
-            hit = service.top_k(
-                query, use_model_levels=levels, strategy=strategy
-            )
+            hit = service.top_k(query, strategy=strategy)
             assert answer_list(cold) == expected, strategy
             assert answer_list(hit) == expected, strategy
             if strategy != "auto":  # auto may route the repeat elsewhere
@@ -240,16 +231,24 @@ class TestAdmission:
         assert len(service.cache) == 0
 
     def test_batch_rejected_while_planning_leaves_them_too(self, stack):
-        """A member only the plan stage can refuse (a knowledge model
-        asked for a level cascade) — after another member already hit."""
+        """A member only the plan stage can refuse (a model the tile
+        search cannot bound) — after another member already hit."""
+
+        class Opaque(Model):
+            attributes = ("layer0",)
+            complexity = 1
+
+            def evaluate(self, attributes):
+                return float(attributes["layer0"])
+
         service = _service(stack)
         good = _query(_model("linear", stack), "whole", fused=False)
         service.top_k(good)
         stats = ServiceStats(queries=1, cache_misses=1)
         counters = _counters(service)
-        bad = _query(_model("knowledge", stack), "whole", fused=False)
-        with pytest.raises(QueryError, match="progressive levels"):
-            service.top_k_batch([good, bad], use_model_levels=True)
+        bad = _query(Opaque(), "whole", fused=False)
+        with pytest.raises(QueryError, match="cannot bound intervals"):
+            service.top_k_batch([good, bad])
         assert service.stats == stats
         assert _counters(service) == counters
 
@@ -270,9 +269,7 @@ class TestPlanOnce:
             _query(linear, "regional", fused=False),  # lone region
             _query(linear, "whole", fused=True),  # fused: runs alone
         ]
-        results = _service(stack).top_k_batch(
-            queries, use_model_levels=[True, False, True, True]
-        )
+        results = _service(stack).top_k_batch(queries)
         assert ["-batch[2]" in r.strategy for r in results] == [
             True, True, False, False
         ]

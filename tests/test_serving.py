@@ -15,7 +15,9 @@ is the expensive part); HTTP servers are per-test (a thread + socket).
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
+import inspect
 import json
 import multiprocessing
 import threading
@@ -34,7 +36,7 @@ from repro.data.store.format import manifest_path
 from repro.exceptions import QueryError
 from repro.metrics.registry import MetricsRegistry, merge_snapshots
 from repro.models.linear import LinearModel
-from repro.service import RetrievalService
+from repro.service import CancellationToken, RetrievalService
 from repro.serving import (
     FleetConfig,
     ProtocolError,
@@ -48,6 +50,9 @@ from repro.serving import (
 from repro.serving import http as serving_http
 from repro.serving.http import TokenBucket
 from repro.serving.protocol import (
+    KNOB_DEFAULTS,
+    MIN_DEADLINE_S,
+    DecodedQuery,
     WorkItem,
     batch_key,
     deadline_remaining_s,
@@ -200,6 +205,32 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             encode_query(TopKQuery(model=_model(1), k=3), turbo=True)
 
+    def test_decode_query_names_a_retired_knob(self):
+        payload = encode_query(TopKQuery(model=_model(1), k=3))
+        payload["use_model_levels"] = True
+        with pytest.raises(ProtocolError, match="use_model_levels"):
+            decode_query(payload)
+
+    def test_wire_knobs_agree_with_the_service(self):
+        """A knob cannot be retired on one side and left on the other:
+        the wire's knobs are ``DecodedQuery``'s and keywords of
+        ``RetrievalService.top_k``, with one default on all three."""
+        decoded = {
+            field.name: field.default
+            for field in dataclasses.fields(DecodedQuery)
+            if field.name != "query"
+        }
+        assert set(KNOB_DEFAULTS) == set(decoded)
+        parameters = inspect.signature(RetrievalService.top_k).parameters
+        for knob, default in KNOB_DEFAULTS.items():
+            assert knob in parameters, knob
+            assert parameters[knob].kind in (
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                inspect.Parameter.KEYWORD_ONLY,
+            ), knob
+            assert decoded[knob] == default, knob
+            assert parameters[knob].default == default, knob
+
     def test_batch_key_groups_by_execution_knobs(self):
         compatible_a = encode_query(TopKQuery(model=_model(1), k=3))
         compatible_b = encode_query(TopKQuery(model=_model(2), k=9))
@@ -212,7 +243,9 @@ class TestProtocol:
     def test_deadline_remaining_clamps_expired(self):
         assert deadline_remaining_s(None) is None
         remaining = deadline_remaining_s(100.0, now=250.0)
-        assert remaining == pytest.approx(1e-4)
+        assert remaining == MIN_DEADLINE_S > 0
+        # No fresh budget: a token over what is left fires at once.
+        assert CancellationToken(deadline_s=remaining).cancelled
         assert deadline_remaining_s(105.0, now=100.0) == pytest.approx(5.0)
 
 
@@ -568,6 +601,16 @@ class TestHttpFrontEnd:
 
     def test_deadline_header_yields_prefix_sound_partial(self, fleet):
         with ServingServer(fleet) as server:
+            # Hold both workers so the 1 ms budget runs out before the
+            # query is dispatched (a query can finish inside it): it
+            # still runs, and stops at its first loop check.
+            sleeps = [
+                fleet.submit(
+                    WorkItem(kind="sleep", request_id=0, payload=0.3),
+                    worker_id=worker_id,
+                )
+                for worker_id in range(2)
+            ]
             query = TopKQuery(model=_model(991), k=40)
             status, body, _ = _post(
                 server,
@@ -575,6 +618,8 @@ class TestHttpFrontEnd:
                 encode_query(query, use_cache=False),
                 headers={"X-Deadline-Ms": "1"},
             )
+            for future in sleeps:
+                future.result(timeout=30)
             assert status == 200
             assert body["complete"] is False
             assert body["strategy"].endswith("-partial")
