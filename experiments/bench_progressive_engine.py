@@ -25,6 +25,12 @@ from repro.synth.terrain import generate_dem
 SHAPE = (512, 512)
 
 
+def _answers(result):
+    """Exact ``(row, col, score)`` answers, best first: every strategy's
+    must equal the scan's, because one arithmetic scores and bounds."""
+    return [(a.row, a.col, a.score) for a in result.answers]
+
+
 def _timed(run, query):
     """``(result, wall_seconds)`` of one engine call."""
     clock = CostCounter()
@@ -56,9 +62,8 @@ class TestEfficiencyModel:
         data_only = engine.progressive_top_k(query, use_model_levels=False)
         both, both_s = _timed(engine.progressive_top_k, query)
 
-        baseline_scores = sorted(round(s, 9) for s in exhaustive.scores)
         for result in (model_only, data_only, both):
-            assert sorted(round(s, 9) for s in result.scores) == baseline_scores
+            assert _answers(result) == _answers(exhaustive)
 
         efficiency = EfficiencyModel.from_ablation(
             exhaustive.counter, model_only.counter, data_only.counter,
@@ -114,13 +119,14 @@ class TestEfficiencyModel:
         """
         report.header("sound envelopes vs heuristic mean+/-margin screening")
         query = TopKQuery(model=model, k=20)
-        truth = set(engine.exhaustive_top_k(query).locations)
+        exhaustive = engine.exhaustive_top_k(query)
+        truth = set(exhaustive.locations)
         sound = engine.progressive_top_k(query)
         report.row(
             mode="sound", work=sound.counter.total_work,
             recall=len(set(sound.locations) & truth) / len(truth),
         )
-        assert len(set(sound.locations) & truth) == len(truth)
+        assert _answers(sound) == _answers(exhaustive)
 
         recalls = []
         for margin in (1.0, 0.8, 0.6, 0.4, 0.2):
@@ -147,9 +153,7 @@ class TestEfficiencyModel:
         for leaf_size in (8, 16, 32, 64):
             sized = RasterRetrievalEngine(engine.stack, leaf_size=leaf_size)
             result = sized.progressive_top_k(query)
-            assert sorted(round(s, 9) for s in result.scores) == sorted(
-                round(s, 9) for s in baseline.scores
-            )
+            assert _answers(result) == _answers(baseline)
             report.row(
                 leaf_size=leaf_size,
                 work=result.counter.total_work,
@@ -234,9 +238,7 @@ class TestEfficiencyModel:
             query = TopKQuery(model=model, k=10)
             exhaustive, scan_s = _timed(engine_n.exhaustive_top_k, query)
             both, both_s = _timed(engine_n.progressive_top_k, query)
-            assert sorted(round(s, 6) for s in both.scores) == sorted(
-                round(s, 6) for s in exhaustive.scores
-            )
+            assert _answers(both) == _answers(exhaustive)
             ratio = (
                 exhaustive.counter.total_work / both.counter.total_work
             )

@@ -248,7 +248,7 @@ class _ScanState:
     Wraps the caller's :class:`BatchQuerySpec` with what the search owns
     (the frontier of ``(-upper, tiebreak, node id)`` entries and its
     tie-break counter), what is fixed per query (the cascade's attribute
-    order and signed tail bounds) and the two things a solo caller may
+    order and favoured range ends) and the two things a solo caller may
     add: a ``fusion`` spec, and an anytime ``work_budget`` whose outcome
     lands in ``regret_bound``.
 
@@ -263,7 +263,7 @@ class _ScanState:
 
     __slots__ = (
         "spec", "fusion", "work_budget", "regret_bound",
-        "model", "sign", "frontier", "tiebreak", "ordered", "signed_tails",
+        "model", "sign", "frontier", "tiebreak", "ordered", "ends",
         "sided",
     )
 
@@ -285,7 +285,7 @@ class _ScanState:
         #: within budget, or the bound at its early stop.
         self.regret_bound = None if work_budget is None else 0.0
         self.model = spec.query.model
-        self.sign = sign = 1.0 if spec.query.maximize else -1.0
+        self.sign = 1.0 if spec.query.maximize else -1.0
         self.frontier: list = []
         self.tiebreak = itertools.count()
         progressive = spec.progressive
@@ -294,14 +294,8 @@ class _ScanState:
             self.ordered = [
                 term.attribute for term in progressive.contributions
             ]
-            #: ``signed_tails[n - 1]``: the most the terms after the
-            #: first ``n`` can still add to a signed partial score.
-            self.signed_tails = [
-                max(sign * tail_low, sign * tail_high)
-                for tail_low, tail_high in map(
-                    progressive._tail_bounds, range(1, len(self.ordered))
-                )
-            ]
+            #: Where a candidate's bound puts its unread attributes.
+            self.ends = progressive.favoured_ends(spec.query.maximize)
 
 
 def _per_depth(depths: np.ndarray):
@@ -324,14 +318,6 @@ def _descending(keys: np.ndarray) -> np.ndarray:
     np.maximum.accumulate(run, out=run)
     shift = order.size.bit_length()
     return np.sort((run << shift) | order) & ((1 << shift) - 1)
-
-
-def _reaches(last: float, tail: float, threshold: float) -> bool:
-    """Whether a whole cascade block passes the level-2 test: its signed
-    level-1 partials descend (NaNs last) and rounding is monotone, so
-    with a finite tail its ``last`` candidate is its weakest. The sum is
-    taken in Python floats: an overflow is infinity, without a warning."""
-    return abs(tail) < np.inf and float(last) + tail >= threshold
 
 
 def _audit_abandoned(
@@ -412,7 +398,7 @@ class _Scan:
 
     def one_sided(self, state: _ScanState):
         """Per term of a plain linear model, the ``envelope_table`` row of
-        the side ``state`` reads, and the weights; ``None`` where
+        the side ``state`` reads, and the attribute names; ``None`` where
         :meth:`bounds` must serve (fusion blends both sides)."""
         model, names = state.model, self.screen.attributes
         if state.fusion is not None or self.margin is not None or (
@@ -420,10 +406,10 @@ class _Scan:
             or not set(model.attributes) <= set(names)
         ):
             return None
-        weights = list(model.coefficients.values())
+        weights = np.array(list(model.coefficients.values()))
         rows = np.array([names.index(name) for name in model.attributes])
-        rows += len(names) * ((np.array(weights) >= 0) == (state.sign > 0))
-        return rows[:, None], weights
+        rows += len(names) * ((weights >= 0) == (state.sign > 0))
+        return rows[:, None], model.attributes
 
     def leaf_cells(self, ids: np.ndarray):
         """``(flat, sizes)`` of the leaves ``ids``: their windows,
@@ -935,19 +921,18 @@ class RasterRetrievalEngine:
         One block evaluation replaces scalar interval calls; charged as
         ``len(ids)`` scalar boundings (one aggregate-node visit per
         attribute per node, one partial model evaluation per node).
-        ``sided`` terms accumulate one side, as
-        ``evaluate_interval_batch`` does it.
+        ``sided`` terms read one side: the model's own
+        ``evaluate_batch`` at the corner of each node's box the query
+        favours, the side of ``evaluate_interval_batch`` it reads.
         """
         counter = state.spec.counter
         counter.add_nodes(len(ids) * len(self.screen.attributes))
         counter.add_partial_evals(len(ids), flops_each=state.model.complexity)
         if state.sided is not None:
-            rows, weights = state.sided
-            bound = state.model.intercept
-            for weight, side in zip(
-                weights, scan.screen.envelope_table[rows, ids]
-            ):
-                bound = bound + weight * side
+            rows, names = state.sided
+            bound = state.model.evaluate_batch(
+                dict(zip(names, scan.screen.envelope_table[rows, ids]))
+            )
             return bound if state.sign > 0 else -bound
         low, high = scan.bounds(state.model, ids)
         if state.fusion is not None:
@@ -999,33 +984,33 @@ class RasterRetrievalEngine:
             heap.offer_block(sign * scores, *np.divmod(flat, scan.width))
             return
 
-        # Level cascade: evaluate one contribution-ordered term at a time,
-        # pruning candidates whose best completion cannot reach the K-th
-        # best signed score. After level 1, candidates are processed in
-        # descending partial-score order ("more complete model on the
-        # regions predicted high risk sooner", Section 3.1), a block at a
-        # time: the heap fills with strong scores early, so later blocks
-        # prune after reading only the first attribute. Counts depend on
-        # which cells share a block, so ties keep index order. Partial
-        # sums accumulate in contribution order — the arithmetic the
-        # ``both-*`` labels promise (ROADMAP 2a changes the offered value).
-        coefficients = model.coefficients
-        ordered, signed_tails = state.ordered, state.signed_tails
+        # Level cascade: read one contribution-ordered attribute at a
+        # time, pruning candidates whose bound cannot reach the K-th best
+        # signed score. A bound is the score's own expression over the
+        # attributes read so far, each unread one at its favoured range
+        # end (``state.ends``): sound because rounding is monotone, and
+        # the score itself once every attribute is read. After level 1,
+        # candidates are processed in descending bound order ("more
+        # complete model on the regions predicted high risk sooner",
+        # Section 3.1), a block at a time: the heap fills with strong
+        # scores early, so later blocks prune after reading only the
+        # first attribute. Counts depend on which cells share a block, so
+        # ties keep index order.
+        ordered, ends = state.ordered, state.ends
         audit.enter_level(1, flat.size)
-        values = stack[ordered[0]].take(flat)
-        counter.add_data_points(values.size)
-        partial = model.intercept + coefficients[ordered[0]] * values
-        counter.add_partial_evals(values.size, flops_each=2)
+        first = stack[ordered[0]].take(flat)
+        counter.add_data_points(first.size)
+        counter.add_partial_evals(first.size, flops_each=2)
+        signed = sign * model.evaluate_batch({**ends, ordered[0]: first})
         if len(ordered) == 1:
-            heap.offer_block(sign * partial, *np.divmod(flat, scan.width))
+            heap.offer_block(signed, *np.divmod(flat, scan.width))
             return
 
         # Laid out once in that order, so every block is a slice.
-        signed = sign * partial
         order = _descending(signed)
-        partial, flat, signed = partial[order], flat[order], signed[order]
+        flat, first, signed = flat[order], first[order], signed[order]
         levels = [
-            (level, stack[name], coefficients[name], signed_tails[level - 2])
+            (level, name, stack[name])
             for level, name in enumerate(ordered[1:], start=2)
         ]
         block_size = max(4 * spec.query.k, 256)
@@ -1038,30 +1023,31 @@ class RasterRetrievalEngine:
             stop = min(start + block_size, flat.size)
             # Every remaining candidate's bound is at most the block
             # leader's; once that falls below the K-th best, stop.
-            if full and signed[start] + signed_tails[0] < threshold:
+            if full and signed[start] < threshold:
                 audit.prune_at_level(1, flat.size - start)
                 break
-            cells, sums = flat[start:stop], partial[start:stop]
-            screen = full and not _reaches(
-                signed[stop - 1], signed_tails[0], threshold
-            )
-            for level, layer, coefficient, tail in levels:
+            cells, bound = flat[start:stop], signed[start:stop]
+            columns = {ordered[0]: first[start:stop]}
+            # The block's last bound is its weakest (NaNs sort last):
+            # when it reaches the K-th best, every candidate does.
+            screen = full and not signed[stop - 1] >= threshold
+            for level, name, layer in levels:
                 if screen:
-                    # ``tail - sums`` is ``-sums + tail`` bit for bit.
-                    upper = sums + tail if sign > 0 else tail - sums
-                    keep = upper >= threshold
+                    keep = bound >= threshold
                     kept = int(np.count_nonzero(keep))
                     if kept < cells.size:
                         audit.prune_at_level(level - 1, cells.size - kept)
                         if not kept:
                             break
-                        cells, sums = cells[keep], sums[keep]
+                        cells = cells[keep]
+                        columns = {n: v[keep] for n, v in columns.items()}
                 audit.enter_level(level, cells.size)
                 read += cells.size
-                sums = sums + coefficient * layer.take(cells)
+                columns[name] = layer.take(cells)
+                bound = sign * model.evaluate_batch({**ends, **columns})
                 screen = full
             else:
-                heap.offer_block(sign * sums, *np.divmod(cells, scan.width))
+                heap.offer_block(bound, *np.divmod(cells, scan.width))
                 full, threshold = heap.full, heap.threshold
         counter.add_data_points(read)
         counter.add_partial_evals(read, flops_each=2)

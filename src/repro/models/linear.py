@@ -83,71 +83,66 @@ class LinearModel(Model):
         return total
 
     def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        arrays = []
+        """:meth:`evaluate` over column arrays, element by element.
+
+        The one linear arithmetic: terms are added to the intercept one
+        at a time in coefficient order, so element ``i`` is bitwise the
+        scalar score of row ``i``, and every bound the engine prunes
+        with is this expression at an envelope corner. A column may be
+        a scalar, broadcast against the others.
+        """
+        total = self.intercept
         for attr_name, weight in self._coefficients.items():
             try:
-                arrays.append(weight * np.asarray(columns[attr_name], dtype=float))
+                column = columns[attr_name]
             except KeyError:
                 raise ModelError(
                     f"model {self.name!r} needs attribute {attr_name!r}"
                 ) from None
-        return self.intercept + np.sum(arrays, axis=0)
+            total = total + weight * np.asarray(column, dtype=float)
+        return total
 
-    def evaluate_interval(
-        self, intervals: Mapping[str, tuple[float, float]]
-    ) -> tuple[float, float]:
-        """Exact bounds: positive weights take the interval as-is, negative
-        weights swap endpoints. For a linear form these bounds are tight."""
-        low = high = self.intercept
+    def corners(self, lows, highs) -> tuple[dict, dict]:
+        """The low and high corners of a box: per attribute, the end of
+        its interval that lowers (raises) its term. Rounding is monotone
+        in each operand, so :meth:`evaluate_batch` at them bounds every
+        point of the box."""
+        low, high = {}, {}
         for attr_name, weight in self._coefficients.items():
             try:
-                attr_low, attr_high = intervals[attr_name]
+                attr_low, attr_high = lows[attr_name], highs[attr_name]
             except KeyError:
                 raise ModelError(
                     f"interval for attribute {attr_name!r} missing"
                 ) from None
-            if attr_low > attr_high:
-                raise ModelError(
-                    f"invalid interval for {attr_name!r}: ({attr_low}, {attr_high})"
-                )
+            if np.any(attr_low > attr_high):
+                raise ModelError(f"invalid interval for {attr_name!r}")
             if weight >= 0:
-                low += weight * attr_low
-                high += weight * attr_high
+                low[attr_name], high[attr_name] = attr_low, attr_high
             else:
-                low += weight * attr_high
-                high += weight * attr_low
-        return (low, high)
+                low[attr_name], high[attr_name] = attr_high, attr_low
+        return low, high
+
+    def evaluate_interval(
+        self, intervals: Mapping[str, tuple[float, float]]
+    ) -> tuple[float, float]:
+        """Exact bounds: the score at the box's :meth:`corners`; for a
+        linear form they are tight."""
+        lows = {name: bounds[0] for name, bounds in intervals.items()}
+        highs = {name: bounds[1] for name, bounds in intervals.items()}
+        low, high = self.corners(lows, highs)
+        return (self.evaluate(low), self.evaluate(high))
 
     def evaluate_interval_batch(
         self,
         low_columns: Mapping[str, np.ndarray],
         high_columns: Mapping[str, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`evaluate_interval` over parallel boxes.
-
-        Accumulates term-by-term in coefficient order from the scalar
-        intercept — the same left-to-right float additions as the scalar
-        path — so each element is bitwise-identical to the scalar bound
-        for its box. Columns must be float64 arrays; none is copied.
-        """
-        low = high = self.intercept
-        for attr_name, weight in self._coefficients.items():
-            try:
-                attr_low = low_columns[attr_name]
-                attr_high = high_columns[attr_name]
-            except KeyError:
-                raise ModelError(
-                    f"interval for attribute {attr_name!r} missing"
-                ) from None
-            if (attr_low > attr_high).any():
-                raise ModelError(f"invalid interval for {attr_name!r}")
-            if weight >= 0:
-                low = low + weight * attr_low
-                high = high + weight * attr_high
-            else:
-                low = low + weight * attr_high
-                high = high + weight * attr_low
-        return (low, high)
+        """Vectorized :meth:`evaluate_interval` over parallel boxes:
+        :meth:`evaluate_batch` at the low and the high corners, so each
+        element is bitwise the scalar bound for its box."""
+        low, high = self.corners(low_columns, high_columns)
+        return (self.evaluate_batch(low), self.evaluate_batch(high))
 
     def weight_vector(self, order: tuple[str, ...] | None = None) -> np.ndarray:
         """Coefficients as an array in the given (or natural) order.
@@ -159,17 +154,6 @@ class LinearModel(Model):
             return np.array([self._coefficients[name] for name in order])
         except KeyError as exc:
             raise ModelError(f"unknown attribute in order: {exc}") from None
-
-    def restricted_to(self, names: tuple[str, ...]) -> "LinearModel":
-        """Sub-model using only the named terms (intercept kept)."""
-        missing = [n for n in names if n not in self._coefficients]
-        if missing:
-            raise ModelError(f"unknown attributes {missing}")
-        return LinearModel(
-            {n: self._coefficients[n] for n in names},
-            intercept=self.intercept,
-            name=f"{self.name}[{len(names)} terms]",
-        )
 
     def __repr__(self) -> str:
         terms = " + ".join(

@@ -8,10 +8,11 @@ relative contribution of each parameter to the overall model."*
 :func:`analyze_contributions` measures per-term contribution as
 ``|ai| * spread(Xi)`` (a coefficient only matters relative to its
 attribute's dynamic range). :class:`ProgressiveLinearModel` orders terms by
-contribution and exposes *levels*: level k evaluates the top-k terms and
-bounds the rest from attribute intervals, so partial evaluations still
-yield sound score bounds — the property that lets the engine prune with a
-coarse model without missing answers.
+contribution and exposes *levels*: level k reads the top-k terms and
+sets every other attribute to the end of its archive range that favours
+the query (:meth:`ProgressiveLinearModel.favoured_ends`), so a partial
+evaluation is still a sound score bound — the property that lets the
+engine prune with a coarse model without missing answers.
 
 The paper explicitly contrasts this with classical query planning (most
 *selective* first); the planner ablation benchmark compares both orders.
@@ -25,7 +26,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.models.base import AttributeVector
 from repro.models.linear import LinearModel
 
 
@@ -85,10 +85,11 @@ def analyze_contributions(
 class ProgressiveLinearModel:
     """A linear model decomposed into contribution-ordered levels.
 
-    Level ``k`` (1-based, up to the number of terms) evaluates the ``k``
-    highest-contribution terms exactly and brackets the remaining terms
-    using per-attribute value intervals, producing a sound (low, high)
-    score interval for each candidate. Level ``n_terms`` degenerates to
+    Level ``k`` (1-based, up to the number of terms) reads the ``k``
+    highest-contribution attributes and bounds the remaining terms from
+    per-attribute archive ranges: the engine's cascade scores a candidate
+    with the unread attributes at their :meth:`favoured_ends`, and the
+    planner reads each level's :meth:`uncertainty`. Level ``n_terms`` is
     exact evaluation.
 
     Parameters
@@ -142,18 +143,6 @@ class ProgressiveLinearModel:
         """Number of progressive levels (== number of terms)."""
         return len(self._ordered_names)
 
-    def level_attributes(self, level: int) -> tuple[str, ...]:
-        """Attributes evaluated exactly at the given 1-based level."""
-        if not 1 <= level <= self.n_levels:
-            raise ModelError(
-                f"level {level} outside 1..{self.n_levels}"
-            )
-        return self._ordered_names[:level]
-
-    def level_model(self, level: int) -> LinearModel:
-        """The truncated model ``R*`` for a level (paper's coarse model)."""
-        return self.model.restricted_to(self.level_attributes(level))
-
     def _tail_bounds(self, level: int) -> tuple[float, float]:
         """Sound (low, high) of the terms *not* evaluated at ``level``."""
         coefficients = self.model.coefficients
@@ -169,32 +158,23 @@ class ProgressiveLinearModel:
                 high += weight * attr_low
         return (low, high)
 
-    def evaluate_level(
-        self, level: int, attributes: AttributeVector
-    ) -> tuple[float, float]:
-        """Partial evaluation: exact top-``level`` terms + bounded tail.
+    def favoured_ends(self, maximize: bool = True) -> dict[str, float]:
+        """Each attribute at the end of its archive range that favours
+        the objective: the one that raises its term when maximizing,
+        lowers it when minimizing.
 
-        Returns a (low, high) interval guaranteed to contain the full
-        model's score for any completion of the unevaluated attributes
-        within their global ranges.
+        ``model.evaluate_batch`` over these, with the attributes read so
+        far in place of theirs, is a level's bound: it is the score's own
+        expression, and rounding is monotone in each operand, so no
+        completion within the ranges scores past it — and with every
+        attribute read it is the score.
         """
-        partial = self.level_model(level).evaluate(attributes)
-        tail_low, tail_high = self._tail_bounds(level)
-        return (partial + tail_low, partial + tail_high)
-
-    def evaluate_level_batch(
-        self, level: int, columns: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`evaluate_level` over column arrays."""
-        partial = self.level_model(level).evaluate_batch(columns)
-        tail_low, tail_high = self._tail_bounds(level)
-        return (partial + tail_low, partial + tail_high)
-
-    def level_complexity(self, level: int) -> int:
-        """Operations per candidate at a level (2 per evaluated term)."""
-        if not 1 <= level <= self.n_levels:
-            raise ModelError(f"level {level} outside 1..{self.n_levels}")
-        return 2 * level
+        ranges = self.attribute_ranges
+        low, high = self.model.corners(
+            {name: ends[0] for name, ends in ranges.items()},
+            {name: ends[1] for name, ends in ranges.items()},
+        )
+        return high if maximize else low
 
     def uncertainty(self, level: int) -> float:
         """Width of the tail bound at a level (0 at the final level).

@@ -219,8 +219,9 @@ class _Request:
 
 def _plan_label(request: _Request) -> str:
     """The plan that ran: the service's tile search scores leaves
-    densely, and a reply checker picks its arithmetic from the label
-    (``both`` would mean the engine's level cascade)."""
+    densely (``both`` would mean the engine's level cascade). The label
+    names the plan only: every plan scores and bounds in one arithmetic,
+    so checking a reply needs no arithmetic read off it."""
     return request.resolved if request.fusion is not None else "data-progressive"
 
 

@@ -71,20 +71,29 @@ def wave_width_one(monkeypatch):
 def make_tie_stack():
     """Factory for stacks with heavy score-tie structure.
 
-    Small-integer layers force score ties at the K boundary, exercising
-    the deterministic smallest-``(row, col)`` tie-break across
-    strategies, shard counts, and batch membership.
+    Few distinct values per layer force score ties at the K boundary,
+    exercising the deterministic smallest-``(row, col)`` tie-break
+    across strategies, shard counts, and batch membership. By default
+    the values are the integers 0-2 (exact arithmetic); ``reals=n``
+    draws ``n`` two-decimal values instead, shared by every layer, so
+    scores tie exactly while every sum rounds — the case where a bound
+    and the score it covers must be one expression.
     """
 
     def _make_tie_stack(
-        rows: int, cols: int, n_layers: int, seed: int
+        rows: int, cols: int, n_layers: int, seed: int, reals: int = 0
     ) -> RasterStack:
         generator = np.random.default_rng(seed)
+        if reals:
+            choices = np.round(generator.normal(0, 3, reals), 2)
         stack = RasterStack()
         for index in range(n_layers):
-            values = generator.integers(
-                0, 3, size=(rows, cols)
-            ).astype(float)
+            if reals:
+                values = generator.choice(choices, (rows, cols))
+            else:
+                values = generator.integers(
+                    0, 3, size=(rows, cols)
+                ).astype(float)
             stack.add(RasterLayer(f"layer{index}", values))
         return stack
 

@@ -10,9 +10,10 @@ from first principles. The production paths must match these bitwise:
   the reference for :class:`repro.index.vector.FlatIPIndex`.
 * :func:`exhaustive_fused` — score every cell of a region as
   ``alpha * model + (1 - alpha) * cosine`` and rank, plus the exact
-  counter dict the service's ``embed-scan`` strategy must produce.
-* :func:`exhaustive_cascade` — the same dense ranking under the level
-  cascade's contribution-order summation.
+  counter dict the service's ``embed-scan`` strategy must produce. It
+  is the reference for every linear tile search too, cascade included:
+  one arithmetic scores and bounds, so every strategy's reply equals it
+  bit for bit, real-valued ties and all.
 * :func:`table_top_k` — dense linear top-K over a table's rows, the
   reference for :class:`repro.index.onion.OnionIndex` at every depth.
 * :func:`hull_layers_per_point` — convex-hull peeling that re-derives
@@ -30,11 +31,14 @@ from first principles. The production paths must match these bitwise:
   .TailSampler` (which keeps the window ordered as it goes) must hold
   the same threshold at every step.
 
-The oracles reuse the library's *scoring* primitives (term-order inner
-products, the fusion blend) on purpose — the bitwise contract is about
+The oracles reuse the library's *scoring* primitives (``evaluate_batch``,
+the fusion blend) on purpose — the bitwise contract is about
 search/pruning/tie-break machinery, and sharing the leaf arithmetic is
 what makes "bit-identical" a meaningful demand rather than a tolerance
-in disguise. The *ranking* is independent: lexsort, no heaps.
+in disguise. There is one linear arithmetic: every bound the engine
+prunes with is ``evaluate_batch`` at a corner of the box it bounds, so a
+bound never sits below a score it covers. The *ranking* is independent:
+lexsort, no heaps.
 """
 
 from __future__ import annotations
@@ -147,33 +151,6 @@ def exhaustive_fused(
             + n_cells * BLEND_FLOPS
         )
     return answers, expected
-
-
-def exhaustive_cascade(
-    stack, progressive, query, region: tuple[int, int, int, int]
-) -> list[tuple[int, int, float]]:
-    """Reference answers under the level cascade's arithmetic.
-
-    The ``both`` / ``model-progressive`` strategies sum a linear model's
-    terms one at a time in *contribution order* (``progressive`` is the
-    query's :class:`ProgressiveLinearModel`), which can differ from
-    ``evaluate_batch`` in the last ulp; this scores every cell of
-    ``region`` that way and ranks with :func:`rank_top_k`.
-    """
-    row0, col0, row1, col1 = region
-    model = query.model
-    scores = model.intercept
-    for term in progressive.contributions:
-        window = stack[term.attribute].read_window(row0, col0, row1, col1, None)
-        scores = scores + model.coefficients[term.attribute] * window
-    scores = scores.reshape(-1)
-    sign = 1.0 if query.maximize else -1.0
-    flat = np.arange(scores.size)
-    ranked = rank_top_k(
-        sign * scores, row0 + flat // (col1 - col0),
-        col0 + flat % (col1 - col0), query.k,
-    )
-    return [(cell[0], cell[1], sign * signed) for signed, cell in ranked]
 
 
 def table_top_k(

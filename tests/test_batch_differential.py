@@ -381,7 +381,7 @@ class TestRetirement:
                     for name in model.attributes
                 }
             )
-            assert answer.score == pytest.approx(exact, abs=1e-12)
+            assert answer.score == exact
         # Survivors are bit-exact, counters included.
         for index in (0, 2, 3):
             _assert_bit_identical(

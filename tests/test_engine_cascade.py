@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import (
@@ -24,7 +24,6 @@ from repro.core.engine import (
     RasterRetrievalEngine,
     TopKHeap,
     _descending,
-    _reaches,
     _Scan,
     _ScanState,
 )
@@ -37,7 +36,7 @@ from repro.models.linear import LinearModel
 from repro.service import RetrievalService
 from repro.synth.landsat import generate_scene
 from repro.synth.terrain import generate_dem
-from tests.oracles import COUNTER_FIELDS, exact_answers, exhaustive_cascade
+from tests.oracles import COUNTER_FIELDS, exact_answers, exhaustive_fused
 
 SHAPE = (256, 256)
 #: The paper's HPS weights with two signs flipped: level 1 (band 4)
@@ -255,14 +254,11 @@ def engine():
 
 
 def _oracle(engine, query, k=None):
-    """Exact answers of ``query`` (to depth ``k``) under the cascade's
-    arithmetic."""
+    """Exact answers of ``query`` (to depth ``k``), scored densely."""
     region = query.clip_region(SHAPE)
     if k is not None:
         query = dataclasses.replace(query, k=k)
-    return exhaustive_cascade(
-        engine.stack, engine.prepare_tile_query(query), query, region
-    )
+    return exhaustive_fused(engine.stack, None, query, region)[0]
 
 
 def _pinned(cells, counter, audit, expected):
@@ -350,47 +346,6 @@ class TestDescendingOrder:
         assert np.array_equal(
             _descending(keys), np.argsort(-keys, kind="stable")
         )
-
-
-class TestMonotoneFirstLevel:
-    @given(
-        partials=st.lists(
-            st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]),
-            min_size=1, max_size=300,
-        )
-        | st.lists(st.floats(), min_size=1, max_size=300),
-        maximize=st.booleans(),
-        tail=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.5])
-        | st.floats(allow_nan=False),
-        threshold=st.integers(0, 299) | st.floats(allow_nan=False),
-    )
-    @example(
-        partials=[float("inf"), 1.0], maximize=True, tail=float("-inf"),
-        threshold=float("-inf"),
-    ).via("an infinite partial meets an infinite tail in a NaN")
-    @settings(max_examples=300, deadline=None)
-    def test_decides_as_the_elementwise_test(
-        self, partials, maximize, tail, threshold
-    ):
-        """A block as the cascade lays it out — signed level-1 partials
-        in descending order — passes whole by the shortcut exactly when
-        every candidate passes the elementwise level-2 test (for a
-        finite tail; an infinite one always takes the elementwise
-        test). An integer ``threshold`` picks a candidate's own bound,
-        so ties at the threshold are common."""
-        partial = np.array(partials)
-        sign = 1.0 if maximize else -1.0
-        signed = sign * partial
-        order = _descending(signed)
-        partial, signed = partial[order], signed[order]
-        with np.errstate(invalid="ignore", over="ignore"):
-            upper = partial + tail if maximize else tail - partial
-        if isinstance(threshold, int):
-            threshold = float(upper[threshold % upper.size])
-            assume(not np.isnan(threshold))
-        everyone = bool((upper >= threshold).all())
-        shortcut = _reaches(signed[-1], tail, threshold)
-        assert shortcut == (everyone and np.isfinite(tail))
 
 
 class TestFlatLeafCells:
@@ -516,6 +471,6 @@ class TestShardedHeapMeetsTheBlockThreshold:
             maximize=maximize, region=region,
         )
         result = service.top_k(query)
-        assert exact_answers(result) == exhaustive_cascade(
-            stack, service.engine.prepare_tile_query(query), query, region
-        )
+        assert exact_answers(result) == exhaustive_fused(
+            stack, None, query, region
+        )[0]

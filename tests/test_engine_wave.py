@@ -19,11 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.oracles import (
-    exact_answers,
-    exhaustive_cascade,
-    exhaustive_fused,
-)
+from tests.oracles import exact_answers, exhaustive_fused
 from repro.core import engine as engine_module
 from repro.core import screening
 from repro.core.engine import BatchQuerySpec, RasterRetrievalEngine
@@ -44,10 +40,8 @@ WIDTHS = (1, 2, 7, 64)
 ALL_WIDTHS = WIDTHS + (engine_module.WAVE_WIDTH,)
 
 
-def _oracle(engine, query, region, progressive):
-    if progressive is None:
-        return exhaustive_fused(engine.stack, None, query, region)[0]
-    return exhaustive_cascade(engine.stack, progressive, query, region)
+def _oracle(engine, query, region):
+    return exhaustive_fused(engine.stack, None, query, region)[0]
 
 
 def _spec_answers(spec: BatchQuerySpec):
@@ -170,8 +164,8 @@ class TestShippedWidthAgainstTheOracle:
         make_tie_stack, make_noise_stack, make_random_linear_model,
     ):
         """Off-grid regions (multi-node root covers), heavy ties, k up
-        to more than the region holds: the solo search returns the
-        brute-force ranking under its own arithmetic, and every member
+        to more than the region holds: the solo search, cascade or
+        dense, returns the brute-force ranking bit for bit, and every member
         of a shared scan equals its solo search in heap, counters and
         audit."""
         make = make_tie_stack if ties else make_noise_stack
@@ -191,9 +185,7 @@ class TestShippedWidthAgainstTheOracle:
         for query, spec in zip(queries, specs):
             solo = _solo(engine, query, region, use_model_levels)
             assert _outcome(spec) == _outcome(solo)
-            assert _spec_answers(solo) == _oracle(
-                engine, query, region, solo.progressive
-            )
+            assert _spec_answers(solo) == _oracle(engine, query, region)
 
     @given(
         seed=st.integers(0, 300),
@@ -226,7 +218,7 @@ class TestShippedWidthAgainstTheOracle:
             )
         else:
             result = service.top_k(query, n_shards=n_shards)
-            want = _oracle(service.engine, query, region, None)
+            want = _oracle(service.engine, query, region)
         assert exact_answers(result) == want
 
 
@@ -313,9 +305,8 @@ class TestAuditAndStopsAtAnyWidth:
         # Prefix-sound: every returned score is that cell's exact score.
         exact = dict(
             ((row, col), score)
-            for row, col, score in exhaustive_cascade(
-                stack, spec.progressive,
-                dataclasses.replace(query, k=70 * 90), region,
+            for row, col, score in _oracle(
+                engine, dataclasses.replace(query, k=70 * 90), region
             )
         )
         for row, col, score in _spec_answers(spec):
@@ -345,10 +336,8 @@ class TestAuditAndStopsAtAnyWidth:
             assert result.regret_bound == float("inf")
             return
         # The bound covers every location the search did not return.
-        progressive = engine.prepare_tile_query(query)
-        ranked = exhaustive_cascade(
-            stack, progressive, dataclasses.replace(query, k=70 * 90),
-            (0, 0, 70, 90),
+        ranked = _oracle(
+            engine, dataclasses.replace(query, k=70 * 90), (0, 0, 70, 90)
         )
         returned = {(a.row, a.col) for a in result.answers}
         best_missed = max(
@@ -376,9 +365,7 @@ class TestWidthNeverChangesAnswers:
             spec = _solo(engine, query, region, use_model_levels)
             ranked[width] = spec.heap.ranked()
         assert len({repr(answers) for answers in ranked.values()}) == 1
-        assert _spec_answers(spec) == _oracle(
-            engine, query, region, spec.progressive
-        )
+        assert _spec_answers(spec) == _oracle(engine, query, region)
 
 
 class TestRefreshWritesThroughTheFlatTables:
@@ -493,10 +480,7 @@ class TestRefreshWritesThroughTheFlatTables:
         assert [(a.row, a.col) for a in after.answers] == [
             (70, 70), (70, 71), (70, 72)
         ] or {a.row for a in after.answers} == {70}
-        progressive = engine.prepare_tile_query(query)
-        assert exact_answers(after) == exhaustive_cascade(
-            stack, progressive, query, (0, 0, 128, 128)
-        )
+        assert exact_answers(after) == _oracle(engine, query, (0, 0, 128, 128))
 
 
 class TestTheWaveBatches:
@@ -539,9 +523,7 @@ class TestTheWaveBatches:
         monkeypatch.setattr(RasterLayer, "take", take)
         query = TopKQuery(model=model, k=10)
         result = engine.progressive_top_k(query)
-        assert exact_answers(result) == exhaustive_cascade(
-            stack, engine.prepare_tile_query(query), query, (0, 0) + shape
-        )
+        assert exact_answers(result) == _oracle(engine, query, (0, 0) + shape)
         assert 0 < calls["bounds"] <= 24
         assert 0 < calls["gathers"] <= 120
         assert calls["cells"] == result.counter.data_points

@@ -58,27 +58,15 @@ class TestAnalyzeContributions:
 
 
 class TestProgressiveLevels:
-    def test_level_attributes_nest(self):
-        progressive = _progressive()
-        for level in range(1, progressive.n_levels):
-            smaller = set(progressive.level_attributes(level))
-            larger = set(progressive.level_attributes(level + 1))
-            assert smaller < larger
-
-    def test_level_bounds_checked(self):
-        progressive = _progressive()
-        with pytest.raises(ModelError):
-            progressive.level_attributes(0)
-        with pytest.raises(ModelError):
-            progressive.level_attributes(99)
-
     def test_final_level_is_exact(self):
+        """With every attribute read, no favoured end is left: the
+        bound is the score, bit for bit, in both directions."""
         progressive = _progressive()
-        point = {name: 3.0 for name in _model().attributes}
-        low, high = progressive.evaluate_level(progressive.n_levels, point)
+        point = {name: 3.1 for name in _model().attributes}
         exact = _model().evaluate(point)
-        assert low == pytest.approx(exact)
-        assert high == pytest.approx(exact)
+        for maximize in (True, False):
+            ends = progressive.favoured_ends(maximize)
+            assert _model().evaluate({**ends, **point}) == exact
 
     def test_uncertainty_shrinks_with_level(self):
         progressive = _progressive()
@@ -88,11 +76,6 @@ class TestProgressiveLevels:
         ]
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] == 0.0
-
-    def test_level_complexity_grows_linearly(self):
-        progressive = _progressive()
-        assert progressive.level_complexity(1) == 2
-        assert progressive.level_complexity(3) == 6
 
     def test_contributions_must_cover_model(self):
         model = _model()
@@ -111,8 +94,11 @@ class TestBoundSoundness:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_partial_bounds_contain_full_score(self, data):
-        """Level-k intervals must contain the exact score of any point
-        whose attributes lie within the declared ranges."""
+        """At every level, the score over the attributes read so far
+        with the rest at their favoured ends bounds the exact score of
+        any point whose attributes lie within the declared ranges — with
+        no tolerance: it is the score's own expression, and rounding is
+        monotone."""
         n_attrs = data.draw(st.integers(1, 5))
         names = [f"x{i}" for i in range(n_attrs)]
         coefficients = {
@@ -133,22 +119,30 @@ class TestBoundSoundness:
             model, analyze_contributions(model), ranges
         )
         exact = model.evaluate(point)
+        order = [term.attribute for term in progressive.contributions]
+        high_ends = progressive.favoured_ends(maximize=True)
+        low_ends = progressive.favoured_ends(maximize=False)
         for level in range(1, progressive.n_levels + 1):
-            low_bound, high_bound = progressive.evaluate_level(level, point)
-            assert low_bound - 1e-7 <= exact <= high_bound + 1e-7
+            read = {name: point[name] for name in order[:level]}
+            low_bound = model.evaluate({**low_ends, **read})
+            high_bound = model.evaluate({**high_ends, **read})
+            assert low_bound <= exact <= high_bound
 
     def test_batch_matches_scalar(self):
+        """A level's bound over column arrays, unread attributes
+        broadcast from their ends, is the scalar bound bit for bit."""
         progressive = _progressive()
+        model = _model()
         rng = np.random.default_rng(1)
         columns = {
-            name: rng.uniform(0, 10, 20) for name in _model().attributes
+            name: rng.uniform(0, 10, 20) for name in model.attributes
         }
-        for level in (1, 2, 4):
-            low_batch, high_batch = progressive.evaluate_level_batch(
-                level, columns
-            )
-            for i in range(20):
-                point = {name: columns[name][i] for name in columns}
-                low, high = progressive.evaluate_level(level, point)
-                assert low_batch[i] == pytest.approx(low)
-                assert high_batch[i] == pytest.approx(high)
+        order = [term.attribute for term in progressive.contributions]
+        for maximize in (True, False):
+            ends = progressive.favoured_ends(maximize)
+            for level in (1, 2, 4):
+                read = {name: columns[name] for name in order[:level]}
+                batch = model.evaluate_batch({**ends, **read})
+                for i in range(20):
+                    point = {name: read[name][i] for name in read}
+                    assert batch[i] == model.evaluate({**ends, **point})
