@@ -90,10 +90,11 @@ class TopKHeap:
     among score-equals the largest cell — which makes the eviction
     comparison in :meth:`offer` implement the rule directly.
 
-    :mod:`repro.service` shares one (lock-wrapped) instance across
-    concurrent shard searches; because pruning compares strictly against
-    :attr:`threshold`, a threshold raised early by another shard only
-    tightens pruning and never changes the final answer set.
+    :mod:`repro.service` shares one (lock-wrapped) instance across the
+    concurrent shard searches of a query split into row bands; because
+    pruning compares strictly against :attr:`threshold`, a threshold
+    raised early by another shard only tightens pruning and never
+    changes the final answer set.
     """
 
     def __init__(self, k: int) -> None:
@@ -122,7 +123,29 @@ class TopKHeap:
         Produces exactly the heap state per-cell :meth:`offer` calls
         would (the kept set is the k largest ``(score, (-row, -col))``
         tuples ever offered, which is order-independent), but prefilters
-        in NumPy before any Python-level push:
+        in NumPy (:meth:`_contenders`) before any Python-level push.
+        """
+        kept = self._contenders(scores, rows, cols)
+        if kept is not None:
+            self._push(*kept)
+
+    def offer_cells(
+        self, scores: np.ndarray, flat: np.ndarray, width: int,
+        origin: tuple[int, int] = (0, 0),
+    ) -> None:
+        """:meth:`offer_block` of cells given as flat ids ``row * width +
+        col`` of a grid whose cell 0 is ``origin``: the same prefilter,
+        then ``(row, col)`` decoded for the survivors only."""
+        kept = self._contenders(scores, flat)
+        if kept is not None:
+            scores, flat = kept
+            rows, cols = np.divmod(flat, width)
+            self._push(scores, rows + origin[0], cols + origin[1])
+
+    def _contenders(self, scores: np.ndarray, *cells: np.ndarray):
+        """``(scores, *cells)`` of the block's entries that can still be
+        kept, or ``None`` when none can. Two filters, each dropping only
+        entries that per-cell :meth:`offer` would also reject:
 
         * when full, drop ``scores < threshold`` — such an entry loses
           the eviction comparison outright, whatever its cell (equal
@@ -132,11 +155,6 @@ class TopKHeap:
           entry strictly below that cutoff, so it can never be kept.
           ``>=`` keeps boundary-score ties for the tie-break to settle.
         """
-        self._offer_block_impl(scores, rows, cols)
-
-    def _offer_block_impl(
-        self, scores: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> None:
         scores = np.asarray(scores)
         if scores.dtype != np.float64:
             # Narrower float blocks (e.g. float32 embedding dot products)
@@ -149,34 +167,33 @@ class TopKHeap:
             scores = scores.astype(np.float64)
         scores = scores.reshape(-1)
         if scores.size == 0:
-            # Zero-length blocks are legal input: a shared-scan leaf whose
-            # sibling candidates were all pruned offers an empty block
-            # rather than making every caller special-case it. Bail before
-            # touching rows/cols (which may be empty lists of another
-            # dtype) or the partition prefilter (np.partition rejects
-            # empty input).
-            return
-        rows = np.asarray(rows).reshape(-1)
-        cols = np.asarray(cols).reshape(-1)
+            # Zero-length blocks are legal input. Bail before touching the
+            # cells (maybe empty lists of another dtype) or the partition
+            # prefilter (np.partition rejects empty input).
+            return None
+        cells = [np.asarray(column).reshape(-1) for column in cells]
         if len(self._heap) >= self.k:
             keep = scores >= self._heap[0][0]
             if not keep.all():
                 scores = scores[keep]
-                rows = rows[keep]
-                cols = cols[keep]
+                cells = [column[keep] for column in cells]
             if scores.size == 0:
                 # The threshold prefilter may drain the block entirely
                 # (every candidate strictly below the K-th best); the
                 # partition step below must never see a zero-length array.
-                return
+                return None
         if scores.size > self.k:
             cutoff = np.partition(scores, scores.size - self.k)[
                 scores.size - self.k
             ]
             keep = scores >= cutoff
             scores = scores[keep]
-            rows = rows[keep]
-            cols = cols[keep]
+            cells = [column[keep] for column in cells]
+        return scores, *cells
+
+    def _push(
+        self, scores: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    ) -> None:
         for score, row, col in zip(
             scores.tolist(), rows.tolist(), cols.tolist()
         ):
@@ -248,9 +265,10 @@ class _ScanState:
     Wraps the caller's :class:`BatchQuerySpec` with what the search owns
     (the frontier of ``(-upper, tiebreak, node id)`` entries and its
     tie-break counter), what is fixed per query (the cascade's attribute
-    order and favoured range ends) and the two things a solo caller may
-    add: a ``fusion`` spec, and an anytime ``work_budget`` whose outcome
-    lands in ``regret_bound``.
+    order and favoured range ends, and the bound ``table`` of a one-sided
+    search, which :meth:`RasterRetrievalEngine._seed` fills) and the two
+    things a solo caller may add: a ``fusion`` spec, and an anytime
+    ``work_budget`` whose outcome lands in ``regret_bound``.
 
     ``fusion`` (a :class:`repro.embed.fusion.FusionSpec`, duck-typed
     here to keep core free of an embed dependency) blends embedding
@@ -264,7 +282,7 @@ class _ScanState:
     __slots__ = (
         "spec", "fusion", "work_budget", "regret_bound",
         "model", "sign", "frontier", "tiebreak", "ordered", "ends",
-        "sided",
+        "table",
     )
 
     def __init__(
@@ -288,6 +306,9 @@ class _ScanState:
         self.sign = 1.0 if spec.query.maximize else -1.0
         self.frontier: list = []
         self.tiebreak = itertools.count()
+        #: Signed upper bound of every screen node, or ``None`` where
+        #: :meth:`_Scan.bounds` serves; built per search, never kept.
+        self.table: np.ndarray | None = None
         progressive = spec.progressive
         if progressive is not None:
             #: Cascade attributes, contribution order.
@@ -397,19 +418,23 @@ class _Scan:
         )
 
     def one_sided(self, state: _ScanState):
-        """Per term of a plain linear model, the ``envelope_table`` row of
-        the side ``state`` reads, and the attribute names; ``None`` where
-        :meth:`bounds` must serve (fusion blends both sides)."""
+        """Per term of a plain linear model, the ``envelope_table`` row
+        (a view) of the side ``state`` reads, by attribute name; ``None``
+        where :meth:`bounds` must serve (fusion blends both sides)."""
         model, names = state.model, self.screen.attributes
         if state.fusion is not None or self.margin is not None or (
             type(model) is not LinearModel
             or not set(model.attributes) <= set(names)
         ):
             return None
-        weights = np.array(list(model.coefficients.values()))
-        rows = np.array([names.index(name) for name in model.attributes])
-        rows += len(names) * ((weights >= 0) == (state.sign > 0))
-        return rows[:, None], model.attributes
+        table = self.screen.envelope_table
+        return {
+            name: table[
+                names.index(name)
+                + len(names) * ((weight >= 0) == (state.sign > 0))
+            ]
+            for name, weight in model.coefficients.items()
+        }
 
     def leaf_cells(self, ids: np.ndarray):
         """``(flat, sizes)`` of the leaves ``ids``: their windows,
@@ -500,12 +525,11 @@ class RasterRetrievalEngine:
         sign = 1.0 if query.maximize else -1.0
         heap = TopKHeap(query.k)
         # Region-local row-major order is global (row, col) order
-        # restricted to the region, so decoding preserves tie semantics.
-        # offer_block partition-prefilters down to the k best (plus
-        # boundary-score ties, which its tie-break settles) before any
-        # Python-level push.
-        flat_rows, flat_cols = divmod(np.arange(scores.size), col1 - col0)
-        heap.offer_block(sign * scores, row0 + flat_rows, col0 + flat_cols)
+        # restricted to the region, so decoding preserves tie semantics;
+        # only the cells the prefilter keeps are decoded.
+        heap.offer_cells(
+            sign * scores, np.arange(scores.size), col1 - col0, (row0, col0)
+        )
         return heap
 
     def exhaustive_top_k(self, query: TopKQuery) -> RetrievalResult:
@@ -791,20 +815,10 @@ class RasterRetrievalEngine:
         to retirement: round-robin while several are alive (timing each
         turn into ``attributed_seconds``), and straight through once one
         is left — nobody remains to take turns with."""
-        roots = scan.roots.tolist()
         for state in states:
-            spec = state.spec
             start = time.perf_counter()
-            state.sided = scan.one_sided(state)
-            for upper, root in zip(
-                self._uppers(state, scan.roots, scan).tolist(), roots
-            ):
-                heapq.heappush(
-                    state.frontier, (-upper, next(state.tiebreak), root)
-                )
-            for depth, n_tiles in _per_depth(scan.depth[scan.roots]):
-                spec.audit.root_tiles(depth, n_tiles)
-            spec.attributed_seconds += time.perf_counter() - start
+            self._seed(state, scan)
+            state.spec.attributed_seconds += time.perf_counter() - start
         active = states
         while len(active) > 1:
             survivors = []
@@ -820,6 +834,31 @@ class RasterRetrievalEngine:
             while self._step(state, scan):
                 pass
             state.spec.attributed_seconds += time.perf_counter() - start
+
+    def _seed(self, state: _ScanState, scan: _Scan) -> None:
+        """Fill a fresh state's bound table and push its roots.
+
+        A one-sided search bounds every screen node at once, in one
+        :meth:`evaluate_batch` over the ``envelope_table`` rows it reads:
+        the expression is elementwise, so each node's bound is bit for
+        bit what a call over any block of nodes gives, and one
+        set-at-a-time call over the whole screen costs less than one
+        small call per wave. The table dies with the search, so a
+        :meth:`TileScreen.refresh_region` reaches the next one.
+        """
+        columns = scan.one_sided(state)
+        if columns is not None:
+            bound = state.model.evaluate_batch(columns)
+            state.table = bound if state.sign > 0 else -bound
+        for upper, root in zip(
+            self._uppers(state, scan.roots, scan).tolist(),
+            scan.roots.tolist(),
+        ):
+            heapq.heappush(
+                state.frontier, (-upper, next(state.tiebreak), root)
+            )
+        for depth, n_tiles in _per_depth(scan.depth[scan.roots]):
+            state.spec.audit.root_tiles(depth, n_tiles)
 
     def _step(self, state: _ScanState, scan: _Scan) -> bool:
         """One wave of frontier pops for one query; False once it retires.
@@ -918,22 +957,19 @@ class RasterRetrievalEngine:
         """Signed upper bounds (an array) of the nodes ``ids`` for one
         query's objective.
 
-        One block evaluation replaces scalar interval calls; charged as
-        ``len(ids)`` scalar boundings (one aggregate-node visit per
-        attribute per node, one partial model evaluation per node).
-        ``sided`` terms read one side: the model's own
-        ``evaluate_batch`` at the corner of each node's box the query
-        favours, the side of ``evaluate_interval_batch`` it reads.
+        Charged as ``len(ids)`` scalar boundings (one aggregate-node
+        visit per attribute per node, one partial model evaluation per
+        node), whichever way the bounds are found. A one-sided search
+        reads them from its ``table`` (the model's own ``evaluate_batch``
+        at the corner of each node's box the query favours, the side of
+        ``evaluate_interval_batch`` it reads, :meth:`_seed`); any other
+        bounds the block in one interval evaluation.
         """
         counter = state.spec.counter
         counter.add_nodes(len(ids) * len(self.screen.attributes))
         counter.add_partial_evals(len(ids), flops_each=state.model.complexity)
-        if state.sided is not None:
-            rows, names = state.sided
-            bound = state.model.evaluate_batch(
-                dict(zip(names, scan.screen.envelope_table[rows, ids]))
-            )
-            return bound if state.sign > 0 else -bound
+        if state.table is not None:
+            return state.table[ids]
         low, high = scan.bounds(state.model, ids)
         if state.fusion is not None:
             low, high = state.fusion.combine_bounds(ids, low, high, counter)
@@ -953,8 +989,9 @@ class RasterRetrievalEngine:
         flat cell ids ``row * width + col`` (``leaves``/``sizes`` say
         which screen leaves, and how many cells of each, back to back),
         ``use_tiles=False`` passes its one rectangle. Every attribute
-        read is one :meth:`RasterLayer.take` of them, and only offered
-        cells are decoded to ``(row, col)``; the query's counter is
+        read is one :meth:`RasterLayer.take` of them, and only the cells
+        the heap's prefilter keeps are decoded to ``(row, col)``
+        (:meth:`TopKHeap.offer_cells`); the query's counter is
         charged per value read, exactly as a solo read charges — sharing
         saves wall clock, never counted work.
 
@@ -981,7 +1018,7 @@ class RasterRetrievalEngine:
                 scores = state.fusion.combine_leaves(
                     leaves, sizes, scores, counter
                 )
-            heap.offer_block(sign * scores, *np.divmod(flat, scan.width))
+            heap.offer_cells(sign * scores, flat, scan.width)
             return
 
         # Level cascade: read one contribution-ordered attribute at a
@@ -1003,7 +1040,7 @@ class RasterRetrievalEngine:
         counter.add_partial_evals(first.size, flops_each=2)
         signed = sign * model.evaluate_batch({**ends, ordered[0]: first})
         if len(ordered) == 1:
-            heap.offer_block(signed, *np.divmod(flat, scan.width))
+            heap.offer_cells(signed, flat, scan.width)
             return
 
         # Laid out once in that order, so every block is a slice.
@@ -1047,7 +1084,7 @@ class RasterRetrievalEngine:
                 bound = sign * model.evaluate_batch({**ends, **columns})
                 screen = full
             else:
-                heap.offer_block(bound, *np.divmod(cells, scan.width))
+                heap.offer_cells(bound, cells, scan.width)
                 full, threshold = heap.full, heap.threshold
         counter.add_data_points(read)
         counter.add_partial_evals(read, flops_each=2)

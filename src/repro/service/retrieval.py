@@ -42,14 +42,16 @@ the same either way:
    both as it found them.
 
 The default structure is the progressive tile search, optionally split
-into disjoint row bands on one service-lifetime thread pool. All shards
-offer into one lock-protected :class:`SharedTopKHeap`, so a discovery in
-any band raises the pruning threshold in every other, and the per-shard
-counters and audits are merged into one result. Because every pruning
-test compares *strictly* against the shared threshold and the smallest-
-``(row, col)`` tie-break is applied on every offer, the answer set is
-the single-engine :meth:`RasterRetrievalEngine.progressive_top_k` answer
-at every shard count (property-tested, boundary ties included).
+into disjoint row bands on one service-lifetime thread pool. Two or
+more shards offer into one lock-protected :class:`SharedTopKHeap`, so a
+discovery in any band raises the pruning threshold in every other, and
+the per-shard counters and audits are merged into one result; one band
+(the default) offers into a plain :class:`TopKHeap` and takes no lock.
+Because every pruning test compares *strictly* against the shared
+threshold and the smallest-``(row, col)`` tie-break is applied on every
+offer, the answer set is the single-engine
+:meth:`RasterRetrievalEngine.progressive_top_k` answer at every shard
+count (property-tested, boundary ties included).
 Heuristic pruning (``margin < 1``) is unsound by design, sharded or not.
 
 Hardening (bounded-latency serving):
@@ -133,11 +135,15 @@ class SharedTopKHeap(TopKHeap):
             super().offer(score, cell)
 
     def offer_block(self, scores, rows, cols) -> None:
-        # One lock acquisition covers the whole block; the unlocked
-        # _offer_block_impl core touches self._heap directly, never the
-        # locked offer/threshold wrappers (the lock is not reentrant).
+        # One lock acquisition covers the whole block; the base entry
+        # points touch self._heap directly, never the locked
+        # offer/threshold wrappers (the lock is not reentrant).
         with self._lock:
-            self._offer_block_impl(scores, rows, cols)
+            super().offer_block(scores, rows, cols)
+
+    def offer_cells(self, scores, flat, width, origin=(0, 0)) -> None:
+        with self._lock:
+            super().offer_cells(scores, flat, width, origin)
 
     @property
     def full(self) -> bool:
@@ -233,7 +239,9 @@ def _search_tiles(
     engine = service.engine
     query, trace, fusion = request.query, request.trace, request.fusion
     bands = row_band_shards(request.region, request.n_shards)
-    heap = SharedTopKHeap(query.k)
+    # Only bands searched on several threads share a heap: one band
+    # takes no lock.
+    heap = TopKHeap(query.k) if len(bands) == 1 else SharedTopKHeap(query.k)
     counters = [CostCounter() for _ in bands]
     audits = [PruningAudit() for _ in bands]
     shard_complete = [True] * len(bands)
@@ -328,7 +336,7 @@ def _search_onion(
     heap = TopKHeap(query.k)
     # Region-local row-major flattening: local flat order is global
     # (row, col) lexicographic order restricted to the region, so
-    # decoding preserves tie semantics.
+    # decoding (of the cells the heap keeps) preserves tie semantics.
     width = region[3] - region[1]
 
     def offer(rows: np.ndarray) -> np.ndarray:
@@ -337,8 +345,7 @@ def _search_onion(
         counter.add_data_points(int(rows.size) * len(model.attributes))
         scores = sign * model.evaluate_batch(columns)
         counter.add_model_evals(int(rows.size), flops_each=model.complexity)
-        local_rows, local_cols = divmod(rows, width)
-        heap.offer_block(scores, region[0] + local_rows, region[1] + local_cols)
+        heap.offer_cells(scores, rows, width, region[:2])
         return scores
 
     with trace.span("search"):

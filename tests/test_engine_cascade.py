@@ -429,8 +429,8 @@ class TestOneSidedBounds:
             return _ScanState(spec, fusion=fusion)
 
         state = state_of(model)
-        state.sided = scan.one_sided(state)
-        assert state.sided is not None
+        engine._seed(state, scan)
+        assert state.table is not None
         ids = rng.integers(0, engine.screen.depth.size, rng.integers(1, 300))
         low, high = model.evaluate_interval_batch(
             *engine.screen.envelope_block(ids)

@@ -173,6 +173,49 @@ class TestOfferBlock:
         assert heap.ranked() == _ranked_reference(10, all_entries)
 
 
+class TestOfferCells:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reals=st.integers(2, 5),
+        k=st.integers(1, 60),
+        size=st.integers(0, 120),
+        prefill=st.integers(0, 80),
+        ceiling=st.booleans(),
+        origin=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_offer_block_of_the_decoded_cells(
+        self, seed, reals, k, size, prefill, ceiling, origin, shared,
+        make_tie_stack,
+    ):
+        """Tie-heavy real-valued blocks into empty, partly full and full
+        heaps (``ceiling`` prefills scores no block entry reaches, so the
+        threshold empties the block), k below and at or above the block
+        size, plain and lock-wrapped: the heap state equals offering the
+        decoded cells."""
+        rows, width = 12, 11
+        stack = make_tie_stack(rows, width, 2, seed, reals=reals)
+        rng = np.random.default_rng(seed)
+        grid = stack["layer0"].values.reshape(-1) - 0.3 * (
+            stack["layer1"].values.reshape(-1)
+        )
+        flat = rng.choice(grid.size, min(size, grid.size), replace=False)
+        fill = rng.permutation(grid.size)[:prefill]
+        fill_scores = np.full(fill.size, 99.0) if ceiling else grid[fill]
+        kind = SharedTopKHeap if shared else TopKHeap
+        heaps = kind(k), kind(k)
+        for heap in heaps:
+            heap.offer_block(fill_scores, *np.divmod(fill, width))
+        cells, block = heaps
+        cells.offer_cells(grid[flat], flat, width, origin)
+        decoded = np.divmod(flat, width)
+        block.offer_block(
+            grid[flat], decoded[0] + origin[0], decoded[1] + origin[1]
+        )
+        assert cells._heap == block._heap
+
+
 # --- batched interval bounds --------------------------------------------
 
 

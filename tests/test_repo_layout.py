@@ -3,7 +3,8 @@
 ``src/repro`` runs, ``experiments/`` reproduces the paper, ``bench/``
 measures the system. These checks keep the prose pointing at files and
 names that exist, keep the experiments a leaf nothing else depends on,
-and keep every module of the program reached from something that runs.
+keep every module of the program reached from something that runs, and
+keep every import read.
 """
 
 from __future__ import annotations
@@ -289,3 +290,97 @@ def test_a_planted_module_nothing_reaches_is_found(tmp_path):
     assert unreached_modules(
         tmp_path, ("repro.worker",), ["from repro import A"]
     ) == ["repro.pkg.d", "repro.planted"]
+
+
+#: The trees the unused-import rule reads (the lint job's F401, kept
+#: in tier-1 so it holds where ruff is not installed).
+LINTED = ("src", "tests", "bench", "experiments", "examples")
+
+
+def _annotation_names(annotation: ast.expr) -> set[str]:
+    """Names an annotation reads, its quoted parts included."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _annotation_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"line: name"`` of each name ``source`` imports and never reads.
+
+    A name counts as read where any code of the module loads it, where
+    an annotation (quoted or not) names it, or where ``__all__``
+    re-exports it; ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            node.returns
+        ):
+            read |= _annotation_names(node.returns)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            )
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            read |= {
+                item.value
+                for item in node.value.elts
+                if isinstance(item, ast.Constant)
+            }
+    return [
+        f"{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in read
+    ]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    problems = [
+        f"{_relative(path)}:{unused}"
+        for tree in LINTED
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        for unused in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not problems, "unused imports:\n" + "\n".join(problems)
+
+
+def test_a_planted_unused_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from typing import TYPE_CHECKING, Any\n"
+        "from collections import OrderedDict, deque\n"
+        "if TYPE_CHECKING:\n"
+        "    from fractions import Fraction\n"
+        "    from decimal import Decimal\n"
+        "from math import pi\n"
+        "__all__ = ['pi']\n"
+        "def f(x: 'Fraction | None') -> OrderedDict:\n"
+        "    import re\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == [
+        "3: codec", "4: Any", "5: deque", "8: Decimal", "12: re",
+    ]
