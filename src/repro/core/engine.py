@@ -719,7 +719,7 @@ class RasterRetrievalEngine:
         if not model.supports_intervals:
             raise QueryError(
                 f"model {type(model).__name__} cannot bound intervals; "
-                "tile search needs evaluate_interval"
+                "tile search needs evaluate_interval_batch"
             )
         return progressive
 
@@ -802,7 +802,7 @@ class RasterRetrievalEngine:
             if not spec.query.model.supports_intervals:
                 raise QueryError(
                     f"model {type(spec.query.model).__name__} cannot bound "
-                    "intervals; tile search needs evaluate_interval"
+                    "intervals; tile search needs evaluate_interval_batch"
                 )
         scan = _Scan(
             self, region, self.screen.region_root_ids(region), pruning,

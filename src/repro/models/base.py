@@ -26,8 +26,8 @@ class Model(abc.ABC):
     ``n`` of Section 4.2).
 
     Models that can bound their output from attribute intervals implement
-    :meth:`evaluate_interval`; the default raises, and the progressive
-    engine falls back to exhaustive evaluation for such models.
+    :meth:`evaluate_interval_batch`; the default raises, and the tile
+    search refuses such models (a scan still serves them).
     """
 
     @property
@@ -66,16 +66,10 @@ class Model(abc.ABC):
     def evaluate_interval(
         self, intervals: Mapping[str, tuple[float, float]]
     ) -> tuple[float, float]:
-        """Sound (low, high) score bounds from attribute intervals.
-
-        ``intervals`` maps each attribute to its (min, max) over some data
-        region; the result must bound :meth:`evaluate` over every vector in
-        the box. Models without interval support raise
-        :class:`NotImplementedError`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support interval evaluation"
-        )
+        """Sound (low, high) score bounds from attribute intervals:
+        :meth:`evaluate_interval_batch` over the one box ``intervals``
+        (attribute → (min, max) over some data region)."""
+        return one_box(self.evaluate_interval_batch, intervals)
 
     def evaluate_interval_batch(
         self,
@@ -84,37 +78,30 @@ class Model(abc.ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sound (lows, highs) bound arrays over parallel attribute boxes.
 
-        Element ``i`` of the result bounds the box whose per-attribute
-        interval is ``(low_columns[name][i], high_columns[name][i])`` —
-        the batched counterpart of :meth:`evaluate_interval`, used by the
-        engine to bound a whole branch-and-bound frontier in one call.
-        The default loops over :meth:`evaluate_interval`; models with
-        closed forms override with numpy expressions that reproduce the
-        scalar arithmetic exactly (same operations, same order), so
-        batched and scalar searches see bitwise-identical bounds.
+        Element ``i`` of the result bounds :meth:`evaluate` over every
+        vector in the box whose per-attribute interval is
+        ``(low_columns[name][i], high_columns[name][i])``; the engine
+        bounds a whole branch-and-bound frontier in one call. Models
+        without interval support raise :class:`NotImplementedError`.
         """
-        names = self.attributes
-        lows = {
-            name: np.asarray(low_columns[name], dtype=float).reshape(-1)
-            for name in names
-        }
-        highs = {
-            name: np.asarray(high_columns[name], dtype=float).reshape(-1)
-            for name in names
-        }
-        size = next(iter(lows.values())).size if names else 0
-        low_out = np.empty(size)
-        high_out = np.empty(size)
-        for i in range(size):
-            low_out[i], high_out[i] = self.evaluate_interval(
-                {
-                    name: (float(lows[name][i]), float(highs[name][i]))
-                    for name in names
-                }
-            )
-        return (low_out, high_out)
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support interval evaluation"
+        )
 
     @property
     def supports_intervals(self) -> bool:
-        """Whether :meth:`evaluate_interval` is implemented."""
-        return type(self).evaluate_interval is not Model.evaluate_interval
+        """Whether :meth:`evaluate_interval_batch` is implemented."""
+        return (
+            type(self).evaluate_interval_batch
+            is not Model.evaluate_interval_batch
+        )
+
+
+def one_box(bound_batch, intervals: Mapping[str, tuple[float, float]]):
+    """A batched interval fold, ``bound_batch(low_columns, high_columns)``,
+    over the single box ``intervals``, as a pair of floats."""
+    low, high = bound_batch(
+        {name: bounds[0] for name, bounds in intervals.items()},
+        {name: bounds[1] for name, bounds in intervals.items()},
+    )
+    return (float(low), float(high))

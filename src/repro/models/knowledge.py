@@ -7,6 +7,12 @@ function, a :class:`FuzzyRule` conjoins predicates, and a
 average) into one [0, 1] score — "the fuzzy and/or probabilistic rules
 specified within the model" that top-K retrieval ranks by.
 
+Each level has one score fold and one interval fold over columns: a
+score is membership → t-norm → combination on arrays of cells (or on
+0-d values for one cell), and a bound is the same fold over each
+predicate's degree bounds, so it is the score's own expression at a
+point of the box.
+
 The Figure 3 HPS house rule and the Figure 4 geology rule are provided as
 factories by the application modules (:mod:`repro.apps.epidemiology`,
 :mod:`repro.apps.geology`); composite *sequence* matching for the geology
@@ -15,14 +21,16 @@ rule is handled by :mod:`repro.sproc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.models.base import AttributeVector, Model
+from repro.models.base import AttributeVector, Model, one_box
 from repro.models.fuzzy import FuzzyAnd, FuzzyOr, MembershipFunction
+
+Columns = Mapping[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -33,108 +41,90 @@ class RulePredicate:
     membership: MembershipFunction
     name: str = ""
 
-    def degree(self, attributes: AttributeVector) -> float:
-        """Membership degree of the predicate for an attribute vector."""
+    def _read(self, columns: Columns) -> np.ndarray:
         try:
-            value = float(attributes[self.attribute])
+            return columns[self.attribute]
         except KeyError:
             raise ModelError(
                 f"predicate {self.name or self.attribute!r} needs "
                 f"attribute {self.attribute!r}"
             ) from None
-        return self.membership(value)
+
+    def degree_batch(self, columns: Columns) -> np.ndarray:
+        """Membership degrees of the attribute's column."""
+        return self.membership.batch(self._read(columns))
+
+    def degree_interval_batch(
+        self, low_columns: Columns, high_columns: Columns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sound (min, max) degrees over parallel attribute boxes."""
+        return self.membership.interval_batch(
+            self._read(low_columns), self._read(high_columns)
+        )
+
+    def degree(self, attributes: AttributeVector) -> float:
+        """Membership degree of the predicate for an attribute vector."""
+        return float(self.degree_batch(attributes))
 
     def degree_interval(
         self, intervals: Mapping[str, tuple[float, float]]
     ) -> tuple[float, float]:
-        """Sound (min, max) degree over an attribute box."""
-        try:
-            low, high = intervals[self.attribute]
-        except KeyError:
-            raise ModelError(
-                f"interval for attribute {self.attribute!r} missing"
-            ) from None
-        return self.membership.interval(low, high)
-
-    def degree_interval_batch(
-        self,
-        low_columns: Mapping[str, np.ndarray],
-        high_columns: Mapping[str, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`degree_interval` over parallel attribute boxes."""
-        try:
-            lows = low_columns[self.attribute]
-            highs = high_columns[self.attribute]
-        except KeyError:
-            raise ModelError(
-                f"interval for attribute {self.attribute!r} missing"
-            ) from None
-        return self.membership.interval_batch(lows, highs)
+        """Sound (min, max) degree over one attribute box."""
+        return one_box(self.degree_interval_batch, intervals)
 
 
 @dataclass(frozen=True)
 class FuzzyRule:
-    """A conjunction of predicates with an importance weight."""
+    """A conjunction of predicates with an importance weight.
+
+    ``attributes`` (the attributes the rule reads, deduplicated, in
+    stable order) is derived once, at construction.
+    """
 
     name: str
     predicates: tuple[RulePredicate, ...]
     weight: float = 1.0
     conjunction: FuzzyAnd = FuzzyAnd("min")
+    attributes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.predicates:
             raise ModelError(f"rule {self.name!r} needs at least one predicate")
         if self.weight <= 0:
             raise ModelError(f"rule {self.name!r} weight must be positive")
+        attributes = dict.fromkeys(p.attribute for p in self.predicates)
+        object.__setattr__(self, "attributes", tuple(attributes))
 
-    @property
-    def attributes(self) -> tuple[str, ...]:
-        """Attributes the rule reads (deduplicated, stable order)."""
-        seen: list[str] = []
-        for predicate in self.predicates:
-            if predicate.attribute not in seen:
-                seen.append(predicate.attribute)
-        return tuple(seen)
+    def degree_batch(self, columns: Columns) -> np.ndarray:
+        """Conjoined membership degrees of all predicates."""
+        return self.conjunction.batch(
+            [predicate.degree_batch(columns) for predicate in self.predicates]
+        )
+
+    def degree_interval_batch(
+        self, low_columns: Columns, high_columns: Columns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sound (min, max) rule degrees over parallel attribute boxes.
+
+        Both t-norms are monotone in every argument, so conjoining the
+        per-predicate lows (highs) bounds the rule degree; for
+        independent attribute boxes the bound is tight.
+        """
+        lows, highs = zip(*(
+            predicate.degree_interval_batch(low_columns, high_columns)
+            for predicate in self.predicates
+        ))
+        return (self.conjunction.batch(lows), self.conjunction.batch(highs))
 
     def degree(self, attributes: AttributeVector) -> float:
         """Conjoined membership degree of all predicates."""
-        return self.conjunction(
-            [predicate.degree(attributes) for predicate in self.predicates]
-        )
+        return float(self.degree_batch(attributes))
 
     def degree_interval(
         self, intervals: Mapping[str, tuple[float, float]]
     ) -> tuple[float, float]:
-        """Sound (min, max) rule degree over an attribute box.
-
-        Both supported t-norms (min, product) are monotone in every
-        argument, so combining the per-predicate lows/highs bounds the
-        rule degree; for independent attribute boxes the bound is tight.
-        """
-        lows = []
-        highs = []
-        for predicate in self.predicates:
-            low, high = predicate.degree_interval(intervals)
-            lows.append(low)
-            highs.append(high)
-        return (self.conjunction(lows), self.conjunction(highs))
-
-    def degree_interval_batch(
-        self,
-        low_columns: Mapping[str, np.ndarray],
-        high_columns: Mapping[str, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`degree_interval` (same per-predicate fold, so
-        element ``i`` equals the scalar bound for box ``i``)."""
-        lows = []
-        highs = []
-        for predicate in self.predicates:
-            low, high = predicate.degree_interval_batch(
-                low_columns, high_columns
-            )
-            lows.append(low)
-            highs.append(high)
-        return (self.conjunction.batch(lows), self.conjunction.batch(highs))
+        """Sound (min, max) rule degree over one attribute box."""
+        return one_box(self.degree_interval_batch, intervals)
 
 
 class KnowledgeModel(Model):
@@ -163,108 +153,53 @@ class KnowledgeModel(Model):
         self.combination = combination
         self.disjunction = disjunction or FuzzyOr("max")
         self.name = name
+        self._attributes = tuple(
+            dict.fromkeys(a for rule in self.rules for a in rule.attributes)
+        )
+        self._complexity = 2 * sum(len(rule.predicates) for rule in self.rules)
+        self._total_weight = sum(rule.weight for rule in self.rules)
 
     @property
     def attributes(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for rule in self.rules:
-            for attribute in rule.attributes:
-                if attribute not in seen:
-                    seen.append(attribute)
-        return tuple(seen)
+        return self._attributes
 
     @property
     def complexity(self) -> int:
         """One membership evaluation + one combine op per predicate."""
-        return 2 * sum(len(rule.predicates) for rule in self.rules)
+        return self._complexity
+
+    def _combine(self, degrees: Sequence[np.ndarray]) -> np.ndarray:
+        """Rule degrees → score. The disjunction and the positive-weight
+        average are both monotone in every degree, so combining rule
+        bounds bounds the score."""
+        if self.combination == "or":
+            return self.disjunction.batch(degrees)
+        return sum(
+            rule.weight * degree for rule, degree in zip(self.rules, degrees)
+        ) / self._total_weight
+
+    def evaluate_batch(self, columns: Columns) -> np.ndarray:
+        return self._combine([rule.degree_batch(columns) for rule in self.rules])
+
+    def evaluate_interval_batch(
+        self, low_columns: Columns, high_columns: Columns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sound (min, max) scores over parallel attribute boxes: the
+        score's fold over the rules' degree bounds. This is what lets
+        knowledge models run through the progressive engine's tile
+        screening."""
+        lows, highs = zip(*(
+            rule.degree_interval_batch(low_columns, high_columns)
+            for rule in self.rules
+        ))
+        return (self._combine(lows), self._combine(highs))
 
     def evaluate(self, attributes: AttributeVector) -> float:
-        degrees = [rule.degree(attributes) for rule in self.rules]
-        if self.combination == "or":
-            return self.disjunction(degrees)
-        total_weight = sum(rule.weight for rule in self.rules)
-        return (
-            sum(rule.weight * degree for rule, degree in zip(self.rules, degrees))
-            / total_weight
-        )
+        return float(self.evaluate_batch(attributes))
 
     def rule_degrees(self, attributes: AttributeVector) -> dict[str, float]:
         """Per-rule degrees (explanation/debugging surface)."""
         return {rule.name: rule.degree(attributes) for rule in self.rules}
-
-    def evaluate_interval(
-        self, intervals: Mapping[str, tuple[float, float]]
-    ) -> tuple[float, float]:
-        """Sound (min, max) score over an attribute box.
-
-        Both combination modes are monotone in every rule degree (maximum
-        for "or"; a positive-weight average for "weighted"), so combining
-        the per-rule interval endpoints bounds the model score. This is
-        what lets knowledge models run through the progressive engine's
-        tile screening.
-        """
-        lows = []
-        highs = []
-        for rule in self.rules:
-            low, high = rule.degree_interval(intervals)
-            lows.append(low)
-            highs.append(high)
-        if self.combination == "or":
-            return (self.disjunction(lows), self.disjunction(highs))
-        total_weight = sum(rule.weight for rule in self.rules)
-        low_score = (
-            sum(rule.weight * low for rule, low in zip(self.rules, lows))
-            / total_weight
-        )
-        high_score = (
-            sum(rule.weight * high for rule, high in zip(self.rules, highs))
-            / total_weight
-        )
-        return (low_score, high_score)
-
-    def evaluate_interval_batch(
-        self,
-        low_columns: Mapping[str, np.ndarray],
-        high_columns: Mapping[str, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`evaluate_interval` over parallel boxes.
-
-        Folds rule degrees in the same order (and with the same float
-        operations) as the scalar path, so element ``i`` is bitwise-
-        identical to ``evaluate_interval`` on box ``i``.
-        """
-        lows = []
-        highs = []
-        for rule in self.rules:
-            low, high = rule.degree_interval_batch(low_columns, high_columns)
-            lows.append(low)
-            highs.append(high)
-        if self.combination == "or":
-            return (self.disjunction.batch(lows), self.disjunction.batch(highs))
-        total_weight = sum(rule.weight for rule in self.rules)
-        low_score = sum(
-            rule.weight * low for rule, low in zip(self.rules, lows)
-        ) / total_weight
-        high_score = sum(
-            rule.weight * high for rule, high in zip(self.rules, highs)
-        ) / total_weight
-        return (low_score, high_score)
-
-    def evaluate_batch(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        names = self.attributes
-        arrays = {
-            attr_name: np.asarray(columns[attr_name], dtype=float)
-            for attr_name in names
-        }
-        shape = next(iter(arrays.values())).shape
-        flat = {attr_name: array.reshape(-1) for attr_name, array in arrays.items()}
-        size = next(iter(flat.values())).size
-        scores = np.empty(size)
-        for i in range(size):
-            scores[i] = self.evaluate(
-                {attr_name: float(column[i]) for attr_name, column in flat.items()}
-            )
-        return scores.reshape(shape)
 
     def __repr__(self) -> str:
         rule_names = [rule.name for rule in self.rules]

@@ -123,24 +123,14 @@ class LinearModel(Model):
                 low[attr_name], high[attr_name] = attr_high, attr_low
         return low, high
 
-    def evaluate_interval(
-        self, intervals: Mapping[str, tuple[float, float]]
-    ) -> tuple[float, float]:
-        """Exact bounds: the score at the box's :meth:`corners`; for a
-        linear form they are tight."""
-        lows = {name: bounds[0] for name, bounds in intervals.items()}
-        highs = {name: bounds[1] for name, bounds in intervals.items()}
-        low, high = self.corners(lows, highs)
-        return (self.evaluate(low), self.evaluate(high))
-
     def evaluate_interval_batch(
         self,
         low_columns: Mapping[str, np.ndarray],
         high_columns: Mapping[str, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`evaluate_interval` over parallel boxes:
-        :meth:`evaluate_batch` at the low and the high corners, so each
-        element is bitwise the scalar bound for its box."""
+        """Exact bounds over parallel boxes: :meth:`evaluate_batch` at
+        the low and the high :meth:`corners`; for a linear form they are
+        tight."""
         low, high = self.corners(low_columns, high_columns)
         return (self.evaluate_batch(low), self.evaluate_batch(high))
 

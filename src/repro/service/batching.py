@@ -17,7 +17,7 @@ query only joins a group when sharing cannot perturb its answer:
 * **Default structure, interval-boundable model.** The shared scan is
   the model-only tile search: it prunes on envelope bounds and cannot
   blend embeddings, so a fused (``similar_to``) query stays a singleton,
-  and so does a model without ``evaluate_interval`` support — where it
+  and so does a model without ``evaluate_interval_batch`` — where it
   raises the :class:`~repro.exceptions.QueryError` it raises alone.
 * **Sound pruning only.** Heuristic pruning is unsound by design — its
   answers already depend on traversal order, so there is no bit-for-bit

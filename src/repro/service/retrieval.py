@@ -1199,7 +1199,7 @@ class RetrievalService:
             if executor.default and not query.model.supports_intervals:
                 raise QueryError(
                     f"model {type(query.model).__name__} cannot bound "
-                    "intervals; tile search needs evaluate_interval"
+                    "intervals; tile search needs evaluate_interval_batch"
                 )
             if executor.fused:
                 request.fusion = self._fusion_spec(query, trace)

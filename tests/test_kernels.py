@@ -310,29 +310,23 @@ class TestIntervalBatch:
             assert batch_low[i] == low
             assert batch_high[i] == high
 
-    def test_default_fallback_loops_over_scalar(self):
-        """Models without a closed form inherit a loop that defers to
-        their own evaluate_interval."""
+    def test_a_model_without_a_batch_bound_cannot_bound(self):
+        """A model that bounds nothing in batch bounds no single box
+        either: the base class only raises, and the tile search refuses
+        the model."""
+        from repro.models.base import Model
 
-        class Boxy(LinearModel):
-            # Force the base-class default by hiding the override.
-            evaluate_interval_batch = (
-                LinearModel.__mro__[1].evaluate_interval_batch
-            )
+        class Opaque(Model):
+            attributes = ("x",)
+            complexity = 1
 
-        model = Boxy({"x": 2.0, "y": -1.0}, intercept=3.0)
-        lows = {"x": np.array([0.0, 1.0]), "y": np.array([-2.0, 0.0])}
-        highs = {"x": np.array([1.0, 4.0]), "y": np.array([0.0, 5.0])}
-        batch_low, batch_high = model.evaluate_interval_batch(lows, highs)
-        for i in range(2):
-            low, high = model.evaluate_interval(
-                {
-                    "x": (float(lows["x"][i]), float(highs["x"][i])),
-                    "y": (float(lows["y"][i]), float(highs["y"][i])),
-                }
-            )
-            assert batch_low[i] == low
-            assert batch_high[i] == high
+            def evaluate(self, attributes):
+                return float(attributes["x"])
+
+        model = Opaque()
+        assert not model.supports_intervals
+        with pytest.raises(NotImplementedError):
+            model.evaluate_interval({"x": (0.0, 1.0)})
 
     def test_gaussian_scalar_and_batch_square_identically(self):
         """Regression: the scalar gaussian squared via python ``** 2``
