@@ -319,10 +319,12 @@ class _ScanState:
             self.ends = progressive.favoured_ends(spec.query.maximize)
 
 
-def _per_depth(depths: np.ndarray):
-    """``(depth, n_nodes)`` pairs of an array of node depths (zero
-    counts included; the audit's tallies ignore them)."""
-    return enumerate(np.bincount(depths).tolist())
+def _per_depth(record, depths: np.ndarray, *reason: str) -> None:
+    """``record(depth, n_nodes, *reason)`` for every depth of an array
+    of node depths (zero counts included; the audit's tallies ignore
+    them)."""
+    for depth, n_nodes in enumerate(np.bincount(depths).tolist()):
+        record(depth, n_nodes, *reason)
 
 
 def _descending(keys: np.ndarray) -> np.ndarray:
@@ -353,8 +355,7 @@ def _audit_abandoned(
     ``tiles_pruned`` envelope-prune total.
     """
     ids = [node for _, _, node in frontier]
-    for depth, n_tiles in _per_depth(scan.depth[ids]):
-        audit.prune_tiles(depth, n_tiles, reason=reason)
+    _per_depth(audit.prune_tiles, scan.depth[ids], reason)
 
 
 class _Scan:
@@ -363,12 +364,13 @@ class _Scan:
     One traversal is one region walked from one root cover — the global
     screen root, or the minimal node cover of a sub-region, so a row
     band skips the shared upper tree levels. Nodes are ids into the
-    screen's flat tables (re-exported here); a search asks this object
-    for a model's bounds over a block of node ids and the cell list of a
-    block of windows; attributes are read at flat cell ids through the
-    stack's layers. Each is computed on demand and nothing is kept, so
-    a batch's members, taking turns on one scan, bound every node
-    exactly as their solo searches do.
+    screen's flat tables and per-node lists (re-exported here: a step
+    branches on the lists, a wave's arrays index the tables); a search
+    asks this object for a model's bounds over a block of node ids and
+    the cell list of a block of leaves; attributes are read at flat cell
+    ids through the stack's layers. Each is computed on demand and
+    nothing is kept, so a batch's members, taking turns on one scan,
+    bound every node exactly as their solo searches do.
     """
 
     def __init__(
@@ -384,8 +386,10 @@ class _Scan:
         self.stack = engine.stack
         self.width = engine.stack.shape[1]
         self.screen = screen = engine.screen
-        self.child, self.window = screen.child, screen.window
-        self.leaf, self.depth = screen.leaf, screen.depth
+        self.window, self.depth = screen.window, screen.depth
+        self.children, self.depths = screen.children, screen.depths
+        self.origin, self.full_leaf = screen.origin, screen.full_leaf
+        self.template = screen.leaf_template
         self.region = region
         self.roots = roots
         #: Bound source: ``None`` for the sound min/max envelopes, else
@@ -436,10 +440,14 @@ class _Scan:
             for name, weight in model.coefficients.items()
         }
 
-    def leaf_cells(self, ids: np.ndarray):
+    def leaf_cells(self, ids: list[int]):
         """``(flat, sizes)`` of the leaves ``ids``: their windows,
         clipped to the region, as one flat cell list; ``sizes[p]`` cells
-        of ``ids[p]``, leaf after leaf."""
+        of ``ids[p]``, leaf after leaf. Full leaves of a scan that
+        cannot clip are their origins plus the screen's leaf template."""
+        if not self.clips and all(self.full_leaf[node] for node in ids):
+            flat = self.origin.take(ids)[:, None] + self.template
+            return flat.reshape(-1), np.full(len(ids), self.template.size)
         windows = self.window[ids]
         if self.clips:
             windows = np.hstack((
@@ -693,7 +701,6 @@ class RasterRetrievalEngine:
             {name: ranges[name] for name in model.attributes},
         )
 
-
     # -- shard entry points (the repro.service concurrency layer) ----------
 
     def prepare_tile_query(
@@ -722,7 +729,6 @@ class RasterRetrievalEngine:
                 "tile search needs evaluate_interval_batch"
             )
         return progressive
-
 
     def shard_search(
         self,
@@ -857,8 +863,7 @@ class RasterRetrievalEngine:
             heapq.heappush(
                 state.frontier, (-upper, next(state.tiebreak), root)
             )
-        for depth, n_tiles in _per_depth(scan.depth[scan.roots]):
-            state.spec.audit.root_tiles(depth, n_tiles)
+        _per_depth(state.spec.audit.root_tiles, scan.depth[scan.roots])
 
     def _step(self, state: _ScanState, scan: _Scan) -> bool:
         """One wave of frontier pops for one query; False once it retires.
@@ -876,12 +881,10 @@ class RasterRetrievalEngine:
         evaluations are never interrupted, so every heap entry is an
         exact score.
         """
-        spec = state.spec
-        frontier = state.frontier
+        spec, frontier = state.spec, state.frontier
         if not frontier:
             return False
-        heap = spec.heap
-        audit = spec.audit
+        heap, audit = spec.heap, spec.audit
         stop = None
         if spec.cancel is not None and spec.cancel.cancelled:
             # Cooperative stop: leave the heap as-is. Offers happen only
@@ -899,15 +902,12 @@ class RasterRetrievalEngine:
             if state.work_budget is not None:
                 # Anytime regret: the best remaining frontier bound caps
                 # how much any unexamined location can beat the K-th best.
-                state.regret_bound = max(
-                    0.0, -frontier[0][0] - heap.threshold
-                )
+                state.regret_bound = max(0.0, -frontier[0][0] - heap.threshold)
             return False
         # One threshold read covers the wave's pops: the heap cannot
         # change until the leaves below are offered, and under a shared
         # heap a concurrently-raised threshold only tightens pruning.
-        full = heap.full
-        threshold = heap.threshold
+        full, threshold = heap.full, heap.threshold
         width = WAVE_WIDTH if full else 1
         popped = []
         while frontier and len(popped) < width:
@@ -922,35 +922,35 @@ class RasterRetrievalEngine:
             popped.append(heapq.heappop(frontier)[2])
         if not popped:
             return False
-        nodes = np.array(popped)
-        at_leaf = scan.leaf[nodes]
-        leaves = nodes[at_leaf]
-        if leaves.size:
+        children = scan.children
+        leaves = [node for node in popped if not children[node]]
+        if leaves:
             flat, sizes = scan.leaf_cells(leaves)
             self._evaluate_cells(state, flat, scan, leaves, sizes)
-        children = scan.child[nodes[~at_leaf]].reshape(-1)
-        children = children[children >= 0]
-        if scan.clips and children.size:
-            inside = scan.inside(children)
-            for depth, n_tiles in _per_depth(scan.depth[children[~inside]]):
-                audit.prune_tiles(depth, n_tiles, reason="region")
-            children = children[inside]
-        if not children.size:
+        expanded = [node for node in popped if children[node]]
+        kids = [kid for node in expanded for kid in children[node]]
+        if scan.clips and kids:
+            ids = np.array(kids)
+            inside = scan.inside(ids)
+            _per_depth(audit.prune_tiles, scan.depth[ids[~inside]], "region")
+            _per_depth(audit.screen_tiles, scan.depth[ids[inside]])
+            kids = ids[inside].tolist()
+        else:  # a node's children all sit one depth below it
+            for node in expanded:
+                audit.screen_tiles(scan.depths[node] + 1, len(children[node]))
+        if not kids:
             return True
-        uppers = self._uppers(state, children, scan)
-        depths = scan.depth[children]
-        for depth, n_tiles in _per_depth(depths):
-            audit.screen_tiles(depth, n_tiles)
+        ids = np.array(kids)
+        uppers = self._uppers(state, ids, scan)
         if heap.full:
             # Read after the wave's leaves were offered: they can only
             # have raised it.
             pruned = uppers < heap.threshold
             if pruned.any():
-                for depth, n_tiles in _per_depth(depths[pruned]):
-                    audit.prune_tiles(depth, n_tiles)
-                children, uppers = children[~pruned], uppers[~pruned]
-        for upper, child in zip(uppers.tolist(), children.tolist()):
-            heapq.heappush(frontier, (-upper, next(state.tiebreak), child))
+                _per_depth(audit.prune_tiles, scan.depth[ids[pruned]])
+                kids, uppers = ids[~pruned].tolist(), uppers[~pruned]
+        for upper, kid in zip(uppers.tolist(), kids):
+            heapq.heappush(frontier, (-upper, next(state.tiebreak), kid))
         return True
 
     def _uppers(self, state: _ScanState, ids: np.ndarray, scan: _Scan):
@@ -980,7 +980,7 @@ class RasterRetrievalEngine:
         state: _ScanState,
         flat: np.ndarray,
         scan: _Scan,
-        leaves: np.ndarray | None = None,
+        leaves: list[int] | None = None,
         sizes: np.ndarray | None = None,
     ) -> None:
         """Exact evaluation of a cell list, with optional level cascade.

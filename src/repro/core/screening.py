@@ -14,9 +14,11 @@ tables*, every depth's grid concatenated in depth order
 (``id = offset[depth] + row_index * n_cols[depth] + col_index``). The
 envelopes are one ``(2 * n_attrs, n_nodes)`` table — the finest slice
 holds the leaf grids, every coarser slice combines its children's — and
-the structure (child ids, windows, leaf mask, depth) four more, so
-bounding, region filtering and auditing a whole wave of nodes is a
-handful of fancy-indexes (:meth:`TileScreen.envelope_block`).
+the structure (child ids, windows, leaf mask, depth, window origin)
+five more, so bounding, region filtering and auditing a whole wave of
+nodes is a handful of fancy-indexes (:meth:`TileScreen.envelope_block`),
+and the same structure as per-node Python lists for the step that
+branches on a few nodes at a time.
 """
 
 from __future__ import annotations
@@ -56,10 +58,17 @@ class TileScreen:
     n_nodes)``, with halves ``lows``/``highs`` as views (rewritten in
     place by :meth:`refresh_region`), and the structure tables
     ``child`` ``(n_nodes, 4)`` (-1 where a node has fewer than four
-    children), ``window`` ``(n_nodes, 4)``, ``leaf`` and ``depth``
-    ``(n_nodes,)``, built once and never touched again. Grid entries
-    that are no tree node (a leaf's intervals persist to deeper grids)
-    occupy ids no ``child`` row ever names.
+    children), ``window`` ``(n_nodes, 4)``, ``leaf``, ``depth`` and
+    ``origin`` (each window's flat cell id ``row0 * width + col0``)
+    ``(n_nodes,)``, and ``leaf_template``, the row-major flat offsets of
+    a full ``leaf_size`` × ``leaf_size`` window. A search step handles a
+    handful of nodes at a time, so the structure it branches on is also
+    kept as Python lists, indexed by node id: ``children`` (each node's
+    child ids as a tuple, the -1 slots dropped, so a leaf's is empty),
+    ``depths`` and ``full_leaf`` (a leaf spanning a whole template). All
+    are built once and never touched again. Grid entries that are no
+    tree node (a leaf's intervals persist to deeper grids) occupy ids no
+    ``child`` row ever names.
     """
 
     def __init__(self, stack: RasterStack, leaf_size: int = 16) -> None:
@@ -124,12 +133,14 @@ class TileScreen:
             )
 
     def _build_structure_tables(self) -> None:
-        """Child ids, windows, leaf mask and depth of every node id.
+        """Child ids, windows, leaf mask and depth of every node id, and
+        the per-node lists a search step reads.
 
         Children sit in row-major slot order — the order the recursive
         build appends them in — with -1 in the slots of an unsplit axis,
         so dropping the negatives of ``child[ids]`` lists each node's
-        children in the reference tree's order.
+        children in the reference tree's order (``children``; a leaf's
+        is the empty tuple).
         """
         leaf_size = self.leaf_size
         children, windows, leaves = [], [], []
@@ -163,6 +174,27 @@ class TileScreen:
             np.arange(len(self._levels), dtype=np.intp),
             np.diff(self._offsets),
         )
+        # What one search step reads per popped node, as Python values:
+        # built here, never lazily, as sharded searches read from threads
+        # (the per-depth parts go first, to keep the build's peak low).
+        del children, windows, leaves
+        self.children = [()] * len(self.leaf)
+        internal = np.flatnonzero(~self.leaf)
+        slots = self.child[internal].T.tolist()
+        for node, *kids in zip(internal.tolist(), *slots):
+            if -1 in kids:  # an axis that did not split
+                kids = [kid for kid in kids if kid >= 0]
+            self.children[node] = tuple(kids)
+        self.depths = self.depth.tolist()
+        width = self.shape[1]
+        row0, col0, row1, col1 = self.window.T
+        self.origin = row0 * width + col0
+        self.full_leaf = (
+            self.leaf & (row1 - row0 == leaf_size) & (col1 - col0 == leaf_size)
+        ).tolist()
+        self.leaf_template = (
+            np.arange(leaf_size)[:, None] * width + np.arange(leaf_size)
+        ).reshape(-1)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -179,15 +179,21 @@ class FuzzyAnd:
         if kind not in ("min", "product"):
             raise ValueError(f"unknown t-norm {kind!r}")
         self.kind = kind
-        self._fold = np.minimum if kind == "min" else np.multiply
+        self._norm = np.minimum if kind == "min" else np.multiply
 
     def __call__(self, degrees: Sequence[float]) -> float:
         return float(self.batch(degrees))
 
     def batch(self, degree_arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Element-wise conjunction of parallel degree arrays, folded in
-        order; the empty conjunction is vacuously true (1.0)."""
-        return reduce(self._fold, map(_unit, degree_arrays), np.float64(1.0))
+        """Element-wise conjunction of parallel degree arrays, each
+        clipped to [0, 1] first, folded in order; the empty conjunction
+        is vacuously true (1.0)."""
+        return self.fold(map(_unit, degree_arrays))
+
+    def fold(self, degree_arrays: Iterable[np.ndarray]) -> np.ndarray:
+        """:meth:`batch` of degrees already in [0, 1] (membership and
+        rule degrees), unclipped: both norms stay in [0, 1]."""
+        return reduce(self._norm, degree_arrays, np.float64(1.0))
 
 
 class FuzzyOr:
@@ -209,9 +215,14 @@ class FuzzyOr:
         return float(self.batch(degrees))
 
     def batch(self, degree_arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Element-wise disjunction of parallel degree arrays, folded in
-        order; the empty disjunction is vacuously false (0.0)."""
-        degrees = map(_unit, degree_arrays)
+        """Element-wise disjunction of parallel degree arrays, each
+        clipped to [0, 1] first, folded in order; the empty disjunction
+        is vacuously false (0.0)."""
+        return self.fold(map(_unit, degree_arrays))
+
+    def fold(self, degrees: Iterable[np.ndarray]) -> np.ndarray:
+        """:meth:`batch` of degrees already in [0, 1] (rule degrees),
+        unclipped: both conorms stay in [0, 1]."""
         if self.kind == "max":
             return reduce(np.maximum, degrees, np.float64(0.0))
         complements = (1.0 - degree for degree in degrees)

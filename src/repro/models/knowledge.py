@@ -97,7 +97,7 @@ class FuzzyRule:
 
     def degree_batch(self, columns: Columns) -> np.ndarray:
         """Conjoined membership degrees of all predicates."""
-        return self.conjunction.batch(
+        return self.conjunction.fold(
             [predicate.degree_batch(columns) for predicate in self.predicates]
         )
 
@@ -114,7 +114,7 @@ class FuzzyRule:
             predicate.degree_interval_batch(low_columns, high_columns)
             for predicate in self.predicates
         ))
-        return (self.conjunction.batch(lows), self.conjunction.batch(highs))
+        return (self.conjunction.fold(lows), self.conjunction.fold(highs))
 
     def degree(self, attributes: AttributeVector) -> float:
         """Conjoined membership degree of all predicates."""
@@ -173,7 +173,7 @@ class KnowledgeModel(Model):
         average are both monotone in every degree, so combining rule
         bounds bounds the score."""
         if self.combination == "or":
-            return self.disjunction.batch(degrees)
+            return self.disjunction.fold(degrees)
         return sum(
             rule.weight * degree for rule, degree in zip(self.rules, degrees)
         ) / self._total_weight

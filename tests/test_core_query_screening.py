@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.engine import RasterRetrievalEngine, _Scan
 from repro.core.query import TopKQuery
 from repro.core.screening import TileScreen
 from repro.data.raster import RasterLayer, RasterStack
@@ -124,3 +127,62 @@ class TestTileScreen:
         screen = TileScreen(_stack(), leaf_size=64)
         assert screen.leaf[0]
         assert _children(screen, 0) == []
+
+
+class TestPerNodeLists:
+    @given(
+        rows=st.integers(1, 90),
+        cols=st.integers(1, 90),
+        leaf=st.integers(1, 17),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=64, cols=64, leaf=16, seed=0)  # every leaf full
+    @example(rows=250, cols=250, leaf=16, seed=1)  # full and 15-wide
+    @example(rows=1, cols=1, leaf=1, seed=2)  # the root is the leaf
+    @settings(max_examples=80, deadline=None)
+    def test_lists_restate_the_tables(self, rows, cols, leaf, seed):
+        """The lists a search step branches on say what the flat tables
+        say, node for node, and a full leaf's template cells are the
+        window cells ``_Scan.cells`` lists, id for id, for any set of
+        leaves."""
+        stack = RasterStack({"a": RasterLayer("a", np.zeros((rows, cols)))})
+        engine = RasterRetrievalEngine(stack, leaf_size=leaf)
+        screen = engine.screen
+        assert screen.children == [
+            tuple(kid for kid in kids if kid >= 0)
+            for kids in screen.child.tolist()
+        ]
+        assert [not kids for kids in screen.children] == screen.leaf.tolist()
+        assert screen.depths == screen.depth.tolist()
+        window = screen.window
+        assert np.array_equal(
+            screen.origin, window[:, 0] * cols + window[:, 1]
+        )
+        assert screen.full_leaf == [
+            bool(is_leaf) and r1 - r0 == leaf and c1 - c0 == leaf
+            for is_leaf, (r0, c0, r1, c1) in zip(
+                screen.leaf.tolist(), window.tolist()
+            )
+        ]
+        scan = _Scan(
+            engine, (0, 0, rows, cols), np.zeros(1, dtype=np.intp),
+            "sound", 1.0,
+        )
+        rng = np.random.default_rng(seed)
+        leaves = np.flatnonzero(screen.leaf)
+        full = np.flatnonzero(screen.full_leaf)
+        for ids in (
+            rng.permutation(full)[: rng.integers(0, 20)],
+            rng.permutation(leaves)[: rng.integers(1, 20)],
+        ):
+            if not ids.size:
+                continue
+            template = (
+                screen.origin[ids][:, None] + screen.leaf_template
+            ).reshape(-1)
+            flat, sizes = scan.leaf_cells(ids.tolist())
+            expected, expected_sizes = scan.cells(window[ids])
+            assert flat.tolist() == expected.tolist()
+            assert sizes.tolist() == expected_sizes.tolist()
+            if all(screen.full_leaf[node] for node in ids.tolist()):
+                assert template.tolist() == expected.tolist()
