@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit, RetrievalResult, ScoredLocation
-from repro.core.screening import TileScreen
+from repro.core.screening import TileScreen, meets
 from repro.data.raster import RasterStack
 from repro.exceptions import PlanError, QueryError
 from repro.metrics.counters import CostCounter
@@ -265,9 +265,10 @@ class _ScanState:
     Wraps the caller's :class:`BatchQuerySpec` with what the search owns
     (the frontier of ``(-upper, tiebreak, node id)`` entries and its
     tie-break counter), what is fixed per query (the cascade's attribute
-    order and favoured range ends, and the bound ``table`` of a one-sided
-    search, which :meth:`RasterRetrievalEngine._seed` fills) and the two
-    things a solo caller may add: a ``fusion`` spec, and an anytime
+    order and favoured range ends, and the signed bound ``table`` of
+    every screen node, ``+inf`` where the scan cannot reach, which
+    :meth:`RasterRetrievalEngine._seed` fills and nothing keeps) and the
+    two things a solo caller may add: a ``fusion`` spec, and an anytime
     ``work_budget`` whose outcome lands in ``regret_bound``.
 
     ``fusion`` (a :class:`repro.embed.fusion.FusionSpec`, duck-typed
@@ -306,9 +307,6 @@ class _ScanState:
         self.sign = 1.0 if spec.query.maximize else -1.0
         self.frontier: list = []
         self.tiebreak = itertools.count()
-        #: Signed upper bound of every screen node, or ``None`` where
-        #: :meth:`_Scan.bounds` serves; built per search, never kept.
-        self.table: np.ndarray | None = None
         progressive = spec.progressive
         if progressive is not None:
             #: Cascade attributes, contribution order.
@@ -365,12 +363,12 @@ class _Scan:
     screen root, or the minimal node cover of a sub-region, so a row
     band skips the shared upper tree levels. Nodes are ids into the
     screen's flat tables and per-node lists (re-exported here: a step
-    branches on the lists, a wave's arrays index the tables); a search
-    asks this object for a model's bounds over a block of node ids and
-    the cell list of a block of leaves; attributes are read at flat cell
-    ids through the stack's layers. Each is computed on demand and
-    nothing is kept, so a batch's members, taking turns on one scan,
-    bound every node exactly as their solo searches do.
+    branches on the lists, a wave's arrays index the tables). It names
+    the nodes a search can reach, which each search bounds into its own
+    table, and lists the cells of a block of leaves; attributes are read
+    at flat cell ids through the stack's layers. Nothing is kept, so a
+    batch's members, taking turns on one scan, bound every node exactly
+    as their solo searches do.
     """
 
     def __init__(
@@ -392,6 +390,8 @@ class _Scan:
         self.template = screen.leaf_template
         self.region = region
         self.roots = roots
+        #: Every node a step can bound: ``TileScreen.region_nodes``.
+        self.nodes = screen.region_nodes(region)
         #: Bound source: ``None`` for the sound min/max envelopes, else
         #: the margin of the shrunken (unsound) pseudo-envelopes.
         self.margin = heuristic_margin if pruning == "heuristic" else None
@@ -406,37 +406,22 @@ class _Scan:
 
     def inside(self, ids: np.ndarray) -> np.ndarray:
         """Mask of the nodes ``ids`` that intersect the region."""
-        row0, col0, row1, col1 = self.region
-        window = self.window[ids].T
-        return (
-            (window[0] < row1) & (row0 < window[2])
-            & (window[1] < col1) & (col0 < window[3])
-        )
-
-    def bounds(
-        self, model: Model, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``model``'s interval ``(low, high)`` over each node of ``ids``."""
-        return model.evaluate_interval_batch(
-            *self.screen.envelope_block(ids, self.margin)
-        )
+        return meets(self.window[ids].T, self.region)
 
     def one_sided(self, state: _ScanState):
-        """Per term of a plain linear model, the ``envelope_table`` row
-        (a view) of the side ``state`` reads, by attribute name; ``None``
-        where :meth:`bounds` must serve (fusion blends both sides)."""
+        """Per term of a plain linear model under sound pruning, the
+        ``envelope_table`` row of the side ``state`` reads at
+        :attr:`nodes` (a view over the whole grid), by attribute name;
+        ``None`` for any other model or a heuristic margin."""
         model, names = state.model, self.screen.attributes
-        if state.fusion is not None or self.margin is not None or (
-            type(model) is not LinearModel
-            or not set(model.attributes) <= set(names)
-        ):
+        if self.margin is not None or type(model) is not LinearModel:
             return None
         table = self.screen.envelope_table
         return {
             name: table[
                 names.index(name)
                 + len(names) * ((weight >= 0) == (state.sign > 0))
-            ]
+            ][self.nodes]
             for name, weight in model.coefficients.items()
         }
 
@@ -547,6 +532,7 @@ class RasterRetrievalEngine:
                 "fused (similar_to) queries need embeddings; use "
                 "RetrievalService.top_k"
             )
+        self.require_attributes(query.model)
         counter = CostCounter()
         heap = self.dense_top_k(
             query, query.clip_region(self.stack.shape), counter
@@ -665,15 +651,13 @@ class RasterRetrievalEngine:
         ``term_order`` forces an explicit cascade order instead of the
         default contribution ranking.
         """
+        self.require_attributes(model)
         if not isinstance(model, LinearModel):
             raise QueryError(
                 f"model {type(model).__name__} does not support progressive "
                 "levels; run with use_model_levels=False"
             )
         ranges = self.screen.attribute_ranges()
-        missing = [a for a in model.attributes if a not in ranges]
-        if missing:
-            raise QueryError(f"stack lacks model attributes {missing}")
         spreads = {
             name: high - low
             for name, (low, high) in ranges.items()
@@ -718,6 +702,7 @@ class RasterRetrievalEngine:
         be shared across concurrent :meth:`shard_search` calls.
         """
         model = query.model
+        self.require_attributes(model)
         progressive = (
             self._build_progressive(model, term_order)
             if use_model_levels
@@ -729,6 +714,14 @@ class RasterRetrievalEngine:
                 "tile search needs evaluate_interval_batch"
             )
         return progressive
+
+    def require_attributes(self, model: Model) -> None:
+        """The one missing-attribute check of every entry point and of
+        the service's admit stage, before anything is read."""
+        layers = self.stack.layers
+        missing = [a for a in model.attributes if a not in layers]
+        if missing:
+            raise QueryError(f"stack lacks model attributes {missing}")
 
     def shard_search(
         self,
@@ -805,11 +798,7 @@ class RasterRetrievalEngine:
                     "shared-scan batches cannot blend embeddings; fused "
                     "(similar_to) members are planned as singletons"
                 )
-            if not spec.query.model.supports_intervals:
-                raise QueryError(
-                    f"model {type(spec.query.model).__name__} cannot bound "
-                    "intervals; tile search needs evaluate_interval_batch"
-                )
+            self.prepare_tile_query(spec.query, use_model_levels=False)
         scan = _Scan(
             self, region, self.screen.region_root_ids(region), pruning,
             heuristic_margin,
@@ -844,18 +833,34 @@ class RasterRetrievalEngine:
     def _seed(self, state: _ScanState, scan: _Scan) -> None:
         """Fill a fresh state's bound table and push its roots.
 
-        A one-sided search bounds every screen node at once, in one
-        :meth:`evaluate_batch` over the ``envelope_table`` rows it reads:
-        the expression is elementwise, so each node's bound is bit for
-        bit what a call over any block of nodes gives, and one
-        set-at-a-time call over the whole screen costs less than one
-        small call per wave. The table dies with the search, so a
+        Every node the scan can reach is bounded at once, on the side of
+        its interval the query reads — a sound linear search by one
+        :meth:`evaluate_batch` of the ``envelope_table`` rows that side
+        drives up, any other by one ``evaluate_interval_batch`` — and a
+        fused search blends in that side's cosine caps. Each expression
+        is elementwise, so a node's bound is bit for bit what any block
+        of nodes gives it. Unreachable nodes read ``+inf`` (never
+        prunes). The table dies with the search, so a
         :meth:`TileScreen.refresh_region` reaches the next one.
         """
+        nodes, model, fusion = scan.nodes, state.model, state.fusion
+        maximize = state.sign > 0
         columns = scan.one_sided(state)
         if columns is not None:
-            bound = state.model.evaluate_batch(columns)
-            state.table = bound if state.sign > 0 else -bound
+            bound = model.evaluate_batch(columns)
+        else:
+            bound = model.evaluate_interval_batch(
+                *self.screen.envelope_block(nodes, scan.margin)
+            )[int(maximize)]
+        if fusion is not None:
+            bound = fusion.blend(bound, fusion.caps[int(maximize)][nodes])
+        if not maximize:
+            bound = -bound
+        if isinstance(nodes, slice):
+            state.table = bound
+        else:
+            state.table = np.full(scan.depth.size, np.inf)
+            state.table[nodes] = bound
         for upper, root in zip(
             self._uppers(state, scan.roots, scan).tolist(),
             scan.roots.tolist(),
@@ -955,25 +960,19 @@ class RasterRetrievalEngine:
 
     def _uppers(self, state: _ScanState, ids: np.ndarray, scan: _Scan):
         """Signed upper bounds (an array) of the nodes ``ids`` for one
-        query's objective.
+        query's objective: the rows of its bound table (:meth:`_seed`).
 
-        Charged as ``len(ids)`` scalar boundings (one aggregate-node
+        Charged as ``len(ids)`` scalar boundings — one aggregate-node
         visit per attribute per node, one partial model evaluation per
-        node), whichever way the bounds are found. A one-sided search
-        reads them from its ``table`` (the model's own ``evaluate_batch``
-        at the corner of each node's box the query favours, the side of
-        ``evaluate_interval_batch`` it reads, :meth:`_seed`); any other
-        bounds the block in one interval evaluation.
+        node, and for a fused search one blend per node — as if each
+        were bounded when it is reached.
         """
         counter = state.spec.counter
         counter.add_nodes(len(ids) * len(self.screen.attributes))
         counter.add_partial_evals(len(ids), flops_each=state.model.complexity)
-        if state.table is not None:
-            return state.table[ids]
-        low, high = scan.bounds(state.model, ids)
         if state.fusion is not None:
-            low, high = state.fusion.combine_bounds(ids, low, high, counter)
-        return high if state.sign > 0 else -low
+            state.fusion.charge_blends(len(ids), counter)
+        return state.table[ids]
 
     def _evaluate_cells(
         self,

@@ -33,8 +33,18 @@ from repro.pyramid.quadtree import (
     refresh_finest_grids,
 )
 
-#: Regions whose root covers a screen keeps (a cover is a few dozen ids).
+#: Regions whose root covers (and node ids) a screen keeps.
 COVER_MEMO = 1024
+
+
+def meets(windows: np.ndarray, region: tuple[int, int, int, int]):
+    """Mask of the windows that share a cell with ``region``; ``windows``
+    is ``(4, n)``: rows ``row0, col0, row1, col1`` (half-open)."""
+    row0, col0, row1, col1 = region
+    return (
+        (windows[0] < row1) & (row0 < windows[2])
+        & (windows[1] < col1) & (col0 < windows[3])
+    )
 
 
 class TileScreen:
@@ -68,7 +78,11 @@ class TileScreen:
     ``depths`` and ``full_leaf`` (a leaf spanning a whole template). All
     are built once and never touched again. Grid entries that are no
     tree node (a leaf's intervals persist to deeper grids) occupy ids no
-    ``child`` row ever names.
+    ``child`` row ever names. Per region, a search reads its root cover
+    (:meth:`region_root_ids`) and the ids of every node it can reach
+    (:meth:`region_nodes`), memoized together; per query, a fused
+    search's cosine caps come from the same min/max combine as the
+    envelopes (:meth:`node_extrema`).
     """
 
     def __init__(self, stack: RasterStack, leaf_size: int = 16) -> None:
@@ -85,7 +99,7 @@ class TileScreen:
         self.envelope_table = np.empty((2 * n_attrs, n_nodes))
         self.lows, self.highs = np.split(self.envelope_table, 2)
         row, col = self._levels[-1]
-        mins, maxs = np.split(self._grids(-1), 2)
+        mins, maxs = np.split(self._grids(self.envelope_table, -1), 2)
         for a, name in enumerate(self.attributes):
             layer = stack[name]
             # Duck-typed, so plain layers pay nothing; the store has
@@ -95,42 +109,55 @@ class TileScreen:
             if grids is None:
                 grids = finest_grids(layer.values, row.starts, col.starts)
             mins[a], maxs[a] = grids
-        self._combine()
+        self._combine(self.envelope_table)
         self._build_structure_tables()
-        self._covers: dict[tuple[int, int, int, int], np.ndarray] = {}
+        self._covers: dict[tuple[int, int, int, int], tuple] = {}
 
-    def _grids(self, depth: int) -> np.ndarray:
-        """One depth's slice of ``envelope_table`` as ``(2 * n_attrs,
+    def _grids(self, table: np.ndarray, depth: int) -> np.ndarray:
+        """One depth's slice of a node table (``envelope_table``, or any
+        min-rows-over-max-rows table in node-id order) as ``(n_rows,
         n_row_intervals, n_col_intervals)`` grids — a view; depth ``-1``
         is the leaves."""
         depth %= len(self._levels)
         row, col = self._levels[depth]
         start, stop = self._offsets[depth], self._offsets[depth + 1]
-        return self.envelope_table[:, start:stop].reshape(
+        return table[:, start:stop].reshape(
             -1, row.starts.size, col.starts.size
         )
 
-    def _combine(self) -> None:
-        """Re-derive every coarser depth from the finest in place,
-        children-wise (min and max are exact in any order), and check
-        ``min <= max`` everywhere — false for a NaN too, which would
-        otherwise bound nothing and prune wrongly."""
-        n_attrs = len(self.attributes)
-        fine = self._grids(-1)
+    def _combine(self, table: np.ndarray) -> None:
+        """Re-derive every coarser depth of a node table from its finest
+        in place, children-wise (min and max are exact in any order):
+        the first half of its rows by minimum, the second by maximum.
+        Then check ``min <= max`` everywhere — false for a NaN too,
+        which would otherwise bound nothing and prune wrongly."""
+        half = table.shape[0] // 2
+        fine = self._grids(table, -1)
         for depth in range(len(self._levels) - 2, -1, -1):
             row, col = self._levels[depth]
-            coarse = self._grids(depth)
+            coarse = self._grids(table, depth)
             for ufunc, side in (
-                (np.minimum, slice(None, n_attrs)),
-                (np.maximum, slice(n_attrs, None)),
+                (np.minimum, slice(None, half)),
+                (np.maximum, slice(half, None)),
             ):
                 rows = ufunc(fine[side, row.first], fine[side, row.last])
                 coarse[side] = ufunc(rows[..., col.first], rows[..., col.last])
             fine = coarse
-        if not (self.lows <= self.highs).all():
+        if not (table[:half] <= table[half:]).all():
             raise PlanError(
                 "tile screen envelope has a NaN or a min above its max"
             )
+
+    def node_extrema(self, grid: np.ndarray) -> np.ndarray:
+        """``(2, n_nodes)``: the minimum over the maximum of a per-leaf
+        ``grid`` (the leaf tiling's shape, :meth:`level_intervals`
+        ``(-1)``) over each node's leaves, in node-id order — derived
+        depth by depth with the very combine that builds
+        ``envelope_table``. The fused search's cosine caps."""
+        table = np.empty((2, self._offsets[-1]))
+        self._grids(table, -1)[:] = grid
+        self._combine(table)
+        return table
 
     def _build_structure_tables(self) -> None:
         """Child ids, windows, leaf mask and depth of every node id, and
@@ -236,7 +263,7 @@ class TileScreen:
         unsound.
         """
         row, col = self._levels[-1]
-        mins, maxs = np.split(self._grids(-1), 2)
+        mins, maxs = np.split(self._grids(self.envelope_table, -1), 2)
         for a, name in enumerate(self.attributes):
             refresh_finest_grids(
                 self.stack[name].values,
@@ -248,7 +275,7 @@ class TileScreen:
                 maxs[a],
                 region,
             )
-        self._combine()
+        self._combine(self.envelope_table)
 
     def envelope_block(
         self, ids: np.ndarray, margin: float | None = None
@@ -291,6 +318,20 @@ class TileScreen:
         the never-changing structure tables, so each is kept read-only
         per region (up to :data:`COVER_MEMO`, emptied when full).
         """
+        return self._region(region)[0]
+
+    def region_nodes(
+        self, region: tuple[int, int, int, int]
+    ) -> np.ndarray | slice:
+        """Ids of every node whose window meets ``region`` (clipped to
+        the grid): every node a search of that region can bound, from
+        the global root or from :meth:`region_root_ids`. The whole grid
+        is ``slice(None)``, so a table indexed by it stays a view.
+        Kept read-only in the region's cover entry."""
+        return self._region(region)[1]
+
+    def _region(self, region: tuple[int, int, int, int]):
+        """``(root cover, node ids)`` of a region, memoized together."""
         rows, cols = self.shape
         row0, col0 = max(0, region[0]), max(0, region[1])
         row1, col1 = min(rows, region[2]), min(cols, region[3])
@@ -299,17 +340,14 @@ class TileScreen:
                 f"region {region} does not intersect grid {self.shape}"
             )
         key = (row0, col0, row1, col1)
-        cover = self._covers.get(key)
-        if cover is not None:
-            return cover
+        entry = self._covers.get(key)
+        if entry is not None:
+            return entry
         cover = []
         ids = np.zeros(1, dtype=np.intp)
         while ids.size:  # one tree level per turn
             window = self.window[ids].T
-            touching = (
-                (window[0] < row1) & (row0 < window[2])
-                & (window[1] < col1) & (col0 < window[3])
-            )
+            touching = meets(window, key)
             ids, window = ids[touching], window[:, touching]
             resolved = self.leaf[ids] | (
                 (row0 <= window[0]) & (window[2] <= row1)
@@ -322,10 +360,15 @@ class TileScreen:
         origin = self.window[cover]
         cover = cover[np.lexsort((origin[:, 1], origin[:, 0]))]
         cover.setflags(write=False)
+        if key == (0, 0, rows, cols):
+            nodes = slice(None)
+        else:
+            nodes = np.flatnonzero(meets(self.window.T, key))
+            nodes.setflags(write=False)
         if len(self._covers) >= COVER_MEMO:
             self._covers.clear()
-        self._covers[key] = cover
-        return cover
+        entry = self._covers[key] = (cover, nodes)
+        return entry
 
     def attribute_ranges(self) -> dict[str, tuple[float, float]]:
         """Whole-grid (min, max) per attribute: the root's envelopes."""

@@ -8,8 +8,8 @@ where ``cosine`` is the inner product between the unit embedding of the
 cell's tile and the unit embedding of the example tile. A
 :class:`FusionSpec` packages everything the tile search needs to bound
 and evaluate that objective: the example's query vector, the finest
-tile-cosine grid, and per-depth min/max cosine caps aligned with the
-tile screen's node layout.
+tile-cosine grid, and the min/max cosine caps of every tile screen
+node, in node-id order.
 
 Soundness of the combined bounds: with ``alpha`` and ``1 - alpha`` both
 non-negative, ``model`` inside its interval envelope, and the node's
@@ -18,8 +18,9 @@ cosine inside its cap, the blend of the two upper (lower) bounds upper-
 monotone under multiplication by a non-negative constant and addition,
 the *computed* bound also dominates the *computed* leaf score, so the
 bitwise tie-break conventions survive fusion. The engine consumes the
-spec duck-typed (:meth:`combine_bounds` / :meth:`combine_leaves`), which
-keeps ``repro.core`` free of an embed dependency.
+spec duck-typed (:attr:`FusionSpec.caps`, :meth:`FusionSpec.blend`,
+:meth:`FusionSpec.charge_blends`, :meth:`FusionSpec.combine_leaves`),
+which keeps ``repro.core`` free of an embed dependency.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class FusionSpec:
         dim: int,
         n_tiles: int,
         cosines: np.ndarray,
-        caps: list[tuple[np.ndarray, np.ndarray]],
+        caps: np.ndarray,
         row_starts: np.ndarray,
         col_starts: np.ndarray,
     ) -> None:
@@ -59,11 +60,9 @@ class FusionSpec:
         self.dim = dim
         self.n_tiles = n_tiles
         self._cosines = cosines
-        # Caps flattened into the tile screen's node-id layout (every
-        # depth's grid concatenated in depth order), so a wave of node
-        # ids resolves to its caps in one fancy-index per side.
-        self._cap_lows = np.concatenate([low.ravel() for low, _ in caps])
-        self._cap_highs = np.concatenate([high.ravel() for _, high in caps])
+        #: ``(2, n_nodes)``: each screen node's minimum over its maximum
+        #: tile cosine, in node-id order (``TileScreen.node_extrema``).
+        self.caps = caps
         self._row_starts = row_starts
         self._col_starts = col_starts
 
@@ -77,7 +76,7 @@ class FusionSpec:
         """Resolve an example cell into a ready-to-search spec.
 
         Computes the full tile-cosine grid once (term-order inner
-        products, see :meth:`TileEmbeddings.cosines`) plus its per-depth
+        products, see :meth:`TileEmbeddings.cosines`) plus its per-node
         caps; tile search then does O(1) lookups per node and per leaf.
         """
         query_vector = embeddings.tile_vector(similar_to)
@@ -104,20 +103,9 @@ class FusionSpec:
         """
         counter.add_partial_evals(self.n_tiles, flops_each=2 * self.dim)
 
-    def combine_bounds(
-        self,
-        ids: np.ndarray,
-        low: np.ndarray,
-        high: np.ndarray,
-        counter,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Blend model interval bounds with the cosine caps of the
-        screen nodes ``ids``."""
-        counter.add_partial_evals(len(ids), flops_each=BLEND_FLOPS)
-        return (
-            self.alpha * low + self.beta * self._cap_lows[ids],
-            self.alpha * high + self.beta * self._cap_highs[ids],
-        )
+    def charge_blends(self, n: int, counter) -> None:
+        """Tally ``n`` blends (of a node bound or a leaf's cosine)."""
+        counter.add_partial_evals(n, flops_each=BLEND_FLOPS)
 
     def blend(self, scores: np.ndarray, cosines) -> np.ndarray:
         """The fused objective, op-order pinned: ``a*model + b*cos``.
@@ -171,5 +159,5 @@ class FusionSpec:
         blend is the per-cell fused objective, term-ordered as
         ``alpha * model + beta * cosine``. Charged once per leaf.
         """
-        counter.add_partial_evals(len(ids), flops_each=BLEND_FLOPS)
-        return self.blend(scores, np.repeat(self._cap_lows[ids], sizes))
+        self.charge_blends(len(ids), counter)
+        return self.blend(scores, np.repeat(self.caps[0][ids], sizes))

@@ -161,8 +161,8 @@ class TileEmbeddings:
     """The embedded tile grid of one archive generation.
 
     Holds one float32 unit vector per tile-screen leaf window, the leaf
-    tiling itself, and the per-depth tile ranges of the screen's
-    quadtree (for the fused search's cosine caps). Mutations ride the
+    tiling itself, and the screen (whose envelope combine builds the
+    fused search's cosine caps). Mutations ride the
     same contract as every other derived structure (DESIGN.md §9):
     :meth:`refresh_region` re-embeds exactly the tiles a dirty rectangle
     touches — bit-identical to a rebuild — and the caller restamps
@@ -199,19 +199,6 @@ class TileEmbeddings:
         self._row_lengths = np.asarray(row_lengths)
         self._col_starts = np.asarray(col_starts)
         self._col_lengths = np.asarray(col_lengths)
-        # Per-depth tile-index boundaries: every coarser interval edge
-        # is also a finest edge, so searchsorted maps depth-d starts to
-        # reduceat offsets over the tile grid.
-        self._depth_tile_rows = []
-        self._depth_tile_cols = []
-        for depth in range(screen.n_depths):
-            d_rows, _, d_cols, _ = screen.level_intervals(depth)
-            self._depth_tile_rows.append(
-                np.searchsorted(self._row_starts, d_rows, side="left")
-            )
-            self._depth_tile_cols.append(
-                np.searchsorted(self._col_starts, d_cols, side="left")
-            )
 
     # -- construction ------------------------------------------------------
 
@@ -333,29 +320,13 @@ class TileEmbeddings:
             scores += query[d] * vectors[..., d]
         return scores
 
-    def cosine_caps(
-        self, cosines: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-depth ``(low, high)`` cosine grids over a cosine grid.
-
-        Entry ``d`` has the screen's depth-``d`` node layout; each node
-        holds the min/max cosine over its descendant tiles, i.e. exact
-        query-specific similarity envelopes (tight at the finest depth,
-        where each node is one tile). Computed by ``reduceat`` over the
-        finest grid, so cap construction is O(n_tiles) per depth.
+    def cosine_caps(self, cosines: np.ndarray) -> np.ndarray:
+        """``(2, n_nodes)``: the min over the max of a tile-cosine grid
+        below each screen node, in node-id order — exact query-specific
+        similarity envelopes (a leaf's is its one tile's cosine), by the
+        screen's own envelope combine (:meth:`TileScreen.node_extrema`).
         """
-        caps: list[tuple[np.ndarray, np.ndarray]] = []
-        for t_rows, t_cols in zip(
-            self._depth_tile_rows, self._depth_tile_cols
-        ):
-            low = np.minimum.reduceat(
-                np.minimum.reduceat(cosines, t_cols, axis=1), t_rows, axis=0
-            )
-            high = np.maximum.reduceat(
-                np.maximum.reduceat(cosines, t_cols, axis=1), t_rows, axis=0
-            )
-            caps.append((low, high))
-        return caps
+        return self._screen.node_extrema(cosines)
 
     # -- mutation ----------------------------------------------------------
 
@@ -428,8 +399,8 @@ class TileEmbeddings:
     ) -> "TileEmbeddings":
         """Reopen a saved grid against the stack/screen it was built on.
 
-        The tile geometry and the per-depth cap layout are rebuilt from
-        ``screen`` (they are structural, not data); the payload must
+        The tile geometry is rebuilt from ``screen`` (it is
+        structural, not data); the payload must
         match the stack's bands and declare the same embedder config,
         otherwise its vectors would silently mean something else.
         """

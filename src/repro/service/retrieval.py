@@ -1072,12 +1072,8 @@ class RetrievalService:
                     + " query (a fused one carries a similar_to example "
                     f"cell with alpha < 1); use 'auto' or one of {family}"
                 )
-        stack = self.engine.stack
-        layers = stack.layers
-        missing = [a for a in query.model.attributes if a not in layers]
-        if missing:
-            raise QueryError(f"stack lacks model attributes {missing}")
-        request.region = query.clip_region(stack.shape)
+        self.engine.require_attributes(query.model)
+        request.region = query.clip_region(self.engine.stack.shape)
         request.resolved = strategy
 
     def _serve(

@@ -30,6 +30,8 @@ from repro.core.engine import (
 from repro.core.query import TopKQuery
 from repro.core.results import PruningAudit
 from repro.data.raster import RasterLayer, RasterStack
+from repro.embed.fusion import FusionSpec
+from repro.embed.tiles import TileEmbeddings
 from repro.metrics.counters import CostCounter
 from repro.metrics.registry import MetricsRegistry
 from repro.models.linear import LinearModel
@@ -37,6 +39,9 @@ from repro.service import RetrievalService
 from repro.synth.landsat import generate_scene
 from repro.synth.terrain import generate_dem
 from tests.oracles import COUNTER_FIELDS, exact_answers, exhaustive_fused
+from tests.test_knowledge_ties import _model as _knowledge_model
+from tests.test_knowledge_ties import rule
+from tests.test_region_tables import _leaf_tiles
 
 SHAPE = (256, 256)
 #: The paper's HPS weights with two signs flipped: level 1 (band 4)
@@ -437,12 +442,108 @@ class TestOneSidedBounds:
         )
         want = high if maximize else -low
         assert engine._uppers(state, ids, scan).tobytes() == want.tobytes()
-        # Where both sides are needed, or other envelopes, it stands down.
+        # Pseudo-envelopes have no one-sided rows; a fused search reads
+        # the same rows as the plain one and blends its caps after.
         heuristic = _Scan(engine, region, scan.roots, "heuristic", 0.7)
         assert heuristic.one_sided(state) is None
-        wider = LinearModel({**model.coefficients, "absent": 1.0})
-        assert scan.one_sided(state_of(wider)) is None
-        assert scan.one_sided(state_of(model, fusion=object())) is None
+        fused = scan.one_sided(state_of(model, fusion=object()))
+        assert fused.keys() == scan.one_sided(state).keys()
+        for name, row in fused.items():
+            assert row.tobytes() == scan.one_sided(state)[name].tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(5, 40),
+        cols=st.integers(5, 40),
+        leaf=st.integers(2, 9),
+        rules=st.none() | st.lists(rule, min_size=1, max_size=3),
+        combination=st.sampled_from(["or", "weighted"]),
+        t_conorm=st.sampled_from(["max", "sum"]),
+        margin=st.none() | st.sampled_from([0.0, 0.4, 0.7, 1.0, 1.5]),
+        alpha=st.none() | st.sampled_from([0.0, 0.3, 0.5, 0.9]),
+        maximize=st.booleans(),
+        roots=st.sampled_from(["root", "cover"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_table_is_its_interval_bound(
+        self, seed, rows, cols, leaf, rules, combination, t_conorm, margin,
+        alpha, maximize, roots, make_noise_stack,
+    ):
+        """Every search — linear (``rules is None``) or knowledge, sound
+        or heuristic, plain or fused, whole-grid or regional, walked
+        from the global root (clipping) or from the region's cover —
+        seeds one table whose rows are the side of
+        ``evaluate_interval_batch`` its query reads, over the scan's
+        (pseudo-)envelopes, blended with brute-force cosine caps when
+        fused, byte for byte, for any block of ids: a node's bound does
+        not depend on the block it is computed in. ``_uppers`` charges
+        each id one node visit per attribute, one partial evaluation
+        and, fused, one blend; nodes the region cannot reach read
+        ``+inf``."""
+        rng = np.random.default_rng(seed)
+        stack = make_noise_stack(rows, cols, 3, seed % 50)
+        engine = RasterRetrievalEngine(stack, leaf_size=leaf)
+        screen = engine.screen
+        if rules is None:
+            weights = rng.choice([-0.0, 0.0, -1.0, 1.0, 3.0], 3) * (
+                rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, 3)
+            )
+            model = LinearModel(
+                dict(zip(stack.names, weights.tolist())),
+                intercept=rng.normal(),
+            )
+        else:
+            model = _knowledge_model(rules, combination, t_conorm)
+        row0, col0 = int(rng.integers(rows)), int(rng.integers(cols))
+        region = (
+            row0, col0,
+            int(rng.integers(row0, rows)) + 1, int(rng.integers(col0, cols)) + 1,
+        )
+        if rng.random() < 0.3:
+            region = (0, 0, rows, cols)
+        root_ids = (
+            np.zeros(1, dtype=np.intp) if roots == "root"
+            else screen.region_root_ids(region)
+        )
+        pruning = "sound" if margin is None else "heuristic"
+        scan = _Scan(engine, region, root_ids, pruning, margin)
+        fusion = None
+        if alpha is not None:
+            embeddings = TileEmbeddings.build(stack, screen, dim=4, seed=1)
+            example = (int(rng.integers(rows)), int(rng.integers(cols)))
+            fusion = FusionSpec.build(embeddings, example, alpha)
+            cosines = embeddings.cosines(embeddings.tile_vector(example))
+        query = TopKQuery(model=model, k=3, maximize=maximize)
+        spec = BatchQuerySpec(query, TopKHeap(3), CostCounter(), PruningAudit())
+        state = _ScanState(spec, fusion=fusion)
+        engine._seed(state, scan)
+
+        reachable = np.arange(screen.depth.size)[scan.nodes]
+        outside = np.setdiff1d(np.arange(screen.depth.size), reachable)
+        assert (state.table[outside] == np.inf).all()
+        ids = rng.choice(reachable, rng.integers(1, 200))
+        before = dataclasses.replace(spec.counter)
+        uppers = engine._uppers(state, ids, scan)
+        low, high = model.evaluate_interval_batch(
+            *screen.envelope_block(ids, scan.margin)
+        )
+        bound = high if maximize else low
+        if fusion is not None:
+            extreme = np.max if maximize else np.min
+            caps = [
+                extreme(cosines[np.ix_(*_leaf_tiles(screen, window))])
+                for window in screen.window[ids].tolist()
+            ]
+            bound = fusion.alpha * bound + fusion.beta * np.array(caps)
+        want = bound if maximize else -bound
+        assert uppers.tobytes() == want.tobytes()
+        blends = 0 if fusion is None else len(ids)
+        assert spec.counter.nodes_visited - before.nodes_visited == (
+            3 * len(ids)
+        )
+        assert spec.counter.partial_evals - before.partial_evals == (
+            len(ids) + blends
+        )
 
 
 class TestShardedHeapMeetsTheBlockThreshold:

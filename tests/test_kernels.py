@@ -33,14 +33,11 @@ from repro.models.fsm_runner import (
     symbolize_weather,
 )
 from repro.models.fuzzy import (
-    FuzzyAnd,
-    FuzzyOr,
     gaussian_membership,
     sigmoid_membership,
     trapezoid_membership,
     triangle_membership,
 )
-from repro.models.knowledge import FuzzyRule, KnowledgeModel, RulePredicate
 from repro.models.linear import LinearModel
 from repro.service import RetrievalService, SharedTopKHeap
 
@@ -219,97 +216,7 @@ class TestOfferCells:
 # --- batched interval bounds --------------------------------------------
 
 
-def _random_boxes(data, attributes, n):
-    lows = {}
-    highs = {}
-    for name in attributes:
-        low = np.array(
-            [data.draw(st.floats(-50, 50)) for _ in range(n)]
-        )
-        width = np.array(
-            [data.draw(st.floats(0, 30)) for _ in range(n)]
-        )
-        lows[name] = low
-        highs[name] = low + width
-    return lows, highs
-
-
 class TestIntervalBatch:
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_linear_bitwise_equal_to_scalar(self, data):
-        n_attrs = data.draw(st.integers(1, 4))
-        attributes = [f"a{i}" for i in range(n_attrs)]
-        model = LinearModel(
-            {
-                name: data.draw(
-                    st.floats(-3, 3).filter(lambda w: w != 0)
-                )
-                for name in attributes
-            },
-            intercept=data.draw(st.floats(-10, 10)),
-        )
-        n = data.draw(st.integers(1, 12))
-        lows, highs = _random_boxes(data, attributes, n)
-        batch_low, batch_high = model.evaluate_interval_batch(lows, highs)
-        for i in range(n):
-            box = {
-                name: (float(lows[name][i]), float(highs[name][i]))
-                for name in attributes
-            }
-            low, high = model.evaluate_interval(box)
-            # Bitwise equality: the engine's frontier ordering must not
-            # depend on which path produced the bound.
-            assert batch_low[i] == low
-            assert batch_high[i] == high
-
-    @given(st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_knowledge_bitwise_equal_to_scalar(self, data):
-        memberships = [
-            triangle_membership(0.0, 5.0, 10.0),
-            trapezoid_membership(-5.0, 0.0, 3.0, 8.0),
-            gaussian_membership(2.0, 4.0),
-            sigmoid_membership(1.0, steepness=0.8),
-        ]
-        attributes = ["x", "y"]
-        rules = []
-        n_rules = data.draw(st.integers(1, 3))
-        for r in range(n_rules):
-            predicates = tuple(
-                RulePredicate(
-                    attribute=data.draw(st.sampled_from(attributes)),
-                    membership=data.draw(st.sampled_from(memberships)),
-                )
-                for _ in range(data.draw(st.integers(1, 3)))
-            )
-            rules.append(
-                FuzzyRule(
-                    name=f"r{r}",
-                    predicates=predicates,
-                    weight=data.draw(st.floats(0.5, 2.0)),
-                    conjunction=FuzzyAnd(
-                        data.draw(st.sampled_from(["min", "product"]))
-                    ),
-                )
-            )
-        model = KnowledgeModel(
-            rules,
-            combination=data.draw(st.sampled_from(["or", "weighted"])),
-            disjunction=FuzzyOr(data.draw(st.sampled_from(["max", "sum"]))),
-        )
-        n = data.draw(st.integers(1, 10))
-        lows, highs = _random_boxes(data, attributes, n)
-        batch_low, batch_high = model.evaluate_interval_batch(lows, highs)
-        for i in range(n):
-            box = {
-                name: (float(lows[name][i]), float(highs[name][i]))
-                for name in attributes
-            }
-            low, high = model.evaluate_interval(box)
-            assert batch_low[i] == low
-            assert batch_high[i] == high
-
     def test_a_model_without_a_batch_bound_cannot_bound(self):
         """A model that bounds nothing in batch bounds no single box
         either: the base class only raises, and the tile search refuses

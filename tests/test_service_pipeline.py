@@ -21,9 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import BatchQuerySpec, TopKHeap
 from repro.core.query import TopKQuery
+from repro.core.results import PruningAudit
 from repro.data.raster import RasterLayer, RasterStack
 from repro.exceptions import QueryError
+from repro.metrics.counters import CostCounter
 from repro.metrics.registry import MetricsRegistry
 from repro.models.base import Model
 from repro.models.fuzzy import (
@@ -102,6 +105,37 @@ def _stage_counts(service: RetrievalService) -> dict:
 
 def _span_names(result) -> list[str]:
     return [span.name for span in result.trace.spans]
+
+
+def _shared_scan(service, query):
+    spec = BatchQuerySpec(
+        query, TopKHeap(query.k), CostCounter(), PruningAudit()
+    )
+    region = query.clip_region(service.engine.stack.shape)
+    service.engine.shared_scan_search([spec], region)
+
+
+#: Every way into a search, by name: the service and each engine entry.
+ENGINE_ENTRIES = {
+    "service": lambda service, query: service.top_k(query),
+    "both": lambda service, query: service.engine.progressive_top_k(query),
+    "data-progressive": lambda service, query: (
+        service.engine.progressive_top_k(query, use_model_levels=False)
+    ),
+    "model-progressive": lambda service, query: (
+        service.engine.progressive_top_k(query, use_tiles=False)
+    ),
+    "none": lambda service, query: service.engine.progressive_top_k(
+        query, use_tiles=False, use_model_levels=False
+    ),
+    "exhaustive": lambda service, query: (
+        service.engine.exhaustive_top_k(query)
+    ),
+    "prepare_tile_query": lambda service, query: (
+        service.engine.prepare_tile_query(query, use_model_levels=False)
+    ),
+    "shared_scan_search": _shared_scan,
+}
 
 
 @pytest.fixture()
@@ -217,6 +251,31 @@ class TestAdmission:
         assert not reply.ok
         assert reply.error_kind == "query"
         assert "stack lacks model attributes ['zzz']" in reply.error
+
+    @pytest.mark.parametrize("entry", sorted(ENGINE_ENTRIES))
+    @pytest.mark.parametrize("kind", ["linear", "knowledge"])
+    def test_every_engine_entry_point_raises_the_admit_error(
+        self, stack, entry, kind
+    ):
+        """One check, whatever path a query takes: the engine's entry
+        points reject a model naming an attribute the stack lacks with
+        the service's admit error, before any bound or read."""
+        service = _service(stack)
+        model = _model(kind, stack)
+        if kind == "linear":
+            model = LinearModel({**model.coefficients, "zzz": 1.0})
+        else:
+            rule = FuzzyRule(
+                name="typo",
+                predicates=(
+                    RulePredicate("zzz", triangle_membership(0.0, 1.0, 2.0)),
+                ),
+            )
+            model = KnowledgeModel([*model.rules, rule])
+        query = _query(model, "regional", fused=False)
+        with pytest.raises(QueryError) as raised:
+            ENGINE_ENTRIES[entry](service, query)
+        assert str(raised.value) == "stack lacks model attributes ['zzz']"
 
     def test_rejected_solo_and_batch_leave_tallies_and_registry(self, stack):
         service = _service(stack)
