@@ -659,9 +659,7 @@ class RasterRetrievalEngine:
             )
         ranges = self.screen.attribute_ranges()
         spreads = {
-            name: high - low
-            for name, (low, high) in ranges.items()
-            if name in model.attributes
+            name: high - low for name, (low, high) in ranges.items() if name in model.attributes
         }
         if term_order is not None:
             if sorted(term_order) != sorted(model.attributes):
@@ -680,9 +678,7 @@ class RasterRetrievalEngine:
         else:
             contributions = analyze_contributions(model, spreads=spreads)
         return ProgressiveLinearModel(
-            model,
-            contributions,
-            {name: ranges[name] for name in model.attributes},
+            model, contributions, {name: ranges[name] for name in model.attributes}
         )
 
     # -- shard entry points (the repro.service concurrency layer) ----------
@@ -704,15 +700,9 @@ class RasterRetrievalEngine:
         model = query.model
         self.require_attributes(model)
         progressive = (
-            self._build_progressive(model, term_order)
-            if use_model_levels
-            else None
+            self._build_progressive(model, term_order) if use_model_levels else None
         )
-        if not model.supports_intervals:
-            raise QueryError(
-                f"model {type(model).__name__} cannot bound intervals; "
-                "tile search needs evaluate_interval_batch"
-            )
+        self.require_intervals(model)
         return progressive
 
     def require_attributes(self, model: Model) -> None:
@@ -722,6 +712,17 @@ class RasterRetrievalEngine:
         missing = [a for a in model.attributes if a not in layers]
         if missing:
             raise QueryError(f"stack lacks model attributes {missing}")
+
+    @staticmethod
+    def require_intervals(model: Model) -> None:
+        """The one boundability check of tile search, here and in the
+        service's plan span; planner and router read the same
+        ``model.supports_intervals``."""
+        if not model.supports_intervals:
+            raise QueryError(
+                f"model {type(model).__name__} cannot bound intervals; "
+                "tile search needs evaluate_interval_batch"
+            )
 
     def shard_search(
         self,

@@ -28,8 +28,9 @@ import numpy as np
 from repro.data.raster import RasterStack
 from repro.exceptions import PlanError
 from repro.pyramid.quadtree import (
-    finest_grids,
+    clip_region,
     grid_levels,
+    interval_span,
     refresh_finest_grids,
 )
 
@@ -47,6 +48,26 @@ def meets(windows: np.ndarray, region: tuple[int, int, int, int]):
     )
 
 
+def _child_block(level, region, axis: int):
+    """One axis of one depth's combine: the slice of its intervals that
+    meet ``region`` (all of them for ``None``), the slice of the next
+    depth's intervals that are their children, and each interval's first
+    and last child as indexes into that slice."""
+    if region is None:
+        return slice(None), slice(None), level.first, level.last
+    i0, i1 = interval_span(level.starts, region[axis], region[axis + 2])
+    first, last = level.first[i0:i1], level.last[i0:i1]
+    k0 = int(first[0])
+    return slice(i0, i1), slice(k0, int(last[-1]) + 1), first - k0, last - k0
+
+
+def _fold(first: np.ndarray, last: np.ndarray, out: np.ndarray, half: int):
+    """``out`` = the minimum of ``first`` and ``last`` over the first
+    ``half`` rows, their maximum over the rest."""
+    np.minimum(first[:half], last[:half], out=out[:half])
+    np.maximum(first[half:], last[half:], out=out[half:])
+
+
 class TileScreen:
     """The (min, max) quadtree over every layer of a raster stack.
 
@@ -59,11 +80,12 @@ class TileScreen:
         Quadtree leaf window size; leaves are the unit of exact
         evaluation, so smaller leaves prune more but bound more often.
 
-    The leaf grids come from one blockwise reduction over each layer's
-    values — or, when a layer carries precomputed leaf grids for this
-    leaf size (the disk store's ``quadtree_aggregates`` hook), from
-    those verbatim, so a store-backed screen never pages the raw values
-    in. The flat tables are public read-only state for the engine:
+    The leaf grids follow one rule at build and at every refresh
+    (:meth:`_read_leaves`): copied from a layer's own leaf grids when it
+    carries them for this leaf size (the disk store's
+    ``quadtree_aggregates`` hook), so a store-backed screen never pages
+    the raw values in, else one blockwise reduction over its values.
+    The flat tables are public read-only state for the engine:
     ``envelope_table``, all minima over all maxima ``(2 * n_attrs,
     n_nodes)``, with halves ``lows``/``highs`` as views (rewritten in
     place by :meth:`refresh_region`), and the structure tables
@@ -98,17 +120,7 @@ class TileScreen:
         n_attrs, n_nodes = len(self.attributes), self._offsets[-1]
         self.envelope_table = np.empty((2 * n_attrs, n_nodes))
         self.lows, self.highs = np.split(self.envelope_table, 2)
-        row, col = self._levels[-1]
-        mins, maxs = np.split(self._grids(self.envelope_table, -1), 2)
-        for a, name in enumerate(self.attributes):
-            layer = stack[name]
-            # Duck-typed, so plain layers pay nothing; the store has
-            # checked the grids' shape against this tiling.
-            supplier = getattr(layer, "quadtree_aggregates", None)
-            grids = supplier(leaf_size) if supplier is not None else None
-            if grids is None:
-                grids = finest_grids(layer.values, row.starts, col.starts)
-            mins[a], maxs[a] = grids
+        self._read_leaves((0, 0) + stack.shape)
         self._combine(self.envelope_table)
         self._build_structure_tables()
         self._covers: dict[tuple[int, int, int, int], tuple] = {}
@@ -125,24 +137,83 @@ class TileScreen:
             -1, row.starts.size, col.starts.size
         )
 
-    def _combine(self, table: np.ndarray) -> None:
-        """Re-derive every coarser depth of a node table from its finest
+    def _read_leaves(self, region: tuple[int, int, int, int]) -> None:
+        """Write the leaf entries of ``envelope_table`` whose windows
+        meet ``region`` (clipped to the grid): the one leaf-grid rule of
+        the build and of :meth:`refresh_region`.
+
+        A layer that carries leaf grids for this leaf size (the disk
+        store's ``quadtree_aggregates`` hook, which its writer refreshes
+        on every append) is copied from them, one slice per side, so a
+        store-backed screen never pages the raw values in; any other
+        layer, or another leaf size, is re-reduced from its values by
+        :func:`~repro.pyramid.quadtree.refresh_finest_grids`, each
+        touched leaf over its whole window.
+        """
+        clipped = clip_region(region, self.shape)
+        if clipped is None:
+            return
+        row, col = self._levels[-1]
+        i0, i1 = interval_span(row.starts, clipped[0], clipped[2])
+        j0, j1 = interval_span(col.starts, clipped[1], clipped[3])
+        mins, maxs = np.split(self._grids(self.envelope_table, -1), 2)
+        for a, name in enumerate(self.attributes):
+            layer = self.stack[name]
+            # Duck-typed, so plain layers pay nothing; the store has
+            # checked the grids' shape against this tiling.
+            supplier = getattr(layer, "quadtree_aggregates", None)
+            grids = supplier(self.leaf_size) if supplier is not None else None
+            if grids is None:
+                refresh_finest_grids(
+                    layer.values,
+                    row.starts,
+                    row.lengths,
+                    col.starts,
+                    col.lengths,
+                    mins[a],
+                    maxs[a],
+                    clipped,
+                )
+            else:
+                mins[a, i0:i1, j0:j1] = grids[0][i0:i1, j0:j1]
+                maxs[a, i0:i1, j0:j1] = grids[1][i0:i1, j0:j1]
+
+    def _combine(
+        self,
+        table: np.ndarray,
+        region: tuple[int, int, int, int] | None = None,
+    ) -> None:
+        """Re-derive the coarser depths of a node table from its finest
         in place, children-wise (min and max are exact in any order):
         the first half of its rows by minimum, the second by maximum.
-        Then check ``min <= max`` everywhere — false for a NaN too,
-        which would otherwise bound nothing and prune wrongly."""
+        Without a ``region`` every node is derived; with one, at each
+        depth only the rectangle of nodes whose windows meet it
+        (clipped to the grid), each from its block of children — the
+        others' leaves did not change. Then check ``min <= max`` over
+        the whole table — false for a NaN too, which would otherwise
+        bound nothing and prune wrongly."""
         half = table.shape[0] // 2
-        fine = self._grids(table, -1)
-        for depth in range(len(self._levels) - 2, -1, -1):
-            row, col = self._levels[depth]
-            coarse = self._grids(table, depth)
-            for ufunc, side in (
-                (np.minimum, slice(None, half)),
-                (np.maximum, slice(half, None)),
-            ):
-                rows = ufunc(fine[side, row.first], fine[side, row.last])
-                coarse[side] = ufunc(rows[..., col.first], rows[..., col.last])
-            fine = coarse
+        clipped = None if region is None else clip_region(region, self.shape)
+        if region is None or clipped is not None:
+            for depth in range(len(self._levels) - 2, -1, -1):
+                row, col = self._levels[depth]
+                rows, row_kids, row_first, row_last = _child_block(
+                    row, clipped, 0
+                )
+                cols, col_kids, col_first, col_last = _child_block(
+                    col, clipped, 1
+                )
+                # Slice the children's block first: a fancy-index of the
+                # whole finer grid would cost as much as a full combine.
+                fine = self._grids(table, depth + 1)[:, row_kids, col_kids]
+                pairs = fine[:, row_first]
+                _fold(pairs, fine[:, row_last], pairs, half)
+                _fold(
+                    pairs[..., col_first],
+                    pairs[..., col_last],
+                    self._grids(table, depth)[:, rows, cols],
+                    half,
+                )
         if not (table[:half] <= table[half:]).all():
             raise PlanError(
                 "tile screen envelope has a NaN or a min above its max"
@@ -250,32 +321,22 @@ class TileScreen:
         return self.lows[:, leaves], self.highs[:, leaves]
 
     def refresh_region(self, region: tuple[int, int, int, int]) -> None:
-        """Re-aggregate every attribute over a dirty rectangle.
+        """Re-derive the envelopes over a dirty rectangle.
 
         The region-scoped invalidation hook: after an in-place mutation
         of the underlying layers (disk-store ``append_region``), only
-        the leaf entries the rectangle touches are re-reduced from the
-        values, into the finest slice of the envelope table; the coarser
-        depths are then recombined in place and the whole table
-        re-checked. The structure tables and root covers depend on the
-        grid shape alone and are not rebuilt. Without this the screen
-        would keep pruning against pre-mutation envelopes — silently
-        unsound.
+        the leaf entries the rectangle touches are rewritten, by the
+        build's own leaf-grid rule (:meth:`_read_leaves`: a slice copy
+        of a store layer's grids, which its writer has just refreshed,
+        else a re-reduction of those leaves from the values); then only
+        their ancestors are recombined, and the whole table re-checked.
+        The structure tables and root covers depend on the grid shape
+        alone and are not rebuilt. Without this the screen would keep
+        pruning against pre-mutation envelopes — silently unsound. The
+        whole grid as the rectangle re-derives every envelope.
         """
-        row, col = self._levels[-1]
-        mins, maxs = np.split(self._grids(self.envelope_table, -1), 2)
-        for a, name in enumerate(self.attributes):
-            refresh_finest_grids(
-                self.stack[name].values,
-                row.starts,
-                row.lengths,
-                col.starts,
-                col.lengths,
-                mins[a],
-                maxs[a],
-                region,
-            )
-        self._combine(self.envelope_table)
+        self._read_leaves(region)
+        self._combine(self.envelope_table, region)
 
     def envelope_block(
         self, ids: np.ndarray, margin: float | None = None
@@ -333,13 +394,12 @@ class TileScreen:
     def _region(self, region: tuple[int, int, int, int]):
         """``(root cover, node ids)`` of a region, memoized together."""
         rows, cols = self.shape
-        row0, col0 = max(0, region[0]), max(0, region[1])
-        row1, col1 = min(rows, region[2]), min(cols, region[3])
-        if row0 >= row1 or col0 >= col1:
+        key = clip_region(region, (rows, cols))
+        if key is None:
             raise PlanError(
                 f"region {region} does not intersect grid {self.shape}"
             )
-        key = (row0, col0, row1, col1)
+        row0, col0, row1, col1 = key
         entry = self._covers.get(key)
         if entry is not None:
             return entry

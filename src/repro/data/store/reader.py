@@ -11,10 +11,11 @@ are tiny and loaded eagerly.
 The mapping is shared, not private: a writer appending through
 ``mode="r+"`` to the same files is visible to already-open readers,
 which is what makes in-process incremental ingest
-(:meth:`DiskArchive.append_region`) coherent — the archive records a
-*region-scoped* mutation so the service layer refreshes screen
-aggregates over the dirty rectangle and keeps every cached answer that
-doesn't intersect it.
+(:meth:`DiskArchive.append_region`) coherent — the writer hands the
+leaf grids it refreshed to the layers, then the archive records a
+*region-scoped* mutation, so the service layer's screen copies the
+dirty rectangle's leaves from those grids (recombining only their
+ancestors) and keeps every cached answer that doesn't intersect it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class MemmapRasterLayer(RasterLayer):
     The layer also carries the store's precomputed leaf (min, max)
     grids and exposes them through :meth:`quadtree_aggregates` — the
     duck-typed hook :class:`~repro.core.screening.TileScreen` probes, so
-    building a screen over a disk stack never reduces over raw pixels.
+    neither building a screen over a disk stack nor refreshing it after
+    an append reduces over raw pixels.
     """
 
     def __init__(

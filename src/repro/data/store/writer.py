@@ -14,7 +14,9 @@
   or more bands in place and re-reduce **only** the leaf aggregates the
   rectangle touches (coarser levels are re-derived from the finest
   grid by the tile screen, so refreshing the finest grid is the whole
-  incremental story on disk);
+  incremental story on disk). The refreshed grids are handed to a
+  bound archive's layers, and a tile screen over them copies the
+  touched leaves from there instead of reducing the values again;
 * :meth:`ArchiveWriter.append_days` — extend a time/depth series.
 
 Every mutation bumps the manifest generation (manifest rewritten
@@ -261,9 +263,12 @@ class ArchiveWriter:
         ``r+`` memmap (pages outside it are never touched), re-reduce
         the leaf aggregate entries the rectangle intersects in place
         (bit-identical to a from-scratch rebuild — see
-        :func:`~repro.pyramid.quadtree.refresh_finest_grids`), rewrite
-        the band's aggregate file. One generation bump covers the whole
-        call, and a bound archive gets one region-scoped mutation.
+        :func:`~repro.pyramid.quadtree.refresh_finest_grids`; the leaf
+        intervals are memoized per grid, not re-derived per band),
+        rewrite the band's aggregate file. One generation bump covers
+        the whole call, and a bound archive gets one region-scoped
+        mutation, after its layers have adopted the refreshed grids —
+        the leaf grids a service's screen refresh copies.
         """
         if not updates:
             raise ArchiveError("append_region needs at least one band update")

@@ -5,12 +5,14 @@ A node splits its row range iff the range is longer than ``leaf_size``
 grid is the depth-synchronized product of a 1-D row-interval hierarchy
 and a 1-D column-interval hierarchy. This module is the one place that
 knows that tiling: :func:`grid_levels` gives every depth's intervals,
-:func:`finest_intervals` one axis's leaf intervals, and
-:func:`finest_grids` / :func:`refresh_finest_grids` reduce raw values to
-the leaf ``(min, max)`` grids. The tree itself — every depth's
-envelopes, combined upward from those leaf grids — is the tile screen's
-flat tables (:class:`repro.core.screening.TileScreen`); the on-disk
-store (:mod:`repro.data.store`) persists the leaf grids only. The
+:func:`finest_intervals` one axis's leaf intervals (memoized,
+read-only), :func:`clip_region` and :func:`interval_span` the intervals
+a dirty rectangle meets, and :func:`finest_grids` /
+:func:`refresh_finest_grids` reduce raw values to the leaf
+``(min, max)`` grids. The tree itself — every depth's envelopes,
+combined upward from those leaf grids — is the tile screen's flat
+tables (:class:`repro.core.screening.TileScreen`); the on-disk store
+(:mod:`repro.data.store`) persists the leaf grids only. The
 original top-down scalar build lives on in ``tests/oracles.py`` as the
 reference the tables are property-tested against.
 """
@@ -18,6 +20,7 @@ reference the tables are property-tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +84,7 @@ def grid_levels(
     return list(zip(row_levels, col_levels))
 
 
+@lru_cache(maxsize=64)
 def finest_intervals(
     extent: int, leaf_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +93,35 @@ def finest_intervals(
     The leaf tiling the tile screen's tree bottoms out at — the shared
     vocabulary between the screen and the on-disk store's precomputed
     leaf grids (:mod:`repro.data.store`), which must agree on it exactly.
+    Memoized per ``(extent, leaf_size)``, as every append asks again,
+    so the arrays are read-only.
     """
     level = _axis_levels(extent, leaf_size)[-1]
+    level.starts.setflags(write=False)
+    level.lengths.setflags(write=False)
     return level.starts, level.lengths
+
+
+def clip_region(
+    region: tuple[int, int, int, int], shape: tuple[int, int]
+) -> tuple[int, int, int, int] | None:
+    """``region`` clipped to a ``shape`` grid, or ``None`` when nothing
+    of it is left."""
+    row0, col0 = max(0, region[0]), max(0, region[1])
+    row1, col1 = min(shape[0], region[2]), min(shape[1], region[3])
+    if row0 >= row1 or col0 >= col1:
+        return None
+    return row0, col0, row1, col1
+
+
+def interval_span(starts: np.ndarray, low: int, high: int) -> tuple[int, int]:
+    """``(i0, i1)``: the intervals ``i0 <= i < i1`` of an axis tiling
+    (its ``starts``, ascending from 0) that meet the non-empty range
+    ``[low, high)`` inside the axis."""
+    return (
+        int(starts.searchsorted(low, side="right")) - 1,
+        int(starts.searchsorted(high, side="left")),
+    )
 
 
 def finest_grids(
@@ -132,16 +162,12 @@ def refresh_finest_grids(
     store's differential tests pin. A region that misses the grid
     recomputes nothing.
     """
-    row0, col0, row1, col1 = region
-    rows, cols = values.shape
-    row0, row1 = max(0, row0), min(rows, row1)
-    col0, col1 = max(0, col0), min(cols, col1)
-    if row0 >= row1 or col0 >= col1:
+    clipped = clip_region(region, values.shape)
+    if clipped is None:
         return
-    i0 = int(np.searchsorted(row_starts, row0, side="right")) - 1
-    i1 = int(np.searchsorted(row_starts, row1, side="left"))
-    j0 = int(np.searchsorted(col_starts, col0, side="right")) - 1
-    j1 = int(np.searchsorted(col_starts, col1, side="left"))
+    row0, col0, row1, col1 = clipped
+    i0, i1 = interval_span(row_starts, row0, row1)
+    j0, j1 = interval_span(col_starts, col0, col1)
     r_start = int(row_starts[i0])
     r_end = int(row_starts[i1 - 1] + row_lengths[i1 - 1])
     c_start = int(col_starts[j0])

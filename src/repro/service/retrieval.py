@@ -703,14 +703,21 @@ class RetrievalService:
         return cls(archive.stack(layers), archive=archive, **kwargs)
 
     def invalidate(self) -> None:
-        """Explicitly drop every cached answer and built index.
+        """Explicitly re-derive the screen and drop every cached answer
+        and built index.
 
-        The router's Onion indexes and the tile embedding grid are
-        dropped unconditionally (they are derived from the archive
-        exactly like cached answers); the result cache part — including
-        the ``invalidations`` tally — is a no-op when caching is
-        disabled, since there is nothing to invalidate there.
+        The engine's screen envelopes are the pruning bounds, not a
+        cache, so they are first re-derived over the whole grid (the
+        refresh of :meth:`invalidate_region`, everywhere): a service
+        that lost track of where the archive changed must not prune
+        against envelopes from before it. The router's Onion indexes
+        and the tile embedding grid are dropped unconditionally (they
+        are derived from the archive exactly like cached answers); the
+        result cache part — including the ``invalidations`` tally — is
+        a no-op when caching is disabled, since there is nothing to
+        invalidate there.
         """
+        self.engine.screen.refresh_region((0, 0) + self.engine.stack.shape)
         self.router.index_cache.invalidate()
         with self._lock:
             self._embeddings = None
@@ -778,17 +785,14 @@ class RetrievalService:
                 return
             mutations = self._archive.mutations_since(self._seen_generation)
             self._seen_generation = generation
-            if mutations is None:
-                # The archive's bounded log no longer covers our lag (or
-                # cannot scope the change): full invalidation is the
-                # only sound answer.
+            if mutations is None or any(r is None for _, r in mutations):
+                # The archive's bounded log no longer covers our lag, or
+                # a mutation cannot be scoped: full invalidation is the
+                # only sound answer, and once covers every mutation.
                 self.invalidate()
                 return
             for _mutation_generation, region in mutations:
-                if region is None:
-                    self.invalidate()
-                else:
-                    self.invalidate_region(region)
+                self.invalidate_region(region)
 
     def embeddings(self) -> TileEmbeddings:
         """The per-tile embedding grid, built lazily and kept fresh.
@@ -1192,11 +1196,8 @@ class RetrievalService:
             # node bounds: on the served models the level cascade reads
             # fewer values but costs more wall time (DESIGN §6, "Where
             # the cascade pays").
-            if executor.default and not query.model.supports_intervals:
-                raise QueryError(
-                    f"model {type(query.model).__name__} cannot bound "
-                    "intervals; tile search needs evaluate_interval_batch"
-                )
+            if executor.default:
+                self.engine.require_intervals(query.model)
             if executor.fused:
                 request.fusion = self._fusion_spec(query, trace)
         request.plan_seconds = time.perf_counter() - started

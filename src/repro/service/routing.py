@@ -469,7 +469,7 @@ class QueryRouter:
     ) -> list[StrategyCandidate]:
         """Score the fused strategy pair (plus explain-only rejects)."""
         candidates: list[StrategyCandidate] = []
-        if getattr(query.model, "supports_intervals", False):
+        if query.model.supports_intervals:
             candidates.append(self._candidate("fused", n_cells))
         else:
             candidates.append(

@@ -189,6 +189,38 @@ class TestRegionScopedInvalidation:
         # entry must go — soundness over retention.
         assert not service.top_k(query).strategy.endswith("-cached")
 
+    def test_log_overflow_re_derives_the_screen(self, tmp_path):
+        """A service more than the log's length behind cannot replay the
+        dirty rectangles, so full invalidation must also re-derive the
+        screen: the last append puts the optimum where every envelope
+        from before it says nothing good can be, and a screen still
+        holding those envelopes prunes it away."""
+        rng = np.random.default_rng(1)
+        source = Archive("witness")
+        source.add(RasterLayer("a", rng.standard_normal((128, 128))))
+        source.add(RasterLayer("b", rng.standard_normal((128, 128))))
+        ArchiveWriter.create(tmp_path / "store", source, screen_leaf_size=8)
+        disk = open_archive(tmp_path / "store")
+        service = RetrievalService.from_archive(
+            disk, ["a", "b"], leaf_size=8, n_shards=1
+        )
+        query = TopKQuery(model=LinearModel({"a": 1, "b": 1}), k=5)
+        service.top_k(query)
+        region = (96, 96, 104, 104)
+        for _ in range(299):
+            block = rng.standard_normal((8, 8))
+            disk.append_region({"a": block, "b": block}, region)
+        block = rng.standard_normal((8, 8))
+        block[4, 4] = 50.0
+        disk.append_region({"a": block, "b": block}, region)
+        assert disk.mutations_since(service._seen_generation) is None
+
+        served = service.top_k(query)
+        assert (served.answers[0].row, served.answers[0].col) == (100, 100)
+        assert answers(served) == answers(
+            service.engine.exhaustive_top_k(query)
+        )
+
 
 def fused_query(model, region=None, cell=(10, 10), alpha=0.5, k=3):
     return TopKQuery(
